@@ -3,7 +3,6 @@ with a minimum-time multi-agent consensus application."""
 
 from .alternating import (
     BregmanResult,
-    DykstraState,
     MinMaxSolution,
     ToleranceConfig,
     bregman_alternate,

@@ -3,13 +3,13 @@ alternating projection, and the min-max solver composed from both."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import ConvergenceError
-from .geometry import HorizontalHyperplane, PointTime, ProjectableSet
+from .geometry import ConeStack, HorizontalHyperplane, PointTime, ProjectableSet
 
 Array = np.ndarray
 
@@ -32,15 +32,6 @@ class ToleranceConfig:
             raise ValueError("tolerances must be positive")
         if self.max_inner_cycles < 1 or self.max_outer_iters < 1:
             raise ValueError("iteration caps must be at least 1")
-
-
-@dataclass
-class DykstraState:
-    """Iterate plus one increment vector per set."""
-
-    iterate: PointTime
-    increments: List[Array]
-    cycle_count: int = 0
 
 
 class BregmanResult(NamedTuple):
@@ -83,33 +74,53 @@ def dykstra_project(
     Cycles through the sets in order, applying each projection to the
     iterate minus that set's increment and updating the increment, until
     the end-of-cycle iterate moves less than cfg.err between cycles.
+
+    A step is trivial when the set's increment is +0.0 throughout and the
+    iterate lies strictly inside the set: the step would leave both
+    bit-for-bit unchanged. Trivial steps found by ConeStack's batched test
+    are skipped, so the result and the cycle count are those of the plain
+    per-set loop.
     """
     if not sets:
         raise ValueError("sets must be nonempty")
+    for s in sets:
+        s._check(p0)
     x = p0.to_array()
-    increments = [np.zeros_like(x) for _ in sets]
+    m = len(sets)
+    increments = np.zeros((m, x.size))
+    zero = np.ones(m, dtype=bool)  # increment is +0.0 in every component
+    cones = ConeStack(sets)
     prev = None
-    prev_incs = None
     resid = np.inf
     for cycle in range(1, cfg.max_inner_cycles + 1):
-        for i, s in enumerate(sets):
+        # sum of the increments' moves this cycle, in set order; an
+        # unchanged increment would add exactly 0.0
+        drift = 0
+        i = 0
+        while i < m:
+            if cones.any:
+                trivial = zero[i:] & cones.inside(x, i)
+                k = int(trivial.argmin())
+                if trivial[k]:
+                    break
+                i += k
             y = x - increments[i]
-            px = s.project(PointTime.from_array(y)).to_array()
-            increments[i] = px - y
+            px = sets[i].project_array(y)
+            inc = px - y
+            drift += float(np.linalg.norm(inc - increments[i]))
+            increments[i] = inc
+            zero[i] = not inc.view(np.int64).any()
             x = px
+            i += 1
         if prev is not None:
             # the iterate can stall for whole cycles while the increments
             # still drift, so both must settle before we may stop
-            resid = float(np.linalg.norm(x - prev)) + sum(
-                float(np.linalg.norm(inc - pinc))
-                for inc, pinc in zip(increments, prev_incs)
-            )
+            resid = float(np.linalg.norm(x - prev)) + drift
             if resid < cfg.err:
                 if stats is not None:
                     stats["cycles"] = cycle
                 return PointTime.from_array(x)
-        prev = x.copy()
-        prev_incs = [inc.copy() for inc in increments]
+        prev = x
     if stats is not None:
         stats["cycles"] = cfg.max_inner_cycles
     raise ConvergenceError(
@@ -118,17 +129,6 @@ def dykstra_project(
         residual=resid,
         iterations=cfg.max_inner_cycles,
     )
-
-
-def _project_onto(
-    target: Union[ProjectableSet, Sequence[ProjectableSet]],
-    p: PointTime,
-    cfg: ToleranceConfig,
-    stats: Optional[dict] = None,
-) -> PointTime:
-    if isinstance(target, ProjectableSet):
-        return target.project(p)
-    return dykstra_project(target, p, cfg, stats=stats)
 
 
 def bregman_alternate(
@@ -147,7 +147,10 @@ def bregman_alternate(
     prev_b = None
     a = p0
     for k in range(1, cfg.max_outer_iters + 1):
-        a = _project_onto(set_a, b, cfg)
+        if isinstance(set_a, ProjectableSet):
+            a = set_a.project(b)
+        else:
+            a = dykstra_project(set_a, b, cfg)
         b = set_b.project(a)
         if prev_b is not None and b.distance_to(prev_b) < cfg.outer_tol:
             return BregmanResult(a, b, a.distance_to(b), k)
@@ -184,8 +187,10 @@ def solve_minmax(
         stats: dict = {}
         try:
             a = dykstra_project(epigraphs, b, cfg, stats=stats)
-        finally:
-            inner_total += stats.get("cycles", 0)
+        except ConvergenceError as exc:
+            exc.trace = trace
+            raise
+        inner_total += stats["cycles"]
         b = plane.project(a)
         gap = a.distance_to(b)
         trace.append(OuterRecord(k, a.to_array(), b.to_array(), gap))
@@ -199,6 +204,7 @@ def solve_minmax(
             iterate=a,
             residual=a.distance_to(b),
             iterations=cfg.max_outer_iters,
+            trace=trace,
         )
     return MinMaxSolution(
         x_star=a.x.copy(),

@@ -39,7 +39,6 @@ EXIT_VERIFY = 4
 class ExperimentConfig:
     agents: List[AgentDynamics]
     solver: ToleranceConfig
-    t_min: float
     mode: str
     solution_path: Optional[str] = None
     trace_path: Optional[str] = None
@@ -96,7 +95,10 @@ def load_config(path: str) -> ExperimentConfig:
         )
     except (ValueError, TypeError) as exc:
         problems.append(f"solver: {exc}")
-    t_min = float(s.get("t_min", 0.0))
+    # the plane must lie below the epigraph intersection, and reach times
+    # are nonnegative, so the plane is fixed at height 0
+    if s.get("t_min", 0.0) != 0.0:
+        problems.append("solver.t_min: the plane is fixed at height 0; only 0.0 is accepted")
 
     mode = raw.get("mode", "centralized")
     if mode not in ("centralized", "ring"):
@@ -112,7 +114,6 @@ def load_config(path: str) -> ExperimentConfig:
     return ExperimentConfig(
         agents=agents,
         solver=solver,
-        t_min=t_min,
         mode=mode,
         solution_path=out.get("solution"),
         trace_path=out.get("trace"),
@@ -176,8 +177,7 @@ def cmd_solve(cfg: ExperimentConfig, quiet: bool = False) -> int:
         result = solve_min_time_consensus(cfg.agents, cfg.solver, mode=cfg.mode)
     except ConvergenceError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
-        if cfg.trace_path:
-            _write_trace(cfg, getattr(exc, "trace", []) or [])
+        _write_trace(cfg, exc.trace)
         return EXIT_SOLVER
     text = _write_solution(cfg, result)
     _write_trace(cfg, result.solver.trace)

@@ -228,10 +228,10 @@ class SecondOrderAttainableSet(ProjectableSet):
         self._check(p)
         return self.reach_time(p.x[0]) - p.t
 
-    def _branch_candidate(self, p: PointTime, side: float) -> PointTime:
+    def _branch_candidate(self, v: Array, side: float) -> Array:
         nu, c = self.nu, self.c
-        b0 = float(p.x[0])
-        base = p.t + side * nu
+        b0 = float(v[0])
+        base = float(v[1]) + side * nu
         # odd extension below the parabola vertex keeps the map injective
         h0 = base * abs(base) + c
         m = side * self.slope
@@ -245,15 +245,16 @@ class SecondOrderAttainableSet(ProjectableSet):
             b1 = self.bstar
             h1 = max(h0, m * b1 + k)
         t1 = -side * nu + math.sqrt(max(h1 - c, 0.0))
-        return PointTime(np.array([b1]), max(t1, 0.0))
+        return np.array([b1, max(t1, 0.0)])
 
-    def project(self, p: PointTime) -> PointTime:
-        self._check(p)
-        if self.violation(p) <= 1e-12:
-            return p
-        right = self._branch_candidate(p, +1.0)
-        left = self._branch_candidate(p, -1.0)
-        return right if right.distance_to(p) <= left.distance_to(p) else left
+    def project_array(self, v: Array) -> Array:
+        if self.reach_time(v[0]) - float(v[1]) <= 1e-12:
+            return v
+        right = self._branch_candidate(v, +1.0)
+        left = self._branch_candidate(v, -1.0)
+        if np.linalg.norm(right - v) <= np.linalg.norm(left - v):
+            return right
+        return left
 
 
 def _attainable_set(agent: AgentDynamics) -> SecondOrderAttainableSet:

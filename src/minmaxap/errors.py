@@ -23,15 +23,17 @@ class ProjectionError(RuntimeError):
 class ConvergenceError(RuntimeError):
     """An iterative solver hit its iteration cap.
 
-    Carries the best iterate seen so far and the residual at the stop, so
+    Carries the best iterate seen so far, the residual at the stop and the
+    solver's trace up to the stop (empty when the solver keeps none), so
     callers can inspect or report partial progress.
     """
 
-    def __init__(self, message, iterate=None, residual=None, iterations=None):
+    def __init__(self, message, iterate=None, residual=None, iterations=None, trace=None):
         super().__init__(message)
         self.iterate = iterate
         self.residual = residual
         self.iterations = iterations
+        self.trace = [] if trace is None else trace
 
 
 class OracleBudgetError(RuntimeError):

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import DimensionMismatchError, ProjectionError
 
@@ -83,6 +82,15 @@ class ProjectableSet:
         return self.violation(p) <= tol
 
     def project(self, p: PointTime) -> PointTime:
+        """Nearest point of the set; p itself when p is already inside."""
+        self._check(p)
+        v = p.to_array()
+        q = self.project_array(v)
+        return p if q is v else PointTime.from_array(q)
+
+    def project_array(self, v: Array) -> Array:
+        """project() on a raw (n+1) array (x..., t): returns v itself when
+        v is inside, and a new array otherwise. Does not check dimensions."""
         raise NotImplementedError
 
 
@@ -104,9 +112,12 @@ class HorizontalHyperplane(ProjectableSet):
     def violation(self, p: PointTime) -> float:
         return abs(p.t - self.t_min)
 
-    def project(self, p: PointTime) -> PointTime:
-        self._check(p)
-        return PointTime(p.x, self.t_min)
+    def project_array(self, v: Array) -> Array:
+        if v[-1] == self.t_min:
+            return v
+        q = v.copy()
+        q[-1] = self.t_min
+        return q
 
 
 @dataclass(frozen=True)
@@ -129,19 +140,47 @@ class SecondOrderCone(ProjectableSet):
         r = float(np.linalg.norm(p.x - self.apex.x))
         return self.slope * r - (p.t - self.apex.t)
 
-    def project(self, p: PointTime) -> PointTime:
-        self._check(p)
+    def project_array(self, v: Array) -> Array:
         a = self.slope
-        y = p.x - self.apex.x
-        th = p.t - self.apex.t
+        y = v[:-1] - self.apex.x
+        th = float(v[-1]) - self.apex.t
         r = float(np.linalg.norm(y))
         if a * r <= th:
-            return p
+            return v
         if r <= -a * th:
-            return self.apex
+            return self.apex.to_array()
         # here r > 0; nearest boundary point along the ray through y
         rho = (r + a * th) / (1.0 + a * a)
-        return PointTime(self.apex.x + rho * (y / r), self.apex.t + a * rho)
+        return np.append(self.apex.x + rho * (y / r), self.apex.t + a * rho)
+
+
+class ConeStack:
+    """The SecondOrderCones among a list of sets, stacked for one batched test.
+
+    inside(v, lo) says, for each of sets[lo:], whether v surely lies strictly
+    inside that set; every set that is not a cone reads False. Where it says
+    True, SecondOrderCone.project_array(v) returns v itself: the test keeps a
+    relative margin of 1e-12 (the batched norm may differ from
+    np.linalg.norm by a few ulps, well under that up to thousands of
+    dimensions) plus 1e-150 for squares that underflow.
+    """
+
+    def __init__(self, sets: Sequence[ProjectableSet]):
+        cones = [s if isinstance(s, SecondOrderCone) else None for s in sets]
+        self.any = any(c is not None for c in cones)
+        dim = next((c.dim for c in cones if c is not None), 1)
+        # a set that is not a cone gets an infinite apex height, which
+        # leaves every point outside it
+        self.apex_x = np.array([np.zeros(dim) if c is None else c.apex.x for c in cones])
+        self.apex_t = np.array([np.inf if c is None else c.apex.t for c in cones])
+        slope = np.array([1.0 if c is None else c.slope for c in cones])
+        self.slope = slope * (1.0 + 1e-12)
+        self.floor = slope * 1e-150
+
+    def inside(self, v: Array, lo: int = 0) -> Array:
+        d = v[:-1] - self.apex_x[lo:]
+        r = np.sqrt(np.einsum("ij,ij->i", d, d))
+        return self.slope[lo:] * r + self.floor[lo:] < v[-1] - self.apex_t[lo:]
 
 
 @dataclass(frozen=True)
@@ -167,15 +206,13 @@ class Halfspace(ProjectableSet):
         self._check(p)
         return float(self.normal @ p.to_array() - self.offset)
 
-    def project(self, p: PointTime) -> PointTime:
-        self._check(p)
-        v = p.to_array()
+    def project_array(self, v: Array) -> Array:
         excess = float(self.normal @ v - self.offset)
         # boundary points re-enter with a few ulps of excess; treat them as
         # inside so projection is exactly idempotent
         if excess <= 1e-13 * (1.0 + abs(self.offset) + float(np.linalg.norm(v))):
-            return p
-        return PointTime.from_array(v - excess * self.normal)
+            return v
+        return v - excess * self.normal
 
 
 @dataclass(frozen=True)
@@ -199,15 +236,13 @@ class Ball(ProjectableSet):
         self._check(p)
         return float(np.linalg.norm(p.to_array() - self.center)) - self.radius
 
-    def project(self, p: PointTime) -> PointTime:
-        self._check(p)
-        v = p.to_array()
+    def project_array(self, v: Array) -> Array:
         d = v - self.center
         nrm = float(np.linalg.norm(d))
         # same ulp guard as Halfspace: keep boundary points fixed exactly
         if nrm <= self.radius * (1.0 + 1e-13) + 1e-13:
-            return p
-        return PointTime.from_array(self.center + (self.radius / nrm) * d)
+            return v
+        return self.center + (self.radius / nrm) * d
 
 
 class ConvexEpigraph(ProjectableSet):
@@ -250,12 +285,13 @@ class ConvexEpigraph(ProjectableSet):
         lo, hi = self.domain_box
         return list(zip(np.asarray(lo, float), np.asarray(hi, float)))
 
-    def _prox(self, px: Array, lam: float, z0: Array) -> Array:
+    def _prox(self, px: Array, lam: float, z0: Array, minimize) -> Array:
         """argmin_z 0.5*||z - px||^2 + lam*f(z), warm-started at z0.
 
         A warm start sitting exactly on a kink of f can trap the line
         search, so the solve is repeated from px and the lower of the two
-        objectives wins.
+        objectives wins. minimize is scipy.optimize.minimize, imported by
+        the caller.
         """
 
         def obj(z):
@@ -285,7 +321,7 @@ class ConvexEpigraph(ProjectableSet):
                 best, best_val = cand, val
         return best
 
-    def project(self, p: PointTime) -> PointTime:
+    def project_array(self, v: Array) -> Array:
         """Nearest point of the epigraph, via bisection on the multiplier.
 
         The KKT system of min ||q - p||^2 s.t. f(q.x) <= q.t gives
@@ -293,17 +329,18 @@ class ConvexEpigraph(ProjectableSet):
         f(q.x(lam)) - (p.t + lam) is decreasing in lam, so its root is
         bracketed by doubling and then bisected.
         """
-        self._check(p)
         tol = self.tol
-        if self.violation(p) <= 0:
-            return p
-        px, pt = p.x, p.t
+        px, pt = v[:-1], float(v[-1])
+        if float(self.value(px)) - pt <= 0:
+            return v
+        # scipy takes most of a second to import; only this projection uses it
+        from scipy.optimize import minimize
 
         z = px.copy()
 
         def phi(lam):
             nonlocal z
-            z = self._prox(px, lam, z)
+            z = self._prox(px, lam, z, minimize)
             return float(self.value(z)) - (pt + lam)
 
         lo, hi = 0.0, max(tol, 1.0)
@@ -328,23 +365,21 @@ class ConvexEpigraph(ProjectableSet):
         # take the feasible side of the bracket so f(q.x) <= q.t + tol;
         # the residual falls at unit rate or faster in the multiplier, so a
         # leftover few-ulp violation is removed by bumping hi once or twice
-        z_hi = self._prox(px, hi, z)
-        q = PointTime(z_hi, pt + hi)
-        resid = self.violation(q)
+        z_hi = self._prox(px, hi, z, minimize)
+        resid = float(self.value(z_hi)) - (pt + hi)
         for _ in range(50):
             if resid <= tol:
                 break
             hi += max(resid, tol)
-            z_hi = self._prox(px, hi, z_hi)
-            q = PointTime(z_hi, pt + hi)
-            resid = self.violation(q)
+            z_hi = self._prox(px, hi, z_hi, minimize)
+            resid = float(self.value(z_hi)) - (pt + hi)
         if resid > tol:
             raise ProjectionError(
                 "epigraph projection did not reach tolerance",
-                iterate=q,
+                iterate=PointTime(z_hi, pt + hi),
                 residual=resid,
             )
-        return q
+        return np.append(z_hi, pt + hi)
 
 
 def contains(s: ProjectableSet, p: PointTime, tol: float = 0.0) -> bool:

@@ -106,10 +106,10 @@ def agent_step(node: AgentNode, msg: RingMessage) -> Tuple[AgentNode, RingMessag
     if msg.flag == 1:
         node.increment = np.zeros_like(node.increment)
     y = msg.guess.to_array() - node.increment
-    q = node.own_set.project(PointTime.from_array(y))
-    node.increment = q.to_array() - y
+    q = node.own_set.project_array(y)
+    node.increment = q - y
     change = float(np.linalg.norm(node.increment - old))
-    return node, RingMessage(q, msg.flag, msg.drift + change)
+    return node, RingMessage(PointTime.from_array(q), msg.flag, msg.drift + change)
 
 
 def coordinator_step(
@@ -151,6 +151,8 @@ def run_ring(
     ids = [a.id for a in agents]
     if ids != list(range(1, len(agents) + 1)):
         raise ValueError("agents must be ordered by id 1..N")
+    for a in agents:
+        a.own_set._check(p0)
     msg = RingMessage(p0, 0)
     trace: List[RingTraceRow] = []
     counts = {a.id: 0 for a in agents}
@@ -215,4 +217,5 @@ def run_ring(
         iterate=best,
         residual=np.inf,
         iterations=cfg.max_cycles,
+        trace=trace,
     )

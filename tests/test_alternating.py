@@ -95,6 +95,95 @@ class TestDykstra:
         assert all(b <= a + 1e-9 for a, b in zip(dists, dists[1:]))
 
 
+def textbook_dykstra(sets, p0, cfg):
+    """Cyclic Dykstra as written in textbooks: one projection per set per
+    cycle, nothing skipped. Returns the iterate and the cycle count."""
+    x = p0.to_array()
+    incs = [np.zeros_like(x) for _ in sets]
+    prev = prev_incs = None
+    for cycle in range(1, cfg.max_inner_cycles + 1):
+        for i, s in enumerate(sets):
+            y = x - incs[i]
+            px = s.project(PointTime.from_array(y)).to_array()
+            incs[i] = px - y
+            x = px
+        if prev is not None:
+            resid = float(np.linalg.norm(x - prev)) + sum(
+                float(np.linalg.norm(a - b)) for a, b in zip(incs, prev_incs)
+            )
+            if resid < cfg.err:
+                return x, cycle
+        prev = x.copy()
+        prev_incs = [a.copy() for a in incs]
+    raise AssertionError("the textbook loop hit the cycle cap")
+
+
+def random_cones(rng, n, dim):
+    return [
+        SecondOrderCone(
+            pt(rng.uniform(-5.0, 5.0, size=dim), rng.uniform(-1.0, 1.0)),
+            float(rng.uniform(0.5, 2.0)),
+        )
+        for _ in range(n)
+    ]
+
+
+class TestDykstraMatchesTextbook:
+    """dykstra_project skips steps that would change nothing; its iterate and
+    cycle count must equal the textbook loop's bit for bit."""
+
+    def assert_same(self, sets, p0):
+        stats = {}
+        q = dykstra_project(sets, p0, CFG, stats=stats)
+        x, cycles = textbook_dykstra(sets, p0, CFG)
+        assert [float(v).hex() for v in q.to_array()] == [float(v).hex() for v in x]
+        assert stats["cycles"] == cycles
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 16, 32, 64])
+    def test_cone_families(self, n, dim):
+        rng = np.random.default_rng(100 * n + dim)
+        cones = random_cones(rng, n, dim)
+        centre = np.mean([c.apex.x for c in cones], axis=0)
+        # from the plane below (the solver's case) and from inside them all
+        for t in (0.0, rng.uniform(-3.0, 3.0), 40.0):
+            self.assert_same(cones, pt(centre + rng.normal(size=dim), t))
+
+    def test_mixed_family(self):
+        # Halfspace and Ball have no batched test, so they are never skipped
+        rng = np.random.default_rng(7)
+        for _ in range(10):
+            cones = [
+                SecondOrderCone(pt(rng.uniform(-1.0, 1.0, size=2), rng.uniform(-1.0, 0.0)),
+                                float(rng.uniform(0.5, 1.0)))
+                for _ in range(3)
+            ]
+            others = [
+                Halfspace(np.array([0.0, 0.0, 1.0]), 6.0),
+                Ball(np.array([0.0, 0.0, 4.0]), 3.0),
+            ]
+            p0 = pt(rng.normal(scale=3.0, size=2), rng.normal(scale=3.0))
+            self.assert_same(cones + others, p0)
+            self.assert_same(others + cones[:1], p0)
+            self.assert_same(others, p0)
+
+    def test_starts_on_apex_and_near_surface(self):
+        cones = [
+            SecondOrderCone(pt([0.3, -0.2], 0.5), 1.5),
+            SecondOrderCone(pt([-4.0, 1.0], -9.0), 1.0),
+            SecondOrderCone(pt([3.0, 2.0], -8.0), 0.7),
+        ]
+        first = cones[0]
+        self.assert_same(cones, first.apex)
+        u = np.array([0.6, 0.8])
+        for r in (1e-3, 0.7, 5.0):
+            x = first.apex.x + r * u
+            t = first.apex.t + first.slope * r
+            for dt in (-1e-13, 0.0, 1e-13):
+                self.assert_same(cones, pt(x, t + dt))
+                self.assert_same(cones[::-1], pt(x, t + dt))
+
+
 class TestBregman:
     def test_parallel_planes(self):
         r = bregman_alternate(
@@ -193,6 +282,13 @@ class TestSolveMinmax:
             for tm in (0.0, -2.5)
         ]
         assert abs(sols[0].x_star[0] - sols[1].x_star[0]) <= 10 * CFG.outer_tol
+
+    def test_outer_cap_failure_carries_trace(self):
+        cones = [SecondOrderCone(pt([-1.0], 0.0), 1.0), SecondOrderCone(pt([2.0], 0.0), 2.0)]
+        cfg = ToleranceConfig(max_outer_iters=2)
+        with pytest.raises(ConvergenceError) as exc:
+            solve_minmax(cones, HorizontalHyperplane(0.0), pt([0.0], 6.0), cfg)
+        assert [r.iteration for r in exc.value.trace] == [1, 2]
 
     def test_trace_recorded(self):
         cones = [SecondOrderCone(pt([0.0], 0.0), 1.0)]

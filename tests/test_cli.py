@@ -1,11 +1,16 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import minmaxap
 from minmaxap.cli import (
     EXIT_OK,
+    EXIT_SOLVER,
     EXIT_VALIDATION,
     EXIT_VERIFY,
     ConfigError,
@@ -71,6 +76,27 @@ class TestLoadConfig:
             load_config(str(p))
         assert len(exc.value.problems) >= 2
 
+    def test_nonzero_t_min_rejected(self, tmp_path, capsys):
+        path = write_config(
+            tmp_path / "c.json", solver={"err": 1e-7, "outer_tol": 1e-6, "t_min": 5.0}
+        )
+        assert main(["solve", "--config", path]) == EXIT_VALIDATION
+        assert "t_min" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(minmaxap.__file__)))
+    code = "import sys, minmaxap.cli; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    ).stdout
+    assert out.strip() == "False"
+
 
 class TestSolve:
     def test_experiment_one_solution_file(self, tmp_path):
@@ -113,6 +139,19 @@ class TestSolve:
         ]
         assert len(rows) > 1
         assert sum(int(r[6]) for r in rows[1:]) >= 1  # at least one plane drop
+
+    def test_capped_solve_writes_partial_trace(self, tmp_path):
+        trace = tmp_path / "trace.csv"
+        path = write_config(
+            tmp_path / "c.json",
+            solver={"err": 1e-7, "outer_tol": 1e-6, "max_outer_iters": 1},
+            outputs={"trace": str(trace)},
+        )
+        assert main(["solve", "--config", path, "--quiet"]) == EXIT_SOLVER
+        with open(trace, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0][0] == "cycle"
+        assert len(rows) >= 2
 
     def test_validation_exit_code(self, tmp_path, capsys):
         path = write_config(tmp_path / "c.json", agents=[])

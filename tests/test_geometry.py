@@ -11,12 +11,14 @@ from minmaxap import (
     Halfspace,
     HorizontalHyperplane,
     PointTime,
+    SecondOrderAttainableSet,
     SecondOrderCone,
     contains,
     project_cone,
     project_epigraph,
     project_hyperplane,
 )
+from minmaxap.geometry import ConeStack
 
 
 def pt(x, t):
@@ -205,6 +207,66 @@ class TestProjectionProperties:
                 ip = float((p.to_array() - q.to_array()) @ (z.to_array() - q.to_array()))
                 tol = 1e-9 * p.distance_to(q) * z.distance_to(q) + 1e-12
                 assert ip <= tol
+
+
+# every set type with one point inside it
+SETS_WITH_INSIDE = [
+    (ALL_SETS[0], [3.0, 0.5]),
+    (ALL_SETS[1], [0.2, 5.0]),
+    (ALL_SETS[2], [0.0, 0.0]),
+    (ALL_SETS[3], [0.5, 1.0]),
+    (norm_epigraph(), [0.5, 3.0]),
+    (SecondOrderAttainableSet(0.5, 1.5), [0.5, 10.0]),
+]
+
+
+@pytest.mark.parametrize(
+    "s,inside", SETS_WITH_INSIDE, ids=[type(s).__name__ for s, _ in SETS_WITH_INSIDE]
+)
+def test_project_array_is_project_on_arrays(s, inside):
+    rng = np.random.default_rng(11)
+    points = [np.array(inside)]
+    points += [rng.normal(scale=4, size=2) for _ in range(20)]
+    for v in points:
+        p = PointTime.from_array(v)
+        q = s.project_array(v)
+        assert q.tobytes() == s.project(p).to_array().tobytes()
+        if s.contains(p):
+            assert q is v
+            assert s.project(p) is p
+    assert s.contains(PointTime.from_array(points[0]))
+
+
+def test_cone_stack_inside_only_where_projection_keeps_the_point():
+    rng = np.random.default_rng(12)
+    cones = [
+        SecondOrderCone(pt(rng.normal(size=2), rng.normal()), float(rng.uniform(0.3, 3.0)))
+        for _ in range(20)
+    ]
+    sets = cones + [Halfspace(np.array([0.0, 0.0, 1.0]), 100.0), Ball(np.zeros(3), 100.0)]
+    stack = ConeStack(sets)
+    c = cones[0]
+    u = np.array([0.6, 0.8])
+    points = [rng.normal(scale=3, size=3) for _ in range(200)]
+    points += [c.apex.to_array()]
+    points += [
+        np.append(c.apex.x + r * u, c.apex.t + c.slope * r + dt)
+        for r in (1e-3, 1.0, 7.0)
+        for dt in (-1e-13, 0.0, 1e-13, 1e-9)
+    ]
+    found = 0
+    for v in points:
+        inside = stack.inside(v)
+        assert inside.shape == (len(sets),)
+        assert not inside[len(cones):].any()
+        for s, flag in zip(cones, inside):
+            if flag:
+                assert s.project_array(v) is v
+        found += int(inside.sum())
+        assert np.array_equal(stack.inside(v, 5), inside[5:])
+    assert found > 0
+    # well inside every cone at once
+    assert stack.inside(np.array([0.0, 0.0, 100.0]))[: len(cones)].all()
 
 
 @given(

@@ -3,6 +3,7 @@ import pytest
 
 from minmaxap import (
     AgentNode,
+    ConvergenceError,
     HorizontalHyperplane,
     PointTime,
     RingConfig,
@@ -175,6 +176,13 @@ class TestRunRing:
                 RingConfig(t_min=-0.5),
             )
             assert np.linalg.norm(ring.x_star - central.x_star) <= 10 * cfg.outer_tol
+
+    def test_cycle_cap_failure_carries_trace(self):
+        cones = [SecondOrderCone(pt([x], 0.0), 1.0) for x in (-1.0, 2.0, 4.0)]
+        with pytest.raises(ConvergenceError) as exc:
+            run_ring(make_ring(cones), pt([0.0], 9.0), RingConfig(max_cycles=3))
+        assert len(exc.value.trace) == 9
+        assert [r.cycle for r in exc.value.trace[-3:]] == [3, 3, 3]
 
     def test_agents_must_be_ordered(self):
         nodes = [AgentNode(2, HorizontalHyperplane(0.0))]
