@@ -2,9 +2,9 @@
 with a minimum-time multi-agent consensus application."""
 
 from .alternating import (
-    BregmanResult,
     MinMaxSolution,
     ToleranceConfig,
+    TraceEvent,
     bregman_alternate,
     dykstra_project,
     solve_minmax,
@@ -42,16 +42,11 @@ from .geometry import (
     PointTime,
     ProjectableSet,
     SecondOrderCone,
-    contains,
-    project_cone,
-    project_epigraph,
-    project_hyperplane,
 )
 from .oracle import GridSpec, grid_minmax, numeric_projection
 from .ring import (
     AgentNode,
     ProtocolEvent,
-    RingConfig,
     RingMessage,
     agent_step,
     coordinator_step,

@@ -1,10 +1,12 @@
-"""Centralized solvers: Dykstra's cyclic projection, Bregman's two-set
-alternating projection, and the min-max solver composed from both."""
+"""Centralized solvers: Dykstra's cyclic projection onto an intersection,
+and the Bregman alternating projection between that intersection and a
+second set, which with a plane below the epigraphs solves the min-max."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Sequence, Union
+from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -20,6 +22,8 @@ class ToleranceConfig:
 
     err is the inner Dykstra cycle-to-cycle threshold; outer_tol stops the
     outer Bregman loop once consecutive plane-side points move less than it.
+    max_inner_cycles caps the Dykstra cycles of one inner run and
+    max_outer_iters the Bregman steps.
     """
 
     err: float = 1e-7
@@ -28,27 +32,31 @@ class ToleranceConfig:
     max_outer_iters: int = 500
 
     def __post_init__(self):
-        if self.err <= 0 or self.outer_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_inner_cycles < 1 or self.max_outer_iters < 1:
-            raise ValueError("iteration caps must be at least 1")
+        for tol in (self.err, self.outer_tol):
+            if not (math.isfinite(tol) and tol > 0):
+                raise ValueError("tolerances must be finite and positive")
+        for cap in (self.max_inner_cycles, self.max_outer_iters):
+            if not isinstance(cap, int) or isinstance(cap, bool):
+                raise TypeError("iteration caps must be integers")
+            if cap < 1:
+                raise ValueError("iteration caps must be at least 1")
 
 
-class BregmanResult(NamedTuple):
-    a_star: PointTime
-    b_star: PointTime
-    distance: float
-    outer_iters: int
+class TraceEvent(NamedTuple):
+    """One row of a solver trace.
 
+    The centralized solver writes one row per Bregman step: the
+    intersection-side iterate, agent 0, increment norm 0.0, flag 1 and a
+    Bregman event. The ring writes one row per agent visit: the guess that
+    agent sends on, its increment norm and the message flag.
+    """
 
-@dataclass(frozen=True)
-class OuterRecord:
-    """One Bregman outer iteration of the centralized solver."""
-
-    iteration: int
-    a: Array  # intersection-side iterate (x..., t)
-    b: Array  # plane-side iterate
-    gap: float
+    cycle: int
+    agent_id: int
+    point: Array  # (x..., t)
+    increment_norm: float
+    flag: int
+    bregman_event: bool
 
 
 @dataclass
@@ -58,7 +66,7 @@ class MinMaxSolution:
     distance: float
     inner_cycles_total: int
     outer_iters: int
-    trace: list
+    trace: List[TraceEvent]
     plane_grazed: bool = False
     message_counts: Optional[dict] = None
 
@@ -132,34 +140,48 @@ def dykstra_project(
 
 
 def bregman_alternate(
-    set_a: Union[ProjectableSet, Sequence[ProjectableSet]],
+    sets: Sequence[ProjectableSet],
     set_b: ProjectableSet,
     p0: PointTime,
     cfg: ToleranceConfig,
-) -> BregmanResult:
-    """Alternate projections a_n = P_A(b_{n-1}), b_n = P_B(a_n).
+) -> MinMaxSolution:
+    """Alternate a_k = P_A(b_{k-1}), b_k = P_B(a_k), A the intersection of sets.
 
-    When the sets intersect the two limits coincide; otherwise the pair
-    approximates the minimum-distance points and ``distance`` their gap.
-    set_a may be a sequence of sets, projected onto via Dykstra.
+    P_A is dykstra_project. Stops once consecutive b_k move less than
+    cfg.outer_tol; a_k is then the solution and ``distance`` the gap to
+    b_k, which is the minimum distance between A and set_b when the two do
+    not intersect. Every ConvergenceError carries the trace so far.
     """
     b = p0
     prev_b = None
-    a = p0
+    trace: List[TraceEvent] = []
+    inner_total = 0
     for k in range(1, cfg.max_outer_iters + 1):
-        if isinstance(set_a, ProjectableSet):
-            a = set_a.project(b)
-        else:
-            a = dykstra_project(set_a, b, cfg)
+        stats: dict = {}
+        try:
+            a = dykstra_project(sets, b, cfg, stats=stats)
+        except ConvergenceError as exc:
+            exc.trace = trace
+            raise
+        inner_total += stats["cycles"]
         b = set_b.project(a)
+        trace.append(TraceEvent(k, 0, a.to_array(), 0.0, 1, True))
         if prev_b is not None and b.distance_to(prev_b) < cfg.outer_tol:
-            return BregmanResult(a, b, a.distance_to(b), k)
+            return MinMaxSolution(
+                x_star=a.x.copy(),
+                t_star=a.t,
+                distance=a.distance_to(b),
+                inner_cycles_total=inner_total,
+                outer_iters=k,
+                trace=trace,
+            )
         prev_b = b
     raise ConvergenceError(
         "Bregman outer iteration cap reached",
         iterate=a,
         residual=a.distance_to(b),
         iterations=cfg.max_outer_iters,
+        trace=trace,
     )
 
 
@@ -177,41 +199,6 @@ def solve_minmax(
     """
     if not epigraphs:
         raise ValueError("epigraphs must be nonempty")
-    b = p0
-    prev_b = None
-    a = p0
-    trace: List[OuterRecord] = []
-    inner_total = 0
-    converged_at = None
-    for k in range(1, cfg.max_outer_iters + 1):
-        stats: dict = {}
-        try:
-            a = dykstra_project(epigraphs, b, cfg, stats=stats)
-        except ConvergenceError as exc:
-            exc.trace = trace
-            raise
-        inner_total += stats["cycles"]
-        b = plane.project(a)
-        gap = a.distance_to(b)
-        trace.append(OuterRecord(k, a.to_array(), b.to_array(), gap))
-        if prev_b is not None and b.distance_to(prev_b) < cfg.outer_tol:
-            converged_at = k
-            break
-        prev_b = b
-    if converged_at is None:
-        raise ConvergenceError(
-            "min-max solver: Bregman outer iteration cap reached",
-            iterate=a,
-            residual=a.distance_to(b),
-            iterations=cfg.max_outer_iters,
-            trace=trace,
-        )
-    return MinMaxSolution(
-        x_star=a.x.copy(),
-        t_star=a.t,
-        distance=a.distance_to(b),
-        inner_cycles_total=inner_total,
-        outer_iters=converged_at,
-        trace=trace,
-        plane_grazed=(a.t - plane.t_min) < cfg.outer_tol,
-    )
+    sol = bregman_alternate(epigraphs, plane, p0, cfg)
+    sol.plane_grazed = (sol.t_star - plane.t_min) < cfg.outer_tol
+    return sol

@@ -11,12 +11,12 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
 
-from .alternating import OuterRecord, ToleranceConfig
+from .alternating import ToleranceConfig
 from .consensus import (
     AgentDynamics,
     Model,
@@ -27,7 +27,6 @@ from .consensus import (
 from .errors import ConvergenceError, OracleBudgetError
 from .geometry import PointTime
 from .oracle import GridSpec, grid_minmax, numeric_projection
-from .ring import RingTraceRow
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -146,30 +145,17 @@ def _write_trace(cfg: ExperimentConfig, trace) -> None:
         w = csv.writer(fh)
         w.writerow(["cycle", "agent_id", "x", "height", "increment_norm", "flag", "bregman_event"])
         for row in trace:
-            if isinstance(row, RingTraceRow):
-                w.writerow(
-                    [
-                        row.cycle,
-                        row.agent_id,
-                        ";".join(f"{v:.9g}" for v in row.guess[:-1]),
-                        f"{row.guess[-1]:.9g}",
-                        f"{row.increment_norm:.9g}",
-                        row.flag,
-                        int(row.bregman_event),
-                    ]
-                )
-            elif isinstance(row, OuterRecord):
-                w.writerow(
-                    [
-                        row.iteration,
-                        0,
-                        ";".join(f"{v:.9g}" for v in row.a[:-1]),
-                        f"{row.a[-1]:.9g}",
-                        "0",
-                        1,
-                        1,
-                    ]
-                )
+            w.writerow(
+                [
+                    row.cycle,
+                    row.agent_id,
+                    ";".join(f"{v:.9g}" for v in row.point[:-1]),
+                    f"{row.point[-1]:.9g}",
+                    f"{row.increment_norm:.9g}",
+                    row.flag,
+                    int(row.bregman_event),
+                ]
+            )
 
 
 def cmd_solve(cfg: ExperimentConfig, quiet: bool = False) -> int:
@@ -200,10 +186,8 @@ def cmd_simulate(cfg: ExperimentConfig, quiet: bool = False) -> int:
             for s in traj.samples:
                 rows.append([i, _sig9(s.t), _sig9(s.x), _sig9(s.v), _sig9(s.u)])
         else:
-            total = reach_time(agent, result.x_consensus)
-            d = result.x_consensus - agent.x0
-            dist = float(np.linalg.norm(d))
-            u = agent.u_max * d / dist if dist > 0 else np.zeros_like(d)
+            segments = result.schedules[i - 1].segments
+            total, u = segments[0] if segments else (0.0, np.zeros_like(agent.x0))
             times = sorted(
                 {round(k * cfg.sample_dt, 12) for k in range(int(total / cfg.sample_dt) + 1)}
                 | {0.0, total}

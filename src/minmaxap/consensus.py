@@ -12,7 +12,7 @@ synthesized in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Sequence, Tuple
 
@@ -26,7 +26,7 @@ from .geometry import (
     ProjectableSet,
     SecondOrderCone,
 )
-from .ring import AgentNode, RingConfig, run_ring
+from .ring import AgentNode, run_ring
 
 Array = np.ndarray
 
@@ -409,7 +409,6 @@ def solve_min_time_consensus(
     agents: Sequence[AgentDynamics],
     cfg: Optional[ToleranceConfig] = None,
     mode: str = "centralized",
-    ring_max_cycles: int = 100000,
 ) -> ConsensusResult:
     """Find the time-optimal consensus state and per-agent schedules.
 
@@ -429,17 +428,12 @@ def solve_min_time_consensus(
     h0 = max(_boundary_height(s, centroid) for s in sets)
     p0 = PointTime(centroid, h0)
 
+    plane = HorizontalHyperplane(0.0)
     if mode == "centralized":
-        sol = solve_minmax(sets, HorizontalHyperplane(0.0), p0, cfg)
+        sol = solve_minmax(sets, plane, p0, cfg)
     else:
         nodes = [AgentNode(i + 1, s) for i, s in enumerate(sets)]
-        ring_cfg = RingConfig(
-            err=cfg.err,
-            t_min=0.0,
-            max_cycles=ring_max_cycles,
-            outer_tol=cfg.outer_tol,
-        )
-        sol = run_ring(nodes, p0, ring_cfg)
+        sol = run_ring(nodes, plane, p0, cfg)
 
     x_cons = sol.x_star
     if height_kind == "squared":

@@ -380,29 +380,3 @@ class ConvexEpigraph(ProjectableSet):
                 residual=resid,
             )
         return np.append(z_hi, pt + hi)
-
-
-def contains(s: ProjectableSet, p: PointTime, tol: float = 0.0) -> bool:
-    """True iff p violates the set's defining inequality by at most tol."""
-    return s.contains(p, tol)
-
-
-def project_hyperplane(p: PointTime, plane: HorizontalHyperplane) -> PointTime:
-    return plane.project(p)
-
-
-def project_cone(p: PointTime, cone: SecondOrderCone) -> PointTime:
-    return cone.project(p)
-
-
-def project_epigraph(
-    p: PointTime, epi: ConvexEpigraph, tol: Optional[float] = None
-) -> PointTime:
-    if tol is not None:
-        old = epi.tol
-        epi.tol = tol
-        try:
-            return epi.project(p)
-        finally:
-            epi.tol = old
-    return epi.project(p)

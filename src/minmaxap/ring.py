@@ -3,20 +3,21 @@
 N agents sit on a cyclic digraph; each owns one projectable set and a
 private Dykstra increment.  A single (guess, flag) message circulates
 1 -> 2 -> ... -> N -> 1.  Agent 1 doubles as coordinator: when its own
-projection stops moving it drops the guess onto the hyperplane t = t_min
-(the Bregman step) and raises the increment-reset flag for one full cycle.
+projection stops moving it drops the guess onto the plane (the Bregman
+step) and raises the increment-reset flag for one full cycle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .alternating import MinMaxSolution
+from .alternating import MinMaxSolution, ToleranceConfig, TraceEvent
 from .errors import ConvergenceError
-from .geometry import PointTime, ProjectableSet
+from .geometry import HorizontalHyperplane, PointTime, ProjectableSet
 
 Array = np.ndarray
 
@@ -59,37 +60,12 @@ class RingMessage:
 
 
 @dataclass(frozen=True)
-class RingConfig:
-    err: float = 1e-7
-    t_min: float = 0.0
-    max_cycles: int = 100000
-    record_trace: bool = True
-    outer_tol: float = 1e-6
-
-    def __post_init__(self):
-        if self.err <= 0 or self.outer_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_cycles < 1:
-            raise ValueError("max_cycles must be at least 1")
-
-
-@dataclass(frozen=True)
 class ProtocolEvent:
     """Outcome of one coordinator turn."""
 
     bregman: bool
     error_norm: float
     pre_plane: Optional[PointTime] = None  # guess before the plane drop
-
-
-@dataclass(frozen=True)
-class RingTraceRow:
-    cycle: int
-    agent_id: int
-    guess: Array
-    increment_norm: float
-    flag: int
-    bregman_event: bool
 
 
 def agent_step(node: AgentNode, msg: RingMessage) -> Tuple[AgentNode, RingMessage]:
@@ -113,13 +89,16 @@ def agent_step(node: AgentNode, msg: RingMessage) -> Tuple[AgentNode, RingMessag
 
 
 def coordinator_step(
-    node1: AgentNode, msg_from_n: RingMessage, cfg: RingConfig
+    node1: AgentNode,
+    msg_from_n: RingMessage,
+    plane: HorizontalHyperplane,
+    cfg: ToleranceConfig,
 ) -> Tuple[AgentNode, RingMessage, ProtocolEvent]:
     """Agent 1's turn: own Dykstra step, then possibly the Bregman step.
 
     Compares the spatial part of the fresh projection with the stored
     previous guess; when the change drops below cfg.err the guess is
-    projected onto the plane t = t_min and the reset flag is raised.
+    projected onto the plane and the reset flag is raised.
     """
     if node1.id != 1:
         raise ValueError("coordinator_step requires the agent with id 1")
@@ -136,16 +115,24 @@ def coordinator_step(
         # forget the pre-drop guess: the restarted inner run must stabilize
         # on its own evidence, not by matching the run it replaced
         node1.last_guess = None
-        out = RingMessage(PointTime(g.x, cfg.t_min), 1)
+        out = RingMessage(plane.project(g), 1)
         return node1, out, ProtocolEvent(True, e, pre_plane=g)
     return node1, RingMessage(g, 0), ProtocolEvent(False, e)
 
 
 def run_ring(
-    agents: Sequence[AgentNode], p0: PointTime, cfg: RingConfig
+    agents: Sequence[AgentNode],
+    plane: HorizontalHyperplane,
+    p0: PointTime,
+    cfg: ToleranceConfig,
 ) -> MinMaxSolution:
     """Simulate the token ring until two consecutive Bregman events move
-    the plane-side point less than cfg.outer_tol."""
+    the plane-side point less than cfg.outer_tol.
+
+    cfg.max_outer_iters caps the Bregman events and cfg.max_inner_cycles
+    the cycles between two of them, as in solve_minmax. Every
+    ConvergenceError carries the trace so far.
+    """
     if not agents:
         raise ValueError("at least one agent is required")
     ids = [a.id for a in agents]
@@ -154,36 +141,34 @@ def run_ring(
     for a in agents:
         a.own_set._check(p0)
     msg = RingMessage(p0, 0)
-    trace: List[RingTraceRow] = []
+    trace: List[TraceEvent] = []
     counts = {a.id: 0 for a in agents}
     prev_plane: Optional[PointTime] = None
-    last_event: Optional[ProtocolEvent] = None
     n_events = 0
-    last_guess = p0
-
-    for cycle in range(1, cfg.max_cycles + 1):
-        node1, msg, event = coordinator_step(agents[0], msg, cfg)
+    last_event_cycle = 0
+    best = p0
+    for cycle in itertools.count(1):
+        node1, msg, event = coordinator_step(agents[0], msg, plane, cfg)
         counts[1] += 1
-        if cfg.record_trace:
-            trace.append(
-                RingTraceRow(
-                    cycle,
-                    1,
-                    msg.guess.to_array(),
-                    float(np.linalg.norm(node1.increment)),
-                    msg.flag,
-                    event.bregman,
-                )
+        trace.append(
+            TraceEvent(
+                cycle,
+                1,
+                msg.guess.to_array(),
+                float(np.linalg.norm(node1.increment)),
+                msg.flag,
+                event.bregman,
             )
+        )
         if event.bregman:
             n_events += 1
-            last_event = event
+            last_event_cycle = cycle
+            a = best = event.pre_plane
             plane_pt = msg.guess
             if (
                 prev_plane is not None
                 and plane_pt.distance_to(prev_plane) < cfg.outer_tol
             ):
-                a = event.pre_plane
                 return MinMaxSolution(
                     x_star=a.x.copy(),
                     t_star=a.t,
@@ -191,31 +176,38 @@ def run_ring(
                     inner_cycles_total=cycle,
                     outer_iters=n_events,
                     trace=trace,
-                    plane_grazed=(a.t - cfg.t_min) < cfg.outer_tol,
+                    plane_grazed=(a.t - plane.t_min) < cfg.outer_tol,
                     message_counts=dict(counts),
                 )
+            if n_events == cfg.max_outer_iters:
+                raise ConvergenceError(
+                    "ring protocol: Bregman event cap reached",
+                    iterate=a,
+                    residual=a.distance_to(plane_pt),
+                    iterations=n_events,
+                    trace=trace,
+                )
             prev_plane = plane_pt
-        last_guess = msg.guess
+        elif n_events == 0:
+            best = msg.guess
         for node in agents[1:]:
             node, msg = agent_step(node, msg)
             counts[node.id] += 1
-            if cfg.record_trace:
-                trace.append(
-                    RingTraceRow(
-                        cycle,
-                        node.id,
-                        msg.guess.to_array(),
-                        float(np.linalg.norm(node.increment)),
-                        msg.flag,
-                        False,
-                    )
+            trace.append(
+                TraceEvent(
+                    cycle,
+                    node.id,
+                    msg.guess.to_array(),
+                    float(np.linalg.norm(node.increment)),
+                    msg.flag,
+                    False,
                 )
-
-    best = last_event.pre_plane if last_event is not None else last_guess
-    raise ConvergenceError(
-        "ring protocol: cycle cap reached",
-        iterate=best,
-        residual=np.inf,
-        iterations=cfg.max_cycles,
-        trace=trace,
-    )
+            )
+        if cycle - last_event_cycle == cfg.max_inner_cycles:
+            raise ConvergenceError(
+                "ring protocol: inner cycle cap reached",
+                iterate=best,
+                residual=event.error_norm,
+                iterations=cfg.max_inner_cycles,
+                trace=trace,
+            )

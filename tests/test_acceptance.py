@@ -26,7 +26,7 @@ from minmaxap import (
     solve_minmax,
 )
 from minmaxap.oracle import GridSpec
-from minmaxap.ring import AgentNode, RingConfig
+from minmaxap.ring import AgentNode
 
 EXP1_POSITIONS = (-3.542884, 3.001152, 6.924106, -18.0296)
 EXP2_AGENTS = (
@@ -202,8 +202,9 @@ def test_criterion_6_ring_centralized_equivalence():
         central = solve_minmax(cones, HorizontalHyperplane(-0.5), p0, cfg)
         ring = run_ring(
             [AgentNode(i + 1, c) for i, c in enumerate(cones)],
+            HorizontalHyperplane(-0.5),
             p0,
-            RingConfig(t_min=-0.5, record_trace=False),
+            cfg,
         )
         worst = max(worst, float(np.linalg.norm(ring.x_star - central.x_star)))
     ok = worst <= 10 * cfg.outer_tol

@@ -29,6 +29,20 @@ class TestToleranceConfig:
         with pytest.raises(ValueError):
             ToleranceConfig(max_outer_iters=0)
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_tolerances(self, tol):
+        with pytest.raises(ValueError):
+            ToleranceConfig(err=tol)
+        with pytest.raises(ValueError):
+            ToleranceConfig(outer_tol=tol)
+
+    @pytest.mark.parametrize("cap", [1.5, 3.0, True])
+    def test_rejects_non_integer_caps(self, cap):
+        with pytest.raises(TypeError):
+            ToleranceConfig(max_inner_cycles=cap)
+        with pytest.raises(TypeError):
+            ToleranceConfig(max_outer_iters=cap)
+
 
 class TestDykstra:
     def test_nonpositive_quadrant(self):
@@ -184,31 +198,34 @@ class TestDykstraMatchesTextbook:
                 self.assert_same(cones[::-1], pt(x, t + dt))
 
 
+def a_star(r):
+    return pt(r.x_star, r.t_star)
+
+
 class TestBregman:
     def test_parallel_planes(self):
-        r = bregman_alternate(
-            HorizontalHyperplane(1.0), HorizontalHyperplane(0.0), pt([2.0], 9.0), CFG
-        )
-        assert np.allclose(r.a_star.to_array(), [2.0, 1.0])
-        assert np.allclose(r.b_star.to_array(), [2.0, 0.0])
+        B = HorizontalHyperplane(0.0)
+        r = bregman_alternate([HorizontalHyperplane(1.0)], B, pt([2.0], 9.0), CFG)
+        assert np.allclose(a_star(r).to_array(), [2.0, 1.0])
+        assert np.allclose(B.project(a_star(r)).to_array(), [2.0, 0.0])
         assert r.distance == pytest.approx(1.0)
 
     def test_disjoint_discs(self):
         A = Ball(np.array([0.0, 0.0]), 1.0)
         B = Ball(np.array([3.0, 0.0]), 1.0)
-        r = bregman_alternate(A, B, pt([0.0], 3.0), CFG)
-        assert np.allclose(r.a_star.to_array(), [1.0, 0.0], atol=1e-4)
-        assert np.allclose(r.b_star.to_array(), [2.0, 0.0], atol=1e-4)
+        r = bregman_alternate([A], B, pt([0.0], 3.0), CFG)
+        assert np.allclose(a_star(r).to_array(), [1.0, 0.0], atol=1e-4)
+        assert np.allclose(B.project(a_star(r)).to_array(), [2.0, 0.0], atol=1e-4)
         assert r.distance == pytest.approx(1.0, abs=1e-4)
 
     def test_cone_touching_plane(self):
         r = bregman_alternate(
-            SecondOrderCone(pt([0.0], 0.0), 1.0),
+            [SecondOrderCone(pt([0.0], 0.0), 1.0)],
             HorizontalHyperplane(0.0),
             pt([4.0], 9.0),
             CFG,
         )
-        assert np.allclose(r.a_star.to_array(), [0.0, 0.0], atol=1e-5)
+        assert np.allclose(a_star(r).to_array(), [0.0, 0.0], atol=1e-5)
         assert r.distance == pytest.approx(0.0, abs=1e-5)
 
     def test_gap_sequence_nonincreasing(self):
@@ -227,7 +244,7 @@ class TestBregman:
         B = Ball(np.array([3.0, 0.0]), 1.0)
         cfg = ToleranceConfig(outer_tol=1e-14, max_outer_iters=3)
         with pytest.raises(ConvergenceError) as exc:
-            bregman_alternate(A, B, pt([0.0], 3.0), cfg)
+            bregman_alternate([A], B, pt([0.0], 3.0), cfg)
         assert exc.value.residual is not None
 
 
@@ -288,10 +305,14 @@ class TestSolveMinmax:
         cfg = ToleranceConfig(max_outer_iters=2)
         with pytest.raises(ConvergenceError) as exc:
             solve_minmax(cones, HorizontalHyperplane(0.0), pt([0.0], 6.0), cfg)
-        assert [r.iteration for r in exc.value.trace] == [1, 2]
+        assert [r.cycle for r in exc.value.trace] == [1, 2]
 
     def test_trace_recorded(self):
         cones = [SecondOrderCone(pt([0.0], 0.0), 1.0)]
-        sol = solve_minmax(cones, HorizontalHyperplane(-1.0), pt([2.0], 5.0), CFG)
+        plane = HorizontalHyperplane(-1.0)
+        sol = solve_minmax(cones, plane, pt([2.0], 5.0), CFG)
         assert len(sol.trace) == sol.outer_iters
-        assert sol.trace[-1].gap == pytest.approx(sol.distance)
+        last = sol.trace[-1]
+        assert np.array_equal(last.point, np.append(sol.x_star, sol.t_star))
+        # the gap to the plane-side point (x, t_min) is the height above it
+        assert last.point[-1] - plane.t_min == pytest.approx(sol.distance)

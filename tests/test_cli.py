@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -75,6 +76,16 @@ class TestLoadConfig:
         with pytest.raises(ConfigError) as exc:
             load_config(str(p))
         assert len(exc.value.problems) >= 2
+
+    @pytest.mark.parametrize(
+        "solver",
+        [{"max_outer_iters": 1.5}, {"err": float("nan")}],
+        ids=["fractional-cap", "nan-tolerance"],
+    )
+    def test_bad_solver_value_rejected(self, tmp_path, capsys, solver):
+        path = write_config(tmp_path / "c.json", solver=solver)
+        assert main(["solve", "--config", path]) == EXIT_VALIDATION
+        assert "config error: solver" in capsys.readouterr().err
 
     def test_nonzero_t_min_rejected(self, tmp_path, capsys):
         path = write_config(
@@ -153,6 +164,30 @@ class TestSolve:
         assert rows[0][0] == "cycle"
         assert len(rows) >= 2
 
+    @pytest.mark.parametrize(
+        "cap", [{"max_outer_iters": 1}, {"max_inner_cycles": 2}], ids=["outer", "inner"]
+    )
+    def test_ring_mode_honours_caps(self, tmp_path, cap):
+        trace = tmp_path / "trace.csv"
+        path = write_config(
+            tmp_path / "c.json",
+            mode="ring",
+            solver={"err": 1e-7, "outer_tol": 1e-6, **cap},
+            outputs={"trace": str(trace)},
+        )
+        assert main(["solve", "--config", path, "--quiet"]) == EXIT_SOLVER
+        with open(trace, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0][0] == "cycle"
+        if "max_inner_cycles" in cap:
+            # two whole cycles of the four agents after the last plane drop
+            last = max((int(r[0]) for r in rows[1:] if r[6] == "1"), default=0)
+            assert [int(r[0]) for r in rows[-8:]] == [last + 1] * 4 + [last + 2] * 4
+        else:
+            # stops at the first plane drop, with the coordinator's row
+            assert sum(int(r[6]) for r in rows[1:]) == 1
+            assert rows[-1][1] == "1" and rows[-1][6] == "1"
+
     def test_validation_exit_code(self, tmp_path, capsys):
         path = write_config(tmp_path / "c.json", agents=[])
         assert main(["solve", "--config", path]) == EXIT_VALIDATION
@@ -228,3 +263,64 @@ class TestVerify:
         rc = main(["verify", "--config", path, "--quiet"])
         assert rc == EXIT_VERIFY
         assert "mismatch" in capsys.readouterr().err
+
+
+# SHA-256 of the files `solve` (solution.json, trace.csv) and `simulate`
+# (trajectory.csv) write for the benchmark's three CLI configs in both modes,
+# recorded before the solver's duplicate loops, configs and trace rows were
+# merged; every later change must keep these bytes.
+GOLDEN = {
+    "solve:exp1:centralized:solution.json": "ba840f7f0953ae63e7eb9c97774e9f9c6404deb98e97b9f4d9cef5f6dcce0fca",
+    "solve:exp1:centralized:trace.csv": "166719a096003908b5ee9b645dcfcb81123f4f3ea53890084189246dac578374",
+    "simulate:exp1:centralized:trajectory.csv": "f64565f1e2e4254bd2ae419615b577ea3741d2ac97b1a51eb79c07e19ec72945",
+    "solve:exp1:ring:solution.json": "d9be1b3ef5f7d22d14e98354f303c48fce2ad95bccf1ee1f47f6c7fc5565ff32",
+    "solve:exp1:ring:trace.csv": "51f7768602b82d4203ed5c406fcd190e844fb7e125a1b33bf17163f014955946",
+    "simulate:exp1:ring:trajectory.csv": "f64565f1e2e4254bd2ae419615b577ea3741d2ac97b1a51eb79c07e19ec72945",
+    "solve:exp2:centralized:solution.json": "c949db41ac7be4c61b25c140a0b84e6e680a40bd796bbd4ad47223a3c6829168",
+    "solve:exp2:centralized:trace.csv": "11d04049de37be5f78d0c1d878769fc1ef8ac695727ee1b8d90f5cfc21cf84fd",
+    "simulate:exp2:centralized:trajectory.csv": "3ab0671634ad548fcd8ec63659a688e6a3d87788145d53583f3e9b29e5a7bd0b",
+    "solve:exp2:ring:solution.json": "452a284e21911026056bc6b208a419ebe06262da2a194f7694b197098d1b053e",
+    "solve:exp2:ring:trace.csv": "66106dfa2495649dffefba1ed18e7b1c759a15a198b717c01b0bbffddc69e4df",
+    "simulate:exp2:ring:trajectory.csv": "39cb8c4a2a9feae14c409c23deed80d4b84f2908ee04cb12b3a471a4865fe9f3",
+    "solve:plane2d:centralized:solution.json": "888ef4a651816de7dee0cbe3483a2892c0ebd0c0887d4b82c30a9292e7eb146c",
+    "solve:plane2d:centralized:trace.csv": "163c95b7cf3bf51fb7731be850366b5d614706f6d7c03fc37ac7d91035ccee73",
+    "simulate:plane2d:centralized:trajectory.csv": "b45e802599606fcc36e92c48cc41486969966ea46290a480f8464ee199848427",
+    "solve:plane2d:ring:solution.json": "45d8957bc6929b6ea9f197eead59cfded94159300dd0ba6cfcaced74763da87c",
+    "solve:plane2d:ring:trace.csv": "b1fc24b18f80c59f739636443f5deca3ea583e9526641ba8762783f4e7f9234c",
+    "simulate:plane2d:ring:trajectory.csv": "fcb8b48d7b07c9edbfb56d3413715e0bf5ac22711dce37bd366c54886717315e",
+}
+
+EXP2 = [(-3.542884, 5.140490), (3.001152, 3.794066), (6.924106, -3.281824), (-18.0296, 1.9023)]
+GOLDEN_AGENTS = {
+    "exp1": [{"model": "second_order", "x0": [x]} for x in EXP1_POSITIONS],
+    "exp2": [{"model": "second_order", "x0": [x], "v0": v} for x, v in EXP2],
+    "plane2d": [{"model": "first_order", "x0": p} for p in ([0.0, 0.0], [5.0, 0.0], [1.0, 3.0])],
+}
+
+
+def test_output_files_match_golden_hashes(tmp_path):
+    digests = {}
+    for name, agents in GOLDEN_AGENTS.items():
+        for mode in ("centralized", "ring"):
+            work = tmp_path / f"{name}-{mode}"
+            work.mkdir()
+            path = write_config(
+                work / "c.json",
+                agents=agents,
+                solver={"err": 1e-7, "outer_tol": 1e-6},
+                outputs={
+                    "solution": str(work / "solution.json"),
+                    "trace": str(work / "trace.csv"),
+                    "trajectory": str(work / "trajectory.csv"),
+                    "sample_dt": 0.05,
+                },
+            )
+            for command, files in (
+                ("solve", ("solution.json", "trace.csv")),
+                ("simulate", ("trajectory.csv",)),
+            ):
+                assert main([command, "--config", path, "--mode", mode, "--quiet"]) == EXIT_OK
+                for f in files:
+                    digest = hashlib.sha256((work / f).read_bytes()).hexdigest()
+                    digests[f"{command}:{name}:{mode}:{f}"] = digest
+    assert digests == GOLDEN

@@ -13,10 +13,6 @@ from minmaxap import (
     PointTime,
     SecondOrderAttainableSet,
     SecondOrderCone,
-    contains,
-    project_cone,
-    project_epigraph,
-    project_hyperplane,
 )
 from minmaxap.geometry import ConeStack
 
@@ -52,19 +48,19 @@ class TestPointTime:
 
 class TestContains:
     def test_hyperplane_on_plane(self):
-        assert contains(HorizontalHyperplane(0.0), pt([1.0], 0.0), 0.0)
+        assert HorizontalHyperplane(0.0).contains(pt([1.0], 0.0), 0.0)
 
     def test_cone_outside(self):
         c = SecondOrderCone(pt([0.0], 0.0), 1.0)
-        assert not contains(c, pt([1.0], 0.5), 0.0)
+        assert not c.contains(pt([1.0], 0.5), 0.0)
 
     def test_cone_boundary(self):
         c = SecondOrderCone(pt([0.0], 0.0), 1.0)
-        assert contains(c, pt([1.0], 1.0), 0.0)
+        assert c.contains(pt([1.0], 1.0), 0.0)
 
     def test_negative_tol_rejected(self):
         with pytest.raises(ValueError):
-            contains(HorizontalHyperplane(0.0), pt([0.0], 0.0), -1.0)
+            HorizontalHyperplane(0.0).contains(pt([0.0], 0.0), -1.0)
 
 
 class TestHyperplaneProjection:
@@ -77,7 +73,7 @@ class TestHyperplaneProjection:
         ],
     )
     def test_examples(self, p, tmin, expected):
-        q = project_hyperplane(pt(*p), HorizontalHyperplane(tmin))
+        q = HorizontalHyperplane(tmin).project(pt(*p))
         assert np.allclose(q.x, expected[0]) and q.t == expected[1]
 
 
@@ -102,18 +98,18 @@ def cone_projection_oracle(p, cone):
 class TestConeProjection:
     def test_interior(self):
         c = SecondOrderCone(pt([0.0], 0.0), 1.0)
-        q = project_cone(pt([0.0], 5.0), c)
+        q = c.project(pt([0.0], 5.0))
         assert np.allclose(q.to_array(), [0.0, 5.0])
 
     def test_polar_cone_maps_to_apex(self):
         c = SecondOrderCone(pt([0.0], 0.0), 1.0)
-        q = project_cone(pt([1.0], -2.0), c)
+        q = c.project(pt([1.0], -2.0))
         assert np.allclose(q.to_array(), [0.0, 0.0])
 
     def test_boundary_case_derived(self):
         # expected value frozen from the 1-D boundary-minimization oracle
         c = SecondOrderCone(pt([0.0], 0.0), 1.0)
-        q = project_cone(pt([2.0], 0.0), c)
+        q = c.project(pt([2.0], 0.0))
         assert np.allclose(q.to_array(), [1.0, 1.0], atol=1e-12)
         o = cone_projection_oracle(pt([2.0], 0.0), c)
         assert q.distance_to(o) < 1e-6
@@ -130,7 +126,7 @@ class TestConeProjection:
 
     def test_degenerate_r_zero_below_apex(self):
         c = SecondOrderCone(pt([0.0], 0.0), 1.0)
-        q = project_cone(pt([0.0], -1.0), c)
+        q = c.project(pt([0.0], -1.0))
         assert np.allclose(q.to_array(), [0.0, 0.0])
 
 
@@ -138,16 +134,16 @@ class TestEpigraphProjection:
     def test_interior_returned_exactly(self):
         epi = norm_epigraph()
         p = pt([0.0], 1.0)
-        assert project_epigraph(p, epi) is p
+        assert epi.project(p) is p
 
     def test_agrees_with_cone(self):
         epi = norm_epigraph()
-        q = project_epigraph(pt([2.0], 0.0), epi)
+        q = epi.project(pt([2.0], 0.0))
         assert np.allclose(q.to_array(), [1.0, 1.0], atol=1e-6)
 
     def test_zero_function_upper_halfspace(self):
         epi = ConvexEpigraph(lambda x: 0.0, lambda x: 0 * x, dim=1)
-        q = project_epigraph(pt([3.0], -2.0), epi)
+        q = epi.project(pt([3.0], -2.0))
         assert np.allclose(q.to_array(), [3.0, 0.0], atol=1e-7)
 
     def test_cone_epigraph_agreement_100_points(self):
@@ -167,7 +163,7 @@ class TestEpigraphProjection:
         for _ in range(100):
             p = pt(rng.normal(scale=2, size=2), rng.normal(scale=2))
             qc = cone.project(p)
-            qe = project_epigraph(p, epi)
+            qe = epi.project(p)
             assert qc.distance_to(qe) < 1e-6
 
 

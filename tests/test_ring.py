@@ -6,7 +6,6 @@ from minmaxap import (
     ConvergenceError,
     HorizontalHyperplane,
     PointTime,
-    RingConfig,
     RingMessage,
     SecondOrderCone,
     ToleranceConfig,
@@ -52,19 +51,23 @@ class TestAgentStep:
 
 class TestCoordinatorStep:
     def test_stationary_triggers_bregman(self):
-        cfg = RingConfig(err=1e-7, t_min=0.0)
+        cfg = ToleranceConfig(err=1e-7)
         node = AgentNode(1, HorizontalHyperplane(2.0))
         node.last_guess = pt([4.0], 2.0)
-        node, out, ev = coordinator_step(node, RingMessage(pt([4.0], 2.0), 0), cfg)
+        node, out, ev = coordinator_step(
+            node, RingMessage(pt([4.0], 2.0), 0), HorizontalHyperplane(0.0), cfg
+        )
         assert ev.bregman and ev.error_norm == 0.0
         assert out.flag == 1
         assert np.allclose(out.guess.to_array(), [4.0, 0.0])
 
     def test_moving_guess_keeps_flag_zero(self):
-        cfg = RingConfig(err=1e-7)
+        cfg = ToleranceConfig(err=1e-7)
         node = AgentNode(1, HorizontalHyperplane(2.0))
         node.last_guess = pt([5.0], 2.0)
-        node, out, ev = coordinator_step(node, RingMessage(pt([4.0], 2.0), 0), cfg)
+        node, out, ev = coordinator_step(
+            node, RingMessage(pt([4.0], 2.0), 0), HorizontalHyperplane(0.0), cfg
+        )
         assert not ev.bregman and ev.error_norm == pytest.approx(1.0)
         assert out.flag == 0
 
@@ -73,7 +76,8 @@ class TestCoordinatorStep:
             coordinator_step(
                 AgentNode(2, HorizontalHyperplane(0.0)),
                 RingMessage(pt([0.0], 0.0), 0),
-                RingConfig(),
+                HorizontalHyperplane(0.0),
+                ToleranceConfig(),
             )
 
 
@@ -81,17 +85,21 @@ def make_ring(cones):
     return [AgentNode(i + 1, c) for i, c in enumerate(cones)]
 
 
+CFG = ToleranceConfig()
+PLANE = HorizontalHyperplane(0.0)
+
+
 class TestRunRing:
     def test_single_agent_minimum_at_apex(self):
         agents = make_ring([SecondOrderCone(pt([3.0], 0.0), 1.0)])
-        sol = run_ring(agents, pt([0.0], 5.0), RingConfig(t_min=-1.0))
+        sol = run_ring(agents, HorizontalHyperplane(-1.0), pt([0.0], 5.0), CFG)
         assert sol.x_star[0] == pytest.approx(3.0, abs=1e-5)
 
     def test_two_symmetric_cones(self):
         agents = make_ring(
             [SecondOrderCone(pt([-1.0], 0.0), 1.0), SecondOrderCone(pt([1.0], 0.0), 1.0)]
         )
-        sol = run_ring(agents, pt([0.4], 3.0), RingConfig(t_min=0.0))
+        sol = run_ring(agents, PLANE, pt([0.4], 3.0), CFG)
         assert sol.x_star[0] == pytest.approx(0.0, abs=1e-5)
         assert sol.t_star == pytest.approx(1.0, abs=1e-5)
 
@@ -100,7 +108,7 @@ class TestRunRing:
             SecondOrderCone(pt([x], 0.0), 4.0)
             for x in (-3.542884, 3.001152, 6.924106, -18.0296)
         ]
-        sol = run_ring(make_ring(cones), pt([0.0], 80.0), RingConfig(t_min=0.0))
+        sol = run_ring(make_ring(cones), PLANE, pt([0.0], 80.0), CFG)
         assert sol.x_star[0] == pytest.approx(-5.5527, abs=1e-3)
         assert np.sqrt(sol.t_star) == pytest.approx(7.0645, abs=1e-3)
 
@@ -110,7 +118,7 @@ class TestRunRing:
             SecondOrderCone(pt([1.0], 0.0), 1.0),
             SecondOrderCone(pt([0.5], 0.0), 2.0),
         ]
-        sol = run_ring(make_ring(cones), pt([0.2], 4.0), RingConfig(t_min=0.0))
+        sol = run_ring(make_ring(cones), PLANE, pt([0.2], 4.0), CFG)
         counts = sol.message_counts
         # one message in flight: every agent visited once per full cycle;
         # termination at the coordinator may leave one final partial cycle
@@ -128,15 +136,14 @@ class TestRunRing:
             SecondOrderCone(pt([1.0], 0.0), 1.0),
         ]
         agents = make_ring(cones)
-        cfg = RingConfig(t_min=0.0, record_trace=True)
-        sol = run_ring(agents, pt([0.3], 4.0), cfg)
+        sol = run_ring(agents, PLANE, pt([0.3], 4.0), CFG)
         # on a flag-1 step the stale increment is discarded, so the fresh
         # increment equals emitted guess minus received guess
         rows = sol.trace
         seen = 0
         for prev, row in zip(rows, rows[1:]):
             if row.flag == 1 and row.agent_id != 1:
-                step = np.linalg.norm(np.asarray(row.guess) - np.asarray(prev.guess))
+                step = np.linalg.norm(row.point - prev.point)
                 assert row.increment_norm == pytest.approx(step, abs=1e-12)
                 seen += 1
         assert seen >= 1
@@ -149,13 +156,15 @@ class TestRunRing:
         p0 = pt([0.0], 80.0)
         cfg = ToleranceConfig()
         central = solve_minmax(cones, HorizontalHyperplane(0.0), p0, cfg)
-        ring = run_ring(make_ring(cones), p0, RingConfig(t_min=0.0))
+        ring = run_ring(make_ring(cones), PLANE, p0, cfg)
         ring_events = [r for r in ring.trace if r.bregman_event]
         assert len(ring_events) == central.outer_iters
         for rec, ev in zip(central.trace, ring_events):
             # same inner stop threshold, slightly different stop statistic:
-            # events agree to well below the outer tolerance scale
-            assert np.linalg.norm(rec.b - ev.guess) < 1e-4
+            # events agree to well below the outer tolerance scale; a
+            # centralized row holds the intersection-side point and a ring
+            # event row the guess dropped onto the plane, so compare x
+            assert np.linalg.norm(rec.point[:-1] - ev.point[:-1]) < 1e-4
 
     def test_ring_centralized_equivalence_random(self):
         cfg = ToleranceConfig()
@@ -172,19 +181,49 @@ class TestRunRing:
             central = solve_minmax(cones, HorizontalHyperplane(-0.5), p0, cfg)
             ring = run_ring(
                 [AgentNode(i + 1, c) for i, c in enumerate(cones)],
+                HorizontalHyperplane(-0.5),
                 p0,
-                RingConfig(t_min=-0.5),
+                cfg,
             )
             assert np.linalg.norm(ring.x_star - central.x_star) <= 10 * cfg.outer_tol
 
     def test_cycle_cap_failure_carries_trace(self):
         cones = [SecondOrderCone(pt([x], 0.0), 1.0) for x in (-1.0, 2.0, 4.0)]
+        cfg = ToleranceConfig(max_inner_cycles=3)
+        # from below the cones the first inner run needs 4 cycles
         with pytest.raises(ConvergenceError) as exc:
-            run_ring(make_ring(cones), pt([0.0], 9.0), RingConfig(max_cycles=3))
+            run_ring(make_ring(cones), PLANE, pt([0.0], 0.0), cfg)
         assert len(exc.value.trace) == 9
         assert [r.cycle for r in exc.value.trace[-3:]] == [3, 3, 3]
+
+    def test_inner_cap_counts_cycles_since_the_last_event(self):
+        cones = [SecondOrderCone(pt([x], 0.0), 1.0) for x in (-1.0, 2.0, 4.0)]
+        p0 = pt([0.0], 9.0)
+        sol = run_ring(make_ring(cones), PLANE, p0, CFG)
+        events = [r.cycle for r in sol.trace if r.bregman_event]
+        gaps = np.diff([0] + events)
+        # a cap equal to the longest stretch between events still converges
+        cfg = ToleranceConfig(max_inner_cycles=int(gaps.max()))
+        capped = run_ring(make_ring(cones), PLANE, p0, cfg)
+        assert capped.inner_cycles_total == sol.inner_cycles_total
+        # one less trips in that stretch, after its cycles
+        cfg = ToleranceConfig(max_inner_cycles=int(gaps.max()) - 1)
+        with pytest.raises(ConvergenceError) as exc:
+            run_ring(make_ring(cones), PLANE, p0, cfg)
+        stop = events[int(gaps.argmax())] - 1
+        assert exc.value.trace[-1].cycle == stop
+        assert len(exc.value.trace) == 3 * stop
+
+    def test_event_cap_failure_carries_trace(self):
+        cones = [SecondOrderCone(pt([x], 0.0), 1.0) for x in (-1.0, 2.0, 4.0)]
+        cfg = ToleranceConfig(max_outer_iters=2)
+        with pytest.raises(ConvergenceError) as exc:
+            run_ring(make_ring(cones), PLANE, pt([0.0], 9.0), cfg)
+        assert exc.value.iterations == 2
+        assert sum(r.bregman_event for r in exc.value.trace) == 2
+        assert exc.value.trace[-1].bregman_event
 
     def test_agents_must_be_ordered(self):
         nodes = [AgentNode(2, HorizontalHyperplane(0.0))]
         with pytest.raises(ValueError):
-            run_ring(nodes, pt([0.0], 0.0), RingConfig())
+            run_ring(nodes, PLANE, pt([0.0], 0.0), CFG)
