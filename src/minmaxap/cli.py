@@ -221,19 +221,17 @@ def cmd_verify(cfg: ExperimentConfig, quiet: bool = False) -> int:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 
-    positions = np.array([float(a.x0[0]) for a in cfg.agents])
-    margin = max(1.0, 0.2 * (positions.max() - positions.min() + 1.0))
-    grid = GridSpec(
-        np.array([positions.min() - margin]),
-        np.array([positions.max() + margin]),
-        resolution=8001,
-    )
+    positions = np.array([a.x0 for a in cfg.agents])
+    lo, hi = positions.min(axis=0), positions.max(axis=0)
+    margin = np.maximum(1.0, 0.2 * (hi - lo + 1.0))
+    # every axis gridded, with at most 8001 nodes in all
+    grid = GridSpec(lo - margin, hi + margin, resolution=round(8001 ** (1 / lo.size)))
     funcs = [
         (lambda a: (lambda x: reach_time(a, x)))(agent) for agent in cfg.agents
     ]
     g = grid_minmax(funcs, grid)
 
-    x_err = abs(float(result.x_consensus[0]) - float(g.x[0]))
+    x_err = float(np.linalg.norm(result.x_consensus - g.x))
     t_err = abs(result.t_consensus - g.value)
     bound = max(g.error_bound + 1e-3, 2 * g.spacing)
 
@@ -256,6 +254,8 @@ def cmd_verify(cfg: ExperimentConfig, quiet: bool = False) -> int:
         proj_status = "budget exhausted"
 
     proj_tol = 1e-2 * (1.0 + abs(result.solver.t_star))
+    # the position row shows the first coordinates and the distance
+    # between the whole position vectors
     rows = [
         ("consensus position", float(result.x_consensus[0]), float(g.x[0]), x_err, bound),
         ("consensus time", result.t_consensus, g.value, t_err, bound),

@@ -75,14 +75,6 @@ class ControlSchedule:
     def total_duration(self) -> float:
         return sum(d for d, _ in self.segments)
 
-    @property
-    def switch_times(self) -> List[float]:
-        times, acc = [], 0.0
-        for d, _ in self.segments[:-1]:
-            acc += d
-            times.append(acc)
-        return times
-
 
 @dataclass
 class ConsensusResult:
@@ -304,10 +296,7 @@ class TrajectoryResult:
 
 
 def simulate_trajectory(
-    agent: AgentDynamics,
-    target: Tuple[float, float],
-    dt: float,
-    u_max: Optional[float] = None,
+    agent: AgentDynamics, target: Tuple[float, float], dt: float
 ) -> TrajectoryResult:
     """Closed-form two-phase integration of the bang-bang maneuver.
 
@@ -319,7 +308,7 @@ def simulate_trajectory(
         raise ValueError("dt must be positive")
     if agent.model is not Model.SECOND_ORDER:
         raise ValueError("trajectory synthesis is for second-order agents")
-    um = agent.u_max if u_max is None else float(u_max)
+    um = agent.u_max
     x0, v0 = float(agent.x0[0]), agent.v0
     xt, vt = float(target[0]), float(target[1])
 
@@ -388,14 +377,6 @@ def _build_sets(
     return [_attainable_set(a) for a in agents], "time", True
 
 
-def _boundary_height(s: ProjectableSet, x: Array) -> float:
-    if isinstance(s, SecondOrderCone):
-        return s.apex.t + s.slope * float(np.linalg.norm(x - s.apex.x))
-    if isinstance(s, SecondOrderAttainableSet):
-        return s.reach_time(float(x[0]))
-    raise TypeError(f"unsupported set kind {type(s).__name__}")
-
-
 def reach_time(agent: AgentDynamics, x: Array) -> float:
     """Minimum time for one agent to reach position x (final velocity 0)."""
     if agent.model is Model.FIRST_ORDER:
@@ -425,7 +406,9 @@ def solve_min_time_consensus(
 
     sets, height_kind, experimental = _build_sets(agents)
     centroid = np.mean([a.x0 for a in agents], axis=0)
-    h0 = max(_boundary_height(s, centroid) for s in sets)
+    # a set's violation at height 0 is its boundary height
+    base = PointTime(centroid, 0.0)
+    h0 = max(s.violation(base) for s in sets)
     p0 = PointTime(centroid, h0)
 
     plane = HorizontalHyperplane(0.0)

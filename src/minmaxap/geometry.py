@@ -10,7 +10,7 @@ generic convex-function epigraphs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -18,9 +18,7 @@ from .errors import DimensionMismatchError, ProjectionError
 
 Array = np.ndarray
 
-#: default tolerance for closed-form projections (pure arithmetic)
-CLOSED_FORM_TOL = 1e-10
-#: default tolerance for the numeric epigraph projection
+#: accuracy target of the numeric epigraph projection
 EPIGRAPH_TOL = 1e-8
 
 
@@ -253,8 +251,6 @@ class ConvexEpigraph(ProjectableSet):
     value : callable mapping an n-vector to f(x).
     subgrad : callable mapping an n-vector to one subgradient of f at x.
     dim : spatial dimension n.
-    domain_box : optional (lower, upper) axis-aligned bounds on x.
-    tol : accuracy target for the numeric projection.
     """
 
     def __init__(
@@ -262,28 +258,16 @@ class ConvexEpigraph(ProjectableSet):
         value: Callable[[Array], float],
         subgrad: Callable[[Array], Array],
         dim: int,
-        domain_box: Optional[Tuple[Array, Array]] = None,
-        tol: float = EPIGRAPH_TOL,
     ):
         if dim < 1:
             raise ValueError("dim must be at least 1")
-        if tol <= 0:
-            raise ValueError("tol must be positive")
         self.value = value
         self.subgrad = subgrad
         self.dim = dim
-        self.domain_box = domain_box
-        self.tol = tol
 
     def violation(self, p: PointTime) -> float:
         self._check(p)
         return float(self.value(p.x)) - p.t
-
-    def _bounds(self):
-        if self.domain_box is None:
-            return None
-        lo, hi = self.domain_box
-        return list(zip(np.asarray(lo, float), np.asarray(hi, float)))
 
     def _prox(self, px: Array, lam: float, z0: Array, minimize) -> Array:
         """argmin_z 0.5*||z - px||^2 + lam*f(z), warm-started at z0.
@@ -312,7 +296,6 @@ class ConvexEpigraph(ProjectableSet):
                 s0,
                 jac=jac,
                 method="L-BFGS-B",
-                bounds=self._bounds(),
                 options={"ftol": 1e-16, "gtol": 1e-12, "maxiter": 500},
             )
             cand = np.asarray(res.x, dtype=float)
@@ -329,7 +312,7 @@ class ConvexEpigraph(ProjectableSet):
         f(q.x(lam)) - (p.t + lam) is decreasing in lam, so its root is
         bracketed by doubling and then bisected.
         """
-        tol = self.tol
+        tol = EPIGRAPH_TOL
         px, pt = v[:-1], float(v[-1])
         if float(self.value(px)) - pt <= 0:
             return v

@@ -52,7 +52,8 @@ def grid_minmax(
     """argmin over grid nodes of max_i f_i, ties broken by lowest index.
 
     The reported error bound is grid spacing times a finite-difference
-    Lipschitz estimate of the max function along the first axis.
+    Lipschitz estimate of the max function, taken between neighbours along
+    each axis.
     """
     if not functions:
         raise ValueError("functions must be nonempty")
@@ -61,31 +62,24 @@ def grid_minmax(
         for d in range(grid.lower.size)
     ]
     spacing = max(float(ax[1] - ax[0]) for ax in axes)
-    best_val = np.inf
-    best_x = None
-    prev_val = None
-    lipschitz = 0.0
-    for node in itertools.product(*axes):
-        x = np.array(node)
-        val = max(float(f(x)) for f in functions)
-        if prev_val is not None:
-            lipschitz = max(lipschitz, abs(val - prev_val) / spacing)
-        prev_val = val
-        if val < best_val:
-            best_val = val
-            best_x = x
+    vals = np.array(
+        [max(float(f(np.array(node))) for f in functions) for node in itertools.product(*axes)]
+    ).reshape([ax.size for ax in axes])
+    best = np.unravel_index(int(np.argmin(vals)), vals.shape)
+    lipschitz = max(
+        float(np.abs(np.diff(vals, axis=d)).max()) / spacing for d in range(vals.ndim)
+    )
     bound = lipschitz * spacing * np.sqrt(grid.lower.size)
-    return GridMinMaxResult(best_x, best_val, spacing, float(bound))
+    best_x = np.array([ax[i] for ax, i in zip(axes, best)])
+    return GridMinMaxResult(best_x, float(vals[best]), spacing, float(bound))
 
 
-def _pull_toward(
-    member: Callable[[Array], bool], q: Array, p: Array, iters: int = 40
-) -> Array:
+def _pull_toward(member: Callable[[Array], bool], q: Array, p: Array) -> Array:
     """Farthest point on the segment [q, p] that stays feasible (q is)."""
     lo, hi = 0.0, 1.0
     if member(p):
         return p.copy()
-    for _ in range(iters):
+    for _ in range(40):
         mid = 0.5 * (lo + hi)
         if member(q + mid * (p - q)):
             lo = mid

@@ -29,7 +29,7 @@ class AgentNode:
     id: int
     own_set: ProjectableSet
     increment: Optional[Array] = None
-    last_guess: Optional[PointTime] = None  # used by agent 1 only
+    last_guess: Optional[Array] = None  # used by agent 1 only
 
     def __post_init__(self):
         if self.id < 1:
@@ -42,13 +42,15 @@ class AgentNode:
 class RingMessage:
     """The circulating message: guess, reset flag, and accumulated drift.
 
-    drift sums each visited agent's increment change since the coordinator
-    last saw the message; the guess alone can stall for whole cycles while
-    increments still move, so the coordinator needs both before it may
-    declare the inner projection converged.
+    guess is a raw (x..., t) array that no one writes to once it is sent,
+    so it is passed on and recorded without a copy. drift sums each
+    visited agent's increment change since the coordinator last saw the
+    message; the guess alone can stall for whole cycles while increments
+    still move, so the coordinator needs both before it may declare the
+    inner projection converged.
     """
 
-    guess: PointTime
+    guess: Array
     flag: int
     drift: float = 0.0
 
@@ -65,7 +67,7 @@ class ProtocolEvent:
 
     bregman: bool
     error_norm: float
-    pre_plane: Optional[PointTime] = None  # guess before the plane drop
+    pre_plane: Optional[Array] = None  # guess before the plane drop
 
 
 def agent_step(node: AgentNode, msg: RingMessage) -> Tuple[AgentNode, RingMessage]:
@@ -81,11 +83,11 @@ def agent_step(node: AgentNode, msg: RingMessage) -> Tuple[AgentNode, RingMessag
     old = node.increment
     if msg.flag == 1:
         node.increment = np.zeros_like(node.increment)
-    y = msg.guess.to_array() - node.increment
+    y = msg.guess - node.increment
     q = node.own_set.project_array(y)
     node.increment = q - y
     change = float(np.linalg.norm(node.increment - old))
-    return node, RingMessage(PointTime.from_array(q), msg.flag, msg.drift + change)
+    return node, RingMessage(q, msg.flag, msg.drift + change)
 
 
 def coordinator_step(
@@ -109,13 +111,13 @@ def coordinator_step(
     else:
         # m.drift carries every agent's increment movement over the last
         # full circulation, closing the guess-stall blind spot
-        e = float(np.linalg.norm(g.x - node1.last_guess.x)) + m.drift
+        e = float(np.linalg.norm(g[:-1] - node1.last_guess[:-1])) + m.drift
     node1.last_guess = g
     if e < cfg.err:
         # forget the pre-drop guess: the restarted inner run must stabilize
         # on its own evidence, not by matching the run it replaced
         node1.last_guess = None
-        out = RingMessage(plane.project(g), 1)
+        out = RingMessage(plane.project_array(g), 1)
         return node1, out, ProtocolEvent(True, e, pre_plane=g)
     return node1, RingMessage(g, 0), ProtocolEvent(False, e)
 
@@ -140,21 +142,19 @@ def run_ring(
         raise ValueError("agents must be ordered by id 1..N")
     for a in agents:
         a.own_set._check(p0)
-    msg = RingMessage(p0, 0)
+    msg = RingMessage(p0.to_array(), 0)
     trace: List[TraceEvent] = []
-    counts = {a.id: 0 for a in agents}
-    prev_plane: Optional[PointTime] = None
+    prev_plane: Optional[Array] = None
     n_events = 0
     last_event_cycle = 0
-    best = p0
+    best = msg.guess
     for cycle in itertools.count(1):
         node1, msg, event = coordinator_step(agents[0], msg, plane, cfg)
-        counts[1] += 1
         trace.append(
             TraceEvent(
                 cycle,
                 1,
-                msg.guess.to_array(),
+                msg.guess,
                 float(np.linalg.norm(node1.increment)),
                 msg.flag,
                 event.bregman,
@@ -165,25 +165,30 @@ def run_ring(
             last_event_cycle = cycle
             a = best = event.pre_plane
             plane_pt = msg.guess
+            gap = float(np.linalg.norm(a - plane_pt))
             if (
                 prev_plane is not None
-                and plane_pt.distance_to(prev_plane) < cfg.outer_tol
+                and float(np.linalg.norm(plane_pt - prev_plane)) < cfg.outer_tol
             ):
+                t_star = float(a[-1])
                 return MinMaxSolution(
-                    x_star=a.x.copy(),
-                    t_star=a.t,
-                    distance=a.distance_to(plane_pt),
+                    x_star=a[:-1].copy(),
+                    t_star=t_star,
+                    distance=gap,
                     inner_cycles_total=cycle,
                     outer_iters=n_events,
                     trace=trace,
-                    plane_grazed=(a.t - plane.t_min) < cfg.outer_tol,
-                    message_counts=dict(counts),
+                    plane_grazed=(t_star - plane.t_min) < cfg.outer_tol,
+                    # agent 1 has taken this cycle's turn, the others not yet
+                    message_counts={
+                        n.id: cycle if n.id == 1 else cycle - 1 for n in agents
+                    },
                 )
             if n_events == cfg.max_outer_iters:
                 raise ConvergenceError(
                     "ring protocol: Bregman event cap reached",
-                    iterate=a,
-                    residual=a.distance_to(plane_pt),
+                    iterate=PointTime.from_array(a.copy()),
+                    residual=gap,
                     iterations=n_events,
                     trace=trace,
                 )
@@ -192,12 +197,11 @@ def run_ring(
             best = msg.guess
         for node in agents[1:]:
             node, msg = agent_step(node, msg)
-            counts[node.id] += 1
             trace.append(
                 TraceEvent(
                     cycle,
                     node.id,
-                    msg.guess.to_array(),
+                    msg.guess,
                     float(np.linalg.norm(node.increment)),
                     msg.flag,
                     False,
@@ -206,7 +210,7 @@ def run_ring(
         if cycle - last_event_cycle == cfg.max_inner_cycles:
             raise ConvergenceError(
                 "ring protocol: inner cycle cap reached",
-                iterate=best,
+                iterate=PointTime.from_array(best.copy()),
                 residual=event.error_norm,
                 iterations=cfg.max_inner_cycles,
                 trace=trace,

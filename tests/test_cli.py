@@ -265,6 +265,21 @@ class TestVerify:
         assert "mismatch" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("mode", ["centralized", "ring"])
+    def test_two_dimensional_first_order(self, tmp_path, capsys, mode):
+        # the solution is the center (2.5, 5/6) of the circle through the
+        # three agents, and t its radius 2.635
+        agents = [{"model": "first_order", "x0": p} for p in ([0.0, 0.0], [5.0, 0.0], [1.0, 3.0])]
+        path = write_config(tmp_path / "c.json", agents=agents)
+        assert main(["verify", "--config", path, "--mode", mode]) == EXIT_OK
+        assert "verification passed" in capsys.readouterr().out
+        path = write_config(
+            tmp_path / "c.json", agents=agents, solver={"err": 10.0, "outer_tol": 10.0}
+        )
+        assert main(["verify", "--config", path, "--mode", mode, "--quiet"]) == EXIT_VERIFY
+        assert "mismatch" in capsys.readouterr().err
+
+
 # SHA-256 of the files `solve` (solution.json, trace.csv) and `simulate`
 # (trajectory.csv) write for the benchmark's three CLI configs in both modes,
 # recorded before the solver's duplicate loops, configs and trace rows were

@@ -66,6 +66,15 @@ class TestGridMinmax:
         )
         assert np.allclose(g.x, [1.0, 0.0], atol=0.06)
 
+    def test_2d_bound_uses_axis_neighbours(self):
+        # a 1-Lipschitz function: the bound is at most spacing * sqrt(2),
+        # which a difference across the end of a grid row would exceed
+        g = grid_minmax(
+            [lambda x: float(np.linalg.norm(x - np.array([1.0, 1.0])))],
+            GridSpec(np.array([-2.0, -2.0]), np.array([2.0, 2.0]), 81),
+        )
+        assert g.error_bound <= g.spacing * np.sqrt(2) * (1 + 1e-9)
+
 
 class TestNumericProjection:
     def test_nonpositive_quadrant(self):

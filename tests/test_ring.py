@@ -20,32 +20,37 @@ def pt(x, t):
     return PointTime(np.atleast_1d(np.asarray(x, float)), t)
 
 
+def vec(x, t):
+    """A raw (x..., t) point, as the ring passes it."""
+    return np.append(np.asarray(x, float), t)
+
+
 class TestRingMessage:
     def test_flag_domain(self):
         with pytest.raises(ValueError):
-            RingMessage(pt([0.0], 0.0), 2)
+            RingMessage(vec([0.0], 0.0), 2)
 
 
 class TestAgentStep:
     def test_plane_projection_updates_increment(self):
         node = AgentNode(2, HorizontalHyperplane(0.0))
-        node, out = agent_step(node, RingMessage(pt([2.0], 5.0), 0))
-        assert np.allclose(out.guess.to_array(), [2.0, 0.0])
+        node, out = agent_step(node, RingMessage(vec([2.0], 5.0), 0))
+        assert np.allclose(out.guess, [2.0, 0.0])
         assert np.allclose(node.increment, [0.0, -5.0])
 
     def test_flag_one_discards_stale_increment(self):
         node = AgentNode(2, HorizontalHyperplane(0.0))
         node.increment = np.array([7.0, 7.0])  # leftover from the old run
-        node, out = agent_step(node, RingMessage(pt([2.0], 5.0), 1))
+        node, out = agent_step(node, RingMessage(vec([2.0], 5.0), 1))
         # the stale increment must not shift the guess, and the new
         # increment is the restarted run's first Dykstra update
-        assert np.allclose(out.guess.to_array(), [2.0, 0.0])
+        assert np.allclose(out.guess, [2.0, 0.0])
         assert np.allclose(node.increment, [0.0, -5.0])
 
     def test_cone_step_derived_from_projection(self):
         node = AgentNode(3, SecondOrderCone(pt([0.0], 0.0), 1.0))
-        node, out = agent_step(node, RingMessage(pt([2.0], 0.0), 0))
-        assert np.allclose(out.guess.to_array(), [1.0, 1.0])
+        node, out = agent_step(node, RingMessage(vec([2.0], 0.0), 0))
+        assert np.allclose(out.guess, [1.0, 1.0])
         assert np.allclose(node.increment, [-1.0, 1.0])
 
 
@@ -53,20 +58,20 @@ class TestCoordinatorStep:
     def test_stationary_triggers_bregman(self):
         cfg = ToleranceConfig(err=1e-7)
         node = AgentNode(1, HorizontalHyperplane(2.0))
-        node.last_guess = pt([4.0], 2.0)
+        node.last_guess = vec([4.0], 2.0)
         node, out, ev = coordinator_step(
-            node, RingMessage(pt([4.0], 2.0), 0), HorizontalHyperplane(0.0), cfg
+            node, RingMessage(vec([4.0], 2.0), 0), HorizontalHyperplane(0.0), cfg
         )
         assert ev.bregman and ev.error_norm == 0.0
         assert out.flag == 1
-        assert np.allclose(out.guess.to_array(), [4.0, 0.0])
+        assert np.allclose(out.guess, [4.0, 0.0])
 
     def test_moving_guess_keeps_flag_zero(self):
         cfg = ToleranceConfig(err=1e-7)
         node = AgentNode(1, HorizontalHyperplane(2.0))
-        node.last_guess = pt([5.0], 2.0)
+        node.last_guess = vec([5.0], 2.0)
         node, out, ev = coordinator_step(
-            node, RingMessage(pt([4.0], 2.0), 0), HorizontalHyperplane(0.0), cfg
+            node, RingMessage(vec([4.0], 2.0), 0), HorizontalHyperplane(0.0), cfg
         )
         assert not ev.bregman and ev.error_norm == pytest.approx(1.0)
         assert out.flag == 0
@@ -75,7 +80,7 @@ class TestCoordinatorStep:
         with pytest.raises(ValueError):
             coordinator_step(
                 AgentNode(2, HorizontalHyperplane(0.0)),
-                RingMessage(pt([0.0], 0.0), 0),
+                RingMessage(vec([0.0], 0.0), 0),
                 HorizontalHyperplane(0.0),
                 ToleranceConfig(),
             )
@@ -222,6 +227,29 @@ class TestRunRing:
         assert exc.value.iterations == 2
         assert sum(r.bregman_event for r in exc.value.trace) == 2
         assert exc.value.trace[-1].bregman_event
+
+    def test_no_point_built_per_message(self, monkeypatch):
+        # the ring passes raw arrays, so the PointTimes built in a solve
+        # must not grow with the number of agent visits
+        rng = np.random.default_rng(3)
+        cones = [SecondOrderCone(pt(rng.uniform(0, 10, 2), 0.0), 1.0) for _ in range(16)]
+        p0 = pt([5.0, 5.0], 20.0)
+        built = []
+        init = PointTime.__post_init__
+
+        def counting(self):
+            built.append(1)
+            init(self)
+
+        monkeypatch.setattr(PointTime, "__post_init__", counting)
+        cycles, points = [], []
+        for err in (1e-3, 1e-7):
+            before = len(built)
+            sol = run_ring(make_ring(cones), PLANE, p0, ToleranceConfig(err=err))
+            cycles.append(sol.inner_cycles_total)
+            points.append(len(built) - before)
+        assert cycles[0] < cycles[1]
+        assert points[0] == points[1]
 
     def test_agents_must_be_ordered(self):
         nodes = [AgentNode(2, HorizontalHyperplane(0.0))]
