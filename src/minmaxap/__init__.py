@@ -19,13 +19,11 @@ from .consensus import (
     first_order_attainable_set,
     first_order_reach_time,
     inverse_time_square,
-    nonzero_velocity_transform,
     second_order_reach_time_general,
     second_order_reach_time_zero_vel,
     second_order_zero_vel_set,
     simulate_trajectory,
     solve_min_time_consensus,
-    time_square_transform,
 )
 from .errors import (
     ConvergenceError,

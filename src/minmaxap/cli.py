@@ -20,6 +20,7 @@ from .alternating import ToleranceConfig
 from .consensus import (
     AgentDynamics,
     Model,
+    _build_sets,
     reach_time,
     simulate_trajectory,
     solve_min_time_consensus,
@@ -121,7 +122,7 @@ def load_config(path: str) -> ExperimentConfig:
     )
 
 
-def _write_solution(cfg: ExperimentConfig, result) -> None:
+def _write_solution(cfg: ExperimentConfig, result) -> str:
     record = {
         "x_consensus": [_sig9(v) for v in result.x_consensus],
         "t_consensus": _sig9(result.t_consensus),
@@ -238,8 +239,6 @@ def cmd_verify(cfg: ExperimentConfig, quiet: bool = False) -> int:
     # independent check of the projection machinery: nearest point of the
     # intersection of attainable sets (in solver height coordinates) to the
     # plane-side point must match the solver's intersection-side point
-    from .consensus import _build_sets  # local import avoids a cycle
-
     sets, _, _ = _build_sets(cfg.agents)
     membership = lambda q: all(s.contains(q, 1e-9) for s in sets)
     plane_side = PointTime(result.x_consensus, 0.0)

@@ -109,12 +109,6 @@ def second_order_reach_time_zero_vel(x0: float, x: float, u_max: float) -> float
     return 2.0 * math.sqrt(abs(float(x) - float(x0)) / u_max)
 
 
-def time_square_transform(t: float) -> float:
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    return float(t) * float(t)
-
-
 def inverse_time_square(s: float) -> float:
     if s < 0:
         raise ValueError("squared time must be nonnegative")
@@ -160,29 +154,6 @@ def second_order_reach_time_general(
     if t < 0:
         raise InfeasibleTargetError("negative reach time root")
     return t
-
-
-def nonzero_velocity_transform(
-    x_normal: Tuple[float, float], agent: AgentDynamics
-) -> Tuple[float, float]:
-    """Per-agent piecewise quadratic height change (EXPERIMENTAL).
-
-    Maps a (position, time) point to (position, transformed height) so the
-    agent's attainable-boundary parabola branch through that region becomes
-    affine.  The left region (unstated in the source construction) uses the
-    mirror-symmetric map.  No convexity guarantee for v0 != 0.
-    """
-    if agent.model is not Model.SECOND_ORDER:
-        raise ValueError("expected a second-order agent")
-    xs = _attainable_set(agent)
-    pos, t = float(x_normal[0]), float(x_normal[1])
-    side = 1.0 if pos > xs.bstar else -1.0
-    base = t + side * xs.nu
-    if base >= 0:
-        h = base * base + xs.c
-    else:
-        h = xs.c
-    return pos, h
 
 
 class SecondOrderAttainableSet(ProjectableSet):

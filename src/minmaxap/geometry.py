@@ -3,8 +3,8 @@
 All sets live in R^{n+1}: n spatial coordinates plus one scalar height
 (time, or squared time after a coordinate transform).  Every set exposes
 membership with a tolerance and an orthogonal projection; projections are
-closed-form wherever one exists, with a certified numeric fallback for
-generic convex-function epigraphs.
+closed-form wherever one exists; the epigraph of a generic convex function
+given by value and subgradient oracles is projected numerically.
 """
 
 from __future__ import annotations
@@ -17,9 +17,6 @@ import numpy as np
 from .errors import DimensionMismatchError, ProjectionError
 
 Array = np.ndarray
-
-#: accuracy target of the numeric epigraph projection
-EPIGRAPH_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -243,6 +240,14 @@ class Ball(ProjectableSet):
         return self.center + (self.radius / nrm) * d
 
 
+def _finite(y, what: str):
+    """y as float(s), or ProjectionError when an oracle gave a non-finite one."""
+    y = np.asarray(y, dtype=float)
+    if not np.all(np.isfinite(y)):
+        raise ProjectionError(f"epigraph projection: the oracle returned a non-finite {what}")
+    return y
+
+
 class ConvexEpigraph(ProjectableSet):
     """Epigraph {(x, t) : f(x) <= t} of a convex function given by oracles.
 
@@ -269,97 +274,50 @@ class ConvexEpigraph(ProjectableSet):
         self._check(p)
         return float(self.value(p.x)) - p.t
 
-    def _prox(self, px: Array, lam: float, z0: Array, minimize) -> Array:
-        """argmin_z 0.5*||z - px||^2 + lam*f(z), warm-started at z0.
-
-        A warm start sitting exactly on a kink of f can trap the line
-        search, so the solve is repeated from px and the lower of the two
-        objectives wins. minimize is scipy.optimize.minimize, imported by
-        the caller.
-        """
-
-        def obj(z):
-            d = z - px
-            return 0.5 * float(d @ d) + lam * float(self.value(z))
-
-        def jac(z):
-            return (z - px) + lam * np.asarray(self.subgrad(z), float)
-
-        starts = [z0]
-        if float(np.linalg.norm(z0 - px)) > 1e-12:
-            starts.append(px)
-        best = None
-        best_val = np.inf
-        for s0 in starts:
-            res = minimize(
-                obj,
-                s0,
-                jac=jac,
-                method="L-BFGS-B",
-                options={"ftol": 1e-16, "gtol": 1e-12, "maxiter": 500},
-            )
-            cand = np.asarray(res.x, dtype=float)
-            val = obj(cand)
-            if val < best_val:
-                best, best_val = cand, val
-        return best
-
     def project_array(self, v: Array) -> Array:
-        """Nearest point of the epigraph, via bisection on the multiplier.
+        """Nearest point of the epigraph by one SLSQP solve (Kraft 1988).
 
-        The KKT system of min ||q - p||^2 s.t. f(q.x) <= q.t gives
-        q.t = p.t + lam and q.x = prox_{lam f}(p.x); the residual
-        f(q.x(lam)) - (p.t + lam) is decreasing in lam, so its root is
-        bracketed by doubling and then bisected.
+        min 0.5*||q - v||^2 s.t. f(q.x) <= q.t goes to scipy as it stands,
+        started at (v.x, f(v.x)). SLSQP linearizes the constraint at each
+        step, which is a subgradient cut, so kinks of f do not trap it.
+
+        Each point where SLSQP evaluates f is lifted to (x, max(f(x), v.t)),
+        on or above the graph, and the lifted point nearest v is returned.
+        For a feasible q, ||q - q*||^2 <= ||q - v||^2 - ||q* - v||^2, so the
+        nearest has the smallest error bound; SLSQP's own last iterate can
+        drift off the graph once its merit function stalls.
         """
-        tol = EPIGRAPH_TOL
         px, pt = v[:-1], float(v[-1])
-        if float(self.value(px)) - pt <= 0:
+        fx = float(_finite(self.value(px), "value"))
+        if fx - pt <= 0:
             return v
         # scipy takes most of a second to import; only this projection uses it
         from scipy.optimize import minimize
 
-        z = px.copy()
+        best, best_d2 = None, np.inf
 
-        def phi(lam):
-            nonlocal z
-            z = self._prox(px, lam, z, minimize)
-            return float(self.value(z)) - (pt + lam)
+        def slack(q):
+            nonlocal best, best_d2
+            fq = float(_finite(self.value(q[:-1]), "value"))
+            lifted = np.append(q[:-1], max(fq, pt))
+            d2 = float((lifted - v) @ (lifted - v))
+            if d2 < best_d2:
+                best, best_d2 = lifted, d2
+            return q[-1] - fq
 
-        lo, hi = 0.0, max(tol, 1.0)
-        grow = 0
-        while phi(hi) > 0:
-            lo, hi = hi, hi * 2.0
-            grow += 1
-            if grow > 80:
-                raise ProjectionError(
-                    "epigraph projection: multiplier bracket failed",
-                    iterate=PointTime(z, pt + hi),
-                    residual=float(self.value(z)) - (pt + hi),
-                )
-        for _ in range(200):
-            if hi - lo <= 0.25 * tol:
-                break
-            mid = 0.5 * (lo + hi)
-            if phi(mid) > 0:
-                lo = mid
-            else:
-                hi = mid
-        # take the feasible side of the bracket so f(q.x) <= q.t + tol;
-        # the residual falls at unit rate or faster in the multiplier, so a
-        # leftover few-ulp violation is removed by bumping hi once or twice
-        z_hi = self._prox(px, hi, z, minimize)
-        resid = float(self.value(z_hi)) - (pt + hi)
-        for _ in range(50):
-            if resid <= tol:
-                break
-            hi += max(resid, tol)
-            z_hi = self._prox(px, hi, z_hi, minimize)
-            resid = float(self.value(z_hi)) - (pt + hi)
-        if resid > tol:
-            raise ProjectionError(
-                "epigraph projection did not reach tolerance",
-                iterate=PointTime(z_hi, pt + hi),
-                residual=resid,
-            )
-        return np.append(z_hi, pt + hi)
+        def slack_jac(q):
+            return np.append(-_finite(self.subgrad(q[:-1]), "subgradient"), 1.0)
+
+        def half_sq_dist(q):
+            d = q - v
+            return 0.5 * float(d @ d), d
+
+        minimize(
+            half_sq_dist,
+            np.append(px, fx),
+            jac=True,
+            method="SLSQP",
+            constraints=[{"type": "ineq", "fun": slack, "jac": slack_jac}],
+            options={"ftol": 1e-16, "maxiter": 200},
+        )
+        return best

@@ -11,13 +11,11 @@ from minmaxap import (
     first_order_attainable_set,
     first_order_reach_time,
     inverse_time_square,
-    nonzero_velocity_transform,
     second_order_reach_time_general,
     second_order_reach_time_zero_vel,
     second_order_zero_vel_set,
     simulate_trajectory,
     solve_min_time_consensus,
-    time_square_transform,
 )
 from minmaxap.geometry import PointTime
 
@@ -124,14 +122,9 @@ class TestSecondOrderReachTimes:
 
 class TestTransforms:
     def test_square_roundtrip(self):
-        assert time_square_transform(2.0) == 4.0
         assert inverse_time_square(4.0) == 2.0
-        assert time_square_transform(0.0) == 0.0
-        assert time_square_transform(7.0645) == pytest.approx(49.907, abs=1e-3)
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            time_square_transform(-1.0)
         with pytest.raises(ValueError):
             inverse_time_square(-1.0)
 
@@ -147,20 +140,6 @@ class TestTransforms:
     def test_zero_vel_set_requires_zero_velocity(self):
         with pytest.raises(ValueError):
             second_order_zero_vel_set(so_agent(0.0, v=1.0))
-
-    def test_nonzero_velocity_transform_reduces_to_square(self):
-        a = so_agent(1.0, 0.0)
-        for t in (0.0, 0.5, 2.0, 7.0):
-            _, h = nonzero_velocity_transform((3.0, t), a)
-            assert h == pytest.approx(time_square_transform(t))
-
-    def test_nonzero_velocity_transform_vertex_constant(self):
-        v = -1.7
-        a = so_agent(0.0, v)
-        c = abs(v) - 0.5 * (v * v - v * abs(v))
-        # at the parabola vertex the height equals the constant term
-        _, h = nonzero_velocity_transform((5.0, -v), a)  # right region, base = 0
-        assert h == pytest.approx(c)
 
 
 class TestAttainableSet:

@@ -11,6 +11,7 @@ from minmaxap import (
     Halfspace,
     HorizontalHyperplane,
     PointTime,
+    ProjectionError,
     SecondOrderAttainableSet,
     SecondOrderCone,
 )
@@ -165,6 +166,153 @@ class TestEpigraphProjection:
             qc = cone.project(p)
             qe = epi.project(p)
             assert qc.distance_to(qe) < 1e-6
+
+    def test_nonfinite_oracle_raises_projection_error(self):
+        def value(x):
+            return float(x[0] ** 2) if x[0] <= 1 else float("nan")
+
+        def subgrad(x):
+            return 2 * x if x[0] <= 1 else np.array([np.nan])
+
+        with pytest.raises(ProjectionError):
+            ConvexEpigraph(value, subgrad, 1).project(pt([3.0], -1.0))
+        # a finite value with a non-finite subgradient fails the same way
+        with pytest.raises(ProjectionError):
+            ConvexEpigraph(
+                lambda x: float(x[0] ** 2), lambda x: np.full_like(x, np.nan), 1
+            ).project(pt([3.0], -1.0))
+
+
+# Accuracy of the numeric epigraph projection against exact references that
+# share no code with minmaxap.
+
+
+class CountingEpigraph(ConvexEpigraph):
+    """A ConvexEpigraph that counts its value and subgradient calls."""
+
+    def __init__(self, value, subgrad, dim):
+        self.calls = 0
+
+        def counted(fn):
+            def call(x):
+                self.calls += 1
+                return fn(x)
+
+            return call
+
+        super().__init__(counted(value), counted(subgrad), dim)
+
+
+def quadratic_cases():
+    """60 quadratics a (x - c)^2 + h in 1-D, each with a point below its graph."""
+    rng = np.random.default_rng(21)
+    cases = []
+    for _ in range(60):
+        a, c, h = rng.uniform(0.2, 3.0), rng.uniform(-3.0, 3.0), rng.uniform(-2.0, 2.0)
+        p = rng.normal(scale=3.0)
+        s = a * (p - c) ** 2 + h - rng.uniform(1e-3, 8.0)
+        cases.append((a, c, h, p, s))
+    return cases
+
+
+def quadratic_epigraph(a, c, h):
+    return CountingEpigraph(
+        lambda x: a * (x[0] - c) ** 2 + h, lambda x: np.array([2 * a * (x[0] - c)]), 1
+    )
+
+
+def quadratic_projection(a, c, h, p, s):
+    """Nearest graph point: y = x - c solves the stationarity cubic
+    2 a^2 y^3 + (1 + 2 a (h - s)) y + (c - p) = 0. Every candidate lies on
+    the graph, so the nearest one is the projection."""
+    ys = np.roots([2 * a * a, 0.0, 1 + 2 * a * (h - s), c - p]).real
+    pts = [np.array([c + y, a * y * y + h]) for y in ys]
+    return min(pts, key=lambda q: np.hypot(q[0] - p, q[1] - s))
+
+
+def test_epigraph_projection_matches_cubic_roots_on_quadratics():
+    for a, c, h, p, s in quadratic_cases():
+        q = quadratic_epigraph(a, c, h).project_array(np.array([p, s]))
+        assert np.linalg.norm(q - quadratic_projection(a, c, h, p, s)) < 1e-6
+
+
+def test_epigraph_projection_oracle_budget_on_quadratics():
+    calls = []
+    for a, c, h, p, s in quadratic_cases():
+        epi = quadratic_epigraph(a, c, h)
+        epi.project_array(np.array([p, s]))
+        calls.append(epi.calls)
+    assert np.mean(calls) <= 100
+
+
+def l1_quadratic_projection(a, c, lam1, v):
+    """Projection onto the epigraph of sum a_i (x_i - c_i)^2 + lam1 ||x||_1.
+
+    It is (prox_{m f}(v.x), v.t + m) for the multiplier m > 0 at which the
+    point lands on the graph. The prox is a soft threshold per coordinate,
+    and f(prox_{m f}(v.x)) - v.t - m falls in m, so m is bisected.
+    """
+    px, s = v[:-1], v[-1]
+
+    def f(x):
+        return float(np.sum(a * (x - c) ** 2) + lam1 * np.sum(np.abs(x)))
+
+    def prox(m):
+        z = px + 2 * m * a * c
+        return np.sign(z) * np.maximum(np.abs(z) - m * lam1, 0.0) / (1 + 2 * m * a)
+
+    lo, hi = 0.0, 1.0
+    while f(prox(hi)) - s - hi > 0:
+        lo, hi = hi, 2 * hi
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if f(prox(mid)) - s - mid > 0:
+            lo = mid
+        else:
+            hi = mid
+    return np.append(prox(hi), s + hi)
+
+
+def test_epigraph_projection_matches_soft_threshold_on_l1_quadratics():
+    rng = np.random.default_rng(22)
+    for i in range(300):
+        n = 1 + i % 3
+        a, c = rng.uniform(0.2, 2.0, n), rng.uniform(-2.0, 2.0, n)
+        lam1 = rng.uniform(0.1, 2.0)
+
+        def f(x):
+            return float(np.sum(a * (x - c) ** 2) + lam1 * np.sum(np.abs(x)))
+
+        px = rng.normal(scale=3.0, size=n)
+        v = np.append(px, f(px) - rng.uniform(1e-3, 8.0))
+        epi = ConvexEpigraph(f, lambda x: 2 * a * (x - c) + lam1 * np.sign(x), n)
+        q = epi.project_array(v)
+        assert np.linalg.norm(q - l1_quadratic_projection(a, c, lam1, v)) < 1e-6
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_epigraph_projection_matches_cone_formula(n):
+    rng = np.random.default_rng(23 + n)
+    for i in range(100):
+        apex, apex_t, k = rng.normal(size=n), rng.normal(), rng.uniform(0.3, 3.0)
+        u = rng.normal(size=n)
+        u /= np.linalg.norm(u)
+        r = rng.uniform(0.0, 3.0)
+        if i % 2:
+            # in the polar cone, r <= -k (t - apex_t): projects onto the apex
+            v = np.append(apex + r * u, apex_t - r / k - rng.uniform(0.0, 2.0))
+            expected = np.append(apex, apex_t)
+        else:
+            # below the surface, outside the polar cone
+            th = rng.uniform(-r / k, k * r)
+            v = np.append(apex + r * u, apex_t + th)
+            rho = (r + k * th) / (1 + k * k)
+            expected = np.append(apex + rho * u, apex_t + k * rho)
+        epi = ConvexEpigraph(
+            lambda x: k * float(np.linalg.norm(x - apex)) + apex_t,
+            lambda x: k * (x - apex) / max(np.linalg.norm(x - apex), 1e-300),
+            n,
+        )
+        assert np.linalg.norm(epi.project_array(v) - expected) < 1e-6
 
 
 ALL_SETS = [
