@@ -73,11 +73,11 @@ class MinMaxSolution:
 
 def dykstra_project(
     sets: Sequence[ProjectableSet],
-    p0: PointTime,
+    p0: Array,
     cfg: ToleranceConfig,
     stats: Optional[dict] = None,
-) -> PointTime:
-    """Project p0 onto the intersection of the given sets.
+) -> Array:
+    """Project the (x..., t) array p0 onto the intersection of the given sets.
 
     Cycles through the sets in order, applying each projection to the
     iterate minus that set's increment and updating the increment, until
@@ -87,13 +87,13 @@ def dykstra_project(
     iterate lies strictly inside the set: the step would leave both
     bit-for-bit unchanged. Trivial steps found by ConeStack's batched test
     are skipped, so the result and the cycle count are those of the plain
-    per-set loop.
+    per-set loop. p0 itself comes back when no step moves it.
     """
     if not sets:
         raise ValueError("sets must be nonempty")
     for s in sets:
         s._check(p0)
-    x = p0.to_array()
+    x = p0
     m = len(sets)
     increments = np.zeros((m, x.size))
     zero = np.ones(m, dtype=bool)  # increment is +0.0 in every component
@@ -113,7 +113,7 @@ def dykstra_project(
                     break
                 i += k
             y = x - increments[i]
-            px = sets[i].project_array(y)
+            px = sets[i].project(y)
             inc = px - y
             drift += float(np.linalg.norm(inc - increments[i]))
             increments[i] = inc
@@ -127,7 +127,7 @@ def dykstra_project(
             if resid < cfg.err:
                 if stats is not None:
                     stats["cycles"] = cycle
-                return PointTime.from_array(x)
+                return x
         prev = x
     if stats is not None:
         stats["cycles"] = cfg.max_inner_cycles
@@ -152,7 +152,8 @@ def bregman_alternate(
     b_k, which is the minimum distance between A and set_b when the two do
     not intersect. Every ConvergenceError carries the trace so far.
     """
-    b = p0
+    b = p0.to_array()
+    set_b._check(b)
     prev_b = None
     trace: List[TraceEvent] = []
     inner_total = 0
@@ -165,12 +166,12 @@ def bregman_alternate(
             raise
         inner_total += stats["cycles"]
         b = set_b.project(a)
-        trace.append(TraceEvent(k, 0, a.to_array(), 0.0, 1, True))
-        if prev_b is not None and b.distance_to(prev_b) < cfg.outer_tol:
+        trace.append(TraceEvent(k, 0, a, 0.0, 1, True))
+        if prev_b is not None and float(np.linalg.norm(b - prev_b)) < cfg.outer_tol:
             return MinMaxSolution(
-                x_star=a.x.copy(),
-                t_star=a.t,
-                distance=a.distance_to(b),
+                x_star=a[:-1].copy(),
+                t_star=float(a[-1]),
+                distance=float(np.linalg.norm(a - b)),
                 inner_cycles_total=inner_total,
                 outer_iters=k,
                 trace=trace,
@@ -178,8 +179,8 @@ def bregman_alternate(
         prev_b = b
     raise ConvergenceError(
         "Bregman outer iteration cap reached",
-        iterate=a,
-        residual=a.distance_to(b),
+        iterate=PointTime.from_array(a),
+        residual=float(np.linalg.norm(a - b)),
         iterations=cfg.max_outer_iters,
         trace=trace,
     )

@@ -1,8 +1,8 @@
 """Command-line front end: solve / simulate / verify over JSON configs.
 
 Exit codes: 0 ok, 2 config validation error, 3 solver failure,
-4 verification mismatch (oracle budget exhaustion is reported distinctly
-but also exits 4).
+4 verification mismatch (an inconclusive check, when the oracle budget runs
+out or x0 has more than 3 axes, is reported distinctly but also exits 4).
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .consensus import (
     solve_min_time_consensus,
 )
 from .errors import ConvergenceError, OracleBudgetError
-from .geometry import PointTime
 from .oracle import GridSpec, grid_minmax, numeric_projection
 
 EXIT_OK = 0
@@ -57,6 +56,15 @@ def _sig9(v: float) -> float:
     return float(f"{v:.9g}")
 
 
+def _section(raw: dict, name: str, problems: List[str]) -> dict:
+    """raw[name], or {} with a problem noted when it is not a JSON object."""
+    section = raw.get(name, {})
+    if isinstance(section, dict):
+        return section
+    problems.append(f"{name}: must be a JSON object")
+    return {}
+
+
 def load_config(path: str) -> ExperimentConfig:
     problems: List[str] = []
     try:
@@ -64,6 +72,8 @@ def load_config(path: str) -> ExperimentConfig:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError([f"cannot read config: {exc}"])
+    if not isinstance(raw, dict):
+        raise ConfigError(["config: the top level must be a JSON object"])
 
     agents_raw = raw.get("agents")
     agents: List[AgentDynamics] = []
@@ -71,6 +81,9 @@ def load_config(path: str) -> ExperimentConfig:
         problems.append("agents: need a nonempty list")
     else:
         for i, a in enumerate(agents_raw):
+            if not isinstance(a, dict):
+                problems.append(f"agents[{i}]: must be a JSON object")
+                continue
             try:
                 model = Model(a.get("model", "second_order"))
                 agents.append(
@@ -83,8 +96,10 @@ def load_config(path: str) -> ExperimentConfig:
                 )
             except (KeyError, ValueError, TypeError) as exc:
                 problems.append(f"agents[{i}]: {exc}")
+        if len({a.x0.size for a in agents}) > 1:
+            problems.append("agents: every x0 must have the same length")
 
-    s = raw.get("solver", {})
+    s = _section(raw, "solver", problems)
     solver = None
     try:
         solver = ToleranceConfig(
@@ -104,10 +119,11 @@ def load_config(path: str) -> ExperimentConfig:
     if mode not in ("centralized", "ring"):
         problems.append(f"mode: must be centralized or ring, got {mode!r}")
 
-    out = raw.get("outputs", {})
+    out = _section(raw, "outputs", problems)
     sample_dt = out.get("sample_dt", 0.1)
-    if not (isinstance(sample_dt, (int, float)) and sample_dt > 0):
-        problems.append("outputs.sample_dt: must be positive")
+    # bool is an int subclass, but true is no step length
+    if isinstance(sample_dt, bool) or not (isinstance(sample_dt, (int, float)) and sample_dt > 0):
+        problems.append("outputs.sample_dt: must be a positive number")
 
     if problems:
         raise ConfigError(problems)
@@ -226,7 +242,11 @@ def cmd_verify(cfg: ExperimentConfig, quiet: bool = False) -> int:
     lo, hi = positions.min(axis=0), positions.max(axis=0)
     margin = np.maximum(1.0, 0.2 * (hi - lo + 1.0))
     # every axis gridded, with at most 8001 nodes in all
-    grid = GridSpec(lo - margin, hi + margin, resolution=round(8001 ** (1 / lo.size)))
+    try:
+        grid = GridSpec(lo - margin, hi + margin, resolution=round(8001 ** (1 / lo.size)))
+    except ValueError as exc:
+        print(f"verification inconclusive: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
     funcs = [
         (lambda a: (lambda x: reach_time(a, x)))(agent) for agent in cfg.agents
     ]
@@ -241,14 +261,14 @@ def cmd_verify(cfg: ExperimentConfig, quiet: bool = False) -> int:
     # plane-side point must match the solver's intersection-side point
     sets, _, _ = _build_sets(cfg.agents)
     membership = lambda q: all(s.contains(q, 1e-9) for s in sets)
-    plane_side = PointTime(result.x_consensus, 0.0)
-    hint = PointTime(result.x_consensus, result.solver.t_star + 1.0)
+    plane_side = np.append(result.x_consensus, 0.0)
+    hint = np.append(result.x_consensus, result.solver.t_star + 1.0)
     proj_status = "ok"
     proj_err = float("nan")
     try:
         q = numeric_projection(membership, plane_side, feasible_hint=hint, seed=7)
-        target = PointTime(result.x_consensus, result.solver.t_star)
-        proj_err = q.distance_to(target)
+        target = np.append(result.x_consensus, result.solver.t_star)
+        proj_err = float(np.linalg.norm(q - target))
     except OracleBudgetError as exc:
         proj_status = "budget exhausted"
 

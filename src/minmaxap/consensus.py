@@ -50,8 +50,10 @@ class AgentDynamics:
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "v0", float(self.v0))
         object.__setattr__(self, "u_max", float(self.u_max))
-        if self.u_max <= 0:
-            raise ValueError("u_max must be positive")
+        if x0.ndim != 1 or x0.size < 1 or not np.all(np.isfinite(x0)):
+            raise ValueError("x0 must be a nonempty list of finite numbers")
+        if not (math.isfinite(self.u_max) and self.u_max > 0 and math.isfinite(self.v0)):
+            raise ValueError("u_max must be finite and positive, and v0 finite")
         if self.model is Model.FIRST_ORDER and self.v0 != 0.0:
             raise ValueError("first-order agents have no velocity state")
         if self.model is Model.SECOND_ORDER and x0.size != 1:
@@ -187,9 +189,9 @@ class SecondOrderAttainableSet(ProjectableSet):
             self.x0, self.v0, float(pos), 0.0, self.u_max
         )
 
-    def violation(self, p: PointTime) -> float:
-        self._check(p)
-        return self.reach_time(p.x[0]) - p.t
+    def violation(self, v: Array) -> float:
+        self._check(v)
+        return self.reach_time(v[0]) - float(v[-1])
 
     def _branch_candidate(self, v: Array, side: float) -> Array:
         nu, c = self.nu, self.c
@@ -210,7 +212,7 @@ class SecondOrderAttainableSet(ProjectableSet):
         t1 = -side * nu + math.sqrt(max(h1 - c, 0.0))
         return np.array([b1, max(t1, 0.0)])
 
-    def project_array(self, v: Array) -> Array:
+    def project(self, v: Array) -> Array:
         if self.reach_time(v[0]) - float(v[1]) <= 1e-12:
             return v
         right = self._branch_candidate(v, +1.0)
@@ -378,8 +380,7 @@ def solve_min_time_consensus(
     sets, height_kind, experimental = _build_sets(agents)
     centroid = np.mean([a.x0 for a in agents], axis=0)
     # a set's violation at height 0 is its boundary height
-    base = PointTime(centroid, 0.0)
-    h0 = max(s.violation(base) for s in sets)
+    h0 = max(s.violation(np.append(centroid, 0.0)) for s in sets)
     p0 = PointTime(centroid, h0)
 
     plane = HorizontalHyperplane(0.0)

@@ -47,45 +47,33 @@ class PointTime:
         v = np.asarray(v, dtype=float)
         return PointTime(v[:-1], float(v[-1]))
 
-    def distance_to(self, other: "PointTime") -> float:
-        if other.dim != self.dim:
-            raise DimensionMismatchError(
-                f"points have dims {self.dim} and {other.dim}"
-            )
-        return float(np.linalg.norm(self.to_array() - other.to_array()))
-
 
 class ProjectableSet:
-    """A closed convex subset of R^{n+1} with membership and projection."""
+    """A closed convex subset of R^{n+1} with membership and projection.
+
+    Points are raw (n+1) float arrays (x..., t).
+    """
 
     dim: int
 
-    def _check(self, p: PointTime) -> None:
-        if p.dim != self.dim:
+    def _check(self, v: Array) -> None:
+        if len(v) != self.dim + 1:
             raise DimensionMismatchError(
-                f"point has dim {p.dim}, set expects {self.dim}"
+                f"point has dim {len(v) - 1}, set expects {self.dim}"
             )
 
-    def violation(self, p: PointTime) -> float:
-        """How far p violates the defining inequality (<= 0 means inside)."""
+    def violation(self, v: Array) -> float:
+        """How far v violates the defining inequality (<= 0 means inside)."""
         raise NotImplementedError
 
-    def contains(self, p: PointTime, tol: float = 0.0) -> bool:
+    def contains(self, v: Array, tol: float = 0.0) -> bool:
         if tol < 0:
             raise ValueError("tol must be nonnegative")
-        self._check(p)
-        return self.violation(p) <= tol
+        return self.violation(v) <= tol
 
-    def project(self, p: PointTime) -> PointTime:
-        """Nearest point of the set; p itself when p is already inside."""
-        self._check(p)
-        v = p.to_array()
-        q = self.project_array(v)
-        return p if q is v else PointTime.from_array(q)
-
-    def project_array(self, v: Array) -> Array:
-        """project() on a raw (n+1) array (x..., t): returns v itself when
-        v is inside, and a new array otherwise. Does not check dimensions."""
+    def project(self, v: Array) -> Array:
+        """Nearest point of the set: v itself when v is inside, and a new
+        array otherwise. Does not check dimensions."""
         raise NotImplementedError
 
 
@@ -100,14 +88,14 @@ class HorizontalHyperplane(ProjectableSet):
         if not np.isfinite(self.t_min):
             raise ValueError("t_min must be finite")
 
-    def _check(self, p: PointTime) -> None:
+    def _check(self, v: Array) -> None:
         # a horizontal plane is well-defined for any spatial dimension
         pass
 
-    def violation(self, p: PointTime) -> float:
-        return abs(p.t - self.t_min)
+    def violation(self, v: Array) -> float:
+        return abs(float(v[-1]) - self.t_min)
 
-    def project_array(self, v: Array) -> Array:
+    def project(self, v: Array) -> Array:
         if v[-1] == self.t_min:
             return v
         q = v.copy()
@@ -130,12 +118,12 @@ class SecondOrderCone(ProjectableSet):
     def dim(self) -> int:  # type: ignore[override]
         return self.apex.dim
 
-    def violation(self, p: PointTime) -> float:
-        self._check(p)
-        r = float(np.linalg.norm(p.x - self.apex.x))
-        return self.slope * r - (p.t - self.apex.t)
+    def violation(self, v: Array) -> float:
+        self._check(v)
+        r = float(np.linalg.norm(v[:-1] - self.apex.x))
+        return self.slope * r - (float(v[-1]) - self.apex.t)
 
-    def project_array(self, v: Array) -> Array:
+    def project(self, v: Array) -> Array:
         a = self.slope
         y = v[:-1] - self.apex.x
         th = float(v[-1]) - self.apex.t
@@ -154,7 +142,7 @@ class ConeStack:
 
     inside(v, lo) says, for each of sets[lo:], whether v surely lies strictly
     inside that set; every set that is not a cone reads False. Where it says
-    True, SecondOrderCone.project_array(v) returns v itself: the test keeps a
+    True, SecondOrderCone.project(v) returns v itself: the test keeps a
     relative margin of 1e-12 (the batched norm may differ from
     np.linalg.norm by a few ulps, well under that up to thousands of
     dimensions) plus 1e-150 for squares that underflow.
@@ -197,11 +185,11 @@ class Halfspace(ProjectableSet):
     def dim(self) -> int:  # type: ignore[override]
         return int(self.normal.size) - 1
 
-    def violation(self, p: PointTime) -> float:
-        self._check(p)
-        return float(self.normal @ p.to_array() - self.offset)
+    def violation(self, v: Array) -> float:
+        self._check(v)
+        return float(self.normal @ v - self.offset)
 
-    def project_array(self, v: Array) -> Array:
+    def project(self, v: Array) -> Array:
         excess = float(self.normal @ v - self.offset)
         # boundary points re-enter with a few ulps of excess; treat them as
         # inside so projection is exactly idempotent
@@ -227,11 +215,11 @@ class Ball(ProjectableSet):
     def dim(self) -> int:  # type: ignore[override]
         return int(self.center.size) - 1
 
-    def violation(self, p: PointTime) -> float:
-        self._check(p)
-        return float(np.linalg.norm(p.to_array() - self.center)) - self.radius
+    def violation(self, v: Array) -> float:
+        self._check(v)
+        return float(np.linalg.norm(v - self.center)) - self.radius
 
-    def project_array(self, v: Array) -> Array:
+    def project(self, v: Array) -> Array:
         d = v - self.center
         nrm = float(np.linalg.norm(d))
         # same ulp guard as Halfspace: keep boundary points fixed exactly
@@ -270,11 +258,11 @@ class ConvexEpigraph(ProjectableSet):
         self.subgrad = subgrad
         self.dim = dim
 
-    def violation(self, p: PointTime) -> float:
-        self._check(p)
-        return float(self.value(p.x)) - p.t
+    def violation(self, v: Array) -> float:
+        self._check(v)
+        return float(self.value(v[:-1])) - float(v[-1])
 
-    def project_array(self, v: Array) -> Array:
+    def project(self, v: Array) -> Array:
         """Nearest point of the epigraph by one SLSQP solve (Kraft 1988).
 
         min 0.5*||q - v||^2 s.t. f(q.x) <= q.t goes to scipy as it stands,

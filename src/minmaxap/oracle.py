@@ -14,7 +14,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import OracleBudgetError
-from .geometry import PointTime
 
 Array = np.ndarray
 
@@ -89,13 +88,16 @@ def _pull_toward(member: Callable[[Array], bool], q: Array, p: Array) -> Array:
 
 
 def numeric_projection(
-    membership: Callable[[PointTime], bool],
-    p: PointTime,
+    membership: Callable[[Array], bool],
+    p: Array,
     max_evals: int = 60000,
     seed: int = 0,
-    feasible_hint: PointTime | None = None,
-) -> PointTime:
+    feasible_hint: Array | None = None,
+) -> Array:
     """Approximate nearest feasible point from a membership oracle alone.
+
+    Points are raw (x..., t) float arrays; p itself comes back when it is
+    feasible.
 
     Penalized local search: keep a feasible incumbent, propose random
     steps with an annealed step size, and pull every feasible candidate
@@ -107,22 +109,19 @@ def numeric_projection(
     def member(v: Array) -> bool:
         nonlocal evals
         evals += 1
-        return bool(membership(PointTime.from_array(v)))
+        return bool(membership(v))
 
-    pv = p.to_array()
-    if member(pv):
+    if member(p):
         return p
 
     rng = np.random.default_rng(seed)
 
     def find_feasible() -> Array:
-        if feasible_hint is not None:
-            hv = feasible_hint.to_array()
-            if member(hv):
-                return hv
+        if feasible_hint is not None and member(feasible_hint):
+            return feasible_hint
         for scale in np.geomspace(1e-3, 1e3, 25):
             for _ in range(40):
-                cand = pv + scale * rng.standard_normal(pv.size)
+                cand = p + scale * rng.standard_normal(p.size)
                 if member(cand):
                     return cand
                 if evals >= max_evals:
@@ -140,27 +139,27 @@ def numeric_projection(
             if best is None:
                 raise
             break
-        q = _pull_toward(member, q, pv)
-        step = max(float(np.linalg.norm(q - pv)), 1e-3)
+        q = _pull_toward(member, q, p)
+        step = max(float(np.linalg.norm(q - p)), 1e-3)
         while step > 1e-8:
             improved = 0
             for _ in range(25):
                 if evals >= max_evals:
                     raise OracleBudgetError(
                         "projection search budget exhausted",
-                        best=PointTime.from_array(q if best is None else best),
+                        best=q if best is None else best,
                         evals=evals,
                     )
-                d = rng.standard_normal(pv.size)
+                d = rng.standard_normal(p.size)
                 d /= np.linalg.norm(d)
                 cand = q + step * d
                 if not member(cand):
                     continue
-                cand = _pull_toward(member, cand, pv)
-                if np.linalg.norm(cand - pv) < np.linalg.norm(q - pv):
+                cand = _pull_toward(member, cand, p)
+                if np.linalg.norm(cand - p) < np.linalg.norm(q - p):
                     q = cand
                     improved += 1
             step *= 0.5 if improved else 0.35
-        if best is None or np.linalg.norm(q - pv) < np.linalg.norm(best - pv):
+        if best is None or np.linalg.norm(q - p) < np.linalg.norm(best - p):
             best = q
-    return PointTime.from_array(best)
+    return best

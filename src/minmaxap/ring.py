@@ -84,7 +84,7 @@ def agent_step(node: AgentNode, msg: RingMessage) -> Tuple[AgentNode, RingMessag
     if msg.flag == 1:
         node.increment = np.zeros_like(node.increment)
     y = msg.guess - node.increment
-    q = node.own_set.project_array(y)
+    q = node.own_set.project(y)
     node.increment = q - y
     change = float(np.linalg.norm(node.increment - old))
     return node, RingMessage(q, msg.flag, msg.drift + change)
@@ -117,7 +117,7 @@ def coordinator_step(
         # forget the pre-drop guess: the restarted inner run must stabilize
         # on its own evidence, not by matching the run it replaced
         node1.last_guess = None
-        out = RingMessage(plane.project_array(g), 1)
+        out = RingMessage(plane.project(g), 1)
         return node1, out, ProtocolEvent(True, e, pre_plane=g)
     return node1, RingMessage(g, 0), ProtocolEvent(False, e)
 
@@ -140,9 +140,10 @@ def run_ring(
     ids = [a.id for a in agents]
     if ids != list(range(1, len(agents) + 1)):
         raise ValueError("agents must be ordered by id 1..N")
+    v0 = p0.to_array()
     for a in agents:
-        a.own_set._check(p0)
-    msg = RingMessage(p0.to_array(), 0)
+        a.own_set._check(v0)
+    msg = RingMessage(v0, 0)
     trace: List[TraceEvent] = []
     prev_plane: Optional[Array] = None
     n_events = 0

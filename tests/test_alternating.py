@@ -22,6 +22,11 @@ def pt(x, t):
     return PointTime(np.atleast_1d(np.asarray(x, float)), t)
 
 
+def vec(x, t):
+    """A raw (x..., t) point, as sets and dykstra_project take it."""
+    return np.append(np.asarray(x, float), t)
+
+
 class TestToleranceConfig:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -50,12 +55,12 @@ class TestDykstra:
             Halfspace(np.array([1.0, 0.0]), 0.0),  # x <= 0
             Halfspace(np.array([0.0, 1.0]), 0.0),  # t <= 0
         ]
-        q = dykstra_project(sets, pt([1.0], 1.0), CFG)
-        assert np.allclose(q.to_array(), [0.0, 0.0], atol=1e-6)
+        q = dykstra_project(sets, vec([1.0], 1.0), CFG)
+        assert np.allclose(q, [0.0, 0.0], atol=1e-6)
 
     def test_single_set_reduces_to_projection(self):
-        q = dykstra_project([HorizontalHyperplane(3.0)], pt([5.0], 0.0), CFG)
-        assert np.allclose(q.to_array(), [5.0, 3.0])
+        q = dykstra_project([HorizontalHyperplane(3.0)], vec([5.0], 0.0), CFG)
+        assert np.allclose(q, [5.0, 3.0])
 
     def test_random_halfspaces_match_oracle(self):
         # plain cyclic projection lands anywhere on the intersection;
@@ -68,15 +73,15 @@ class TestDykstra:
                 n = rng.normal(size=2)
                 n /= np.linalg.norm(n)
                 sets.append(Halfspace(n, float(n @ interior) + rng.uniform(0.05, 1.0)))
-            p0 = pt(rng.normal(scale=4, size=1), rng.normal(scale=4))
+            p0 = vec(rng.normal(scale=4, size=1), rng.normal(scale=4))
             q = dykstra_project(sets, p0, CFG)
             o = numeric_projection(
                 lambda z: all(s.contains(z, 1e-10) for s in sets),
                 p0,
-                feasible_hint=PointTime.from_array(interior),
+                feasible_hint=interior,
                 seed=seed,
             )
-            assert q.distance_to(o) < 1e-4
+            assert np.linalg.norm(q - o) < 1e-4
 
     def test_cycle_cap_failure_carries_iterate(self):
         # disjoint halfspaces: empty intersection, cap must trip
@@ -86,7 +91,7 @@ class TestDykstra:
         ]
         cfg = ToleranceConfig(err=1e-12, max_inner_cycles=50)
         with pytest.raises(ConvergenceError) as exc:
-            dykstra_project(sets, pt([0.0], 0.0), cfg)
+            dykstra_project(sets, vec([0.0], 0.0), cfg)
         assert exc.value.iterate is not None
         assert exc.value.residual > 0
 
@@ -95,30 +100,30 @@ class TestDykstra:
             SecondOrderCone(pt([-1.0], 0.0), 1.0),
             SecondOrderCone(pt([1.0], 0.0), 1.0),
         ]
-        inner = pt([0.0], 5.0)  # interior point of the intersection
-        x = pt([3.0], -2.0).to_array()
+        inner = vec([0.0], 5.0)  # interior point of the intersection
+        x = vec([3.0], -2.0)
         incs = [np.zeros(2) for _ in sets]
         dists = []
         for _ in range(30):
             for i, s in enumerate(sets):
                 y = x - incs[i]
-                px = s.project(PointTime.from_array(y)).to_array()
+                px = s.project(y)
                 incs[i] = px - y
                 x = px
-            dists.append(np.linalg.norm(x - inner.to_array()))
+            dists.append(np.linalg.norm(x - inner))
         assert all(b <= a + 1e-9 for a, b in zip(dists, dists[1:]))
 
 
 def textbook_dykstra(sets, p0, cfg):
     """Cyclic Dykstra as written in textbooks: one projection per set per
     cycle, nothing skipped. Returns the iterate and the cycle count."""
-    x = p0.to_array()
+    x = p0
     incs = [np.zeros_like(x) for _ in sets]
     prev = prev_incs = None
     for cycle in range(1, cfg.max_inner_cycles + 1):
         for i, s in enumerate(sets):
             y = x - incs[i]
-            px = s.project(PointTime.from_array(y)).to_array()
+            px = s.project(y)
             incs[i] = px - y
             x = px
         if prev is not None:
@@ -150,7 +155,7 @@ class TestDykstraMatchesTextbook:
         stats = {}
         q = dykstra_project(sets, p0, CFG, stats=stats)
         x, cycles = textbook_dykstra(sets, p0, CFG)
-        assert [float(v).hex() for v in q.to_array()] == [float(v).hex() for v in x]
+        assert [float(v).hex() for v in q] == [float(v).hex() for v in x]
         assert stats["cycles"] == cycles
 
     @pytest.mark.parametrize("dim", [1, 2])
@@ -161,7 +166,7 @@ class TestDykstraMatchesTextbook:
         centre = np.mean([c.apex.x for c in cones], axis=0)
         # from the plane below (the solver's case) and from inside them all
         for t in (0.0, rng.uniform(-3.0, 3.0), 40.0):
-            self.assert_same(cones, pt(centre + rng.normal(size=dim), t))
+            self.assert_same(cones, vec(centre + rng.normal(size=dim), t))
 
     def test_mixed_family(self):
         # Halfspace and Ball have no batched test, so they are never skipped
@@ -176,7 +181,7 @@ class TestDykstraMatchesTextbook:
                 Halfspace(np.array([0.0, 0.0, 1.0]), 6.0),
                 Ball(np.array([0.0, 0.0, 4.0]), 3.0),
             ]
-            p0 = pt(rng.normal(scale=3.0, size=2), rng.normal(scale=3.0))
+            p0 = vec(rng.normal(scale=3.0, size=2), rng.normal(scale=3.0))
             self.assert_same(cones + others, p0)
             self.assert_same(others + cones[:1], p0)
             self.assert_same(others, p0)
@@ -188,34 +193,34 @@ class TestDykstraMatchesTextbook:
             SecondOrderCone(pt([3.0, 2.0], -8.0), 0.7),
         ]
         first = cones[0]
-        self.assert_same(cones, first.apex)
+        self.assert_same(cones, first.apex.to_array())
         u = np.array([0.6, 0.8])
         for r in (1e-3, 0.7, 5.0):
             x = first.apex.x + r * u
             t = first.apex.t + first.slope * r
             for dt in (-1e-13, 0.0, 1e-13):
-                self.assert_same(cones, pt(x, t + dt))
-                self.assert_same(cones[::-1], pt(x, t + dt))
+                self.assert_same(cones, vec(x, t + dt))
+                self.assert_same(cones[::-1], vec(x, t + dt))
 
 
 def a_star(r):
-    return pt(r.x_star, r.t_star)
+    return vec(r.x_star, r.t_star)
 
 
 class TestBregman:
     def test_parallel_planes(self):
         B = HorizontalHyperplane(0.0)
         r = bregman_alternate([HorizontalHyperplane(1.0)], B, pt([2.0], 9.0), CFG)
-        assert np.allclose(a_star(r).to_array(), [2.0, 1.0])
-        assert np.allclose(B.project(a_star(r)).to_array(), [2.0, 0.0])
+        assert np.allclose(a_star(r), [2.0, 1.0])
+        assert np.allclose(B.project(a_star(r)), [2.0, 0.0])
         assert r.distance == pytest.approx(1.0)
 
     def test_disjoint_discs(self):
         A = Ball(np.array([0.0, 0.0]), 1.0)
         B = Ball(np.array([3.0, 0.0]), 1.0)
         r = bregman_alternate([A], B, pt([0.0], 3.0), CFG)
-        assert np.allclose(a_star(r).to_array(), [1.0, 0.0], atol=1e-4)
-        assert np.allclose(B.project(a_star(r)).to_array(), [2.0, 0.0], atol=1e-4)
+        assert np.allclose(a_star(r), [1.0, 0.0], atol=1e-4)
+        assert np.allclose(B.project(a_star(r)), [2.0, 0.0], atol=1e-4)
         assert r.distance == pytest.approx(1.0, abs=1e-4)
 
     def test_cone_touching_plane(self):
@@ -225,18 +230,18 @@ class TestBregman:
             pt([4.0], 9.0),
             CFG,
         )
-        assert np.allclose(a_star(r).to_array(), [0.0, 0.0], atol=1e-5)
+        assert np.allclose(a_star(r), [0.0, 0.0], atol=1e-5)
         assert r.distance == pytest.approx(0.0, abs=1e-5)
 
     def test_gap_sequence_nonincreasing(self):
         A = Ball(np.array([0.0, 0.0]), 1.0)
         B = Ball(np.array([5.0, 1.0]), 1.0)
-        b = pt([0.0], 4.0)
+        b = vec([0.0], 4.0)
         gaps = []
         for _ in range(40):
             a = A.project(b)
             b = B.project(a)
-            gaps.append(a.distance_to(b))
+            gaps.append(np.linalg.norm(a - b))
         assert all(g2 <= g1 + 1e-12 for g1, g2 in zip(gaps, gaps[1:]))
 
     def test_outer_cap_failure(self):

@@ -20,6 +20,8 @@ from minmaxap.cli import (
 )
 
 EXP1_POSITIONS = [-3.542884, 3.001152, 6.924106, -18.0296]
+EXP1_AGENTS = [{"model": "second_order", "x0": [x]} for x in EXP1_POSITIONS]
+NAN = float("nan")
 
 
 def write_config(path, **overrides):
@@ -93,6 +95,37 @@ class TestLoadConfig:
         )
         assert main(["solve", "--config", path]) == EXIT_VALIDATION
         assert "t_min" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            [{"agents": EXP1_AGENTS}],
+            {"agents": [3.0]},
+            {"agents": EXP1_AGENTS, "solver": [1]},
+            {"agents": [{"x0": [NAN]}]},
+            {"agents": [{"model": "first_order", "x0": []}]},
+            {"agents": [{"model": "first_order", "x0": [[1.0, 2.0]]}]},
+            {"agents": [{"x0": [0.0], "u_max": NAN}]},
+            {"agents": [{"model": "first_order", "x0": x} for x in ([0.0], [1.0, 2.0])]},
+            {"agents": EXP1_AGENTS, "outputs": {"sample_dt": True}},
+        ],
+        ids=[
+            "top-level-array",
+            "agent-not-object",
+            "solver-not-object",
+            "x0-nan",
+            "x0-empty",
+            "x0-nested",
+            "u_max-nan",
+            "x0-lengths-differ",
+            "sample_dt-bool",
+        ],
+    )
+    def test_malformed_config_is_a_config_error(self, tmp_path, capsys, raw):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(raw))
+        assert main(["solve", "--config", str(path)]) == EXIT_VALIDATION
+        assert "config error: " in capsys.readouterr().err
 
 
 def test_cli_import_leaves_scipy_unloaded():
@@ -278,6 +311,17 @@ class TestVerify:
         )
         assert main(["verify", "--config", path, "--mode", mode, "--quiet"]) == EXIT_VERIFY
         assert "mismatch" in capsys.readouterr().err
+
+    def test_more_than_three_axes_is_inconclusive(self, tmp_path, capsys):
+        # the grid oracle covers at most 3 axes; a 4-D solve still succeeds
+        agents = [
+            {"model": "first_order", "x0": p}
+            for p in ([0.0, 0.0, 0.0, 0.0], [4.0, 0.0, 1.0, 0.0], [0.0, 3.0, 0.0, 2.0])
+        ]
+        path = write_config(tmp_path / "c.json", agents=agents)
+        assert main(["solve", "--config", path, "--quiet"]) == EXIT_OK
+        assert main(["verify", "--config", path, "--quiet"]) == EXIT_VERIFY
+        assert "verification inconclusive: " in capsys.readouterr().err
 
 
 # SHA-256 of the files `solve` (solution.json, trace.csv) and `simulate`

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from minmaxap import (
+    AgentNode,
     Ball,
     ConvexEpigraph,
     DimensionMismatchError,
@@ -14,12 +15,24 @@ from minmaxap import (
     ProjectionError,
     SecondOrderAttainableSet,
     SecondOrderCone,
+    ToleranceConfig,
+    dykstra_project,
+    run_ring,
 )
 from minmaxap.geometry import ConeStack
 
 
 def pt(x, t):
     return PointTime(np.atleast_1d(np.asarray(x, float)), t)
+
+
+def vec(x, t):
+    """A raw (x..., t) point, as the sets take it."""
+    return np.append(np.asarray(x, float), t)
+
+
+def dist(a, b):
+    return float(np.linalg.norm(a - b))
 
 
 def norm_epigraph(dim=1):
@@ -42,26 +55,22 @@ class TestPointTime:
         q = PointTime.from_array(p.to_array())
         assert np.allclose(q.x, p.x) and q.t == p.t
 
-    def test_distance_dim_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            pt([1.0], 0.0).distance_to(pt([1.0, 2.0], 0.0))
-
 
 class TestContains:
     def test_hyperplane_on_plane(self):
-        assert HorizontalHyperplane(0.0).contains(pt([1.0], 0.0), 0.0)
+        assert HorizontalHyperplane(0.0).contains(vec([1.0], 0.0), 0.0)
 
     def test_cone_outside(self):
         c = SecondOrderCone(pt([0.0], 0.0), 1.0)
-        assert not c.contains(pt([1.0], 0.5), 0.0)
+        assert not c.contains(vec([1.0], 0.5), 0.0)
 
     def test_cone_boundary(self):
         c = SecondOrderCone(pt([0.0], 0.0), 1.0)
-        assert c.contains(pt([1.0], 1.0), 0.0)
+        assert c.contains(vec([1.0], 1.0), 0.0)
 
     def test_negative_tol_rejected(self):
         with pytest.raises(ValueError):
-            HorizontalHyperplane(0.0).contains(pt([0.0], 0.0), -1.0)
+            HorizontalHyperplane(0.0).contains(vec([0.0], 0.0), -1.0)
 
 
 class TestHyperplaneProjection:
@@ -74,8 +83,8 @@ class TestHyperplaneProjection:
         ],
     )
     def test_examples(self, p, tmin, expected):
-        q = HorizontalHyperplane(tmin).project(pt(*p))
-        assert np.allclose(q.x, expected[0]) and q.t == expected[1]
+        q = HorizontalHyperplane(tmin).project(vec(*p))
+        assert np.allclose(q[:-1], expected[0]) and q[-1] == expected[1]
 
 
 def cone_projection_oracle(p, cone):
@@ -83,69 +92,69 @@ def cone_projection_oracle(p, cone):
     a = cone.slope
     if cone.violation(p) <= 0:
         return p
-    y = p.x - cone.apex.x
+    y = p[:-1] - cone.apex.x
     r = float(np.linalg.norm(y))
-    u = y / r if r > 0 else np.eye(1, p.dim)[0]
+    u = y / r if r > 0 else np.eye(1, y.size)[0]
 
     def d2(rho):
         q = np.append(cone.apex.x + rho * u, cone.apex.t + a * rho)
-        return float(np.sum((q - p.to_array()) ** 2))
+        return float(np.sum((q - p) ** 2))
 
-    res = minimize_scalar(d2, bounds=(0.0, r + abs(p.t) + 10), method="bounded",
+    res = minimize_scalar(d2, bounds=(0.0, r + abs(p[-1]) + 10), method="bounded",
                           options={"xatol": 1e-12})
-    return PointTime(cone.apex.x + res.x * u, cone.apex.t + a * res.x)
+    return np.append(cone.apex.x + res.x * u, cone.apex.t + a * res.x)
 
 
 class TestConeProjection:
     def test_interior(self):
         c = SecondOrderCone(pt([0.0], 0.0), 1.0)
-        q = c.project(pt([0.0], 5.0))
-        assert np.allclose(q.to_array(), [0.0, 5.0])
+        q = c.project(vec([0.0], 5.0))
+        assert np.allclose(q, [0.0, 5.0])
 
     def test_polar_cone_maps_to_apex(self):
         c = SecondOrderCone(pt([0.0], 0.0), 1.0)
-        q = c.project(pt([1.0], -2.0))
-        assert np.allclose(q.to_array(), [0.0, 0.0])
+        q = c.project(vec([1.0], -2.0))
+        assert np.allclose(q, [0.0, 0.0])
 
     def test_boundary_case_derived(self):
         # expected value frozen from the 1-D boundary-minimization oracle
         c = SecondOrderCone(pt([0.0], 0.0), 1.0)
-        q = c.project(pt([2.0], 0.0))
-        assert np.allclose(q.to_array(), [1.0, 1.0], atol=1e-12)
-        o = cone_projection_oracle(pt([2.0], 0.0), c)
-        assert q.distance_to(o) < 1e-6
+        q = c.project(vec([2.0], 0.0))
+        assert np.allclose(q, [1.0, 1.0], atol=1e-12)
+        o = cone_projection_oracle(vec([2.0], 0.0), c)
+        assert dist(q, o) < 1e-6
 
     def test_matches_oracle_random(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             apex = pt(rng.normal(size=2), rng.normal())
             cone = SecondOrderCone(apex, float(rng.uniform(0.3, 3.0)))
-            p = pt(rng.normal(scale=3, size=2), rng.normal(scale=3))
+            p = vec(rng.normal(scale=3, size=2), rng.normal(scale=3))
             q = cone.project(p)
             o = cone_projection_oracle(p, cone)
-            assert q.distance_to(o) < 1e-5
+            assert dist(q, o) < 1e-5
 
     def test_degenerate_r_zero_below_apex(self):
         c = SecondOrderCone(pt([0.0], 0.0), 1.0)
-        q = c.project(pt([0.0], -1.0))
-        assert np.allclose(q.to_array(), [0.0, 0.0])
+        q = c.project(vec([0.0], -1.0))
+        assert np.allclose(q, [0.0, 0.0])
 
 
 class TestEpigraphProjection:
     def test_interior_returned_exactly(self):
         epi = norm_epigraph()
-        p = pt([0.0], 1.0)
+        p = vec([0.0], 1.0)
         assert epi.project(p) is p
 
     def test_agrees_with_cone(self):
         epi = norm_epigraph()
-        q = epi.project(pt([2.0], 0.0))
-        assert np.allclose(q.to_array(), [1.0, 1.0], atol=1e-6)
+        q = epi.project(vec([2.0], 0.0))
+        assert np.allclose(q, [1.0, 1.0], atol=1e-6)
 
     def test_zero_function_upper_halfspace(self):
         epi = ConvexEpigraph(lambda x: 0.0, lambda x: 0 * x, dim=1)
-        q = epi.project(pt([3.0], -2.0))
-        assert np.allclose(q.to_array(), [3.0, 0.0], atol=1e-7)
+        q = epi.project(vec([3.0], -2.0))
+        assert np.allclose(q, [3.0, 0.0], atol=1e-7)
 
     def test_cone_epigraph_agreement_100_points(self):
         rng = np.random.default_rng(11)
@@ -162,10 +171,10 @@ class TestEpigraphProjection:
             dim=2,
         )
         for _ in range(100):
-            p = pt(rng.normal(scale=2, size=2), rng.normal(scale=2))
+            p = vec(rng.normal(scale=2, size=2), rng.normal(scale=2))
             qc = cone.project(p)
             qe = epi.project(p)
-            assert qc.distance_to(qe) < 1e-6
+            assert dist(qc, qe) < 1e-6
 
     def test_nonfinite_oracle_raises_projection_error(self):
         def value(x):
@@ -175,12 +184,12 @@ class TestEpigraphProjection:
             return 2 * x if x[0] <= 1 else np.array([np.nan])
 
         with pytest.raises(ProjectionError):
-            ConvexEpigraph(value, subgrad, 1).project(pt([3.0], -1.0))
+            ConvexEpigraph(value, subgrad, 1).project(vec([3.0], -1.0))
         # a finite value with a non-finite subgradient fails the same way
         with pytest.raises(ProjectionError):
             ConvexEpigraph(
                 lambda x: float(x[0] ** 2), lambda x: np.full_like(x, np.nan), 1
-            ).project(pt([3.0], -1.0))
+            ).project(vec([3.0], -1.0))
 
 
 # Accuracy of the numeric epigraph projection against exact references that
@@ -232,7 +241,7 @@ def quadratic_projection(a, c, h, p, s):
 
 def test_epigraph_projection_matches_cubic_roots_on_quadratics():
     for a, c, h, p, s in quadratic_cases():
-        q = quadratic_epigraph(a, c, h).project_array(np.array([p, s]))
+        q = quadratic_epigraph(a, c, h).project(np.array([p, s]))
         assert np.linalg.norm(q - quadratic_projection(a, c, h, p, s)) < 1e-6
 
 
@@ -240,7 +249,7 @@ def test_epigraph_projection_oracle_budget_on_quadratics():
     calls = []
     for a, c, h, p, s in quadratic_cases():
         epi = quadratic_epigraph(a, c, h)
-        epi.project_array(np.array([p, s]))
+        epi.project(np.array([p, s]))
         calls.append(epi.calls)
     assert np.mean(calls) <= 100
 
@@ -285,7 +294,7 @@ def test_epigraph_projection_matches_soft_threshold_on_l1_quadratics():
         px = rng.normal(scale=3.0, size=n)
         v = np.append(px, f(px) - rng.uniform(1e-3, 8.0))
         epi = ConvexEpigraph(f, lambda x: 2 * a * (x - c) + lam1 * np.sign(x), n)
-        q = epi.project_array(v)
+        q = epi.project(v)
         assert np.linalg.norm(q - l1_quadratic_projection(a, c, lam1, v)) < 1e-6
 
 
@@ -312,7 +321,7 @@ def test_epigraph_projection_matches_cone_formula(n):
             lambda x: k * (x - apex) / max(np.linalg.norm(x - apex), 1e-300),
             n,
         )
-        assert np.linalg.norm(epi.project_array(v) - expected) < 1e-6
+        assert np.linalg.norm(epi.project(v) - expected) < 1e-6
 
 
 ALL_SETS = [
@@ -328,28 +337,28 @@ class TestProjectionProperties:
     def test_idempotent(self, s):
         rng = np.random.default_rng(5)
         for _ in range(100):
-            p = pt(rng.normal(scale=4, size=1), rng.normal(scale=4))
+            p = vec(rng.normal(scale=4, size=1), rng.normal(scale=4))
             q = s.project(p)
-            assert q.distance_to(s.project(q)) == 0.0
+            assert dist(q, s.project(q)) == 0.0
 
     def test_nonexpansive(self, s):
         rng = np.random.default_rng(6)
         for _ in range(1000):
-            a = pt(rng.normal(scale=4, size=1), rng.normal(scale=4))
-            b = pt(rng.normal(scale=4, size=1), rng.normal(scale=4))
-            lhs = s.project(a).distance_to(s.project(b))
-            assert lhs <= a.distance_to(b) + 1e-12
+            a = vec(rng.normal(scale=4, size=1), rng.normal(scale=4))
+            b = vec(rng.normal(scale=4, size=1), rng.normal(scale=4))
+            lhs = dist(s.project(a), s.project(b))
+            assert lhs <= dist(a, b) + 1e-12
 
     def test_variational_inequality(self, s):
         rng = np.random.default_rng(7)
         for _ in range(20):
-            p = pt(rng.normal(scale=4, size=1), rng.normal(scale=4))
+            p = vec(rng.normal(scale=4, size=1), rng.normal(scale=4))
             q = s.project(p)
             for _ in range(100):
-                z = pt(rng.normal(scale=4, size=1), rng.normal(scale=4))
+                z = vec(rng.normal(scale=4, size=1), rng.normal(scale=4))
                 z = s.project(z)  # sampled feasible point
-                ip = float((p.to_array() - q.to_array()) @ (z.to_array() - q.to_array()))
-                tol = 1e-9 * p.distance_to(q) * z.distance_to(q) + 1e-12
+                ip = float((p - q) @ (z - q))
+                tol = 1e-9 * dist(p, q) * dist(z, q) + 1e-12
                 assert ip <= tol
 
 
@@ -367,18 +376,32 @@ SETS_WITH_INSIDE = [
 @pytest.mark.parametrize(
     "s,inside", SETS_WITH_INSIDE, ids=[type(s).__name__ for s, _ in SETS_WITH_INSIDE]
 )
-def test_project_array_is_project_on_arrays(s, inside):
+def test_project_returns_inside_points_themselves(s, inside):
     rng = np.random.default_rng(11)
     points = [np.array(inside)]
     points += [rng.normal(scale=4, size=2) for _ in range(20)]
     for v in points:
-        p = PointTime.from_array(v)
-        q = s.project_array(v)
-        assert q.tobytes() == s.project(p).to_array().tobytes()
-        if s.contains(p):
-            assert q is v
-            assert s.project(p) is p
-    assert s.contains(PointTime.from_array(points[0]))
+        if s.contains(v):
+            assert s.project(v) is v
+    assert s.contains(points[0])
+
+
+# every set type that has a fixed dimension, given a point of the wrong length
+SETS_WITH_DIM = [s for s, _ in SETS_WITH_INSIDE if not isinstance(s, HorizontalHyperplane)]
+
+
+@pytest.mark.parametrize("s", SETS_WITH_DIM, ids=lambda s: type(s).__name__)
+def test_wrong_length_point_raises_dimension_mismatch(s):
+    v = np.zeros(s.dim + 2)
+    with pytest.raises(DimensionMismatchError):
+        s.violation(v)
+    with pytest.raises(DimensionMismatchError):
+        s.contains(v, 0.0)
+    with pytest.raises(DimensionMismatchError):
+        dykstra_project([s], v, ToleranceConfig())
+    with pytest.raises(DimensionMismatchError):
+        run_ring([AgentNode(1, s)], HorizontalHyperplane(0.0), pt([0.0, 0.0], 1.0),
+                 ToleranceConfig())
 
 
 def test_cone_stack_inside_only_where_projection_keeps_the_point():
@@ -405,7 +428,7 @@ def test_cone_stack_inside_only_where_projection_keeps_the_point():
         assert not inside[len(cones):].any()
         for s, flag in zip(cones, inside):
             if flag:
-                assert s.project_array(v) is v
+                assert s.project(v) is v
         found += int(inside.sum())
         assert np.array_equal(stack.inside(v, 5), inside[5:])
     assert found > 0
@@ -421,11 +444,11 @@ def test_cone_stack_inside_only_where_projection_keeps_the_point():
 @settings(max_examples=200, deadline=None)
 def test_hyperplane_projection_is_closest_point(x, t, tmin):
     plane = HorizontalHyperplane(tmin)
-    p = pt([x], t)
+    p = vec([x], t)
     q = plane.project(p)
-    assert q.t == tmin
+    assert q[-1] == tmin
     # any other plane point is at least as far
-    assert p.distance_to(q) <= p.distance_to(pt([x + 1.0], tmin))
+    assert dist(p, q) <= dist(p, vec([x + 1.0], tmin))
 
 
 @given(
@@ -435,8 +458,8 @@ def test_hyperplane_projection_is_closest_point(x, t, tmin):
 @settings(max_examples=200, deadline=None)
 def test_cone_projection_nonexpansive_hypothesis(px, pt_, qx, qt):
     cone = SecondOrderCone(PointTime(np.array([0.0]), 0.0), 1.0)
-    a, b = pt([px], pt_), pt([qx], qt)
-    assert cone.project(a).distance_to(cone.project(b)) <= a.distance_to(b) + 1e-9
+    a, b = vec([px], pt_), vec([qx], qt)
+    assert dist(cone.project(a), cone.project(b)) <= dist(a, b) + 1e-9
 
 
 def test_midpoint_convexity_spot_check_for_epigraph_oracle():

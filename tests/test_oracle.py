@@ -1,3 +1,5 @@
+import ast
+
 import numpy as np
 import pytest
 
@@ -10,11 +12,21 @@ from minmaxap import (
     numeric_projection,
     second_order_reach_time_zero_vel,
 )
+from minmaxap import oracle
 from minmaxap.errors import OracleBudgetError
 
 
 def pt(x, t):
     return PointTime(np.atleast_1d(np.asarray(x, float)), t)
+
+
+def vec(x, t):
+    """A raw (x..., t) point, as sets and the oracle take it."""
+    return np.append(np.asarray(x, float), t)
+
+
+def dist(a, b):
+    return float(np.linalg.norm(a - b))
 
 
 class TestGridSpec:
@@ -78,50 +90,63 @@ class TestGridMinmax:
 
 class TestNumericProjection:
     def test_nonpositive_quadrant(self):
-        member = lambda q: q.x[0] <= 1e-12 and q.t <= 1e-12
-        q = numeric_projection(member, pt([1.0], 1.0), seed=1)
-        assert np.allclose(q.to_array(), [0.0, 0.0], atol=1e-4)
+        member = lambda q: q[0] <= 1e-12 and q[-1] <= 1e-12
+        q = numeric_projection(member, vec([1.0], 1.0), seed=1)
+        assert np.allclose(q, [0.0, 0.0], atol=1e-4)
 
     def test_cone(self):
         cone = SecondOrderCone(pt([0.0], 0.0), 1.0)
-        q = numeric_projection(lambda z: cone.contains(z, 1e-12), pt([2.0], 0.0), seed=2)
-        assert np.allclose(q.to_array(), [1.0, 1.0], atol=1e-4)
+        q = numeric_projection(lambda z: cone.contains(z, 1e-12), vec([2.0], 0.0), seed=2)
+        assert np.allclose(q, [1.0, 1.0], atol=1e-4)
 
     def test_lower_halfspace(self):
         # membership-only oracle needs full-dimensional sets; use t <= 0
-        member = lambda z: z.t <= 1e-12
-        q = numeric_projection(member, pt([5.0], 3.0), seed=3)
-        assert np.allclose(q.to_array(), [5.0, 0.0], atol=1e-4)
+        member = lambda z: z[-1] <= 1e-12
+        q = numeric_projection(member, vec([5.0], 3.0), seed=3)
+        assert np.allclose(q, [5.0, 0.0], atol=1e-4)
 
     def test_feasible_input_returned_unchanged(self):
         cone = SecondOrderCone(pt([0.0], 0.0), 1.0)
-        p = pt([0.0], 2.0)
+        p = vec([0.0], 2.0)
         assert numeric_projection(lambda z: cone.contains(z, 0.0), p) is p
 
     def test_agrees_with_closed_forms(self):
         rng = np.random.default_rng(13)
         for seed in range(10):
             cone = SecondOrderCone(pt(rng.normal(size=1), rng.normal()), float(rng.uniform(0.5, 2)))
-            p = pt(rng.normal(scale=3, size=1), rng.normal(scale=3))
+            p = vec(rng.normal(scale=3, size=1), rng.normal(scale=3))
             q = numeric_projection(
                 lambda z: cone.contains(z, 1e-12),
                 p,
-                feasible_hint=pt(cone.apex.x, cone.apex.t + 50.0),
+                feasible_hint=vec(cone.apex.x, cone.apex.t + 50.0),
                 seed=seed,
             )
-            assert q.distance_to(cone.project(p)) < 1e-4
+            assert dist(q, cone.project(p)) < 1e-4
 
     def test_variational_inequality_certificate(self):
         hs = Halfspace(np.array([0.6, 0.8]), 1.0)
-        p = pt([4.0], 3.0)
+        p = vec([4.0], 3.0)
         q = numeric_projection(lambda z: hs.contains(z, 1e-12), p, seed=4)
         rng = np.random.default_rng(14)
         for _ in range(100):
-            z = hs.project(pt(rng.normal(scale=3, size=1), rng.normal(scale=3)))
-            ip = float((p.to_array() - q.to_array()) @ (z.to_array() - q.to_array()))
-            assert ip <= 1e-3 * p.distance_to(q) * max(z.distance_to(q), 1.0) + 1e-6
+            z = hs.project(vec(rng.normal(scale=3, size=1), rng.normal(scale=3)))
+            ip = float((p - q) @ (z - q))
+            assert ip <= 1e-3 * dist(p, q) * max(dist(z, q), 1.0) + 1e-6
 
     def test_budget_exhaustion(self):
-        member = lambda q: q.x[0] <= -1e9  # effectively unreachable
+        member = lambda q: q[0] <= -1e9  # effectively unreachable
         with pytest.raises(OracleBudgetError):
-            numeric_projection(member, pt([0.0], 0.0), max_evals=500, seed=5)
+            numeric_projection(member, vec([0.0], 0.0), max_evals=500, seed=5)
+
+
+def test_oracle_imports_nothing_of_the_solvers():
+    # the oracles check the solvers, so they may share only the error types
+    with open(oracle.__file__) as fh:
+        tree = ast.parse(fh.read())
+    package = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("minmaxap")):
+            package.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            package.update(a.name for a in node.names if a.name.startswith("minmaxap"))
+    assert package == {".errors"}
