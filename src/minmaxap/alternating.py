@@ -11,7 +11,7 @@ from typing import List, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import ConvergenceError
-from .geometry import ConeStack, HorizontalHyperplane, PointTime, ProjectableSet
+from .geometry import ConeStack, HorizontalHyperplane, PointTime, ProjectableSet, plus_zero
 
 Array = np.ndarray
 
@@ -33,6 +33,9 @@ class ToleranceConfig:
 
     def __post_init__(self):
         for tol in (self.err, self.outer_tol):
+            # bool is an int subclass, but true is no tolerance
+            if isinstance(tol, bool):
+                raise TypeError("tolerances must be numbers, not booleans")
             if not (math.isfinite(tol) and tol > 0):
                 raise ValueError("tolerances must be finite and positive")
         for cap in (self.max_inner_cycles, self.max_outer_iters):
@@ -85,8 +88,9 @@ def dykstra_project(
 
     A step is trivial when the set's increment is +0.0 throughout and the
     iterate lies strictly inside the set: the step would leave both
-    bit-for-bit unchanged. Trivial steps found by ConeStack's batched test
-    are skipped, so the result and the cycle count are those of the plain
+    bit-for-bit unchanged. The trivial steps that
+    ConeStack.first_nontrivial finds are skipped, as run_ring skips trivial
+    agent visits, so the result and the cycle count are those of the plain
     per-set loop. p0 itself comes back when no step moves it.
     """
     if not sets:
@@ -106,18 +110,15 @@ def dykstra_project(
         drift = 0
         i = 0
         while i < m:
-            if cones.any:
-                trivial = zero[i:] & cones.inside(x, i)
-                k = int(trivial.argmin())
-                if trivial[k]:
-                    break
-                i += k
+            i = cones.first_nontrivial(x, zero, i)
+            if i == m:
+                break
             y = x - increments[i]
             px = sets[i].project(y)
             inc = px - y
             drift += float(np.linalg.norm(inc - increments[i]))
             increments[i] = inc
-            zero[i] = not inc.view(np.int64).any()
+            zero[i] = plus_zero(inc)
             x = px
             i += 1
         if prev is not None:

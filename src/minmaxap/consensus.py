@@ -46,6 +46,8 @@ class AgentDynamics:
     u_max: float = 1.0
 
     def __post_init__(self):
+        if isinstance(self.v0, bool) or isinstance(self.u_max, bool):
+            raise TypeError("v0 and u_max must be numbers, not booleans")
         x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "v0", float(self.v0))

@@ -137,6 +137,11 @@ class SecondOrderCone(ProjectableSet):
         return np.append(self.apex.x + rho * (y / r), self.apex.t + a * rho)
 
 
+def plus_zero(v: Array) -> bool:
+    """Whether every component of the float array v is +0.0 (-0.0 is not)."""
+    return v.tobytes() == bytes(v.nbytes)
+
+
 class ConeStack:
     """The SecondOrderCones among a list of sets, stacked for one batched test.
 
@@ -164,6 +169,21 @@ class ConeStack:
         d = v[:-1] - self.apex_x[lo:]
         r = np.sqrt(np.einsum("ij,ij->i", d, d))
         return self.slope[lo:] * r + self.floor[lo:] < v[-1] - self.apex_t[lo:]
+
+    def first_nontrivial(self, v: Array, zero: Array, lo: int) -> int:
+        """Index of the first set at or after lo whose Dykstra step at v is
+        not trivial, or len(zero) when none is; lo < len(zero).
+
+        zero[i] says whether set i's increment is +0.0 in every component.
+        A step is trivial when it is and v lies strictly inside the set:
+        the step would then leave v and the increment bit-for-bit as they
+        are. Only cones are ever found trivial, so with none this is lo.
+        """
+        if not (self.any and zero[lo]):
+            return lo
+        trivial = zero[lo:] & self.inside(v, lo)
+        k = int(trivial.argmin())
+        return len(zero) if trivial[k] else lo + k
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,10 @@ private Dykstra increment.  A single (guess, flag) message circulates
 1 -> 2 -> ... -> N -> 1.  Agent 1 doubles as coordinator: when its own
 projection stops moving it drops the guess onto the plane (the Bregman
 step) and raises the increment-reset flag for one full cycle.
+
+run_ring skips the agent visits that would change nothing bit for bit, as
+dykstra_project skips trivial steps, and writes only their trace rows; its
+traces and results are those of visiting every agent.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 
 from .alternating import MinMaxSolution, ToleranceConfig, TraceEvent
 from .errors import ConvergenceError
-from .geometry import HorizontalHyperplane, PointTime, ProjectableSet
+from .geometry import ConeStack, HorizontalHyperplane, PointTime, ProjectableSet, plus_zero
 
 Array = np.ndarray
 
@@ -134,6 +138,14 @@ def run_ring(
     cfg.max_outer_iters caps the Bregman events and cfg.max_inner_cycles
     the cycles between two of them, as in solve_minmax. Every
     ConvergenceError carries the trace so far.
+
+    A visit of agents 2..N is skipped when ConeStack.first_nontrivial finds
+    it trivial: the increment is +0.0 on arrival and the guess lies strictly
+    inside the agent's cone. agent_step would then send the same guess on,
+    keep a zero increment (under flag 1 too) and add 0.0 to the drift, so
+    the row (cycle, id, guess, 0.0, flag, False) written with the received
+    guess array is the one it would have written. A nonzero increment that
+    flag 1 resets is a real change, and its agent is always visited.
     """
     if not agents:
         raise ValueError("at least one agent is required")
@@ -143,6 +155,11 @@ def run_ring(
     v0 = p0.to_array()
     for a in agents:
         a.own_set._check(v0)
+    n_agents = len(agents)
+    cones = ConeStack([a.own_set for a in agents])
+    # increment is +0.0 in every component; agent 1 always takes its turn,
+    # so its entry is never read
+    zero = np.array([plus_zero(np.asarray(a.increment, dtype=float)) for a in agents])
     msg = RingMessage(v0, 0)
     trace: List[TraceEvent] = []
     prev_plane: Optional[Array] = None
@@ -196,8 +213,18 @@ def run_ring(
             prev_plane = plane_pt
         elif n_events == 0:
             best = msg.guess
-        for node in agents[1:]:
-            node, msg = agent_step(node, msg)
+        i = 1
+        while i < n_agents:
+            j = cones.first_nontrivial(msg.guess, zero, i)
+            # the visits in between are trivial: only their rows are written
+            trace.extend(
+                TraceEvent(cycle, node.id, msg.guess, 0.0, msg.flag, False)
+                for node in agents[i:j]
+            )
+            if j == n_agents:
+                break
+            node, msg = agent_step(agents[j], msg)
+            zero[j] = plus_zero(node.increment)
             trace.append(
                 TraceEvent(
                     cycle,
@@ -208,6 +235,7 @@ def run_ring(
                     False,
                 )
             )
+            i = j + 1
         if cycle - last_event_cycle == cfg.max_inner_cycles:
             raise ConvergenceError(
                 "ring protocol: inner cycle cap reached",

@@ -41,6 +41,12 @@ class TestToleranceConfig:
         with pytest.raises(ValueError):
             ToleranceConfig(outer_tol=tol)
 
+    @pytest.mark.parametrize("field", ["err", "outer_tol"])
+    def test_rejects_bool_tolerances(self, field):
+        # JSON true would otherwise pass as the tolerance 1.0
+        with pytest.raises(TypeError):
+            ToleranceConfig(**{field: True})
+
     @pytest.mark.parametrize("cap", [1.5, 3.0, True])
     def test_rejects_non_integer_caps(self, cap):
         with pytest.raises(TypeError):

@@ -81,8 +81,8 @@ class TestLoadConfig:
 
     @pytest.mark.parametrize(
         "solver",
-        [{"max_outer_iters": 1.5}, {"err": float("nan")}],
-        ids=["fractional-cap", "nan-tolerance"],
+        [{"max_outer_iters": 1.5}, {"err": float("nan")}, {"err": True, "outer_tol": True}],
+        ids=["fractional-cap", "nan-tolerance", "bool-tolerances"],
     )
     def test_bad_solver_value_rejected(self, tmp_path, capsys, solver):
         path = write_config(tmp_path / "c.json", solver=solver)
@@ -108,6 +108,7 @@ class TestLoadConfig:
             {"agents": [{"x0": [0.0], "u_max": NAN}]},
             {"agents": [{"model": "first_order", "x0": x} for x in ([0.0], [1.0, 2.0])]},
             {"agents": EXP1_AGENTS, "outputs": {"sample_dt": True}},
+            {"agents": [{"x0": [0.0]}, {"x0": [1.0], "v0": True, "u_max": True}]},
         ],
         ids=[
             "top-level-array",
@@ -119,6 +120,7 @@ class TestLoadConfig:
             "u_max-nan",
             "x0-lengths-differ",
             "sample_dt-bool",
+            "v0-u_max-bool",
         ],
     )
     def test_malformed_config_is_a_config_error(self, tmp_path, capsys, raw):

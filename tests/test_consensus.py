@@ -45,6 +45,12 @@ class TestAgentDynamics:
         with pytest.raises(ValueError):
             so_agent(0.0, u_max=0.0)
 
+    @pytest.mark.parametrize("field", ["v0", "u_max"])
+    def test_rejects_bool_velocity_and_bound(self, field):
+        # JSON true would otherwise pass as 1.0
+        with pytest.raises(TypeError):
+            AgentDynamics(Model.SECOND_ORDER, [0.0], **{field: True})
+
 
 class TestFirstOrder:
     @pytest.mark.parametrize(

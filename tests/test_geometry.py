@@ -436,6 +436,29 @@ def test_cone_stack_inside_only_where_projection_keeps_the_point():
     assert stack.inside(np.array([0.0, 0.0, 100.0]))[: len(cones)].all()
 
 
+def test_cone_stack_first_nontrivial():
+    cones = [SecondOrderCone(pt([x], 0.0), 1.0) for x in (0.0, 1.0, 2.0)]
+    half = Halfspace(np.array([0.0, 1.0]), 100.0)
+    stack = ConeStack([cones[0], cones[1], half, cones[2]])
+    v = vec([1.0], 10.0)  # strictly inside every set
+    zero = np.ones(4, dtype=bool)
+    # the halfspace holds v too, but only a cone is ever found trivial
+    assert stack.first_nontrivial(v, zero, 0) == 2
+    assert stack.first_nontrivial(v, zero, 3) == 4
+    # a nonzero increment makes the step real, wherever v lies
+    zero[1] = False
+    assert stack.first_nontrivial(v, zero, 0) == 1
+    assert stack.first_nontrivial(v, zero, 1) == 1
+    # v outside the first cone and on the boundary of the last
+    assert stack.first_nontrivial(vec([1.0], 0.5), np.ones(4, dtype=bool), 0) == 0
+    assert stack.first_nontrivial(vec([1.0], 1.0), np.ones(4, dtype=bool), 3) == 3
+    # with no cone in the stack every step is real
+    plain = ConeStack([half, Ball(np.zeros(2), 50.0)])
+    assert not plain.any
+    assert plain.first_nontrivial(v, np.ones(2, dtype=bool), 0) == 0
+    assert plain.first_nontrivial(v, np.ones(2, dtype=bool), 1) == 1
+
+
 @given(
     x=st.floats(-50, 50),
     t=st.floats(-50, 50),

@@ -1,14 +1,21 @@
+import itertools
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from minmaxap import (
     AgentNode,
+    Ball,
     ConvergenceError,
+    Halfspace,
     HorizontalHyperplane,
+    MinMaxSolution,
     PointTime,
     RingMessage,
     SecondOrderCone,
     ToleranceConfig,
+    TraceEvent,
     agent_step,
     coordinator_step,
     run_ring,
@@ -255,3 +262,145 @@ class TestRunRing:
         nodes = [AgentNode(2, HorizontalHyperplane(0.0))]
         with pytest.raises(ValueError):
             run_ring(nodes, PLANE, pt([0.0], 0.0), CFG)
+
+
+def full_ring(agents, plane, p0, cfg):
+    """run_ring as the plain loop that calls agent_step at every visit.
+
+    Returns the solution and how many flag-1 visits reset a nonzero
+    increment. Assumes the solve converges within cfg's caps.
+    """
+    msg = RingMessage(p0.to_array(), 0)
+    trace, prev_plane, n_events, resets = [], None, 0, 0
+    for cycle in itertools.count(1):
+        node1, msg, event = coordinator_step(agents[0], msg, plane, cfg)
+        trace.append(
+            TraceEvent(
+                cycle, 1, msg.guess, float(np.linalg.norm(node1.increment)),
+                msg.flag, event.bregman,
+            )
+        )
+        if event.bregman:
+            n_events += 1
+            a, plane_pt = event.pre_plane, msg.guess
+            if (
+                prev_plane is not None
+                and float(np.linalg.norm(plane_pt - prev_plane)) < cfg.outer_tol
+            ):
+                sol = MinMaxSolution(
+                    x_star=a[:-1].copy(),
+                    t_star=float(a[-1]),
+                    distance=float(np.linalg.norm(a - plane_pt)),
+                    inner_cycles_total=cycle,
+                    outer_iters=n_events,
+                    trace=trace,
+                    plane_grazed=(float(a[-1]) - plane.t_min) < cfg.outer_tol,
+                    message_counts={
+                        n.id: cycle if n.id == 1 else cycle - 1 for n in agents
+                    },
+                )
+                return sol, resets
+            prev_plane = plane_pt
+        for node in agents[1:]:
+            resets += msg.flag == 1 and bool(node.increment.any())
+            node, msg = agent_step(node, msg)
+            trace.append(
+                TraceEvent(
+                    cycle, node.id, msg.guess, float(np.linalg.norm(node.increment)),
+                    msg.flag, False,
+                )
+            )
+
+
+def hexed(sol, agents):
+    """Every float of a solution, its trace and the final increments as
+    float.hex strings, with the counts, for a bit-for-bit comparison."""
+
+    def h(a):
+        return [float(c).hex() for c in np.ravel(a)]
+
+    return (
+        [
+            (r.cycle, r.agent_id, h(r.point), h(r.increment_norm), r.flag, r.bregman_event)
+            for r in sol.trace
+        ],
+        h(sol.x_star), h(sol.t_star), h(sol.distance),
+        sol.inner_cycles_total, sol.outer_iters, sol.plane_grazed,
+        sol.message_counts,
+        [h(a.increment) for a in agents],
+    )
+
+
+def random_agent_sets(seed):
+    """2-5 cones in 1-D (even seeds) or 2-D (odd seeds); seeds 1, 4, 7, ...
+    add a Halfspace and seeds 2, 5, 8, ... a Ball, at a random place."""
+    rng = np.random.default_rng(500 + seed)
+    d = 1 + seed % 2
+    sets = [
+        SecondOrderCone(
+            pt(rng.uniform(-5, 5, size=d), float(rng.uniform(0, 0.5))),
+            float(rng.uniform(0.5, 3.0)),
+        )
+        for _ in range(rng.integers(2, 6))
+    ]
+    if seed % 3 == 1:
+        # t >= a.x + b: a tilted floor that can cut off the cones' minimum
+        a = rng.uniform(-0.4, 0.4, size=d)
+        extra = Halfspace(np.append(a, -1.0), -float(rng.uniform(0.0, 2.0)))
+    elif seed % 3 == 2:
+        # centred strictly inside every cone, so the intersection is nonempty
+        cx = np.mean([c.apex.x for c in sets], axis=0)
+        top = max(c.apex.t + c.slope * np.linalg.norm(cx - c.apex.x) for c in sets)
+        extra = Ball(np.append(cx, top + 2.0), float(rng.uniform(1.0, 3.0)))
+    else:
+        return sets
+    sets.insert(int(rng.integers(0, len(sets) + 1)), extra)
+    return sets
+
+
+class TestSkippedVisits:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_the_per_visit_loop_bit_for_bit(self, seed, monkeypatch):
+        sets = random_agent_sets(seed)
+        plane, p0 = HorizontalHyperplane(-0.5), PointTime(np.zeros(sets[0].dim), 30.0)
+        ref_agents = make_ring(sets)
+        ref, resets = full_ring(ref_agents, plane, p0, CFG)
+        # a set that is not a cone is projected at every one of its visits
+        calls = Counter()
+        for cls in (Halfspace, Ball):
+            def counting(self, v, project=cls.project):
+                calls[id(self)] += 1
+                return project(self, v)
+
+            monkeypatch.setattr(cls, "project", counting)
+        agents = make_ring(sets)
+        sol = run_ring(agents, plane, p0, CFG)
+        assert hexed(sol, agents) == hexed(ref, ref_agents)
+        for a in agents:
+            if not isinstance(a.own_set, SecondOrderCone):
+                visits = sum(r.agent_id == a.id for r in sol.trace)
+                assert calls[id(a.own_set)] == visits
+        # the flag-1 reset of a nonzero increment is a real change, which
+        # every case takes
+        assert resets > 0
+
+    def test_skips_projections_but_keeps_every_row(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        cones = [SecondOrderCone(pt(rng.uniform(0, 10, 2), 0.0), 1.0) for _ in range(16)]
+        calls = []
+        project = SecondOrderCone.project
+
+        def counting(self, v):
+            calls.append(1)
+            return project(self, v)
+
+        monkeypatch.setattr(SecondOrderCone, "project", counting)
+        sol = run_ring(make_ring(cones), PLANE, pt([5.0, 5.0], 20.0), CFG)
+        assert len(calls) < len(sol.trace)
+        ids = {}
+        for row in sol.trace:
+            ids.setdefault(row.cycle, []).append(row.agent_id)
+        last = sol.inner_cycles_total
+        assert sorted(ids) == list(range(1, last + 1))
+        for cycle, visited in ids.items():
+            assert visited == ([1] if cycle == last else list(range(1, 17)))
