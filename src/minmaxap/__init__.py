@@ -46,6 +46,7 @@ from .ring import (
     AgentNode,
     ProtocolEvent,
     RingMessage,
+    RingTrace,
     agent_step,
     coordinator_step,
     run_ring,

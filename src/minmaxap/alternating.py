@@ -11,7 +11,7 @@ from typing import List, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import ConvergenceError
-from .geometry import ConeStack, HorizontalHyperplane, PointTime, ProjectableSet, plus_zero
+from .geometry import ConeStack, HorizontalHyperplane, PointTime, ProjectableSet, norm, plus_zero
 
 Array = np.ndarray
 
@@ -69,7 +69,7 @@ class MinMaxSolution:
     distance: float
     inner_cycles_total: int
     outer_iters: int
-    trace: List[TraceEvent]
+    trace: Sequence[TraceEvent]  # a list, or a RingTrace from run_ring
     plane_grazed: bool = False
     message_counts: Optional[dict] = None
 
@@ -116,7 +116,7 @@ def dykstra_project(
             y = x - increments[i]
             px = sets[i].project(y)
             inc = px - y
-            drift += float(np.linalg.norm(inc - increments[i]))
+            drift += norm(inc - increments[i])
             increments[i] = inc
             zero[i] = plus_zero(inc)
             x = px
@@ -124,7 +124,7 @@ def dykstra_project(
         if prev is not None:
             # the iterate can stall for whole cycles while the increments
             # still drift, so both must settle before we may stop
-            resid = float(np.linalg.norm(x - prev)) + drift
+            resid = norm(x - prev) + drift
             if resid < cfg.err:
                 if stats is not None:
                     stats["cycles"] = cycle

@@ -1,5 +1,10 @@
 """Exception types shared across the package."""
 
+from typing import TYPE_CHECKING, Sequence
+
+if TYPE_CHECKING:
+    from .alternating import TraceEvent
+
 
 class DimensionMismatchError(ValueError):
     """A point and a set (or two points) disagree on the spatial dimension."""
@@ -24,8 +29,10 @@ class ConvergenceError(RuntimeError):
     """An iterative solver hit its iteration cap.
 
     Carries the best iterate seen so far, the residual at the stop and the
-    solver's trace up to the stop (empty when the solver keeps none), so
-    callers can inspect or report partial progress.
+    solver's trace up to the stop, so callers can inspect or report partial
+    progress. The trace is a sequence of TraceEvent rows: a list from the
+    centralized solver, a RingTrace (rows of skipped visits built on read)
+    from the ring, and an empty list when the solver keeps none.
     """
 
     def __init__(self, message, iterate=None, residual=None, iterations=None, trace=None):
@@ -33,7 +40,7 @@ class ConvergenceError(RuntimeError):
         self.iterate = iterate
         self.residual = residual
         self.iterations = iterations
-        self.trace = [] if trace is None else trace
+        self.trace: Sequence[TraceEvent] = [] if trace is None else trace
 
 
 class OracleBudgetError(RuntimeError):

@@ -9,6 +9,7 @@ given by value and subgradient oracles is projected numerically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -127,14 +128,23 @@ class SecondOrderCone(ProjectableSet):
         a = self.slope
         y = v[:-1] - self.apex.x
         th = float(v[-1]) - self.apex.t
-        r = float(np.linalg.norm(y))
+        r = norm(y)
         if a * r <= th:
             return v
         if r <= -a * th:
             return self.apex.to_array()
         # here r > 0; nearest boundary point along the ray through y
         rho = (r + a * th) / (1.0 + a * a)
-        return np.append(self.apex.x + rho * (y / r), self.apex.t + a * rho)
+        q = np.empty(v.size)
+        q[:-1] = self.apex.x + rho * (y / r)
+        q[-1] = self.apex.t + a * rho
+        return q
+
+
+def norm(v: Array) -> float:
+    """np.linalg.norm(v) of a 1-D float array, bit for bit: numpy computes
+    it as sqrt(v.dot(v)) too, but this skips its dispatch."""
+    return math.sqrt(v.dot(v))
 
 
 def plus_zero(v: Array) -> bool:
@@ -151,11 +161,24 @@ class ConeStack:
     relative margin of 1e-12 (the batched norm may differ from
     np.linalg.norm by a few ulps, well under that up to thousands of
     dimensions) plus 1e-150 for squares that underflow.
+
+    first_nontrivial runs that test only now and then. Each run, at a point
+    ref, also sets one radius per cone,
+
+        cap_i = (th_i - a'_i * r_i - floor_i) / (a'_i + 1) * (1 - 1e-9),
+
+    with th_i the height of ref above the apex, r_i its distance from the
+    axis, a'_i the slope with its margin and floor_i the underflow floor.
+    A move by d changes r_i and th_i by at most d each, so every point
+    within cap_i of ref passes the margined test too; 1 - 1e-9 absorbs the
+    rounding of cap_i and of the distance. Sets that are not cones get
+    cap -inf.
     """
 
     def __init__(self, sets: Sequence[ProjectableSet]):
         cones = [s if isinstance(s, SecondOrderCone) else None for s in sets]
-        self.any = any(c is not None for c in cones)
+        self.cone = np.array([c is not None for c in cones])
+        self.any = bool(self.cone.any())
         dim = next((c.dim for c in cones if c is not None), 1)
         # a set that is not a cone gets an infinite apex height, which
         # leaves every point outside it
@@ -164,11 +187,27 @@ class ConeStack:
         slope = np.array([1.0 if c is None else c.slope for c in cones])
         self.slope = slope * (1.0 + 1e-12)
         self.floor = slope * 1e-150
+        # no point is certified until the first refresh
+        self.ref = np.zeros(dim + 1)
+        self.cap = np.full(len(cones), -np.inf)
+
+    def _sides(self, v: Array):
+        """a'_i * r_i + floor_i and th_i at v, for every set."""
+        d = v[:-1] - self.apex_x
+        r = np.sqrt(np.einsum("ij,ij->i", d, d))
+        return self.slope * r + self.floor, v[-1] - self.apex_t
 
     def inside(self, v: Array, lo: int = 0) -> Array:
-        d = v[:-1] - self.apex_x[lo:]
-        r = np.sqrt(np.einsum("ij,ij->i", d, d))
-        return self.slope[lo:] * r + self.floor[lo:] < v[-1] - self.apex_t[lo:]
+        lhs, th = self._sides(v)
+        return (lhs < th)[lo:]
+
+    def refresh(self, v: Array) -> Array:
+        """Certify from v: make v the reference point, set the caps, and
+        return inside(v)."""
+        lhs, th = self._sides(v)
+        self.ref = v
+        self.cap = (th - lhs) / (self.slope + 1.0) * (1.0 - 1e-9)
+        return lhs < th
 
     def first_nontrivial(self, v: Array, zero: Array, lo: int) -> int:
         """Index of the first set at or after lo whose Dykstra step at v is
@@ -178,12 +217,24 @@ class ConeStack:
         A step is trivial when it is and v lies strictly inside the set:
         the step would then leave v and the increment bit-for-bit as they
         are. Only cones are ever found trivial, so with none this is lo.
+
+        A cone counts as holding v when v lies within its cap of ref. The
+        test runs again, from v, only when a cone with a zero increment
+        fails that, and then it alone decides.
         """
         if not (self.any and zero[lo]):
             return lo
-        trivial = zero[lo:] & self.inside(v, lo)
+        n = len(zero)
+        trivial = zero[lo:] & (self.cap[lo:] > norm(v - self.ref))
         k = int(trivial.argmin())
-        return len(zero) if trivial[k] else lo + k
+        if trivial[k]:
+            return n
+        if zero[lo + k] and self.cone[lo + k]:
+            trivial = zero[lo:] & self.refresh(v)[lo:]
+            k = int(trivial.argmin())
+            if trivial[k]:
+                return n
+        return lo + k
 
 
 @dataclass(frozen=True)

@@ -7,21 +7,25 @@ projection stops moving it drops the guess onto the plane (the Bregman
 step) and raises the increment-reset flag for one full cycle.
 
 run_ring skips the agent visits that would change nothing bit for bit, as
-dykstra_project skips trivial steps, and writes only their trace rows; its
-traces and results are those of visiting every agent.
+dykstra_project skips trivial steps, and records each run of them as one
+entry of its RingTrace; its traces and results are those of visiting every
+agent.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import operator
+from collections import abc
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .alternating import MinMaxSolution, ToleranceConfig, TraceEvent
 from .errors import ConvergenceError
-from .geometry import ConeStack, HorizontalHyperplane, PointTime, ProjectableSet, plus_zero
+from .geometry import ConeStack, HorizontalHyperplane, PointTime, ProjectableSet, norm, plus_zero
 
 Array = np.ndarray
 
@@ -90,7 +94,7 @@ def agent_step(node: AgentNode, msg: RingMessage) -> Tuple[AgentNode, RingMessag
     y = msg.guess - node.increment
     q = node.own_set.project(y)
     node.increment = q - y
-    change = float(np.linalg.norm(node.increment - old))
+    change = norm(node.increment - old)
     return node, RingMessage(q, msg.flag, msg.drift + change)
 
 
@@ -115,7 +119,7 @@ def coordinator_step(
     else:
         # m.drift carries every agent's increment movement over the last
         # full circulation, closing the guess-stall blind spot
-        e = float(np.linalg.norm(g[:-1] - node1.last_guess[:-1])) + m.drift
+        e = norm(g[:-1] - node1.last_guess[:-1]) + m.drift
     node1.last_guess = g
     if e < cfg.err:
         # forget the pre-drop guess: the restarted inner run must stabilize
@@ -124,6 +128,67 @@ def coordinator_step(
         out = RingMessage(plane.project(g), 1)
         return node1, out, ProtocolEvent(True, e, pre_plane=g)
     return node1, RingMessage(g, 0), ProtocolEvent(False, e)
+
+
+class RingTrace(abc.Sequence):
+    """The rows of a ring solve, one per agent visit, read-only.
+
+    A run of skipped visits is stored as one entry (cycle, first_id,
+    end_id, guess, flag) and its rows (cycle, id, guess, 0.0, flag, False),
+    for first_id <= id < end_id, are built when they are read. len is
+    O(1); indexing finds the entry by bisection in row offsets that are
+    built on the first index after a write.
+    """
+
+    def __init__(self):
+        self._entries: list = []
+        self._len = 0
+        self._starts: Optional[List[int]] = None
+
+    def _append(self, row: TraceEvent) -> None:
+        self._entries.append(row)
+        self._len += 1
+        self._starts = None
+
+    def _skip(self, cycle: int, first_id: int, end_id: int, guess: Array, flag: int) -> None:
+        """Record the skipped visits of agents first_id..end_id-1."""
+        self._entries.append((cycle, first_id, end_id, guess, flag))
+        self._len += end_id - first_id
+        self._starts = None
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self):
+        for e in self._entries:
+            if type(e) is TraceEvent:
+                yield e
+            else:
+                cycle, first_id, end_id, guess, flag = e
+                for agent_id in range(first_id, end_id):
+                    yield TraceEvent(cycle, agent_id, guess, 0.0, flag, False)
+
+    def __getitem__(self, i: Union[int, slice]):
+        if isinstance(i, slice):
+            return [self[k] for k in range(self._len)[i]]
+        i = operator.index(i)
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError("trace index out of range")
+        if self._starts is None:
+            self._starts = list(
+                itertools.accumulate(
+                    (1 if type(e) is TraceEvent else e[2] - e[1] for e in self._entries),
+                    initial=0,
+                )
+            )
+        k = bisect.bisect_right(self._starts, i) - 1
+        e = self._entries[k]
+        if type(e) is TraceEvent:
+            return e
+        cycle, first_id, _, guess, flag = e
+        return TraceEvent(cycle, first_id + i - self._starts[k], guess, 0.0, flag, False)
 
 
 def run_ring(
@@ -143,9 +208,10 @@ def run_ring(
     it trivial: the increment is +0.0 on arrival and the guess lies strictly
     inside the agent's cone. agent_step would then send the same guess on,
     keep a zero increment (under flag 1 too) and add 0.0 to the drift, so
-    the row (cycle, id, guess, 0.0, flag, False) written with the received
-    guess array is the one it would have written. A nonzero increment that
-    flag 1 resets is a real change, and its agent is always visited.
+    the row (cycle, id, guess, 0.0, flag, False) that the returned
+    RingTrace builds from the received guess array is the one it would
+    have written. A nonzero increment that flag 1 resets is a real change,
+    and its agent is always visited.
     """
     if not agents:
         raise ValueError("at least one agent is required")
@@ -161,19 +227,19 @@ def run_ring(
     # so its entry is never read
     zero = np.array([plus_zero(np.asarray(a.increment, dtype=float)) for a in agents])
     msg = RingMessage(v0, 0)
-    trace: List[TraceEvent] = []
+    trace = RingTrace()
     prev_plane: Optional[Array] = None
     n_events = 0
     last_event_cycle = 0
     best = msg.guess
     for cycle in itertools.count(1):
         node1, msg, event = coordinator_step(agents[0], msg, plane, cfg)
-        trace.append(
+        trace._append(
             TraceEvent(
                 cycle,
                 1,
                 msg.guess,
-                float(np.linalg.norm(node1.increment)),
+                norm(node1.increment),
                 msg.flag,
                 event.bregman,
             )
@@ -183,11 +249,8 @@ def run_ring(
             last_event_cycle = cycle
             a = best = event.pre_plane
             plane_pt = msg.guess
-            gap = float(np.linalg.norm(a - plane_pt))
-            if (
-                prev_plane is not None
-                and float(np.linalg.norm(plane_pt - prev_plane)) < cfg.outer_tol
-            ):
+            gap = norm(a - plane_pt)
+            if prev_plane is not None and norm(plane_pt - prev_plane) < cfg.outer_tol:
                 t_star = float(a[-1])
                 return MinMaxSolution(
                     x_star=a[:-1].copy(),
@@ -216,21 +279,20 @@ def run_ring(
         i = 1
         while i < n_agents:
             j = cones.first_nontrivial(msg.guess, zero, i)
-            # the visits in between are trivial: only their rows are written
-            trace.extend(
-                TraceEvent(cycle, node.id, msg.guess, 0.0, msg.flag, False)
-                for node in agents[i:j]
-            )
+            # the visits in between are trivial and make one run (ids are
+            # indices + 1)
+            if j > i:
+                trace._skip(cycle, i + 1, j + 1, msg.guess, msg.flag)
             if j == n_agents:
                 break
             node, msg = agent_step(agents[j], msg)
             zero[j] = plus_zero(node.increment)
-            trace.append(
+            trace._append(
                 TraceEvent(
                     cycle,
                     node.id,
                     msg.guess,
-                    float(np.linalg.norm(node.increment)),
+                    norm(node.increment),
                     msg.flag,
                     False,
                 )

@@ -19,7 +19,7 @@ from minmaxap import (
     dykstra_project,
     run_ring,
 )
-from minmaxap.geometry import ConeStack
+from minmaxap.geometry import ConeStack, norm
 
 
 def pt(x, t):
@@ -457,6 +457,164 @@ def test_cone_stack_first_nontrivial():
     assert not plain.any
     assert plain.first_nontrivial(v, np.ones(2, dtype=bool), 0) == 0
     assert plain.first_nontrivial(v, np.ones(2, dtype=bool), 1) == 1
+
+
+def unit(rng, n):
+    u = rng.normal(size=n)
+    return u / np.linalg.norm(u)
+
+
+def reference_points(c, rng):
+    """Points at the apex of c, on its surface, just above it and well
+    inside it, in the scale of its apex height."""
+    a, scale = c.slope, 1.0 + abs(c.apex.t)
+    refs = [c.apex.to_array(), c.apex.to_array() + np.append(np.zeros(c.dim), scale)]
+    for r in (1e-6, 1.0, 30.0):
+        x = c.apex.x + r * unit(rng, c.dim)
+        for lift in (0.0, 1e-9, 1e-3, 1.0):
+            refs.append(np.append(x, c.apex.t + a * r * (1.0 + lift) + lift * 1e-3 * scale))
+    return refs
+
+
+def moves(c, ref, cap, rng):
+    """Points within about cap of ref: random directions, and the ones
+    that leave c fastest (out from the axis, down, and both at once)."""
+    u = ref[:-1] - c.apex.x
+    r = np.linalg.norm(u)
+    u = u / r if r > 0 else unit(rng, c.dim)
+    dirs = [unit(rng, c.dim + 1) for _ in range(6)]
+    dirs += [np.append(u, 0.0), np.append(0 * u, -1.0), np.append(c.slope * u, -1.0)]
+    for d in dirs:
+        d = d / np.linalg.norm(d)
+        for f in (rng.uniform(), 0.5, 1.0 - 1e-12, 1.0 - 2.0 ** -52):
+            yield ref + (f * cap) * d
+
+
+def assert_certified_moves_stay_inside(stack, sets, refs, rng):
+    """Every point within cap_i of the reference point (by the distance
+    first_nontrivial takes) is kept by SecondOrderCone.project, and, where
+    the reference is not within rounding of the surface, passes inside()."""
+    checked = 0
+    for ref in refs:
+        inside = stack.refresh(ref)
+        assert np.array_equal(inside, stack.inside(ref))
+        for i, c in enumerate(sets):
+            cap = stack.cap[i]
+            if not isinstance(c, SecondOrderCone):
+                assert cap == -np.inf
+                continue
+            # a positive cap comes only from a point inside()
+            assert cap <= 0 or inside[i]
+            if not cap > 0:
+                continue
+            th = ref[-1] - c.apex.t
+            ar = c.slope * np.linalg.norm(ref[:-1] - c.apex.x)
+            clear = th - ar >= 1e-3 * (abs(th) + ar)
+            for v in moves(c, ref, cap, rng):
+                if not norm(v - ref) < cap:
+                    continue
+                assert c.project(v) is v
+                assert not clear or stack.inside(v)[i]
+                checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("seed", range(9))
+def test_cone_stack_certificate_keeps_moves_inside(seed):
+    rng = np.random.default_rng(70 + seed)
+    d = 1 + seed % 3
+    cones = [
+        SecondOrderCone(
+            pt(rng.uniform(-1, 1, d) * 10 ** rng.uniform(0, 6),
+               float(rng.uniform(-1, 1) * 10 ** rng.uniform(0, 6))),
+            float(10 ** rng.uniform(-3, 3)),
+        )
+        for _ in range(4)
+    ] + [
+        SecondOrderCone(pt(np.zeros(d), 0.0), slope) for slope in (1e-3, 1e3)
+    ]
+    sets = list(cones)
+    sets.insert(2, Halfspace(np.append(np.zeros(d), -1.0), 1e7))
+    sets.insert(5, Ball(np.zeros(d + 1), 1e7))
+    stack = ConeStack(sets)
+    refs = [v for c in cones for v in reference_points(c, rng)]
+    assert assert_certified_moves_stay_inside(stack, sets, refs, rng) > 200
+
+
+@pytest.mark.parametrize("slope", [1e-17, 1e-12, 1e12, 1e17])
+def test_cone_stack_certificate_at_extreme_slopes(slope):
+    # far from slope 1 the bound (a' + 1) * d is nearly tight for moves out
+    # from the axis or down, so only the cap's factor 1 - 1e-9 keeps the
+    # rounding of cap and distance from certifying a point inside() rejects
+    rng = np.random.default_rng(5)
+    cones = [SecondOrderCone(pt(np.zeros(d), 0.0), slope) for d in (1, 2, 3)]
+    for c in cones:
+        stack = ConeStack([c])
+        refs = [np.append(0.1 * unit(rng, c.dim) * r, h)
+                for r in (0.0, 1e-20, 1e-3 / slope) for h in (1.0, 7.5, 1e3)]
+        refs += [np.append(np.zeros(c.dim), 2.0 ** -k) for k in range(40)]
+        assert assert_certified_moves_stay_inside(stack, [c], refs, rng) > 100
+
+
+def test_cone_stack_recomputes_caps_only_for_a_zero_increment_cone():
+    cones = [SecondOrderCone(pt([x, 0.0], 0.0), 1.0) for x in (0.0, 1.0, 2.0)]
+    sets = [cones[0], Halfspace(np.array([0.0, 0.0, 1.0]), 100.0), cones[1],
+            Ball(np.zeros(3), 100.0), cones[2]]
+    stack = ConeStack(sets)
+    refreshes = []
+    refresh = stack.refresh
+    stack.refresh = lambda v: refreshes.append(v) or refresh(v)
+    v = vec([1.0, 0.0], 10.0)
+    zero = np.ones(5, dtype=bool)
+    # nothing is certified before the first test
+    assert stack.first_nontrivial(v, zero, 0) == 1
+    assert len(refreshes) == 1
+    # the sets that are not cones fail the certificate, but v stays
+    # certified for the cones
+    assert stack.first_nontrivial(v, zero, 2) == 3
+    assert stack.first_nontrivial(v + 0.5, zero, 4) == 5
+    # a nonzero increment makes the step real, with no new test
+    zero[4] = False
+    assert stack.first_nontrivial(vec([1.0, 0.0], 1.5), zero, 4) == 4
+    assert len(refreshes) == 1
+    # a point outside the certified ball is tested again
+    w = vec([3.5, 0.0], 1.5)
+    assert stack.first_nontrivial(w, zero, 2) == 2
+    assert len(refreshes) == 2 and refreshes[-1] is w
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_cone_stack_first_nontrivial_is_the_batched_test(seed):
+    # a walk of small and large moves, as the Dykstra iterate makes them
+    rng = np.random.default_rng(90 + seed)
+    d = 1 + seed % 3
+    sets = [
+        SecondOrderCone(pt(rng.normal(size=d), rng.normal()), float(rng.uniform(0.3, 3.0)))
+        for _ in range(12)
+    ]
+    sets.insert(4, Halfspace(np.append(np.zeros(d), -1.0), 1.0))
+    stack = ConeStack(sets)
+    v = np.append(np.zeros(d), 8.0)
+    for _ in range(300):
+        v = v + rng.normal(size=d + 1) * 10 ** rng.uniform(-6, 0)
+        zero = rng.uniform(size=len(sets)) < 0.9
+        lo = int(rng.integers(0, len(sets)))
+        trivial = zero[lo:] & stack.inside(v, lo)
+        k = int(trivial.argmin())
+        expected = len(sets) if trivial[k] else lo + k
+        assert stack.first_nontrivial(v, zero, lo) == expected
+
+
+@pytest.mark.parametrize("size", range(1, 9))
+def test_norm_is_numpy_norm_bit_for_bit(size):
+    rng = np.random.default_rng(size)
+    # squares that underflow to 0 or overflow to inf included
+    for scale in (1e-320, 1e-200, 1e-150, 1e-20, 1.0, 3e5, 1e20, 1e150, 1e200):
+        for _ in range(50):
+            v = rng.normal(size=size) * scale
+            with np.errstate(over="ignore"):
+                assert norm(v).hex() == float(np.linalg.norm(v)).hex()
+                assert type(norm(v)) is float
 
 
 @given(

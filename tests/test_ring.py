@@ -13,6 +13,7 @@ from minmaxap import (
     MinMaxSolution,
     PointTime,
     RingMessage,
+    RingTrace,
     SecondOrderCone,
     ToleranceConfig,
     TraceEvent,
@@ -404,3 +405,80 @@ class TestSkippedVisits:
         assert sorted(ids) == list(range(1, last + 1))
         for cycle, visited in ids.items():
             assert visited == ([1] if cycle == last else list(range(1, 17)))
+
+
+def assert_reads_as_its_rows(trace):
+    """len, every index, negative indices and slices of a RingTrace give
+    the rows its iteration gives, down to the point arrays themselves."""
+
+    def same(a, b):
+        return all(
+            x is y or (x == y and type(x) is type(y)) for x, y in zip(a, b)
+        ) and len(a) == len(b)
+
+    assert isinstance(trace, RingTrace)
+    rows = list(trace)
+    n = len(rows)
+    assert len(trace) == n > 0
+    for i in range(n):
+        assert same(trace[i], rows[i])
+        assert same(trace[i - n], rows[i])
+    for s in (
+        slice(None), slice(3, 17), slice(-5, None), slice(None, None, -3),
+        slice(10, 2), slice(5, 10 * n), slice(1, -1, 7),
+    ):
+        got = trace[s]
+        assert isinstance(got, list) and len(got) == len(rows[s])
+        assert all(same(a, b) for a, b in zip(got, rows[s]))
+    for i in (n, -n - 1, 10 * n):
+        with pytest.raises(IndexError):
+            trace[i]
+    with pytest.raises(TypeError):
+        trace[1.0]
+    # rows read back as the plain loop wrote them
+    assert all(type(r) is TraceEvent for r in trace)
+
+
+class TestRingTrace:
+    @pytest.mark.parametrize("seed", range(0, 20, 4))
+    def test_reads_as_a_list(self, seed):
+        sets = random_agent_sets(seed)
+        plane, p0 = HorizontalHyperplane(-0.5), PointTime(np.zeros(sets[0].dim), 30.0)
+        sol = run_ring(make_ring(sets), plane, p0, CFG)
+        assert_reads_as_its_rows(sol.trace)
+        # and it holds the rows of the per-visit loop
+        ref, _ = full_ring(make_ring(sets), plane, p0, CFG)
+        assert [r.agent_id for r in sol.trace] == [r.agent_id for r in ref.trace]
+
+    def test_skipped_runs_are_not_rows(self):
+        rng = np.random.default_rng(3)
+        cones = [SecondOrderCone(pt(rng.uniform(0, 10, 2), 0.0), 1.0) for _ in range(16)]
+        sol = run_ring(make_ring(cones), PLANE, pt([5.0, 5.0], 20.0), CFG)
+        assert_reads_as_its_rows(sol.trace)
+        # 5009 rows in 2368 entries
+        assert len(sol.trace._entries) < len(sol.trace) / 2
+
+    @pytest.mark.parametrize(
+        "caps", [{"max_inner_cycles": 3}, {"max_inner_cycles": 15}, {"max_outer_iters": 2}]
+    )
+    def test_partial_trace_after_a_cap_reads_by_index(self, caps):
+        # the 16-cone ring has 15 cycles between two of its Bregman events
+        rng = np.random.default_rng(3)
+        cones = [SecondOrderCone(pt(rng.uniform(0, 10, 2), 0.0), 1.0) for _ in range(16)]
+        with pytest.raises(ConvergenceError) as exc:
+            run_ring(make_ring(cones), PLANE, pt([5.0, 5.0], 20.0), ToleranceConfig(**caps))
+        assert_reads_as_its_rows(exc.value.trace)
+
+    def test_offsets_follow_later_writes(self):
+        trace = RingTrace()
+        guess = vec([1.0], 2.0)
+        trace._append(TraceEvent(1, 1, guess, 0.5, 0, False))
+        trace._skip(1, 2, 5, guess, 0)
+        assert trace[3].agent_id == 4
+        trace._skip(2, 2, 4, guess, 1)
+        trace._append(TraceEvent(2, 4, guess, 0.0, 1, False))
+        assert [(r.cycle, r.agent_id) for r in trace] == [
+            (1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4)
+        ]
+        assert trace[-2] == (2, 3, guess, 0.0, 1, False)
+        assert_reads_as_its_rows(trace)
