@@ -4,6 +4,7 @@ with a minimum-time multi-agent consensus application."""
 from .alternating import (
     MinMaxSolution,
     ToleranceConfig,
+    Trace,
     TraceEvent,
     bregman_alternate,
     dykstra_project,
@@ -46,7 +47,6 @@ from .ring import (
     AgentNode,
     ProtocolEvent,
     RingMessage,
-    RingTrace,
     agent_step,
     coordinator_step,
     run_ring,

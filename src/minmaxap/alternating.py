@@ -4,9 +4,12 @@ second set, which with a plane below the epigraphs solves the min-max."""
 
 from __future__ import annotations
 
+import bisect
 import math
+import operator
+from collections import abc
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -62,6 +65,47 @@ class TraceEvent(NamedTuple):
     bregman_event: bool
 
 
+class Trace(abc.Sequence):
+    """The TraceEvent rows of a solve, read-only.
+
+    Each entry (cycle, first_id, end_id, point, increment_norm, flag,
+    bregman_event) stands for the rows of agents first_id..end_id-1, which
+    share everything but the agent id and are built when they are read. A
+    Bregman step or a ring visit is a run of one; a run of skipped ring
+    visits is one entry. len is O(1), and an index finds its entry by
+    bisection in the row offsets kept as entries are written.
+    """
+
+    def __init__(self):
+        self._entries: list = []
+        self._starts = [0]  # row offset of each entry, then the row count
+
+    def _add(self, cycle, first_id, end_id, point, increment_norm, flag, bregman_event) -> None:
+        self._entries.append((cycle, first_id, end_id, point, increment_norm, flag, bregman_event))
+        self._starts.append(self._starts[-1] + end_id - first_id)
+
+    def __len__(self) -> int:
+        return self._starts[-1]
+
+    def __iter__(self):
+        for cycle, first_id, end_id, point, increment_norm, flag, bregman_event in self._entries:
+            for agent_id in range(first_id, end_id):
+                yield TraceEvent(cycle, agent_id, point, increment_norm, flag, bregman_event)
+
+    def __getitem__(self, i: Union[int, slice]):
+        if isinstance(i, slice):
+            return [self[k] for k in range(len(self))[i]]
+        i = operator.index(i)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("trace index out of range")
+        k = bisect.bisect_right(self._starts, i) - 1
+        cycle, first_id, _, point, increment_norm, flag, bregman_event = self._entries[k]
+        agent_id = first_id + i - self._starts[k]
+        return TraceEvent(cycle, agent_id, point, increment_norm, flag, bregman_event)
+
+
 @dataclass
 class MinMaxSolution:
     x_star: Array
@@ -69,7 +113,7 @@ class MinMaxSolution:
     distance: float
     inner_cycles_total: int
     outer_iters: int
-    trace: Sequence[TraceEvent]  # a list, or a RingTrace from run_ring
+    trace: Trace
     plane_grazed: bool = False
     message_counts: Optional[dict] = None
 
@@ -134,7 +178,7 @@ def dykstra_project(
         stats["cycles"] = cfg.max_inner_cycles
     raise ConvergenceError(
         "Dykstra cycle cap reached (empty or ill-conditioned intersection?)",
-        iterate=PointTime.from_array(x),
+        iterate=x.copy(),
         residual=resid,
         iterations=cfg.max_inner_cycles,
     )
@@ -156,7 +200,7 @@ def bregman_alternate(
     b = p0.to_array()
     set_b._check(b)
     prev_b = None
-    trace: List[TraceEvent] = []
+    trace = Trace()
     inner_total = 0
     for k in range(1, cfg.max_outer_iters + 1):
         stats: dict = {}
@@ -167,7 +211,7 @@ def bregman_alternate(
             raise
         inner_total += stats["cycles"]
         b = set_b.project(a)
-        trace.append(TraceEvent(k, 0, a, 0.0, 1, True))
+        trace._add(k, 0, 1, a, 0.0, 1, True)
         if prev_b is not None and float(np.linalg.norm(b - prev_b)) < cfg.outer_tol:
             return MinMaxSolution(
                 x_star=a[:-1].copy(),
@@ -180,7 +224,7 @@ def bregman_alternate(
         prev_b = b
     raise ConvergenceError(
         "Bregman outer iteration cap reached",
-        iterate=PointTime.from_array(a),
+        iterate=a.copy(),
         residual=float(np.linalg.norm(a - b)),
         iterations=cfg.max_outer_iters,
         trace=trace,

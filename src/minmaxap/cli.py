@@ -102,17 +102,16 @@ def load_config(path: str) -> ExperimentConfig:
     s = _section(raw, "solver", problems)
     solver = None
     try:
+        # the defaults are ToleranceConfig's own
         solver = ToleranceConfig(
-            err=s.get("err", 1e-7),
-            outer_tol=s.get("outer_tol", 1e-6),
-            max_inner_cycles=s.get("max_inner_cycles", 10000),
-            max_outer_iters=s.get("max_outer_iters", 500),
+            **{k: s[k] for k in ("err", "outer_tol", "max_inner_cycles", "max_outer_iters") if k in s}
         )
     except (ValueError, TypeError) as exc:
         problems.append(f"solver: {exc}")
     # the plane must lie below the epigraph intersection, and reach times
     # are nonnegative, so the plane is fixed at height 0
-    if s.get("t_min", 0.0) != 0.0:
+    t_min = s.get("t_min", 0.0)
+    if isinstance(t_min, bool) or t_min != 0.0:
         problems.append("solver.t_min: the plane is fixed at height 0; only 0.0 is accepted")
 
     mode = raw.get("mode", "centralized")
@@ -120,22 +119,22 @@ def load_config(path: str) -> ExperimentConfig:
         problems.append(f"mode: must be centralized or ring, got {mode!r}")
 
     out = _section(raw, "outputs", problems)
-    sample_dt = out.get("sample_dt", 0.1)
-    # bool is an int subclass, but true is no step length
-    if isinstance(sample_dt, bool) or not (isinstance(sample_dt, (int, float)) and sample_dt > 0):
-        problems.append("outputs.sample_dt: must be a positive number")
+    outputs = {}
+    for key in ("solution", "trace", "trajectory"):
+        path = outputs[f"{key}_path"] = out.get(key)
+        if path is not None and not isinstance(path, str):
+            problems.append(f"outputs.{key}: must be a file path string")
+    if "sample_dt" in out:
+        sample_dt = out["sample_dt"]
+        # bool is an int subclass, but true is no step length
+        if isinstance(sample_dt, bool) or not (isinstance(sample_dt, (int, float)) and sample_dt > 0):
+            problems.append("outputs.sample_dt: must be a positive number")
+        else:
+            outputs["sample_dt"] = float(sample_dt)
 
     if problems:
         raise ConfigError(problems)
-    return ExperimentConfig(
-        agents=agents,
-        solver=solver,
-        mode=mode,
-        solution_path=out.get("solution"),
-        trace_path=out.get("trace"),
-        trajectory_path=out.get("trajectory"),
-        sample_dt=float(sample_dt),
-    )
+    return ExperimentConfig(agents=agents, solver=solver, mode=mode, **outputs)
 
 
 def _write_solution(cfg: ExperimentConfig, result) -> str:

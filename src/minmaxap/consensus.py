@@ -385,7 +385,7 @@ def solve_min_time_consensus(
     h0 = max(s.violation(np.append(centroid, 0.0)) for s in sets)
     p0 = PointTime(centroid, h0)
 
-    plane = HorizontalHyperplane(0.0)
+    plane = HorizontalHyperplane(0.0, dim=centroid.size)
     if mode == "centralized":
         sol = solve_minmax(sets, plane, p0, cfg)
     else:

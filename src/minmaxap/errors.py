@@ -28,11 +28,11 @@ class ProjectionError(RuntimeError):
 class ConvergenceError(RuntimeError):
     """An iterative solver hit its iteration cap.
 
-    Carries the best iterate seen so far, the residual at the stop and the
-    solver's trace up to the stop, so callers can inspect or report partial
-    progress. The trace is a sequence of TraceEvent rows: a list from the
-    centralized solver, a RingTrace (rows of skipped visits built on read)
-    from the ring, and an empty list when the solver keeps none.
+    Carries the best iterate seen so far as a raw (x..., t) array of its
+    own, the residual at the stop and the solver's trace up to the stop,
+    so callers can inspect or report partial progress. The trace is the
+    Trace that bregman_alternate and run_ring write, and an empty list
+    from dykstra_project, which keeps none.
     """
 
     def __init__(self, message, iterate=None, residual=None, iterations=None, trace=None):

@@ -43,11 +43,6 @@ class PointTime:
     def to_array(self) -> Array:
         return np.append(self.x, self.t)
 
-    @staticmethod
-    def from_array(v: Array) -> "PointTime":
-        v = np.asarray(v, dtype=float)
-        return PointTime(v[:-1], float(v[-1]))
-
 
 class ProjectableSet:
     """A closed convex subset of R^{n+1} with membership and projection.
@@ -88,10 +83,6 @@ class HorizontalHyperplane(ProjectableSet):
     def __post_init__(self):
         if not np.isfinite(self.t_min):
             raise ValueError("t_min must be finite")
-
-    def _check(self, v: Array) -> None:
-        # a horizontal plane is well-defined for any spatial dimension
-        pass
 
     def violation(self, v: Array) -> float:
         return abs(float(v[-1]) - self.t_min)

@@ -8,22 +8,19 @@ step) and raises the increment-reset flag for one full cycle.
 
 run_ring skips the agent visits that would change nothing bit for bit, as
 dykstra_project skips trivial steps, and records each run of them as one
-entry of its RingTrace; its traces and results are those of visiting every
+entry of its Trace; its traces and results are those of visiting every
 agent.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
-import operator
-from collections import abc
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .alternating import MinMaxSolution, ToleranceConfig, TraceEvent
+from .alternating import MinMaxSolution, ToleranceConfig, Trace
 from .errors import ConvergenceError
 from .geometry import ConeStack, HorizontalHyperplane, PointTime, ProjectableSet, norm, plus_zero
 
@@ -130,67 +127,6 @@ def coordinator_step(
     return node1, RingMessage(g, 0), ProtocolEvent(False, e)
 
 
-class RingTrace(abc.Sequence):
-    """The rows of a ring solve, one per agent visit, read-only.
-
-    A run of skipped visits is stored as one entry (cycle, first_id,
-    end_id, guess, flag) and its rows (cycle, id, guess, 0.0, flag, False),
-    for first_id <= id < end_id, are built when they are read. len is
-    O(1); indexing finds the entry by bisection in row offsets that are
-    built on the first index after a write.
-    """
-
-    def __init__(self):
-        self._entries: list = []
-        self._len = 0
-        self._starts: Optional[List[int]] = None
-
-    def _append(self, row: TraceEvent) -> None:
-        self._entries.append(row)
-        self._len += 1
-        self._starts = None
-
-    def _skip(self, cycle: int, first_id: int, end_id: int, guess: Array, flag: int) -> None:
-        """Record the skipped visits of agents first_id..end_id-1."""
-        self._entries.append((cycle, first_id, end_id, guess, flag))
-        self._len += end_id - first_id
-        self._starts = None
-
-    def __len__(self) -> int:
-        return self._len
-
-    def __iter__(self):
-        for e in self._entries:
-            if type(e) is TraceEvent:
-                yield e
-            else:
-                cycle, first_id, end_id, guess, flag = e
-                for agent_id in range(first_id, end_id):
-                    yield TraceEvent(cycle, agent_id, guess, 0.0, flag, False)
-
-    def __getitem__(self, i: Union[int, slice]):
-        if isinstance(i, slice):
-            return [self[k] for k in range(self._len)[i]]
-        i = operator.index(i)
-        if i < 0:
-            i += self._len
-        if not 0 <= i < self._len:
-            raise IndexError("trace index out of range")
-        if self._starts is None:
-            self._starts = list(
-                itertools.accumulate(
-                    (1 if type(e) is TraceEvent else e[2] - e[1] for e in self._entries),
-                    initial=0,
-                )
-            )
-        k = bisect.bisect_right(self._starts, i) - 1
-        e = self._entries[k]
-        if type(e) is TraceEvent:
-            return e
-        cycle, first_id, _, guess, flag = e
-        return TraceEvent(cycle, first_id + i - self._starts[k], guess, 0.0, flag, False)
-
-
 def run_ring(
     agents: Sequence[AgentNode],
     plane: HorizontalHyperplane,
@@ -208,9 +144,9 @@ def run_ring(
     it trivial: the increment is +0.0 on arrival and the guess lies strictly
     inside the agent's cone. agent_step would then send the same guess on,
     keep a zero increment (under flag 1 too) and add 0.0 to the drift, so
-    the row (cycle, id, guess, 0.0, flag, False) that the returned
-    RingTrace builds from the received guess array is the one it would
-    have written. A nonzero increment that flag 1 resets is a real change,
+    the row (cycle, id, guess, 0.0, flag, False) that the returned Trace
+    builds from the received guess array is the one it would have
+    written. A nonzero increment that flag 1 resets is a real change,
     and its agent is always visited.
     """
     if not agents:
@@ -227,23 +163,14 @@ def run_ring(
     # so its entry is never read
     zero = np.array([plus_zero(np.asarray(a.increment, dtype=float)) for a in agents])
     msg = RingMessage(v0, 0)
-    trace = RingTrace()
+    trace = Trace()
     prev_plane: Optional[Array] = None
     n_events = 0
     last_event_cycle = 0
     best = msg.guess
     for cycle in itertools.count(1):
         node1, msg, event = coordinator_step(agents[0], msg, plane, cfg)
-        trace._append(
-            TraceEvent(
-                cycle,
-                1,
-                msg.guess,
-                norm(node1.increment),
-                msg.flag,
-                event.bregman,
-            )
-        )
+        trace._add(cycle, 1, 2, msg.guess, norm(node1.increment), msg.flag, event.bregman)
         if event.bregman:
             n_events += 1
             last_event_cycle = cycle
@@ -268,7 +195,7 @@ def run_ring(
             if n_events == cfg.max_outer_iters:
                 raise ConvergenceError(
                     "ring protocol: Bregman event cap reached",
-                    iterate=PointTime.from_array(a.copy()),
+                    iterate=a.copy(),
                     residual=gap,
                     iterations=n_events,
                     trace=trace,
@@ -282,26 +209,17 @@ def run_ring(
             # the visits in between are trivial and make one run (ids are
             # indices + 1)
             if j > i:
-                trace._skip(cycle, i + 1, j + 1, msg.guess, msg.flag)
+                trace._add(cycle, i + 1, j + 1, msg.guess, 0.0, msg.flag, False)
             if j == n_agents:
                 break
             node, msg = agent_step(agents[j], msg)
             zero[j] = plus_zero(node.increment)
-            trace._append(
-                TraceEvent(
-                    cycle,
-                    node.id,
-                    msg.guess,
-                    norm(node.increment),
-                    msg.flag,
-                    False,
-                )
-            )
+            trace._add(cycle, node.id, node.id + 1, msg.guess, norm(node.increment), msg.flag, False)
             i = j + 1
         if cycle - last_event_cycle == cfg.max_inner_cycles:
             raise ConvergenceError(
                 "ring protocol: inner cycle cap reached",
-                iterate=PointTime.from_array(best.copy()),
+                iterate=best.copy(),
                 residual=event.error_norm,
                 iterations=cfg.max_inner_cycles,
                 trace=trace,

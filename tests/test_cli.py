@@ -109,6 +109,10 @@ class TestLoadConfig:
             {"agents": [{"model": "first_order", "x0": x} for x in ([0.0], [1.0, 2.0])]},
             {"agents": EXP1_AGENTS, "outputs": {"sample_dt": True}},
             {"agents": [{"x0": [0.0]}, {"x0": [1.0], "v0": True, "u_max": True}]},
+            {"agents": EXP1_AGENTS, "outputs": {"solution": True}},
+            {"agents": EXP1_AGENTS, "outputs": {"trace": 2}},
+            {"agents": EXP1_AGENTS, "outputs": {"trace": ["a"]}},
+            {"agents": EXP1_AGENTS, "solver": {"t_min": False}},
         ],
         ids=[
             "top-level-array",
@@ -121,6 +125,10 @@ class TestLoadConfig:
             "x0-lengths-differ",
             "sample_dt-bool",
             "v0-u_max-bool",
+            "solution-path-bool",
+            "trace-path-int",
+            "trace-path-list",
+            "t_min-bool",
         ],
     )
     def test_malformed_config_is_a_config_error(self, tmp_path, capsys, raw):

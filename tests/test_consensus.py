@@ -5,8 +5,10 @@ import pytest
 
 from minmaxap import (
     AgentDynamics,
+    ConvergenceError,
     Model,
     SecondOrderAttainableSet,
+    ToleranceConfig,
     bang_bang_control,
     first_order_attainable_set,
     first_order_reach_time,
@@ -309,6 +311,33 @@ class TestSolveConsensus:
             for a in agents
         ]
         assert r.t_consensus == pytest.approx(max(times), abs=1e-4)
+
+    @pytest.mark.parametrize(
+        "mode, caps, iterate",
+        [
+            ("centralized", {"max_inner_cycles": 5}, ("-0x1.2d5289e4bf3fap+3", "0x1.139ff1ce3f85cp+5")),
+            ("centralized", {"max_outer_iters": 2}, ("-0x1.63603505a4a68p+2", "0x1.8f4261302c722p+5")),
+            ("ring", {"max_inner_cycles": 5}, ("-0x1.74b6134ce3de5p+1", "0x1.e3c4f6dfc5cddp+5")),
+            # before the first plane drop: the iterate is a guess the trace holds
+            ("ring", {"max_inner_cycles": 1}, ("-0x1.74b6134ce3de5p+1", "0x1.e3c4f6dfc5cddp+5")),
+            ("ring", {"max_outer_iters": 2}, ("-0x1.636035059d1d2p+2", "0x1.8f4261303036dp+5")),
+        ],
+    )
+    def test_capped_iterate_is_a_raw_copy(self, mode, caps, iterate):
+        agents = [so_agent(x) for x in EXP1_POSITIONS]
+        with pytest.raises(ConvergenceError) as exc:
+            solve_min_time_consensus(agents, ToleranceConfig(**caps), mode=mode)
+        it, trace = exc.value.iterate, exc.value.trace
+
+        def rows():
+            return [(r.cycle, r.agent_id, r.point.tobytes(), r.increment_norm) for r in trace]
+
+        # an (x..., t) array, pinned bit for bit
+        assert type(it) is np.ndarray and it.shape == (2,)
+        assert tuple(float(v).hex() for v in it) == iterate
+        before = rows()
+        it[:] = np.nan
+        assert rows() == before
 
     def test_transform_consistency_with_grid(self):
         from minmaxap import GridSpec, grid_minmax

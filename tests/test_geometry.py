@@ -50,10 +50,9 @@ class TestPointTime:
         with pytest.raises(ValueError):
             pt([0.0], np.nan)
 
-    def test_roundtrip(self):
-        p = pt([1.0, 2.0], 3.0)
-        q = PointTime.from_array(p.to_array())
-        assert np.allclose(q.x, p.x) and q.t == p.t
+    def test_to_array_is_x_then_t(self):
+        a = pt([1.0, 2.0], 3.0).to_array()
+        assert type(a) is np.ndarray and a.tolist() == [1.0, 2.0, 3.0]
 
 
 class TestContains:

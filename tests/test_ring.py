@@ -8,14 +8,15 @@ from minmaxap import (
     AgentNode,
     Ball,
     ConvergenceError,
+    DimensionMismatchError,
     Halfspace,
     HorizontalHyperplane,
     MinMaxSolution,
     PointTime,
     RingMessage,
-    RingTrace,
     SecondOrderCone,
     ToleranceConfig,
+    Trace,
     TraceEvent,
     agent_step,
     coordinator_step,
@@ -264,6 +265,31 @@ class TestRunRing:
         with pytest.raises(ValueError):
             run_ring(nodes, PLANE, pt([0.0], 0.0), CFG)
 
+    @staticmethod
+    def lens_sets(plane_dim):
+        """Two 2-D cones cut by the plane t = 1 of the given dimension."""
+        return [
+            SecondOrderCone(pt([0.0, 0.0], 0.0), 1.0),
+            HorizontalHyperplane(1.0, dim=plane_dim),
+            SecondOrderCone(pt([1.5, 0.0], 0.0), 1.0),
+        ]
+
+    def test_plane_agent_in_a_2d_ring(self):
+        # the lens the plane cuts from the cones is nearest (1, 1) at its
+        # corner (0.75, sqrt(7) / 4), and every lens point is equally high
+        sets = self.lens_sets(2)
+        plane, p0 = HorizontalHyperplane(0.0, dim=2), pt([1.0, 1.0], 5.0)
+        corner = np.array([0.75, np.sqrt(7.0) / 4.0, 1.0])
+        ring = run_ring(make_ring(sets), plane, p0, CFG)
+        central = solve_minmax(sets, plane, p0, CFG)
+        for sol in (ring, central):
+            assert np.linalg.norm(np.append(sol.x_star, sol.t_star) - corner) <= 10 * CFG.outer_tol
+
+    def test_plane_agent_of_the_wrong_dimension_is_rejected(self):
+        plane, p0 = HorizontalHyperplane(0.0, dim=2), pt([1.0, 1.0], 5.0)
+        with pytest.raises(DimensionMismatchError):
+            run_ring(make_ring(self.lens_sets(1)), plane, p0, CFG)
+
 
 def full_ring(agents, plane, p0, cfg):
     """run_ring as the plain loop that calls agent_step at every visit.
@@ -408,7 +434,7 @@ class TestSkippedVisits:
 
 
 def assert_reads_as_its_rows(trace):
-    """len, every index, negative indices and slices of a RingTrace give
+    """len, every index, negative indices and slices of a Trace give
     the rows its iteration gives, down to the point arrays themselves."""
 
     def same(a, b):
@@ -416,7 +442,7 @@ def assert_reads_as_its_rows(trace):
             x is y or (x == y and type(x) is type(y)) for x, y in zip(a, b)
         ) and len(a) == len(b)
 
-    assert isinstance(trace, RingTrace)
+    assert isinstance(trace, Trace)
     rows = list(trace)
     n = len(rows)
     assert len(trace) == n > 0
@@ -469,14 +495,29 @@ class TestRingTrace:
             run_ring(make_ring(cones), PLANE, pt([5.0, 5.0], 20.0), ToleranceConfig(**caps))
         assert_reads_as_its_rows(exc.value.trace)
 
+    def test_centralized_trace_reads_as_a_list(self):
+        sets = random_agent_sets(4)
+        dim = sets[0].dim
+        plane, p0 = HorizontalHyperplane(-0.5, dim=dim), PointTime(np.zeros(dim), 30.0)
+        sol = solve_minmax(sets, plane, p0, CFG)
+        assert len(sol.trace) == sol.outer_iters
+        assert_reads_as_its_rows(sol.trace)
+
+    def test_partial_centralized_trace_reads_by_index(self):
+        cones = [SecondOrderCone(pt([-1.0], 0.0), 1.0), SecondOrderCone(pt([2.0], 0.0), 2.0)]
+        with pytest.raises(ConvergenceError) as exc:
+            solve_minmax(cones, PLANE, pt([0.0], 6.0), ToleranceConfig(max_outer_iters=2))
+        assert len(exc.value.trace) == 2
+        assert_reads_as_its_rows(exc.value.trace)
+
     def test_offsets_follow_later_writes(self):
-        trace = RingTrace()
+        trace = Trace()
         guess = vec([1.0], 2.0)
-        trace._append(TraceEvent(1, 1, guess, 0.5, 0, False))
-        trace._skip(1, 2, 5, guess, 0)
+        trace._add(1, 1, 2, guess, 0.5, 0, False)
+        trace._add(1, 2, 5, guess, 0.0, 0, False)
         assert trace[3].agent_id == 4
-        trace._skip(2, 2, 4, guess, 1)
-        trace._append(TraceEvent(2, 4, guess, 0.0, 1, False))
+        trace._add(2, 2, 4, guess, 0.0, 1, False)
+        trace._add(2, 4, 5, guess, 0.0, 1, False)
         assert [(r.cycle, r.agent_id) for r in trace] == [
             (1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4)
         ]
