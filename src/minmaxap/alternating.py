@@ -4,12 +4,9 @@ second set, which with a plane below the epigraphs solves the min-max."""
 
 from __future__ import annotations
 
-import bisect
 import math
-import operator
-from collections import abc
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -65,45 +62,34 @@ class TraceEvent(NamedTuple):
     bregman_event: bool
 
 
-class Trace(abc.Sequence):
-    """The TraceEvent rows of a solve, read-only.
+class Trace:
+    """The TraceEvent rows of a solve, stored as runs.
 
-    Each entry (cycle, first_id, end_id, point, increment_norm, flag,
+    Each run (cycle, first_id, end_id, point, increment_norm, flag,
     bregman_event) stands for the rows of agents first_id..end_id-1, which
-    share everything but the agent id and are built when they are read. A
-    Bregman step or a ring visit is a run of one; a run of skipped ring
-    visits is one entry. len is O(1), and an index finds its entry by
-    bisection in the row offsets kept as entries are written.
+    share everything but the agent id. A Bregman step or a ring visit is a
+    run of one, and consecutive skipped ring visits make one run. len counts
+    the rows, iteration builds them, and runs() yields the runs as written.
     """
 
     def __init__(self):
-        self._entries: list = []
-        self._starts = [0]  # row offset of each entry, then the row count
+        self._runs: list = []
+        self._rows = 0
 
     def _add(self, cycle, first_id, end_id, point, increment_norm, flag, bregman_event) -> None:
-        self._entries.append((cycle, first_id, end_id, point, increment_norm, flag, bregman_event))
-        self._starts.append(self._starts[-1] + end_id - first_id)
+        self._runs.append((cycle, first_id, end_id, point, increment_norm, flag, bregman_event))
+        self._rows += end_id - first_id
 
     def __len__(self) -> int:
-        return self._starts[-1]
+        return self._rows
 
     def __iter__(self):
-        for cycle, first_id, end_id, point, increment_norm, flag, bregman_event in self._entries:
+        for cycle, first_id, end_id, point, increment_norm, flag, bregman_event in self._runs:
             for agent_id in range(first_id, end_id):
                 yield TraceEvent(cycle, agent_id, point, increment_norm, flag, bregman_event)
 
-    def __getitem__(self, i: Union[int, slice]):
-        if isinstance(i, slice):
-            return [self[k] for k in range(len(self))[i]]
-        i = operator.index(i)
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError("trace index out of range")
-        k = bisect.bisect_right(self._starts, i) - 1
-        cycle, first_id, _, point, increment_norm, flag, bregman_event = self._entries[k]
-        agent_id = first_id + i - self._starts[k]
-        return TraceEvent(cycle, agent_id, point, increment_norm, flag, bregman_event)
+    def runs(self):
+        return iter(self._runs)
 
 
 @dataclass

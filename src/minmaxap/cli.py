@@ -16,7 +16,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .alternating import ToleranceConfig
+from .alternating import ToleranceConfig, Trace
 from .consensus import (
     AgentDynamics,
     Model,
@@ -154,24 +154,22 @@ def _write_solution(cfg: ExperimentConfig, result) -> str:
     return text
 
 
-def _write_trace(cfg: ExperimentConfig, trace) -> None:
+def _write_trace(cfg: ExperimentConfig, trace: Trace) -> None:
     if not cfg.trace_path:
         return
     with open(cfg.trace_path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["cycle", "agent_id", "x", "height", "increment_norm", "flag", "bregman_event"])
-        for row in trace:
-            w.writerow(
-                [
-                    row.cycle,
-                    row.agent_id,
-                    ";".join(f"{v:.9g}" for v in row.point[:-1]),
-                    f"{row.point[-1]:.9g}",
-                    f"{row.increment_norm:.9g}",
-                    row.flag,
-                    int(row.bregman_event),
-                ]
+        # a run's rows differ only in the agent id, so its fields are formatted once
+        for cycle, first_id, end_id, point, increment_norm, flag, bregman_event in trace.runs():
+            rest = (
+                ";".join(f"{v:.9g}" for v in point[:-1]),
+                f"{point[-1]:.9g}",
+                f"{increment_norm:.9g}",
+                flag,
+                int(bregman_event),
             )
+            w.writerows((cycle, agent_id) + rest for agent_id in range(first_id, end_id))
 
 
 def cmd_solve(cfg: ExperimentConfig, quiet: bool = False) -> int:

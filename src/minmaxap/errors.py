@@ -1,9 +1,9 @@
 """Exception types shared across the package."""
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from .alternating import TraceEvent
+    from .alternating import Trace
 
 
 class DimensionMismatchError(ValueError):
@@ -11,18 +11,7 @@ class DimensionMismatchError(ValueError):
 
 
 class ProjectionError(RuntimeError):
-    """A numeric projection failed to reach its tolerance.
-
-    Attributes
-    ----------
-    iterate : the last point produced before giving up, or None.
-    residual : the constraint violation / stationarity residual at that point.
-    """
-
-    def __init__(self, message, iterate=None, residual=None):
-        super().__init__(message)
-        self.iterate = iterate
-        self.residual = residual
+    """A numeric projection failed to reach its tolerance."""
 
 
 class ConvergenceError(RuntimeError):
@@ -40,7 +29,7 @@ class ConvergenceError(RuntimeError):
         self.iterate = iterate
         self.residual = residual
         self.iterations = iterations
-        self.trace: Sequence[TraceEvent] = [] if trace is None else trace
+        self.trace: Trace = [] if trace is None else trace
 
 
 class OracleBudgetError(RuntimeError):

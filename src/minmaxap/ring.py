@@ -155,6 +155,7 @@ def run_ring(
     if ids != list(range(1, len(agents) + 1)):
         raise ValueError("agents must be ordered by id 1..N")
     v0 = p0.to_array()
+    plane._check(v0)
     for a in agents:
         a.own_set._check(v0)
     n_agents = len(agents)

@@ -323,7 +323,7 @@ class TestSolveMinmax:
         plane = HorizontalHyperplane(-1.0)
         sol = solve_minmax(cones, plane, pt([2.0], 5.0), CFG)
         assert len(sol.trace) == sol.outer_iters
-        last = sol.trace[-1]
+        last = list(sol.trace)[-1]
         assert np.array_equal(last.point, np.append(sol.x_star, sol.t_star))
         # the gap to the plane-side point (x, t_min) is the height above it
         assert last.point[-1] - plane.t_min == pytest.approx(sol.distance)

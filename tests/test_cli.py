@@ -15,6 +15,8 @@ from minmaxap.cli import (
     EXIT_VALIDATION,
     EXIT_VERIFY,
     ConfigError,
+    ExperimentConfig,
+    _write_trace,
     load_config,
     main,
 )
@@ -249,6 +251,35 @@ class TestSolve:
             assert main(["solve", "--config", path, "--quiet"]) == EXIT_OK
             outs.append(sol.read_bytes() + trc.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_trace_written_by_run_matches_row_by_row(self, tmp_path):
+        # a 64-agent ring skips most visits, so its runs are long
+        points = np.random.default_rng(1).uniform(-10, 10, (64, 2))
+        agents = [minmaxap.AgentDynamics(minmaxap.Model.FIRST_ORDER, p) for p in points]
+        trace = minmaxap.solve_min_time_consensus(agents, mode="ring").solver.trace
+        assert len(list(trace.runs())) < len(trace) / 5
+        by_run = tmp_path / "by_run.csv"
+        cfg = ExperimentConfig(agents, minmaxap.ToleranceConfig(), "ring", trace_path=str(by_run))
+        _write_trace(cfg, trace)
+        by_row = tmp_path / "by_row.csv"
+        with open(by_row, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(
+                ["cycle", "agent_id", "x", "height", "increment_norm", "flag", "bregman_event"]
+            )
+            for row in list(trace):
+                w.writerow(
+                    [
+                        row.cycle,
+                        row.agent_id,
+                        ";".join(f"{v:.9g}" for v in row.point[:-1]),
+                        f"{row.point[-1]:.9g}",
+                        f"{row.increment_norm:.9g}",
+                        row.flag,
+                        int(row.bregman_event),
+                    ]
+                )
+        assert by_run.read_bytes() == by_row.read_bytes()
 
 
 class TestSimulate:

@@ -101,6 +101,7 @@ def make_ring(cones):
 
 CFG = ToleranceConfig()
 PLANE = HorizontalHyperplane(0.0)
+PLANE_2D = HorizontalHyperplane(0.0, dim=2)
 
 
 class TestRunRing:
@@ -153,7 +154,7 @@ class TestRunRing:
         sol = run_ring(agents, PLANE, pt([0.3], 4.0), CFG)
         # on a flag-1 step the stale increment is discarded, so the fresh
         # increment equals emitted guess minus received guess
-        rows = sol.trace
+        rows = list(sol.trace)
         seen = 0
         for prev, row in zip(rows, rows[1:]):
             if row.flag == 1 and row.agent_id != 1:
@@ -208,7 +209,7 @@ class TestRunRing:
         with pytest.raises(ConvergenceError) as exc:
             run_ring(make_ring(cones), PLANE, pt([0.0], 0.0), cfg)
         assert len(exc.value.trace) == 9
-        assert [r.cycle for r in exc.value.trace[-3:]] == [3, 3, 3]
+        assert [r.cycle for r in list(exc.value.trace)[-3:]] == [3, 3, 3]
 
     def test_inner_cap_counts_cycles_since_the_last_event(self):
         cones = [SecondOrderCone(pt([x], 0.0), 1.0) for x in (-1.0, 2.0, 4.0)]
@@ -225,7 +226,7 @@ class TestRunRing:
         with pytest.raises(ConvergenceError) as exc:
             run_ring(make_ring(cones), PLANE, p0, cfg)
         stop = events[int(gaps.argmax())] - 1
-        assert exc.value.trace[-1].cycle == stop
+        assert list(exc.value.trace)[-1].cycle == stop
         assert len(exc.value.trace) == 3 * stop
 
     def test_event_cap_failure_carries_trace(self):
@@ -235,7 +236,7 @@ class TestRunRing:
             run_ring(make_ring(cones), PLANE, pt([0.0], 9.0), cfg)
         assert exc.value.iterations == 2
         assert sum(r.bregman_event for r in exc.value.trace) == 2
-        assert exc.value.trace[-1].bregman_event
+        assert list(exc.value.trace)[-1].bregman_event
 
     def test_no_point_built_per_message(self, monkeypatch):
         # the ring passes raw arrays, so the PointTimes built in a solve
@@ -254,7 +255,7 @@ class TestRunRing:
         cycles, points = [], []
         for err in (1e-3, 1e-7):
             before = len(built)
-            sol = run_ring(make_ring(cones), PLANE, p0, ToleranceConfig(err=err))
+            sol = run_ring(make_ring(cones), PLANE_2D, p0, ToleranceConfig(err=err))
             cycles.append(sol.inner_cycles_total)
             points.append(len(built) - before)
         assert cycles[0] < cycles[1]
@@ -289,6 +290,15 @@ class TestRunRing:
         plane, p0 = HorizontalHyperplane(0.0, dim=2), pt([1.0, 1.0], 5.0)
         with pytest.raises(DimensionMismatchError):
             run_ring(make_ring(self.lens_sets(1)), plane, p0, CFG)
+
+    def test_plane_of_the_wrong_dimension_is_rejected(self):
+        # a 1-D plane under 2-D cones fails in both modes alike
+        cones = [SecondOrderCone(pt([x, y], 0.0), 1.0) for x, y in ((0.0, 0.0), (3.0, 1.0))]
+        p0 = pt([1.0, 1.0], 9.0)
+        with pytest.raises(DimensionMismatchError):
+            run_ring(make_ring(cones), PLANE, p0, CFG)
+        with pytest.raises(DimensionMismatchError):
+            solve_minmax(cones, PLANE, p0, CFG)
 
 
 def full_ring(agents, plane, p0, cfg):
@@ -389,7 +399,8 @@ class TestSkippedVisits:
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_the_per_visit_loop_bit_for_bit(self, seed, monkeypatch):
         sets = random_agent_sets(seed)
-        plane, p0 = HorizontalHyperplane(-0.5), PointTime(np.zeros(sets[0].dim), 30.0)
+        dim = sets[0].dim
+        plane, p0 = HorizontalHyperplane(-0.5, dim=dim), PointTime(np.zeros(dim), 30.0)
         ref_agents = make_ring(sets)
         ref, resets = full_ring(ref_agents, plane, p0, CFG)
         # a set that is not a cone is projected at every one of its visits
@@ -422,7 +433,7 @@ class TestSkippedVisits:
             return project(self, v)
 
         monkeypatch.setattr(SecondOrderCone, "project", counting)
-        sol = run_ring(make_ring(cones), PLANE, pt([5.0, 5.0], 20.0), CFG)
+        sol = run_ring(make_ring(cones), PLANE_2D, pt([5.0, 5.0], 20.0), CFG)
         assert len(calls) < len(sol.trace)
         ids = {}
         for row in sol.trace:
@@ -434,8 +445,8 @@ class TestSkippedVisits:
 
 
 def assert_reads_as_its_rows(trace):
-    """len, every index, negative indices and slices of a Trace give
-    the rows its iteration gives, down to the point arrays themselves."""
+    """len of a Trace counts the rows its iteration gives, and its runs
+    expand to those rows, down to the point arrays themselves."""
 
     def same(a, b):
         return all(
@@ -444,25 +455,16 @@ def assert_reads_as_its_rows(trace):
 
     assert isinstance(trace, Trace)
     rows = list(trace)
-    n = len(rows)
-    assert len(trace) == n > 0
-    for i in range(n):
-        assert same(trace[i], rows[i])
-        assert same(trace[i - n], rows[i])
-    for s in (
-        slice(None), slice(3, 17), slice(-5, None), slice(None, None, -3),
-        slice(10, 2), slice(5, 10 * n), slice(1, -1, 7),
-    ):
-        got = trace[s]
-        assert isinstance(got, list) and len(got) == len(rows[s])
-        assert all(same(a, b) for a, b in zip(got, rows[s]))
-    for i in (n, -n - 1, 10 * n):
-        with pytest.raises(IndexError):
-            trace[i]
-    with pytest.raises(TypeError):
-        trace[1.0]
+    assert len(trace) == len(rows) > 0
     # rows read back as the plain loop wrote them
-    assert all(type(r) is TraceEvent for r in trace)
+    assert all(type(r) is TraceEvent for r in rows)
+    expanded = [
+        (cycle, agent_id, point, increment_norm, flag, bregman_event)
+        for cycle, first_id, end_id, point, increment_norm, flag, bregman_event in trace.runs()
+        for agent_id in range(first_id, end_id)
+    ]
+    assert len(expanded) == len(rows)
+    assert all(same(a, b) and a[2] is b.point for a, b in zip(expanded, rows))
 
 
 class TestRingTrace:
@@ -479,10 +481,10 @@ class TestRingTrace:
     def test_skipped_runs_are_not_rows(self):
         rng = np.random.default_rng(3)
         cones = [SecondOrderCone(pt(rng.uniform(0, 10, 2), 0.0), 1.0) for _ in range(16)]
-        sol = run_ring(make_ring(cones), PLANE, pt([5.0, 5.0], 20.0), CFG)
+        sol = run_ring(make_ring(cones), PLANE_2D, pt([5.0, 5.0], 20.0), CFG)
         assert_reads_as_its_rows(sol.trace)
-        # 5009 rows in 2368 entries
-        assert len(sol.trace._entries) < len(sol.trace) / 2
+        # 5009 rows in 2368 runs
+        assert len(list(sol.trace.runs())) < len(sol.trace) / 2
 
     @pytest.mark.parametrize(
         "caps", [{"max_inner_cycles": 3}, {"max_inner_cycles": 15}, {"max_outer_iters": 2}]
@@ -492,7 +494,7 @@ class TestRingTrace:
         rng = np.random.default_rng(3)
         cones = [SecondOrderCone(pt(rng.uniform(0, 10, 2), 0.0), 1.0) for _ in range(16)]
         with pytest.raises(ConvergenceError) as exc:
-            run_ring(make_ring(cones), PLANE, pt([5.0, 5.0], 20.0), ToleranceConfig(**caps))
+            run_ring(make_ring(cones), PLANE_2D, pt([5.0, 5.0], 20.0), ToleranceConfig(**caps))
         assert_reads_as_its_rows(exc.value.trace)
 
     def test_centralized_trace_reads_as_a_list(self):
@@ -510,16 +512,24 @@ class TestRingTrace:
         assert len(exc.value.trace) == 2
         assert_reads_as_its_rows(exc.value.trace)
 
-    def test_offsets_follow_later_writes(self):
+    def test_runs_expand_to_rows(self):
         trace = Trace()
         guess = vec([1.0], 2.0)
         trace._add(1, 1, 2, guess, 0.5, 0, False)
         trace._add(1, 2, 5, guess, 0.0, 0, False)
-        assert trace[3].agent_id == 4
+        assert len(trace) == 4
+        assert list(trace)[3].agent_id == 4
         trace._add(2, 2, 4, guess, 0.0, 1, False)
         trace._add(2, 4, 5, guess, 0.0, 1, False)
+        assert len(trace) == 7
+        assert list(trace.runs()) == [
+            (1, 1, 2, guess, 0.5, 0, False),
+            (1, 2, 5, guess, 0.0, 0, False),
+            (2, 2, 4, guess, 0.0, 1, False),
+            (2, 4, 5, guess, 0.0, 1, False),
+        ]
         assert [(r.cycle, r.agent_id) for r in trace] == [
             (1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4)
         ]
-        assert trace[-2] == (2, 3, guess, 0.0, 1, False)
+        assert list(trace)[-2] == (2, 3, guess, 0.0, 1, False)
         assert_reads_as_its_rows(trace)
