@@ -167,6 +167,7 @@ def dykstra_project(
         iterate=x.copy(),
         residual=resid,
         iterations=cfg.max_inner_cycles,
+        trace=Trace(),
     )
 
 

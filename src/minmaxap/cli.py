@@ -19,6 +19,7 @@ import numpy as np
 from .alternating import ToleranceConfig, Trace
 from .consensus import (
     AgentDynamics,
+    ConsensusResult,
     Model,
     _build_sets,
     reach_time,
@@ -56,6 +57,11 @@ def _sig9(v: float) -> float:
     return float(f"{v:.9g}")
 
 
+def _joined(values) -> str:
+    """A vector as ;-joined 9-significant-digit numbers, one CSV field."""
+    return ";".join(f"{v:.9g}" for v in values)
+
+
 def _section(raw: dict, name: str, problems: List[str]) -> dict:
     """raw[name], or {} with a problem noted when it is not a JSON object."""
     section = raw.get(name, {})
@@ -85,10 +91,9 @@ def load_config(path: str) -> ExperimentConfig:
                 problems.append(f"agents[{i}]: must be a JSON object")
                 continue
             try:
-                model = Model(a.get("model", "second_order"))
                 agents.append(
                     AgentDynamics(
-                        model=model,
+                        model=a.get("model", "second_order"),
                         x0=np.atleast_1d(a["x0"]),
                         v0=a.get("v0", 0.0),
                         u_max=a.get("u_max", 1.0),
@@ -163,7 +168,7 @@ def _write_trace(cfg: ExperimentConfig, trace: Trace) -> None:
         # a run's rows differ only in the agent id, so its fields are formatted once
         for cycle, first_id, end_id, point, increment_norm, flag, bregman_event in trace.runs():
             rest = (
-                ";".join(f"{v:.9g}" for v in point[:-1]),
+                _joined(point[:-1]),
                 f"{point[-1]:.9g}",
                 f"{increment_norm:.9g}",
                 flag,
@@ -172,13 +177,7 @@ def _write_trace(cfg: ExperimentConfig, trace: Trace) -> None:
             w.writerows((cycle, agent_id) + rest for agent_id in range(first_id, end_id))
 
 
-def cmd_solve(cfg: ExperimentConfig, quiet: bool = False) -> int:
-    try:
-        result = solve_min_time_consensus(cfg.agents, cfg.solver, mode=cfg.mode)
-    except ConvergenceError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        _write_trace(cfg, exc.trace)
-        return EXIT_SOLVER
+def cmd_solve(cfg: ExperimentConfig, result: ConsensusResult, quiet: bool = False) -> int:
     text = _write_solution(cfg, result)
     _write_trace(cfg, result.solver.trace)
     if not quiet:
@@ -186,37 +185,20 @@ def cmd_solve(cfg: ExperimentConfig, quiet: bool = False) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(cfg: ExperimentConfig, quiet: bool = False) -> int:
-    try:
-        result = solve_min_time_consensus(cfg.agents, cfg.solver, mode=cfg.mode)
-    except ConvergenceError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    rows = []
-    target = (float(result.x_consensus[0]), 0.0)
-    for i, agent in enumerate(cfg.agents, start=1):
-        if agent.model is Model.SECOND_ORDER:
-            traj = simulate_trajectory(agent, target, dt=cfg.sample_dt)
-            for s in traj.samples:
-                rows.append([i, _sig9(s.t), _sig9(s.x), _sig9(s.v), _sig9(s.u)])
-        else:
-            segments = result.schedules[i - 1].segments
-            total, u = segments[0] if segments else (0.0, np.zeros_like(agent.x0))
-            times = sorted(
-                {round(k * cfg.sample_dt, 12) for k in range(int(total / cfg.sample_dt) + 1)}
-                | {0.0, total}
-            )
-            for t in times:
-                x = agent.x0 + min(t, total) * u
-                rows.append(
-                    [
-                        i,
-                        _sig9(t),
-                        ";".join(f"{v:.9g}" for v in x),
-                        "0",
-                        ";".join(f"{v:.9g}" for v in (u if t < total else 0 * u)),
-                    ]
-                )
+def cmd_simulate(cfg: ExperimentConfig, result: ConsensusResult, quiet: bool = False) -> int:
+    # every agent shares one model; first-order positions and inputs are vectors
+    x = result.x_consensus
+    if cfg.agents[0].model is Model.FIRST_ORDER:
+        target = (x, 0.0)
+        row = lambda s: [_sig9(s.t), _joined(s.x), "0", _joined(s.u)]
+    else:
+        target = (float(x[0]), 0.0)
+        row = lambda s: [_sig9(s.t), _sig9(s.x), _sig9(s.v), _sig9(s.u)]
+    rows = [
+        [i] + row(s)
+        for i, agent in enumerate(cfg.agents, start=1)
+        for s in simulate_trajectory(agent, target, dt=cfg.sample_dt).samples
+    ]
     if cfg.trajectory_path:
         with open(cfg.trajectory_path, "w", newline="") as fh:
             w = csv.writer(fh)
@@ -228,13 +210,7 @@ def cmd_simulate(cfg: ExperimentConfig, quiet: bool = False) -> int:
     return EXIT_OK
 
 
-def cmd_verify(cfg: ExperimentConfig, quiet: bool = False) -> int:
-    try:
-        result = solve_min_time_consensus(cfg.agents, cfg.solver, mode=cfg.mode)
-    except ConvergenceError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-
+def cmd_verify(cfg: ExperimentConfig, result: ConsensusResult, quiet: bool = False) -> int:
     positions = np.array([a.x0 for a in cfg.agents])
     lo, hi = positions.min(axis=0), positions.max(axis=0)
     margin = np.maximum(1.0, 0.2 * (hi - lo + 1.0))
@@ -318,8 +294,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.mode:
         cfg.mode = args.mode
 
+    try:
+        result = solve_min_time_consensus(cfg.agents, cfg.solver, mode=cfg.mode)
+    except ConvergenceError as exc:
+        print(f"solver failure: {exc}", file=sys.stderr)
+        if args.command == "solve":
+            _write_trace(cfg, exc.trace)
+        return EXIT_SOLVER
     handler = {"solve": cmd_solve, "simulate": cmd_simulate, "verify": cmd_verify}
-    return handler[args.command](cfg, quiet=args.quiet)
+    return handler[args.command](cfg, result, quiet=args.quiet)
 
 
 if __name__ == "__main__":

@@ -5,8 +5,9 @@ integrators with zero initial velocity become cones after the squared-time
 substitution; nonzero initial velocities go through per-agent piecewise
 quadratic height transforms (an experimental construction with no
 convexity guarantee) and projections are done branch by branch in the
-transformed coordinates.  Bang-bang schedules to the consensus state are
-synthesized in closed form.
+transformed coordinates.  simulate_trajectory gives an agent's motion and
+schedule to the consensus state in closed form: a straight line at full
+input for a first-order agent, the bang-bang maneuver for a second-order one.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -46,6 +47,7 @@ class AgentDynamics:
     u_max: float = 1.0
 
     def __post_init__(self):
+        object.__setattr__(self, "model", Model(self.model))
         if isinstance(self.v0, bool) or isinstance(self.u_max, bool):
             raise TypeError("v0 and u_max must be numbers, not booleans")
         x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
@@ -84,7 +86,6 @@ class ControlSchedule:
 class ConsensusResult:
     x_consensus: Array
     t_consensus: float
-    schedules: List[ControlSchedule]
     solver: MinMaxSolution
     experimental: bool = False
 
@@ -257,10 +258,12 @@ def bang_bang_control(
 
 @dataclass(frozen=True)
 class TrajectorySample:
+    """One sample; x and u are vectors (and v is 0.0) for first-order agents."""
+
     t: float
-    x: float
+    x: Union[float, Array]
     v: float
-    u: float
+    u: Union[float, Array]
 
 
 @dataclass
@@ -271,9 +274,13 @@ class TrajectoryResult:
 
 
 def simulate_trajectory(
-    agent: AgentDynamics, target: Tuple[float, float], dt: float
+    agent: AgentDynamics, target: Tuple[object, float], dt: float
 ) -> TrajectoryResult:
-    """Closed-form two-phase integration of the bang-bang maneuver.
+    """An agent's time-optimal motion to target = (position, velocity).
+
+    A first-order agent moves straight to the position vector at u_max; its
+    target velocity must be 0.  A second-order agent flies the bang-bang
+    maneuver to the scalar position, integrated in closed form.
 
     dt only controls the output sampling; phase switch and arrival times
     are exact.  The sample list always contains the initial point, the
@@ -281,8 +288,23 @@ def simulate_trajectory(
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if agent.model is not Model.SECOND_ORDER:
-        raise ValueError("trajectory synthesis is for second-order agents")
+    if agent.model is Model.FIRST_ORDER:
+        if float(target[1]) != 0.0:
+            raise ValueError("first-order agents have no velocity state")
+        d = np.asarray(target[0], dtype=float) - agent.x0
+        dist = float(np.linalg.norm(d))
+        if dist == 0.0:
+            total, u, sched = 0.0, np.zeros_like(agent.x0), ControlSchedule(())
+        else:
+            total, u = dist / agent.u_max, agent.u_max * d / dist
+            sched = ControlSchedule(((total, u),))
+        # a grid time that rounds past total holds the arrival state
+        times = sorted({round(k * dt, 12) for k in range(int(total / dt) + 1)} | {0.0, total})
+        samples = [
+            TrajectorySample(t, agent.x0 + min(t, total) * u, 0.0, u if t < total else 0 * u)
+            for t in times
+        ]
+        return TrajectoryResult(samples, sched, total)
     um = agent.u_max
     x0, v0 = float(agent.x0[0]), agent.v0
     xt, vt = float(target[0]), float(target[1])
@@ -366,12 +388,12 @@ def solve_min_time_consensus(
     cfg: Optional[ToleranceConfig] = None,
     mode: str = "centralized",
 ) -> ConsensusResult:
-    """Find the time-optimal consensus state and per-agent schedules.
+    """Find the time-optimal consensus state and time.
 
     Builds each agent's attainable-set epigraph, solves the min-max
     problem against the zero-height plane (centralized Bregman/Dykstra or
-    the simulated ring), maps the height back to seconds and synthesizes
-    the controls that take every agent to the consensus state.
+    the simulated ring) and maps the height back to seconds.
+    simulate_trajectory gives the motion that takes an agent there.
     """
     if not agents:
         raise ValueError("at least one agent is required")
@@ -398,24 +420,9 @@ def solve_min_time_consensus(
     else:
         t_cons = sol.t_star
 
-    schedules: List[ControlSchedule] = []
-    for a in agents:
-        if a.model is Model.FIRST_ORDER:
-            d = x_cons - a.x0
-            dist = float(np.linalg.norm(d))
-            if dist == 0.0:
-                schedules.append(ControlSchedule(()))
-            else:
-                u_vec = a.u_max * d / dist
-                schedules.append(ControlSchedule(((dist / a.u_max, u_vec),)))
-        else:
-            traj = simulate_trajectory(a, (float(x_cons[0]), 0.0), dt=max(t_cons, 1.0))
-            schedules.append(traj.schedule)
-
     return ConsensusResult(
         x_consensus=x_cons,
         t_consensus=t_cons,
-        schedules=schedules,
         solver=sol,
         experimental=experimental,
     )

@@ -1,10 +1,5 @@
 """Exception types shared across the package."""
 
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from .alternating import Trace
-
 
 class DimensionMismatchError(ValueError):
     """A point and a set (or two points) disagree on the spatial dimension."""
@@ -20,8 +15,8 @@ class ConvergenceError(RuntimeError):
     Carries the best iterate seen so far as a raw (x..., t) array of its
     own, the residual at the stop and the solver's trace up to the stop,
     so callers can inspect or report partial progress. The trace is the
-    Trace that bregman_alternate and run_ring write, and an empty list
-    from dykstra_project, which keeps none.
+    Trace that bregman_alternate and run_ring write, an empty Trace from
+    dykstra_project, which keeps none, and None when no trace is given.
     """
 
     def __init__(self, message, iterate=None, residual=None, iterations=None, trace=None):
@@ -29,7 +24,7 @@ class ConvergenceError(RuntimeError):
         self.iterate = iterate
         self.residual = residual
         self.iterations = iterations
-        self.trace: Trace = [] if trace is None else trace
+        self.trace = trace
 
 
 class OracleBudgetError(RuntimeError):

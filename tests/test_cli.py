@@ -9,6 +9,13 @@ import numpy as np
 import pytest
 
 import minmaxap
+from minmaxap import (
+    ConvergenceError,
+    PointTime,
+    SecondOrderCone,
+    ToleranceConfig,
+    dykstra_project,
+)
 from minmaxap.cli import (
     EXIT_OK,
     EXIT_SOLVER,
@@ -208,6 +215,29 @@ class TestSolve:
             rows = list(csv.reader(fh))
         assert rows[0][0] == "cycle"
         assert len(rows) >= 2
+
+    def test_capped_dykstra_trace_writes_only_the_header(self, tmp_path):
+        cones = [SecondOrderCone(PointTime([x], 0.0), 1.0) for x in (-1.0, 2.0, 4.0)]
+        with pytest.raises(ConvergenceError) as exc:
+            dykstra_project(cones, np.zeros(2), ToleranceConfig(max_inner_cycles=1))
+        assert len(exc.value.trace) == 0
+        trace = tmp_path / "trace.csv"
+        _write_trace(ExperimentConfig([], None, "centralized", trace_path=str(trace)), exc.value.trace)
+        assert trace.read_text().splitlines() == [
+            "cycle,agent_id,x,height,increment_norm,flag,bregman_event"
+        ]
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_capped_simulate_and_verify_write_nothing(self, tmp_path, capsys, command):
+        outputs = {f: str(tmp_path / f"{f}.out") for f in ("solution", "trace", "trajectory")}
+        path = write_config(
+            tmp_path / "c.json",
+            solver={"err": 1e-7, "outer_tol": 1e-6, "max_outer_iters": 1},
+            outputs=outputs,
+        )
+        assert main([command, "--config", path, "--quiet"]) == EXIT_SOLVER
+        assert "solver failure: " in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
     @pytest.mark.parametrize(
         "cap", [{"max_outer_iters": 1}, {"max_inner_cycles": 2}], ids=["outer", "inner"]

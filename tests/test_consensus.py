@@ -247,6 +247,34 @@ class TestTrajectory:
             assert len(traj.schedule.segments) <= 2
 
 
+class TestFirstOrderTrajectory:
+    def test_straight_line_at_full_input(self):
+        agent = AgentDynamics(Model.FIRST_ORDER, [1.0, -2.0], u_max=2.0)
+        target = np.array([4.0, 2.0])
+        traj = simulate_trajectory(agent, (target, 0.0), dt=0.3)
+        ((duration, u),) = traj.schedule.segments
+        assert duration == pytest.approx(5.0 / 2.0) == traj.arrival_time
+        assert np.linalg.norm(u) == pytest.approx(2.0)
+        first, last = traj.samples[0], traj.samples[-1]
+        assert first.t == 0.0 and np.array_equal(first.x, agent.x0)
+        assert last.t == traj.arrival_time
+        np.testing.assert_allclose(last.x, target, atol=1e-12)
+        assert not np.any(last.u)
+        assert all(s.v == 0.0 for s in traj.samples)
+
+    def test_zero_move(self):
+        agent = AgentDynamics(Model.FIRST_ORDER, [1.0, -2.0])
+        traj = simulate_trajectory(agent, (agent.x0.copy(), 0.0), dt=0.3)
+        assert traj.schedule.segments == ()
+        assert traj.arrival_time == 0.0
+        assert len(traj.samples) == 1
+
+    def test_nonzero_target_velocity_rejected(self):
+        agent = AgentDynamics(Model.FIRST_ORDER, [0.0])
+        with pytest.raises(ValueError):
+            simulate_trajectory(agent, ([1.0], 0.5), dt=0.1)
+
+
 class TestSolveConsensus:
     def test_experiment_one(self):
         agents = [so_agent(x) for x in EXP1_POSITIONS]
@@ -295,7 +323,18 @@ class TestSolveConsensus:
         r = solve_min_time_consensus(agents)
         assert r.x_consensus[0] == pytest.approx(1.0, abs=1e-4)
         assert r.t_consensus == pytest.approx(4.0, abs=1e-4)
-        assert r.schedules[0].total_duration == pytest.approx(4.0, abs=1e-4)
+        traj = simulate_trajectory(agents[0], (r.x_consensus, 0.0), dt=1.0)
+        assert traj.schedule.total_duration == pytest.approx(4.0, abs=1e-4)
+
+    def test_model_given_as_a_string(self):
+        agents = [AgentDynamics("second_order", [x]) for x in (1.0, 3.0)]
+        assert agents[0].model is Model.SECOND_ORDER
+        r = solve_min_time_consensus(agents)
+        assert r.t_consensus == pytest.approx(2.0, abs=1e-4)
+
+    def test_unknown_model_rejected(self):
+        with pytest.raises(ValueError):
+            AgentDynamics("bogus", [1.0])
 
     def test_mixed_models_rejected(self):
         with pytest.raises(ValueError):
