@@ -6,7 +6,6 @@ from .alternating import (
     ToleranceConfig,
     Trace,
     TraceEvent,
-    bregman_alternate,
     dykstra_project,
     solve_minmax,
 )
@@ -43,14 +42,7 @@ from .geometry import (
     SecondOrderCone,
 )
 from .oracle import GridSpec, grid_minmax, numeric_projection
-from .ring import (
-    AgentNode,
-    ProtocolEvent,
-    RingMessage,
-    agent_step,
-    coordinator_step,
-    run_ring,
-)
+from .ring import agent_step, coordinator_step, run_ring
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

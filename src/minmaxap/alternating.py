@@ -1,6 +1,6 @@
 """Centralized solvers: Dykstra's cyclic projection onto an intersection,
 and the Bregman alternating projection between that intersection and a
-second set, which with a plane below the epigraphs solves the min-max."""
+plane below it, which solves the min-max."""
 
 from __future__ import annotations
 
@@ -101,7 +101,6 @@ class MinMaxSolution:
     outer_iters: int
     trace: Trace
     plane_grazed: bool = False
-    message_counts: Optional[dict] = None
 
 
 def dykstra_project(
@@ -171,42 +170,50 @@ def dykstra_project(
     )
 
 
-def bregman_alternate(
-    sets: Sequence[ProjectableSet],
-    set_b: ProjectableSet,
+def solve_minmax(
+    epigraphs: Sequence[ProjectableSet],
+    plane: HorizontalHyperplane,
     p0: PointTime,
     cfg: ToleranceConfig,
 ) -> MinMaxSolution:
-    """Alternate a_k = P_A(b_{k-1}), b_k = P_B(a_k), A the intersection of sets.
+    """Lowest point of the epigraph intersection A, via Bregman + Dykstra.
 
-    P_A is dykstra_project. Stops once consecutive b_k move less than
-    cfg.outer_tol; a_k is then the solution and ``distance`` the gap to
-    b_k, which is the minimum distance between A and set_b when the two do
-    not intersect. Every ConvergenceError carries the trace so far.
+    Alternates a_k = P_A(b_{k-1}), b_k = P_plane(a_k), with P_A the
+    dykstra_project of the epigraphs, and stops once consecutive b_k move
+    less than cfg.outer_tol; a_k is then the solution and ``distance`` the
+    gap to b_k. Every ConvergenceError carries the trace so far.
+
+    Requires plane.t_min to lie strictly below the intersection's minimum
+    height; if the limit ends up within outer_tol of the plane the result
+    is flagged (plane_grazed) since that signals a violated precondition.
     """
+    if not epigraphs:
+        raise ValueError("epigraphs must be nonempty")
     b = p0.to_array()
-    set_b._check(b)
+    plane._check(b)
     prev_b = None
     trace = Trace()
     inner_total = 0
     for k in range(1, cfg.max_outer_iters + 1):
         stats: dict = {}
         try:
-            a = dykstra_project(sets, b, cfg, stats=stats)
+            a = dykstra_project(epigraphs, b, cfg, stats=stats)
         except ConvergenceError as exc:
             exc.trace = trace
             raise
         inner_total += stats["cycles"]
-        b = set_b.project(a)
+        b = plane.project(a)
         trace._add(k, 0, 1, a, 0.0, 1, True)
         if prev_b is not None and float(np.linalg.norm(b - prev_b)) < cfg.outer_tol:
+            t_star = float(a[-1])
             return MinMaxSolution(
                 x_star=a[:-1].copy(),
-                t_star=float(a[-1]),
+                t_star=t_star,
                 distance=float(np.linalg.norm(a - b)),
                 inner_cycles_total=inner_total,
                 outer_iters=k,
                 trace=trace,
+                plane_grazed=(t_star - plane.t_min) < cfg.outer_tol,
             )
         prev_b = b
     raise ConvergenceError(
@@ -216,22 +223,3 @@ def bregman_alternate(
         iterations=cfg.max_outer_iters,
         trace=trace,
     )
-
-
-def solve_minmax(
-    epigraphs: Sequence[ProjectableSet],
-    plane: HorizontalHyperplane,
-    p0: PointTime,
-    cfg: ToleranceConfig,
-) -> MinMaxSolution:
-    """Lowest point of the epigraph intersection, via Bregman + Dykstra.
-
-    Requires plane.t_min to lie strictly below the intersection's minimum
-    height; if the limit ends up within outer_tol of the plane the result
-    is flagged (plane_grazed) since that signals a violated precondition.
-    """
-    if not epigraphs:
-        raise ValueError("epigraphs must be nonempty")
-    sol = bregman_alternate(epigraphs, plane, p0, cfg)
-    sol.plane_grazed = (sol.t_star - plane.t_min) < cfg.outer_tol
-    return sol

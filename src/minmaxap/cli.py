@@ -103,6 +103,8 @@ def load_config(path: str) -> ExperimentConfig:
                 problems.append(f"agents[{i}]: {exc}")
         if len({a.x0.size for a in agents}) > 1:
             problems.append("agents: every x0 must have the same length")
+        if len({a.model for a in agents}) > 1:
+            problems.append("agents: every agent must use the same model")
 
     s = _section(raw, "solver", problems)
     solver = None

@@ -27,7 +27,7 @@ from .geometry import (
     ProjectableSet,
     SecondOrderCone,
 )
-from .ring import AgentNode, run_ring
+from .ring import run_ring
 
 Array = np.ndarray
 
@@ -408,11 +408,8 @@ def solve_min_time_consensus(
     p0 = PointTime(centroid, h0)
 
     plane = HorizontalHyperplane(0.0, dim=centroid.size)
-    if mode == "centralized":
-        sol = solve_minmax(sets, plane, p0, cfg)
-    else:
-        nodes = [AgentNode(i + 1, s) for i, s in enumerate(sets)]
-        sol = run_ring(nodes, plane, p0, cfg)
+    solve = solve_minmax if mode == "centralized" else run_ring
+    sol = solve(sets, plane, p0, cfg)
 
     x_cons = sol.x_star
     if height_kind == "squared":

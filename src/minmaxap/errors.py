@@ -15,7 +15,7 @@ class ConvergenceError(RuntimeError):
     Carries the best iterate seen so far as a raw (x..., t) array of its
     own, the residual at the stop and the solver's trace up to the stop,
     so callers can inspect or report partial progress. The trace is the
-    Trace that bregman_alternate and run_ring write, an empty Trace from
+    Trace that solve_minmax and run_ring write, an empty Trace from
     dykstra_project, which keeps none, and None when no trace is given.
     """
 

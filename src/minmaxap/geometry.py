@@ -85,6 +85,7 @@ class HorizontalHyperplane(ProjectableSet):
             raise ValueError("t_min must be finite")
 
     def violation(self, v: Array) -> float:
+        self._check(v)
         return abs(float(v[-1]) - self.t_min)
 
     def project(self, v: Array) -> Array:

@@ -1,12 +1,14 @@
 """Deterministic token-ring simulation of the distributed solver.
 
-N agents sit on a cyclic digraph; each owns one projectable set and a
+N agents sit on a cyclic digraph; agent i owns the set sets[i-1] and a
 private Dykstra increment.  A single (guess, flag) message circulates
 1 -> 2 -> ... -> N -> 1.  Agent 1 doubles as coordinator: when its own
 projection stops moving it drops the guess onto the plane (the Bregman
 step) and raises the increment-reset flag for one full cycle.
 
-run_ring skips the agent visits that would change nothing bit for bit, as
+run_ring keeps the increments in one (N, n+1) array, as dykstra_project
+does, and calls agent_step at each visit and coordinator_step once per
+cycle. It skips the agent visits that would change nothing bit for bit, as
 dykstra_project skips trivial steps, and records each run of them as one
 entry of its Trace; its traces and results are those of visiting every
 agent.
@@ -15,7 +17,6 @@ agent.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -27,114 +28,51 @@ from .geometry import ConeStack, HorizontalHyperplane, PointTime, ProjectableSet
 Array = np.ndarray
 
 
-@dataclass
-class AgentNode:
-    """Per-agent protocol state: own set, private increment, last guess."""
-
-    id: int
-    own_set: ProjectableSet
-    increment: Optional[Array] = None
-    last_guess: Optional[Array] = None  # used by agent 1 only
-
-    def __post_init__(self):
-        if self.id < 1:
-            raise ValueError("agent ids start at 1")
-        if self.increment is None:
-            self.increment = np.zeros(self.own_set.dim + 1)
-
-
-@dataclass(frozen=True)
-class RingMessage:
-    """The circulating message: guess, reset flag, and accumulated drift.
-
-    guess is a raw (x..., t) array that no one writes to once it is sent,
-    so it is passed on and recorded without a copy. drift sums each
-    visited agent's increment change since the coordinator last saw the
-    message; the guess alone can stall for whole cycles while increments
-    still move, so the coordinator needs both before it may declare the
-    inner projection converged.
-    """
-
-    guess: Array
-    flag: int
-    drift: float = 0.0
-
-    def __post_init__(self):
-        if self.flag not in (0, 1):
-            raise ValueError("flag must be 0 or 1")
-        if self.drift < 0:
-            raise ValueError("drift must be nonnegative")
-
-
-@dataclass(frozen=True)
-class ProtocolEvent:
-    """Outcome of one coordinator turn."""
-
-    bregman: bool
-    error_norm: float
-    pre_plane: Optional[Array] = None  # guess before the plane drop
-
-
-def agent_step(node: AgentNode, msg: RingMessage) -> Tuple[AgentNode, RingMessage]:
-    """One Dykstra update at a single agent.
+def agent_step(s: ProjectableSet, increment: Array, guess: Array, flag: int) -> Tuple[Array, Array]:
+    """One Dykstra update at a single agent: the guess it sends on and its
+    new increment.
 
     Projects the incoming guess minus the private increment onto the
-    agent's own set and updates the increment.  flag = 1 (the cycle after
-    a Bregman event) discards the stale increment first, so the reset
-    cycle doubles as the first genuine cycle of the restarted inner run;
-    zeroing after the projection instead would unanchor the restart from
-    the plane point and stall the outer loop on non-optimal fixed points.
+    agent's own set s.  flag = 1 (the cycle after a Bregman event) discards
+    the stale increment first, so the reset cycle doubles as the first
+    genuine cycle of the restarted inner run; zeroing after the projection
+    instead would unanchor the restart from the plane point and stall the
+    outer loop on non-optimal fixed points.
     """
-    old = node.increment
-    if msg.flag == 1:
-        node.increment = np.zeros_like(node.increment)
-    y = msg.guess - node.increment
-    q = node.own_set.project(y)
-    node.increment = q - y
-    change = norm(node.increment - old)
-    return node, RingMessage(q, msg.flag, msg.drift + change)
+    if flag == 1:
+        increment = np.zeros_like(increment)
+    y = guess - increment
+    q = s.project(y)
+    return q, q - y
 
 
 def coordinator_step(
-    node1: AgentNode,
-    msg_from_n: RingMessage,
+    guess: Array,
+    last_guess: Optional[Array],
+    drift: float,
     plane: HorizontalHyperplane,
     cfg: ToleranceConfig,
-) -> Tuple[AgentNode, RingMessage, ProtocolEvent]:
-    """Agent 1's turn: own Dykstra step, then possibly the Bregman step.
+) -> Tuple[float, Optional[Array]]:
+    """Agent 1's test after its own Dykstra step: the error, and the guess
+    dropped onto the plane when the error is below cfg.err (else None).
 
-    Compares the spatial part of the fresh projection with the stored
-    previous guess; when the change drops below cfg.err the guess is
-    projected onto the plane and the reset flag is raised.
+    The error compares the spatial part of agent 1's fresh guess with its
+    guess one cycle before (last_guess, None after a Bregman event) and
+    adds drift, every agent's increment movement over that cycle: the
+    guess alone can stall for whole cycles while increments still move.
     """
-    if node1.id != 1:
-        raise ValueError("coordinator_step requires the agent with id 1")
-    node1, m = agent_step(node1, msg_from_n)
-    g = m.guess
-    if node1.last_guess is None:
-        e = np.inf
-    else:
-        # m.drift carries every agent's increment movement over the last
-        # full circulation, closing the guess-stall blind spot
-        e = norm(g[:-1] - node1.last_guess[:-1]) + m.drift
-    node1.last_guess = g
-    if e < cfg.err:
-        # forget the pre-drop guess: the restarted inner run must stabilize
-        # on its own evidence, not by matching the run it replaced
-        node1.last_guess = None
-        out = RingMessage(plane.project(g), 1)
-        return node1, out, ProtocolEvent(True, e, pre_plane=g)
-    return node1, RingMessage(g, 0), ProtocolEvent(False, e)
+    e = np.inf if last_guess is None else norm(guess[:-1] - last_guess[:-1]) + drift
+    return e, (plane.project(guess) if e < cfg.err else None)
 
 
 def run_ring(
-    agents: Sequence[AgentNode],
+    sets: Sequence[ProjectableSet],
     plane: HorizontalHyperplane,
     p0: PointTime,
     cfg: ToleranceConfig,
 ) -> MinMaxSolution:
     """Simulate the token ring until two consecutive Bregman events move
-    the plane-side point less than cfg.outer_tol.
+    the plane-side point less than cfg.outer_tol; agent i owns sets[i-1].
 
     cfg.max_outer_iters caps the Bregman events and cfg.max_inner_cycles
     the cycles between two of them, as in solve_minmax. Every
@@ -149,34 +87,43 @@ def run_ring(
     written. A nonzero increment that flag 1 resets is a real change,
     and its agent is always visited.
     """
-    if not agents:
+    if not sets:
         raise ValueError("at least one agent is required")
-    ids = [a.id for a in agents]
-    if ids != list(range(1, len(agents) + 1)):
-        raise ValueError("agents must be ordered by id 1..N")
-    v0 = p0.to_array()
-    plane._check(v0)
-    for a in agents:
-        a.own_set._check(v0)
-    n_agents = len(agents)
-    cones = ConeStack([a.own_set for a in agents])
+    guess = p0.to_array()
+    plane._check(guess)
+    for s in sets:
+        s._check(guess)
+    n_agents = len(sets)
+    cones = ConeStack(sets)
+    increments = np.zeros((n_agents, guess.size))
     # increment is +0.0 in every component; agent 1 always takes its turn,
     # so its entry is never read
-    zero = np.array([plus_zero(np.asarray(a.increment, dtype=float)) for a in agents])
-    msg = RingMessage(v0, 0)
+    zero = np.ones(n_agents, dtype=bool)
+    flag = 0
+    # every increment's movement since agent 1 last tested the guess
+    drift = 0.0
+    last_guess: Optional[Array] = None
     trace = Trace()
     prev_plane: Optional[Array] = None
     n_events = 0
     last_event_cycle = 0
-    best = msg.guess
+    best = guess
     for cycle in itertools.count(1):
-        node1, msg, event = coordinator_step(agents[0], msg, plane, cfg)
-        trace._add(cycle, 1, 2, msg.guess, norm(node1.increment), msg.flag, event.bregman)
-        if event.bregman:
+        a, inc = agent_step(sets[0], increments[0], guess, flag)
+        drift += norm(inc - increments[0])
+        increments[0] = inc
+        e, plane_pt = coordinator_step(a, last_guess, drift, plane, cfg)
+        drift = 0.0
+        bregman = plane_pt is not None
+        # after a Bregman event agent 1 forgets the pre-drop guess: the
+        # restarted inner run must stabilize on its own evidence, not by
+        # matching the run it replaced
+        guess, last_guess, flag = (plane_pt, None, 1) if bregman else (a, a, 0)
+        trace._add(cycle, 1, 2, guess, norm(inc), flag, bregman)
+        if bregman:
             n_events += 1
             last_event_cycle = cycle
-            a = best = event.pre_plane
-            plane_pt = msg.guess
+            best = a
             gap = norm(a - plane_pt)
             if prev_plane is not None and norm(plane_pt - prev_plane) < cfg.outer_tol:
                 t_star = float(a[-1])
@@ -188,10 +135,6 @@ def run_ring(
                     outer_iters=n_events,
                     trace=trace,
                     plane_grazed=(t_star - plane.t_min) < cfg.outer_tol,
-                    # agent 1 has taken this cycle's turn, the others not yet
-                    message_counts={
-                        n.id: cycle if n.id == 1 else cycle - 1 for n in agents
-                    },
                 )
             if n_events == cfg.max_outer_iters:
                 raise ConvergenceError(
@@ -203,25 +146,27 @@ def run_ring(
                 )
             prev_plane = plane_pt
         elif n_events == 0:
-            best = msg.guess
+            best = a
         i = 1
         while i < n_agents:
-            j = cones.first_nontrivial(msg.guess, zero, i)
+            j = cones.first_nontrivial(guess, zero, i)
             # the visits in between are trivial and make one run (ids are
             # indices + 1)
             if j > i:
-                trace._add(cycle, i + 1, j + 1, msg.guess, 0.0, msg.flag, False)
+                trace._add(cycle, i + 1, j + 1, guess, 0.0, flag, False)
             if j == n_agents:
                 break
-            node, msg = agent_step(agents[j], msg)
-            zero[j] = plus_zero(node.increment)
-            trace._add(cycle, node.id, node.id + 1, msg.guess, norm(node.increment), msg.flag, False)
+            guess, inc = agent_step(sets[j], increments[j], guess, flag)
+            drift += norm(inc - increments[j])
+            increments[j] = inc
+            zero[j] = plus_zero(inc)
+            trace._add(cycle, j + 1, j + 2, guess, norm(inc), flag, False)
             i = j + 1
         if cycle - last_event_cycle == cfg.max_inner_cycles:
             raise ConvergenceError(
                 "ring protocol: inner cycle cap reached",
                 iterate=best.copy(),
-                residual=event.error_norm,
+                residual=e,
                 iterations=cfg.max_inner_cycles,
                 trace=trace,
             )

@@ -26,7 +26,6 @@ from minmaxap import (
     solve_minmax,
 )
 from minmaxap.oracle import GridSpec
-from minmaxap.ring import AgentNode
 
 EXP1_POSITIONS = (-3.542884, 3.001152, 6.924106, -18.0296)
 EXP2_AGENTS = (
@@ -209,12 +208,7 @@ def test_criterion_6_ring_centralized_equivalence():
         ]
         p0 = pt([0.0], 30.0)
         central = solve_minmax(cones, HorizontalHyperplane(-0.5), p0, cfg)
-        ring = run_ring(
-            [AgentNode(i + 1, c) for i, c in enumerate(cones)],
-            HorizontalHyperplane(-0.5),
-            p0,
-            cfg,
-        )
+        ring = run_ring(cones, HorizontalHyperplane(-0.5), p0, cfg)
         worst = max(worst, float(np.linalg.norm(ring.x_star - central.x_star)))
     ok = worst <= 10 * cfg.outer_tol
     report(6, "ring vs centralized on 50 instances, <=10*outer_tol", ok,

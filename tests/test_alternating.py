@@ -9,7 +9,6 @@ from minmaxap import (
     PointTime,
     SecondOrderCone,
     ToleranceConfig,
-    bregman_alternate,
     dykstra_project,
     numeric_projection,
     solve_minmax,
@@ -214,31 +213,6 @@ def a_star(r):
 
 
 class TestBregman:
-    def test_parallel_planes(self):
-        B = HorizontalHyperplane(0.0)
-        r = bregman_alternate([HorizontalHyperplane(1.0)], B, pt([2.0], 9.0), CFG)
-        assert np.allclose(a_star(r), [2.0, 1.0])
-        assert np.allclose(B.project(a_star(r)), [2.0, 0.0])
-        assert r.distance == pytest.approx(1.0)
-
-    def test_disjoint_discs(self):
-        A = Ball(np.array([0.0, 0.0]), 1.0)
-        B = Ball(np.array([3.0, 0.0]), 1.0)
-        r = bregman_alternate([A], B, pt([0.0], 3.0), CFG)
-        assert np.allclose(a_star(r), [1.0, 0.0], atol=1e-4)
-        assert np.allclose(B.project(a_star(r)), [2.0, 0.0], atol=1e-4)
-        assert r.distance == pytest.approx(1.0, abs=1e-4)
-
-    def test_cone_touching_plane(self):
-        r = bregman_alternate(
-            [SecondOrderCone(pt([0.0], 0.0), 1.0)],
-            HorizontalHyperplane(0.0),
-            pt([4.0], 9.0),
-            CFG,
-        )
-        assert np.allclose(a_star(r), [0.0, 0.0], atol=1e-5)
-        assert r.distance == pytest.approx(0.0, abs=1e-5)
-
     def test_gap_sequence_nonincreasing(self):
         A = Ball(np.array([0.0, 0.0]), 1.0)
         B = Ball(np.array([5.0, 1.0]), 1.0)
@@ -250,16 +224,25 @@ class TestBregman:
             gaps.append(np.linalg.norm(a - b))
         assert all(g2 <= g1 + 1e-12 for g1, g2 in zip(gaps, gaps[1:]))
 
-    def test_outer_cap_failure(self):
-        A = Ball(np.array([0.0, 0.0]), 1.0)
-        B = Ball(np.array([3.0, 0.0]), 1.0)
-        cfg = ToleranceConfig(outer_tol=1e-14, max_outer_iters=3)
-        with pytest.raises(ConvergenceError) as exc:
-            bregman_alternate([A], B, pt([0.0], 3.0), cfg)
-        assert exc.value.residual is not None
-
 
 class TestSolveMinmax:
+    def test_parallel_planes(self):
+        B = HorizontalHyperplane(0.0)
+        r = solve_minmax([HorizontalHyperplane(1.0)], B, pt([2.0], 9.0), CFG)
+        assert np.allclose(a_star(r), [2.0, 1.0])
+        assert np.allclose(B.project(a_star(r)), [2.0, 0.0])
+        assert r.distance == pytest.approx(1.0)
+
+    def test_cone_touching_plane(self):
+        r = solve_minmax(
+            [SecondOrderCone(pt([0.0], 0.0), 1.0)],
+            HorizontalHyperplane(0.0),
+            pt([4.0], 9.0),
+            CFG,
+        )
+        assert np.allclose(a_star(r), [0.0, 0.0], atol=1e-5)
+        assert r.distance == pytest.approx(0.0, abs=1e-5)
+
     def test_two_symmetric_cones(self):
         cones = [
             SecondOrderCone(pt([-1.0], 0.0), 1.0),

@@ -122,6 +122,10 @@ class TestLoadConfig:
             {"agents": EXP1_AGENTS, "outputs": {"trace": 2}},
             {"agents": EXP1_AGENTS, "outputs": {"trace": ["a"]}},
             {"agents": EXP1_AGENTS, "solver": {"t_min": False}},
+            {"agents": [
+                {"model": "first_order", "x0": [0.0]},
+                {"model": "second_order", "x0": [3.0]},
+            ]},
         ],
         ids=[
             "top-level-array",
@@ -138,6 +142,7 @@ class TestLoadConfig:
             "trace-path-int",
             "trace-path-list",
             "t_min-bool",
+            "models-differ",
         ],
     )
     def test_malformed_config_is_a_config_error(self, tmp_path, capsys, raw):

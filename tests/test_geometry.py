@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from minmaxap import (
-    AgentNode,
     Ball,
     ConvexEpigraph,
     DimensionMismatchError,
@@ -386,7 +385,7 @@ def test_project_returns_inside_points_themselves(s, inside):
 
 
 # every set type that has a fixed dimension, given a point of the wrong length
-SETS_WITH_DIM = [s for s, _ in SETS_WITH_INSIDE if not isinstance(s, HorizontalHyperplane)]
+SETS_WITH_DIM = [s for s, _ in SETS_WITH_INSIDE]
 
 
 @pytest.mark.parametrize("s", SETS_WITH_DIM, ids=lambda s: type(s).__name__)
@@ -399,8 +398,7 @@ def test_wrong_length_point_raises_dimension_mismatch(s):
     with pytest.raises(DimensionMismatchError):
         dykstra_project([s], v, ToleranceConfig())
     with pytest.raises(DimensionMismatchError):
-        run_ring([AgentNode(1, s)], HorizontalHyperplane(0.0), pt([0.0, 0.0], 1.0),
-                 ToleranceConfig())
+        run_ring([s], HorizontalHyperplane(0.0), pt([0.0, 0.0], 1.0), ToleranceConfig())
 
 
 def test_cone_stack_inside_only_where_projection_keeps_the_point():

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from minmaxap import (
-    AgentNode,
     Ball,
     ConvergenceError,
     DimensionMismatchError,
@@ -13,7 +12,6 @@ from minmaxap import (
     HorizontalHyperplane,
     MinMaxSolution,
     PointTime,
-    RingMessage,
     SecondOrderCone,
     ToleranceConfig,
     Trace,
@@ -34,69 +32,51 @@ def vec(x, t):
     return np.append(np.asarray(x, float), t)
 
 
-class TestRingMessage:
-    def test_flag_domain(self):
-        with pytest.raises(ValueError):
-            RingMessage(vec([0.0], 0.0), 2)
-
-
 class TestAgentStep:
     def test_plane_projection_updates_increment(self):
-        node = AgentNode(2, HorizontalHyperplane(0.0))
-        node, out = agent_step(node, RingMessage(vec([2.0], 5.0), 0))
-        assert np.allclose(out.guess, [2.0, 0.0])
-        assert np.allclose(node.increment, [0.0, -5.0])
+        out, inc = agent_step(HorizontalHyperplane(0.0), np.zeros(2), vec([2.0], 5.0), 0)
+        assert np.allclose(out, [2.0, 0.0])
+        assert np.allclose(inc, [0.0, -5.0])
 
     def test_flag_one_discards_stale_increment(self):
-        node = AgentNode(2, HorizontalHyperplane(0.0))
-        node.increment = np.array([7.0, 7.0])  # leftover from the old run
-        node, out = agent_step(node, RingMessage(vec([2.0], 5.0), 1))
+        stale = np.array([7.0, 7.0])  # leftover from the old run
+        out, inc = agent_step(HorizontalHyperplane(0.0), stale, vec([2.0], 5.0), 1)
         # the stale increment must not shift the guess, and the new
         # increment is the restarted run's first Dykstra update
-        assert np.allclose(out.guess, [2.0, 0.0])
-        assert np.allclose(node.increment, [0.0, -5.0])
+        assert np.allclose(out, [2.0, 0.0])
+        assert np.allclose(inc, [0.0, -5.0])
 
     def test_cone_step_derived_from_projection(self):
-        node = AgentNode(3, SecondOrderCone(pt([0.0], 0.0), 1.0))
-        node, out = agent_step(node, RingMessage(vec([2.0], 0.0), 0))
-        assert np.allclose(out.guess, [1.0, 1.0])
-        assert np.allclose(node.increment, [-1.0, 1.0])
+        cone = SecondOrderCone(pt([0.0], 0.0), 1.0)
+        out, inc = agent_step(cone, np.zeros(2), vec([2.0], 0.0), 0)
+        assert np.allclose(out, [1.0, 1.0])
+        assert np.allclose(inc, [-1.0, 1.0])
 
 
 class TestCoordinatorStep:
     def test_stationary_triggers_bregman(self):
         cfg = ToleranceConfig(err=1e-7)
-        node = AgentNode(1, HorizontalHyperplane(2.0))
-        node.last_guess = vec([4.0], 2.0)
-        node, out, ev = coordinator_step(
-            node, RingMessage(vec([4.0], 2.0), 0), HorizontalHyperplane(0.0), cfg
+        e, plane_pt = coordinator_step(
+            vec([4.0], 2.0), vec([4.0], 2.0), 0.0, HorizontalHyperplane(0.0), cfg
         )
-        assert ev.bregman and ev.error_norm == 0.0
-        assert out.flag == 1
-        assert np.allclose(out.guess, [4.0, 0.0])
+        assert e == 0.0
+        assert np.allclose(plane_pt, [4.0, 0.0])
 
     def test_moving_guess_keeps_flag_zero(self):
         cfg = ToleranceConfig(err=1e-7)
-        node = AgentNode(1, HorizontalHyperplane(2.0))
-        node.last_guess = vec([5.0], 2.0)
-        node, out, ev = coordinator_step(
-            node, RingMessage(vec([4.0], 2.0), 0), HorizontalHyperplane(0.0), cfg
+        e, plane_pt = coordinator_step(
+            vec([4.0], 2.0), vec([5.0], 2.0), 0.0, HorizontalHyperplane(0.0), cfg
         )
-        assert not ev.bregman and ev.error_norm == pytest.approx(1.0)
-        assert out.flag == 0
+        assert e == pytest.approx(1.0) and plane_pt is None
 
-    def test_requires_agent_one(self):
-        with pytest.raises(ValueError):
-            coordinator_step(
-                AgentNode(2, HorizontalHyperplane(0.0)),
-                RingMessage(vec([0.0], 0.0), 0),
-                HorizontalHyperplane(0.0),
-                ToleranceConfig(),
-            )
-
-
-def make_ring(cones):
-    return [AgentNode(i + 1, c) for i, c in enumerate(cones)]
+    def test_drift_keeps_a_stalled_guess_from_stopping(self):
+        cfg = ToleranceConfig(err=1e-7)
+        guess = vec([4.0], 2.0)
+        e, plane_pt = coordinator_step(guess, guess, 0.5, HorizontalHyperplane(0.0), cfg)
+        assert e == 0.5 and plane_pt is None
+        # with no guess from the cycle before, the error is infinite
+        e, plane_pt = coordinator_step(guess, None, 0.0, HorizontalHyperplane(0.0), cfg)
+        assert e == np.inf and plane_pt is None
 
 
 CFG = ToleranceConfig()
@@ -106,15 +86,13 @@ PLANE_2D = HorizontalHyperplane(0.0, dim=2)
 
 class TestRunRing:
     def test_single_agent_minimum_at_apex(self):
-        agents = make_ring([SecondOrderCone(pt([3.0], 0.0), 1.0)])
-        sol = run_ring(agents, HorizontalHyperplane(-1.0), pt([0.0], 5.0), CFG)
+        cones = [SecondOrderCone(pt([3.0], 0.0), 1.0)]
+        sol = run_ring(cones, HorizontalHyperplane(-1.0), pt([0.0], 5.0), CFG)
         assert sol.x_star[0] == pytest.approx(3.0, abs=1e-5)
 
     def test_two_symmetric_cones(self):
-        agents = make_ring(
-            [SecondOrderCone(pt([-1.0], 0.0), 1.0), SecondOrderCone(pt([1.0], 0.0), 1.0)]
-        )
-        sol = run_ring(agents, PLANE, pt([0.4], 3.0), CFG)
+        cones = [SecondOrderCone(pt([-1.0], 0.0), 1.0), SecondOrderCone(pt([1.0], 0.0), 1.0)]
+        sol = run_ring(cones, PLANE, pt([0.4], 3.0), CFG)
         assert sol.x_star[0] == pytest.approx(0.0, abs=1e-5)
         assert sol.t_star == pytest.approx(1.0, abs=1e-5)
 
@@ -123,7 +101,7 @@ class TestRunRing:
             SecondOrderCone(pt([x], 0.0), 4.0)
             for x in (-3.542884, 3.001152, 6.924106, -18.0296)
         ]
-        sol = run_ring(make_ring(cones), PLANE, pt([0.0], 80.0), CFG)
+        sol = run_ring(cones, PLANE, pt([0.0], 80.0), CFG)
         assert sol.x_star[0] == pytest.approx(-5.5527, abs=1e-3)
         assert np.sqrt(sol.t_star) == pytest.approx(7.0645, abs=1e-3)
 
@@ -133,8 +111,8 @@ class TestRunRing:
             SecondOrderCone(pt([1.0], 0.0), 1.0),
             SecondOrderCone(pt([0.5], 0.0), 2.0),
         ]
-        sol = run_ring(make_ring(cones), PLANE, pt([0.2], 4.0), CFG)
-        counts = sol.message_counts
+        sol = run_ring(cones, PLANE, pt([0.2], 4.0), CFG)
+        counts = Counter(row.agent_id for row in sol.trace)
         # one message in flight: every agent visited once per full cycle;
         # termination at the coordinator may leave one final partial cycle
         assert counts[2] == counts[3]
@@ -150,8 +128,7 @@ class TestRunRing:
             SecondOrderCone(pt([-1.0], 0.0), 1.0),
             SecondOrderCone(pt([1.0], 0.0), 1.0),
         ]
-        agents = make_ring(cones)
-        sol = run_ring(agents, PLANE, pt([0.3], 4.0), CFG)
+        sol = run_ring(cones, PLANE, pt([0.3], 4.0), CFG)
         # on a flag-1 step the stale increment is discarded, so the fresh
         # increment equals emitted guess minus received guess
         rows = list(sol.trace)
@@ -171,7 +148,7 @@ class TestRunRing:
         p0 = pt([0.0], 80.0)
         cfg = ToleranceConfig()
         central = solve_minmax(cones, HorizontalHyperplane(0.0), p0, cfg)
-        ring = run_ring(make_ring(cones), PLANE, p0, cfg)
+        ring = run_ring(cones, PLANE, p0, cfg)
         ring_events = [r for r in ring.trace if r.bregman_event]
         assert len(ring_events) == central.outer_iters
         for rec, ev in zip(central.trace, ring_events):
@@ -194,12 +171,7 @@ class TestRunRing:
             ]
             p0 = pt([0.0], 30.0)
             central = solve_minmax(cones, HorizontalHyperplane(-0.5), p0, cfg)
-            ring = run_ring(
-                [AgentNode(i + 1, c) for i, c in enumerate(cones)],
-                HorizontalHyperplane(-0.5),
-                p0,
-                cfg,
-            )
+            ring = run_ring(cones, HorizontalHyperplane(-0.5), p0, cfg)
             assert np.linalg.norm(ring.x_star - central.x_star) <= 10 * cfg.outer_tol
 
     def test_cycle_cap_failure_carries_trace(self):
@@ -207,24 +179,24 @@ class TestRunRing:
         cfg = ToleranceConfig(max_inner_cycles=3)
         # from below the cones the first inner run needs 4 cycles
         with pytest.raises(ConvergenceError) as exc:
-            run_ring(make_ring(cones), PLANE, pt([0.0], 0.0), cfg)
+            run_ring(cones, PLANE, pt([0.0], 0.0), cfg)
         assert len(exc.value.trace) == 9
         assert [r.cycle for r in list(exc.value.trace)[-3:]] == [3, 3, 3]
 
     def test_inner_cap_counts_cycles_since_the_last_event(self):
         cones = [SecondOrderCone(pt([x], 0.0), 1.0) for x in (-1.0, 2.0, 4.0)]
         p0 = pt([0.0], 9.0)
-        sol = run_ring(make_ring(cones), PLANE, p0, CFG)
+        sol = run_ring(cones, PLANE, p0, CFG)
         events = [r.cycle for r in sol.trace if r.bregman_event]
         gaps = np.diff([0] + events)
         # a cap equal to the longest stretch between events still converges
         cfg = ToleranceConfig(max_inner_cycles=int(gaps.max()))
-        capped = run_ring(make_ring(cones), PLANE, p0, cfg)
+        capped = run_ring(cones, PLANE, p0, cfg)
         assert capped.inner_cycles_total == sol.inner_cycles_total
         # one less trips in that stretch, after its cycles
         cfg = ToleranceConfig(max_inner_cycles=int(gaps.max()) - 1)
         with pytest.raises(ConvergenceError) as exc:
-            run_ring(make_ring(cones), PLANE, p0, cfg)
+            run_ring(cones, PLANE, p0, cfg)
         stop = events[int(gaps.argmax())] - 1
         assert list(exc.value.trace)[-1].cycle == stop
         assert len(exc.value.trace) == 3 * stop
@@ -233,7 +205,7 @@ class TestRunRing:
         cones = [SecondOrderCone(pt([x], 0.0), 1.0) for x in (-1.0, 2.0, 4.0)]
         cfg = ToleranceConfig(max_outer_iters=2)
         with pytest.raises(ConvergenceError) as exc:
-            run_ring(make_ring(cones), PLANE, pt([0.0], 9.0), cfg)
+            run_ring(cones, PLANE, pt([0.0], 9.0), cfg)
         assert exc.value.iterations == 2
         assert sum(r.bregman_event for r in exc.value.trace) == 2
         assert list(exc.value.trace)[-1].bregman_event
@@ -255,16 +227,26 @@ class TestRunRing:
         cycles, points = [], []
         for err in (1e-3, 1e-7):
             before = len(built)
-            sol = run_ring(make_ring(cones), PLANE_2D, p0, ToleranceConfig(err=err))
+            sol = run_ring(cones, PLANE_2D, p0, ToleranceConfig(err=err))
             cycles.append(sol.inner_cycles_total)
             points.append(len(built) - before)
         assert cycles[0] < cycles[1]
         assert points[0] == points[1]
 
-    def test_agents_must_be_ordered(self):
-        nodes = [AgentNode(2, HorizontalHyperplane(0.0))]
+    def test_no_agents_rejected(self):
         with pytest.raises(ValueError):
-            run_ring(nodes, PLANE, pt([0.0], 0.0), CFG)
+            run_ring([], PLANE, pt([0.0], 0.0), CFG)
+
+    def test_repeated_solves_are_identical(self):
+        # the increments live inside a solve, so a second one on the same
+        # sets starts afresh
+        cones = [
+            SecondOrderCone(pt([x], 0.0), 4.0)
+            for x in (-3.542884, 3.001152, 6.924106, -18.0296)
+        ]
+        first = run_ring(cones, PLANE, pt([0.0], 80.0), CFG)
+        again = run_ring(cones, PLANE, pt([0.0], 80.0), CFG)
+        assert hexed(again) == hexed(first)
 
     @staticmethod
     def lens_sets(plane_dim):
@@ -281,7 +263,7 @@ class TestRunRing:
         sets = self.lens_sets(2)
         plane, p0 = HorizontalHyperplane(0.0, dim=2), pt([1.0, 1.0], 5.0)
         corner = np.array([0.75, np.sqrt(7.0) / 4.0, 1.0])
-        ring = run_ring(make_ring(sets), plane, p0, CFG)
+        ring = run_ring(sets, plane, p0, CFG)
         central = solve_minmax(sets, plane, p0, CFG)
         for sol in (ring, central):
             assert np.linalg.norm(np.append(sol.x_star, sol.t_star) - corner) <= 10 * CFG.outer_tol
@@ -289,37 +271,46 @@ class TestRunRing:
     def test_plane_agent_of_the_wrong_dimension_is_rejected(self):
         plane, p0 = HorizontalHyperplane(0.0, dim=2), pt([1.0, 1.0], 5.0)
         with pytest.raises(DimensionMismatchError):
-            run_ring(make_ring(self.lens_sets(1)), plane, p0, CFG)
+            run_ring(self.lens_sets(1), plane, p0, CFG)
 
     def test_plane_of_the_wrong_dimension_is_rejected(self):
         # a 1-D plane under 2-D cones fails in both modes alike
         cones = [SecondOrderCone(pt([x, y], 0.0), 1.0) for x, y in ((0.0, 0.0), (3.0, 1.0))]
         p0 = pt([1.0, 1.0], 9.0)
         with pytest.raises(DimensionMismatchError):
-            run_ring(make_ring(cones), PLANE, p0, CFG)
+            run_ring(cones, PLANE, p0, CFG)
         with pytest.raises(DimensionMismatchError):
             solve_minmax(cones, PLANE, p0, CFG)
 
 
-def full_ring(agents, plane, p0, cfg):
-    """run_ring as the plain loop that calls agent_step at every visit.
+def full_ring(sets, plane, p0, cfg):
+    """run_ring as the plain loop that calls agent_step at every visit,
+    with increments of its own.
 
     Returns the solution and how many flag-1 visits reset a nonzero
     increment. Assumes the solve converges within cfg's caps.
     """
-    msg = RingMessage(p0.to_array(), 0)
+    increments = [np.zeros(p0.dim + 1) for _ in sets]
+    guess, flag, drift, last_guess = p0.to_array(), 0, 0.0, None
     trace, prev_plane, n_events, resets = [], None, 0, 0
     for cycle in itertools.count(1):
-        node1, msg, event = coordinator_step(agents[0], msg, plane, cfg)
-        trace.append(
-            TraceEvent(
-                cycle, 1, msg.guess, float(np.linalg.norm(node1.increment)),
-                msg.flag, event.bregman,
+        for i, s in enumerate(sets):
+            resets += i > 0 and flag == 1 and bool(increments[i].any())
+            guess, inc = agent_step(s, increments[i], guess, flag)
+            drift += float(np.linalg.norm(inc - increments[i]))
+            increments[i] = inc
+            bregman = False
+            if i == 0:
+                a = guess
+                e, plane_pt = coordinator_step(a, last_guess, drift, plane, cfg)
+                drift, bregman = 0.0, plane_pt is not None
+                guess, last_guess, flag = (plane_pt, None, 1) if bregman else (a, a, 0)
+            trace.append(
+                TraceEvent(cycle, i + 1, guess, float(np.linalg.norm(inc)), flag, bregman)
             )
-        )
-        if event.bregman:
+            if not bregman:
+                continue
             n_events += 1
-            a, plane_pt = event.pre_plane, msg.guess
             if (
                 prev_plane is not None
                 and float(np.linalg.norm(plane_pt - prev_plane)) < cfg.outer_tol
@@ -332,26 +323,14 @@ def full_ring(agents, plane, p0, cfg):
                     outer_iters=n_events,
                     trace=trace,
                     plane_grazed=(float(a[-1]) - plane.t_min) < cfg.outer_tol,
-                    message_counts={
-                        n.id: cycle if n.id == 1 else cycle - 1 for n in agents
-                    },
                 )
                 return sol, resets
             prev_plane = plane_pt
-        for node in agents[1:]:
-            resets += msg.flag == 1 and bool(node.increment.any())
-            node, msg = agent_step(node, msg)
-            trace.append(
-                TraceEvent(
-                    cycle, node.id, msg.guess, float(np.linalg.norm(node.increment)),
-                    msg.flag, False,
-                )
-            )
 
 
-def hexed(sol, agents):
-    """Every float of a solution, its trace and the final increments as
-    float.hex strings, with the counts, for a bit-for-bit comparison."""
+def hexed(sol):
+    """Every float of a solution and its trace as float.hex strings, with
+    the counts, for a bit-for-bit comparison."""
 
     def h(a):
         return [float(c).hex() for c in np.ravel(a)]
@@ -363,8 +342,6 @@ def hexed(sol, agents):
         ],
         h(sol.x_star), h(sol.t_star), h(sol.distance),
         sol.inner_cycles_total, sol.outer_iters, sol.plane_grazed,
-        sol.message_counts,
-        [h(a.increment) for a in agents],
     )
 
 
@@ -401,8 +378,7 @@ class TestSkippedVisits:
         sets = random_agent_sets(seed)
         dim = sets[0].dim
         plane, p0 = HorizontalHyperplane(-0.5, dim=dim), PointTime(np.zeros(dim), 30.0)
-        ref_agents = make_ring(sets)
-        ref, resets = full_ring(ref_agents, plane, p0, CFG)
+        ref, resets = full_ring(sets, plane, p0, CFG)
         # a set that is not a cone is projected at every one of its visits
         calls = Counter()
         for cls in (Halfspace, Ball):
@@ -411,13 +387,12 @@ class TestSkippedVisits:
                 return project(self, v)
 
             monkeypatch.setattr(cls, "project", counting)
-        agents = make_ring(sets)
-        sol = run_ring(agents, plane, p0, CFG)
-        assert hexed(sol, agents) == hexed(ref, ref_agents)
-        for a in agents:
-            if not isinstance(a.own_set, SecondOrderCone):
-                visits = sum(r.agent_id == a.id for r in sol.trace)
-                assert calls[id(a.own_set)] == visits
+        sol = run_ring(sets, plane, p0, CFG)
+        assert hexed(sol) == hexed(ref)
+        for i, s in enumerate(sets):
+            if not isinstance(s, SecondOrderCone):
+                visits = sum(r.agent_id == i + 1 for r in sol.trace)
+                assert calls[id(s)] == visits
         # the flag-1 reset of a nonzero increment is a real change, which
         # every case takes
         assert resets > 0
@@ -433,7 +408,7 @@ class TestSkippedVisits:
             return project(self, v)
 
         monkeypatch.setattr(SecondOrderCone, "project", counting)
-        sol = run_ring(make_ring(cones), PLANE_2D, pt([5.0, 5.0], 20.0), CFG)
+        sol = run_ring(cones, PLANE_2D, pt([5.0, 5.0], 20.0), CFG)
         assert len(calls) < len(sol.trace)
         ids = {}
         for row in sol.trace:
@@ -472,16 +447,16 @@ class TestRingTrace:
     def test_reads_as_a_list(self, seed):
         sets = random_agent_sets(seed)
         plane, p0 = HorizontalHyperplane(-0.5), PointTime(np.zeros(sets[0].dim), 30.0)
-        sol = run_ring(make_ring(sets), plane, p0, CFG)
+        sol = run_ring(sets, plane, p0, CFG)
         assert_reads_as_its_rows(sol.trace)
         # and it holds the rows of the per-visit loop
-        ref, _ = full_ring(make_ring(sets), plane, p0, CFG)
+        ref, _ = full_ring(sets, plane, p0, CFG)
         assert [r.agent_id for r in sol.trace] == [r.agent_id for r in ref.trace]
 
     def test_skipped_runs_are_not_rows(self):
         rng = np.random.default_rng(3)
         cones = [SecondOrderCone(pt(rng.uniform(0, 10, 2), 0.0), 1.0) for _ in range(16)]
-        sol = run_ring(make_ring(cones), PLANE_2D, pt([5.0, 5.0], 20.0), CFG)
+        sol = run_ring(cones, PLANE_2D, pt([5.0, 5.0], 20.0), CFG)
         assert_reads_as_its_rows(sol.trace)
         # 5009 rows in 2368 runs
         assert len(list(sol.trace.runs())) < len(sol.trace) / 2
@@ -494,7 +469,7 @@ class TestRingTrace:
         rng = np.random.default_rng(3)
         cones = [SecondOrderCone(pt(rng.uniform(0, 10, 2), 0.0), 1.0) for _ in range(16)]
         with pytest.raises(ConvergenceError) as exc:
-            run_ring(make_ring(cones), PLANE_2D, pt([5.0, 5.0], 20.0), ToleranceConfig(**caps))
+            run_ring(cones, PLANE_2D, pt([5.0, 5.0], 20.0), ToleranceConfig(**caps))
         assert_reads_as_its_rows(exc.value.trace)
 
     def test_centralized_trace_reads_as_a_list(self):
