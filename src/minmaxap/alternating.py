@@ -23,13 +23,16 @@ class ToleranceConfig:
     err is the inner Dykstra cycle-to-cycle threshold; outer_tol stops the
     outer Bregman loop once consecutive plane-side points move less than it.
     max_inner_cycles caps the Dykstra cycles of one inner run and
-    max_outer_iters the Bregman steps.
+    max_outer_iters the Bregman steps. warm_start starts every inner run
+    after the first from the last run's increments; False restarts each
+    from zero increments, the paper's protocol.
     """
 
     err: float = 1e-7
     outer_tol: float = 1e-6
     max_inner_cycles: int = 10000
     max_outer_iters: int = 500
+    warm_start: bool = True
 
     def __post_init__(self):
         for tol in (self.err, self.outer_tol):
@@ -43,15 +46,19 @@ class ToleranceConfig:
                 raise TypeError("iteration caps must be integers")
             if cap < 1:
                 raise ValueError("iteration caps must be at least 1")
+        if not isinstance(self.warm_start, bool):
+            raise TypeError("warm_start must be true or false")
 
 
 class TraceEvent(NamedTuple):
     """One row of a solver trace.
 
     The centralized solver writes one row per Bregman step: the
-    intersection-side iterate, agent 0, increment norm 0.0, flag 1 and a
-    Bregman event. The ring writes one row per agent visit: the guess that
-    agent sends on, its increment norm and the message flag.
+    intersection-side iterate, agent 0, increment norm 0.0, a Bregman
+    event and flag 1, or 0 under warm_start, which resets no increments.
+    The ring writes one row per agent visit: the guess that agent sends
+    on, its increment norm and the message flag; at a Bregman event agent
+    1's row holds the guess it dropped onto the plane.
     """
 
     cycle: int
@@ -121,6 +128,17 @@ def dykstra_project(
     ConeStack.first_nontrivial finds are skipped, as run_ring skips trivial
     agent visits, so the result and the cycle count are those of the plain
     per-set loop. p0 itself comes back when no step moves it.
+
+    stats, when given, is a dict the run reports its cycle count in, as
+    stats["cycles"]. The run's increments, one (n+1,) row per set, are
+    stats["increments"]: an (m, n+1) array found there is the start of a
+    warm run, and the run updates it in place; without one the run starts
+    from zero increments and leaves its own there. Every step keeps the
+    iterate at b + increments.sum(0), where b is the point being
+    projected, so a warm run's p0 must be b plus the sum of its starting
+    increments. From any such start the run converges to the projection
+    of b: the increments are the variables of the dual problem that
+    Dykstra's method ascends block by block.
     """
     if not sets:
         raise ValueError("sets must be nonempty")
@@ -128,8 +146,13 @@ def dykstra_project(
         s._check(p0)
     x = p0
     m = len(sets)
-    increments = np.zeros((m, x.size))
-    zero = np.ones(m, dtype=bool)  # increment is +0.0 in every component
+    if stats is None:
+        stats = {}
+    increments = stats.setdefault("increments", np.zeros((m, x.size)))
+    if increments.shape != (m, x.size):
+        raise ValueError(f"increments must have shape {(m, x.size)}, got {increments.shape}")
+    # increment is +0.0 in every component
+    zero = np.array([plus_zero(inc) for inc in increments])
     cones = ConeStack(sets)
     prev = None
     resid = np.inf
@@ -155,12 +178,10 @@ def dykstra_project(
             # still drift, so both must settle before we may stop
             resid = norm(x - prev) + drift
             if resid < cfg.err:
-                if stats is not None:
-                    stats["cycles"] = cycle
+                stats["cycles"] = cycle
                 return x
         prev = x
-    if stats is not None:
-        stats["cycles"] = cfg.max_inner_cycles
+    stats["cycles"] = cfg.max_inner_cycles
     raise ConvergenceError(
         "Dykstra cycle cap reached (empty or ill-conditioned intersection?)",
         iterate=x.copy(),
@@ -183,28 +204,33 @@ def solve_minmax(
     less than cfg.outer_tol; a_k is then the solution and ``distance`` the
     gap to b_k. Every ConvergenceError carries the trace so far.
 
+    With cfg.warm_start the run for b_k starts from the increments the
+    run for b_{k-1} ended with, at b_k + (a_k - b_{k-1}); otherwise each
+    run starts from zero increments at b_k.
+
     Requires plane.t_min to lie strictly below the intersection's minimum
     height; if the limit ends up within outer_tol of the plane the result
     is flagged (plane_grazed) since that signals a violated precondition.
     """
     if not epigraphs:
         raise ValueError("epigraphs must be nonempty")
-    b = p0.to_array()
+    start = b = p0.to_array()
     plane._check(b)
-    prev_b = None
+    # the warm runs' increments, carried from one outer step to the next
+    increments = np.zeros((len(epigraphs), b.size))
     trace = Trace()
     inner_total = 0
     for k in range(1, cfg.max_outer_iters + 1):
-        stats: dict = {}
+        stats = {"increments": increments} if cfg.warm_start else {}
         try:
-            a = dykstra_project(epigraphs, b, cfg, stats=stats)
+            a = dykstra_project(epigraphs, start, cfg, stats=stats)
         except ConvergenceError as exc:
             exc.trace = trace
             raise
         inner_total += stats["cycles"]
-        b = plane.project(a)
-        trace._add(k, 0, 1, a, 0.0, 1, True)
-        if prev_b is not None and float(np.linalg.norm(b - prev_b)) < cfg.outer_tol:
+        prev_b, b = b, plane.project(a)
+        trace._add(k, 0, 1, a, 0.0, int(not cfg.warm_start), True)
+        if k > 1 and float(np.linalg.norm(b - prev_b)) < cfg.outer_tol:
             t_star = float(a[-1])
             return MinMaxSolution(
                 x_star=a[:-1].copy(),
@@ -215,7 +241,9 @@ def solve_minmax(
                 trace=trace,
                 plane_grazed=(t_star - plane.t_min) < cfg.outer_tol,
             )
-        prev_b = b
+        # a - prev_b is the sum of the increments, so the warm run starts
+        # where that invariant puts the iterate of a run from b
+        start = b + (a - prev_b) if cfg.warm_start else b
     raise ConvergenceError(
         "Bregman outer iteration cap reached",
         iterate=a.copy(),

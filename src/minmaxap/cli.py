@@ -46,6 +46,14 @@ class ExperimentConfig:
     sample_dt: float = 0.1
 
 
+# the keys each part of a config may hold
+CONFIG_KEYS = ("agents", "solver", "mode", "outputs")
+TOLERANCE_KEYS = ("err", "outer_tol", "max_inner_cycles", "max_outer_iters")
+SOLVER_KEYS = TOLERANCE_KEYS + ("t_min",)
+OUTPUT_KEYS = ("solution", "trace", "trajectory", "sample_dt")
+AGENT_KEYS = ("model", "x0", "v0", "u_max")
+
+
 class ConfigError(ValueError):
     def __init__(self, problems: List[str]):
         super().__init__("; ".join(problems))
@@ -71,6 +79,12 @@ def _section(raw: dict, name: str, problems: List[str]) -> dict:
     return {}
 
 
+def _unknown_keys(section: dict, prefix: str, known, problems: List[str]) -> None:
+    """Note every key of section that is not one of known: a misspelt key
+    would otherwise leave its default in force without a word."""
+    problems.extend(f"{prefix}{k}: unknown key" for k in section if k not in known)
+
+
 def load_config(path: str) -> ExperimentConfig:
     problems: List[str] = []
     try:
@@ -80,6 +94,7 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError([f"cannot read config: {exc}"])
     if not isinstance(raw, dict):
         raise ConfigError(["config: the top level must be a JSON object"])
+    _unknown_keys(raw, "", CONFIG_KEYS, problems)
 
     agents_raw = raw.get("agents")
     agents: List[AgentDynamics] = []
@@ -90,6 +105,7 @@ def load_config(path: str) -> ExperimentConfig:
             if not isinstance(a, dict):
                 problems.append(f"agents[{i}]: must be a JSON object")
                 continue
+            _unknown_keys(a, f"agents[{i}].", AGENT_KEYS, problems)
             try:
                 agents.append(
                     AgentDynamics(
@@ -107,11 +123,15 @@ def load_config(path: str) -> ExperimentConfig:
             problems.append("agents: every agent must use the same model")
 
     s = _section(raw, "solver", problems)
+    _unknown_keys(s, "solver.", SOLVER_KEYS, problems)
     solver = None
     try:
-        # the defaults are ToleranceConfig's own
+        # the defaults are ToleranceConfig's own, but the CLI keeps the
+        # paper's protocol: every inner run restarts from zero increments,
+        # so warm_start is no config key
         solver = ToleranceConfig(
-            **{k: s[k] for k in ("err", "outer_tol", "max_inner_cycles", "max_outer_iters") if k in s}
+            warm_start=False,
+            **{k: s[k] for k in TOLERANCE_KEYS if k in s},
         )
     except (ValueError, TypeError) as exc:
         problems.append(f"solver: {exc}")
@@ -126,6 +146,7 @@ def load_config(path: str) -> ExperimentConfig:
         problems.append(f"mode: must be centralized or ring, got {mode!r}")
 
     out = _section(raw, "outputs", problems)
+    _unknown_keys(out, "outputs.", OUTPUT_KEYS, problems)
     outputs = {}
     for key in ("solution", "trace", "trajectory"):
         path = outputs[f"{key}_path"] = out.get(key)

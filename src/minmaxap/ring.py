@@ -4,7 +4,11 @@ N agents sit on a cyclic digraph; agent i owns the set sets[i-1] and a
 private Dykstra increment.  A single (guess, flag) message circulates
 1 -> 2 -> ... -> N -> 1.  Agent 1 doubles as coordinator: when its own
 projection stops moving it drops the guess onto the plane (the Bregman
-step) and raises the increment-reset flag for one full cycle.
+step) and raises the increment-reset flag for one full cycle.  Under
+cfg.warm_start it sends the plane point plus a - b_prev instead, with
+flag 0, and every agent keeps its increment: a, agent 1's guess, and
+b_prev, the plane point the inner run started from, are both its own,
+and their difference is the sum of all the increments.
 
 run_ring keeps the increments in one (N, n+1) array, as dykstra_project
 does, and calls agent_step at each visit and coordinator_step once per
@@ -86,10 +90,15 @@ def run_ring(
     builds from the received guess array is the one it would have
     written. A nonzero increment that flag 1 resets is a real change,
     and its agent is always visited.
+
+    With cfg.warm_start a Bregman event sends the plane point plus a -
+    b_prev with flag 0, so the next inner run starts from the increments
+    the last one ended with, as in solve_minmax. Agent 1's event row holds
+    the plane point either way.
     """
     if not sets:
         raise ValueError("at least one agent is required")
-    guess = p0.to_array()
+    guess = b_prev = p0.to_array()
     plane._check(guess)
     for s in sets:
         s._check(guess)
@@ -104,7 +113,6 @@ def run_ring(
     drift = 0.0
     last_guess: Optional[Array] = None
     trace = Trace()
-    prev_plane: Optional[Array] = None
     n_events = 0
     last_event_cycle = 0
     best = guess
@@ -118,14 +126,21 @@ def run_ring(
         # after a Bregman event agent 1 forgets the pre-drop guess: the
         # restarted inner run must stabilize on its own evidence, not by
         # matching the run it replaced
-        guess, last_guess, flag = (plane_pt, None, 1) if bregman else (a, a, 0)
-        trace._add(cycle, 1, 2, guess, norm(inc), flag, bregman)
+        if not bregman:
+            guess, last_guess, flag = a, a, 0
+        elif cfg.warm_start:
+            # a - b_prev is the sum of every increment, so the run from
+            # plane_pt keeps them all
+            guess, last_guess, flag = plane_pt + (a - b_prev), None, 0
+        else:
+            guess, last_guess, flag = plane_pt, None, 1
+        trace._add(cycle, 1, 2, plane_pt if bregman else a, norm(inc), flag, bregman)
         if bregman:
             n_events += 1
             last_event_cycle = cycle
             best = a
             gap = norm(a - plane_pt)
-            if prev_plane is not None and norm(plane_pt - prev_plane) < cfg.outer_tol:
+            if n_events > 1 and norm(plane_pt - b_prev) < cfg.outer_tol:
                 t_star = float(a[-1])
                 return MinMaxSolution(
                     x_star=a[:-1].copy(),
@@ -144,7 +159,7 @@ def run_ring(
                     iterations=n_events,
                     trace=trace,
                 )
-            prev_plane = plane_pt
+            b_prev = plane_pt
         elif n_events == 0:
             best = a
         i = 1

@@ -53,6 +53,15 @@ class TestToleranceConfig:
         with pytest.raises(TypeError):
             ToleranceConfig(max_outer_iters=cap)
 
+    @pytest.mark.parametrize("flag", [1, "yes", None])
+    def test_rejects_non_bool_warm_start(self, flag):
+        with pytest.raises(TypeError):
+            ToleranceConfig(warm_start=flag)
+
+    def test_warm_start_by_default(self):
+        assert ToleranceConfig().warm_start is True
+        assert ToleranceConfig(warm_start=False).warm_start is False
+
 
 class TestDykstra:
     def test_nonpositive_quadrant(self):
@@ -119,11 +128,12 @@ class TestDykstra:
         assert all(b <= a + 1e-9 for a, b in zip(dists, dists[1:]))
 
 
-def textbook_dykstra(sets, p0, cfg):
+def textbook_dykstra(sets, p0, cfg, incs=None):
     """Cyclic Dykstra as written in textbooks: one projection per set per
-    cycle, nothing skipped. Returns the iterate and the cycle count."""
+    cycle, nothing skipped, from the given increments (zero by default).
+    Returns the iterate and the cycle count."""
     x = p0
-    incs = [np.zeros_like(x) for _ in sets]
+    incs = [np.zeros_like(x) for _ in sets] if incs is None else [r.copy() for r in incs]
     prev = prev_incs = None
     for cycle in range(1, cfg.max_inner_cycles + 1):
         for i, s in enumerate(sets):
@@ -172,6 +182,34 @@ class TestDykstraMatchesTextbook:
         # from the plane below (the solver's case) and from inside them all
         for t in (0.0, rng.uniform(-3.0, 3.0), 40.0):
             self.assert_same(cones, vec(centre + rng.normal(size=dim), t))
+
+    def test_warm_run_from_the_last_increments(self):
+        # the increments one run ends with start the next, from another
+        # point of the plane below; a nonzero increment is never skipped
+        rng = np.random.default_rng(11)
+        cones = random_cones(rng, 16, 2)
+        centre = np.mean([c.apex.x for c in cones], axis=0)
+        b = vec(centre, -5.0)
+        first = {}
+        a = dykstra_project(cones, b, CFG, stats=first)
+        inc = first["increments"]
+        active = [bool(r.any()) for r in inc]
+        assert inc.shape == (16, 3) and any(active) and not all(active)
+        b_next = vec(centre + rng.normal(size=2), -5.0)
+        start = b_next + (a - b)
+        x, cycles = textbook_dykstra(cones, start, CFG, incs=inc)
+        stats = {"increments": inc}
+        q = dykstra_project(cones, start, CFG, stats=stats)
+        assert [float(v).hex() for v in q] == [float(v).hex() for v in x]
+        assert stats["cycles"] == cycles
+        # updated in place, and the run still lands on the projection of b_next
+        assert stats["increments"] is inc
+        assert np.linalg.norm(q - dykstra_project(cones, b_next, CFG)) < 1e-6
+
+    def test_increments_of_the_wrong_shape_rejected(self):
+        cones = random_cones(np.random.default_rng(3), 4, 1)
+        with pytest.raises(ValueError):
+            dykstra_project(cones, vec([0.0], 0.0), CFG, stats={"increments": np.zeros((3, 2))})
 
     def test_mixed_family(self):
         # Halfspace and Ball have no batched test, so they are never skipped

@@ -152,6 +152,44 @@ class TestLoadConfig:
         assert "config error: " in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"solver": {"max_outer_iter": 1}}, "solver.max_outer_iter"),
+            ({"solver": {"warm_start": True}}, "solver.warm_start"),
+            ({"outputs": {"solutions": "s.json"}}, "outputs.solutions"),
+            ({"agents": [{"x0": [0.0], "umax": 2.0}]}, "agents[0].umax"),
+            ({"modes": "ring"}, "modes"),
+            ({"warm_start": False}, "warm_start"),
+        ],
+        ids=["solver-typo", "solver-warm_start", "outputs-typo", "agent-typo", "top-typo", "top-warm_start"],
+    )
+    def test_unknown_key_is_a_config_error(self, tmp_path, capsys, overrides, key):
+        # a misspelt key must not leave its default in force: with
+        # "max_outer_iter": 1 the solve took 2 outer steps and exited 0
+        path = write_config(tmp_path / "c.json", **overrides)
+        assert main(["solve", "--config", path]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.splitlines() == [f"config error: {key}: unknown key"]
+
+    def test_every_unknown_key_reported(self, tmp_path):
+        path = write_config(
+            tmp_path / "c.json",
+            agents=[{"x0": [0.0], "vo": 1.0}, {"x0": [1.0], "u_max": 2.0}],
+            solver={"err": 1e-7, "tol": 1e-6},
+            extra=1,
+        )
+        with pytest.raises(ConfigError) as exc:
+            load_config(path)
+        assert sorted(exc.value.problems) == [
+            "agents[0].vo: unknown key",
+            "extra: unknown key",
+            "solver.tol: unknown key",
+        ]
+
+    def test_cli_keeps_the_reset_protocol(self, tmp_path):
+        assert load_config(write_config(tmp_path / "c.json")).solver.warm_start is False
+
+
 def test_cli_import_leaves_scipy_unloaded():
     src = os.path.dirname(os.path.dirname(os.path.abspath(minmaxap.__file__)))
     code = "import sys, minmaxap.cli; print('scipy' in sys.modules)"

@@ -80,6 +80,8 @@ class TestCoordinatorStep:
 
 
 CFG = ToleranceConfig()
+# the paper's protocol: flag 1 resets every increment after a Bregman event
+COLD = ToleranceConfig(warm_start=False)
 PLANE = HorizontalHyperplane(0.0)
 PLANE_2D = HorizontalHyperplane(0.0, dim=2)
 
@@ -128,7 +130,7 @@ class TestRunRing:
             SecondOrderCone(pt([-1.0], 0.0), 1.0),
             SecondOrderCone(pt([1.0], 0.0), 1.0),
         ]
-        sol = run_ring(cones, PLANE, pt([0.3], 4.0), CFG)
+        sol = run_ring(cones, PLANE, pt([0.3], 4.0), COLD)
         # on a flag-1 step the stale increment is discarded, so the fresh
         # increment equals emitted guess minus received guess
         rows = list(sol.trace)
@@ -146,9 +148,8 @@ class TestRunRing:
             for x in (-3.542884, 3.001152, 6.924106, -18.0296)
         ]
         p0 = pt([0.0], 80.0)
-        cfg = ToleranceConfig()
-        central = solve_minmax(cones, HorizontalHyperplane(0.0), p0, cfg)
-        ring = run_ring(cones, PLANE, p0, cfg)
+        central = solve_minmax(cones, HorizontalHyperplane(0.0), p0, COLD)
+        ring = run_ring(cones, PLANE, p0, COLD)
         ring_events = [r for r in ring.trace if r.bregman_event]
         assert len(ring_events) == central.outer_iters
         for rec, ev in zip(central.trace, ring_events):
@@ -156,6 +157,21 @@ class TestRunRing:
             # events agree to well below the outer tolerance scale; a
             # centralized row holds the intersection-side point and a ring
             # event row the guess dropped onto the plane, so compare x
+            assert np.linalg.norm(rec.point[:-1] - ev.point[:-1]) < 1e-4
+
+    @pytest.mark.parametrize("seed", range(0, 20, 3))
+    def test_warm_matches_centralized_at_bregman_events(self, seed):
+        # both modes carry the increments over from run to run, so their
+        # events agree as the reset protocol's do
+        sets = random_agent_sets(seed)
+        dim = sets[0].dim
+        plane, p0 = HorizontalHyperplane(-0.5, dim=dim), PointTime(np.zeros(dim), 30.0)
+        central = solve_minmax(sets, plane, p0, CFG)
+        ring = run_ring(sets, plane, p0, CFG)
+        ring_events = [r for r in ring.trace if r.bregman_event]
+        assert len(ring_events) == central.outer_iters
+        for rec, ev in zip(central.trace, ring_events):
+            assert ev.flag == rec.flag == 0
             assert np.linalg.norm(rec.point[:-1] - ev.point[:-1]) < 1e-4
 
     def test_ring_centralized_equivalence_random(self):
@@ -285,14 +301,16 @@ class TestRunRing:
 
 def full_ring(sets, plane, p0, cfg):
     """run_ring as the plain loop that calls agent_step at every visit,
-    with increments of its own.
+    with increments of its own, under either cfg.warm_start.
 
     Returns the solution and how many flag-1 visits reset a nonzero
     increment. Assumes the solve converges within cfg's caps.
     """
     increments = [np.zeros(p0.dim + 1) for _ in sets]
     guess, flag, drift, last_guess = p0.to_array(), 0, 0.0, None
-    trace, prev_plane, n_events, resets = [], None, 0, 0
+    # the plane point the current inner run started from
+    b_prev = guess
+    trace, n_events, resets = [], 0, 0
     for cycle in itertools.count(1):
         for i, s in enumerate(sets):
             resets += i > 0 and flag == 1 and bool(increments[i].any())
@@ -304,17 +322,26 @@ def full_ring(sets, plane, p0, cfg):
                 a = guess
                 e, plane_pt = coordinator_step(a, last_guess, drift, plane, cfg)
                 drift, bregman = 0.0, plane_pt is not None
-                guess, last_guess, flag = (plane_pt, None, 1) if bregman else (a, a, 0)
+                if not bregman:
+                    guess, last_guess, flag = a, a, 0
+                elif cfg.warm_start:
+                    guess, last_guess, flag = plane_pt + (a - b_prev), None, 0
+                else:
+                    guess, last_guess, flag = plane_pt, None, 1
             trace.append(
-                TraceEvent(cycle, i + 1, guess, float(np.linalg.norm(inc)), flag, bregman)
+                TraceEvent(
+                    cycle,
+                    i + 1,
+                    plane_pt if bregman else guess,
+                    float(np.linalg.norm(inc)),
+                    flag,
+                    bregman,
+                )
             )
             if not bregman:
                 continue
             n_events += 1
-            if (
-                prev_plane is not None
-                and float(np.linalg.norm(plane_pt - prev_plane)) < cfg.outer_tol
-            ):
+            if n_events > 1 and float(np.linalg.norm(plane_pt - b_prev)) < cfg.outer_tol:
                 sol = MinMaxSolution(
                     x_star=a[:-1].copy(),
                     t_star=float(a[-1]),
@@ -325,7 +352,7 @@ def full_ring(sets, plane, p0, cfg):
                     plane_grazed=(float(a[-1]) - plane.t_min) < cfg.outer_tol,
                 )
                 return sol, resets
-            prev_plane = plane_pt
+            b_prev = plane_pt
 
 
 def hexed(sol):
@@ -378,7 +405,7 @@ class TestSkippedVisits:
         sets = random_agent_sets(seed)
         dim = sets[0].dim
         plane, p0 = HorizontalHyperplane(-0.5, dim=dim), PointTime(np.zeros(dim), 30.0)
-        ref, resets = full_ring(sets, plane, p0, CFG)
+        ref, resets = full_ring(sets, plane, p0, COLD)
         # a set that is not a cone is projected at every one of its visits
         calls = Counter()
         for cls in (Halfspace, Ball):
@@ -387,7 +414,7 @@ class TestSkippedVisits:
                 return project(self, v)
 
             monkeypatch.setattr(cls, "project", counting)
-        sol = run_ring(sets, plane, p0, CFG)
+        sol = run_ring(sets, plane, p0, COLD)
         assert hexed(sol) == hexed(ref)
         for i, s in enumerate(sets):
             if not isinstance(s, SecondOrderCone):
@@ -396,6 +423,21 @@ class TestSkippedVisits:
         # the flag-1 reset of a nonzero increment is a real change, which
         # every case takes
         assert resets > 0
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_warm_matches_the_per_visit_loop_bit_for_bit(self, seed):
+        sets = random_agent_sets(seed)
+        dim = sets[0].dim
+        plane, p0 = HorizontalHyperplane(-0.5, dim=dim), PointTime(np.zeros(dim), 30.0)
+        ref, resets = full_ring(sets, plane, p0, CFG)
+        sol = run_ring(sets, plane, p0, CFG)
+        assert hexed(sol) == hexed(ref)
+        # no increment is ever reset, and every event row holds the plane
+        # point that agent 1 dropped
+        assert resets == 0 and all(r.flag == 0 for r in sol.trace)
+        events = [r for r in sol.trace if r.bregman_event]
+        assert len(events) == sol.outer_iters >= 2
+        assert all(r.point[-1] == plane.t_min for r in events)
 
     def test_skips_projections_but_keeps_every_row(self, monkeypatch):
         rng = np.random.default_rng(3)
@@ -447,10 +489,10 @@ class TestRingTrace:
     def test_reads_as_a_list(self, seed):
         sets = random_agent_sets(seed)
         plane, p0 = HorizontalHyperplane(-0.5), PointTime(np.zeros(sets[0].dim), 30.0)
-        sol = run_ring(sets, plane, p0, CFG)
+        sol = run_ring(sets, plane, p0, COLD)
         assert_reads_as_its_rows(sol.trace)
         # and it holds the rows of the per-visit loop
-        ref, _ = full_ring(sets, plane, p0, CFG)
+        ref, _ = full_ring(sets, plane, p0, COLD)
         assert [r.agent_id for r in sol.trace] == [r.agent_id for r in ref.trace]
 
     def test_skipped_runs_are_not_rows(self):
@@ -462,10 +504,16 @@ class TestRingTrace:
         assert len(list(sol.trace.runs())) < len(sol.trace) / 2
 
     @pytest.mark.parametrize(
-        "caps", [{"max_inner_cycles": 3}, {"max_inner_cycles": 15}, {"max_outer_iters": 2}]
+        "caps",
+        [
+            {"max_inner_cycles": 3},
+            {"max_inner_cycles": 15, "warm_start": False},
+            {"max_outer_iters": 2},
+        ],
     )
     def test_partial_trace_after_a_cap_reads_by_index(self, caps):
         # the 16-cone ring has 15 cycles between two of its Bregman events
+        # under the reset protocol; its warm runs are shorter
         rng = np.random.default_rng(3)
         cones = [SecondOrderCone(pt(rng.uniform(0, 10, 2), 0.0), 1.0) for _ in range(16)]
         with pytest.raises(ConvergenceError) as exc:
