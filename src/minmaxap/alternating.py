@@ -57,8 +57,8 @@ class TraceEvent(NamedTuple):
     intersection-side iterate, agent 0, increment norm 0.0, a Bregman
     event and flag 1, or 0 under warm_start, which resets no increments.
     The ring writes one row per agent visit: the guess that agent sends
-    on, its increment norm and the message flag; at a Bregman event agent
-    1's row holds the guess it dropped onto the plane.
+    on, its increment norm and flag 1 in the cycle a reset starts; at a
+    Bregman event agent 1's row holds the plane point it dropped onto.
     """
 
     cycle: int
@@ -191,6 +191,49 @@ def dykstra_project(
     )
 
 
+def bregman_step(
+    k: int, a: Array, b: Array, b_prev: Array, increments: Array, cycles: int,
+    trace: Trace, plane: HorizontalHyperplane, cfg: ToleranceConfig,
+) -> MinMaxSolution | Array:
+    """The end of Bregman step k, in solve_minmax and run_ring alike.
+
+    a is the inner run's result, b = plane.project(a), b_prev the plane
+    point the run projected, increments its (m, n+1) increments, cycles
+    the inner cycles so far and trace the rows so far. Returns the
+    MinMaxSolution once k > 1 and b moved less than cfg.outer_tol (flagged
+    plane_grazed when the limit lies within outer_tol of the plane, which
+    it must lie strictly above), and raises the outer-cap ConvergenceError
+    at k == cfg.max_outer_iters. Otherwise returns the next run's start:
+    a - b_prev is the sum of the increments, so under cfg.warm_start the
+    run keeps them and starts at b + (a - b_prev), where that invariant
+    puts the iterate of a run from b; else they are zeroed in place and it
+    starts at b.
+    """
+    if k > 1 and norm(b - b_prev) < cfg.outer_tol:
+        t_star = float(a[-1])
+        return MinMaxSolution(
+            x_star=a[:-1].copy(),
+            t_star=t_star,
+            distance=norm(a - b),
+            inner_cycles_total=cycles,
+            outer_iters=k,
+            trace=trace,
+            plane_grazed=(t_star - plane.t_min) < cfg.outer_tol,
+        )
+    if k == cfg.max_outer_iters:
+        raise ConvergenceError(
+            "Bregman outer iteration cap reached",
+            iterate=a.copy(),
+            residual=norm(a - b),
+            iterations=k,
+            trace=trace,
+        )
+    if cfg.warm_start:
+        return b + (a - b_prev)
+    increments[...] = 0.0
+    return b
+
+
 def solve_minmax(
     epigraphs: Sequence[ProjectableSet],
     plane: HorizontalHyperplane,
@@ -200,28 +243,19 @@ def solve_minmax(
     """Lowest point of the epigraph intersection A, via Bregman + Dykstra.
 
     Alternates a_k = P_A(b_{k-1}), b_k = P_plane(a_k), with P_A the
-    dykstra_project of the epigraphs, and stops once consecutive b_k move
-    less than cfg.outer_tol; a_k is then the solution and ``distance`` the
-    gap to b_k. Every ConvergenceError carries the trace so far.
-
-    With cfg.warm_start the run for b_k starts from the increments the
-    run for b_{k-1} ended with, at b_k + (a_k - b_{k-1}); otherwise each
-    run starts from zero increments at b_k.
-
-    Requires plane.t_min to lie strictly below the intersection's minimum
-    height; if the limit ends up within outer_tol of the plane the result
-    is flagged (plane_grazed) since that signals a violated precondition.
+    dykstra_project of the epigraphs, for at most cfg.max_outer_iters
+    steps, each ended by bregman_step; a_k is the solution once
+    consecutive b_k move less than cfg.outer_tol, and ``distance`` the gap
+    to b_k. Every ConvergenceError carries the trace so far. All runs
+    share one increment array, kept under cfg.warm_start and zeroed
+    between runs otherwise.
     """
-    if not epigraphs:
-        raise ValueError("epigraphs must be nonempty")
     start = b = p0.to_array()
     plane._check(b)
-    # the warm runs' increments, carried from one outer step to the next
-    increments = np.zeros((len(epigraphs), b.size))
+    stats = {"increments": np.zeros((len(epigraphs), b.size))}
     trace = Trace()
     inner_total = 0
     for k in range(1, cfg.max_outer_iters + 1):
-        stats = {"increments": increments} if cfg.warm_start else {}
         try:
             a = dykstra_project(epigraphs, start, cfg, stats=stats)
         except ConvergenceError as exc:
@@ -230,24 +264,6 @@ def solve_minmax(
         inner_total += stats["cycles"]
         prev_b, b = b, plane.project(a)
         trace._add(k, 0, 1, a, 0.0, int(not cfg.warm_start), True)
-        if k > 1 and float(np.linalg.norm(b - prev_b)) < cfg.outer_tol:
-            t_star = float(a[-1])
-            return MinMaxSolution(
-                x_star=a[:-1].copy(),
-                t_star=t_star,
-                distance=float(np.linalg.norm(a - b)),
-                inner_cycles_total=inner_total,
-                outer_iters=k,
-                trace=trace,
-                plane_grazed=(t_star - plane.t_min) < cfg.outer_tol,
-            )
-        # a - prev_b is the sum of the increments, so the warm run starts
-        # where that invariant puts the iterate of a run from b
-        start = b + (a - prev_b) if cfg.warm_start else b
-    raise ConvergenceError(
-        "Bregman outer iteration cap reached",
-        iterate=a.copy(),
-        residual=float(np.linalg.norm(a - b)),
-        iterations=cfg.max_outer_iters,
-        trace=trace,
-    )
+        start = bregman_step(k, a, b, prev_b, stats["increments"], inner_total, trace, plane, cfg)
+        if isinstance(start, MinMaxSolution):
+            return start

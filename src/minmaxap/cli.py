@@ -259,14 +259,13 @@ def cmd_verify(cfg: ExperimentConfig, result: ConsensusResult, quiet: bool = Fal
     membership = lambda q: all(s.contains(q, 1e-9) for s in sets)
     plane_side = np.append(result.x_consensus, 0.0)
     hint = np.append(result.x_consensus, result.solver.t_star + 1.0)
-    proj_status = "ok"
-    proj_err = float("nan")
+    target = np.append(result.x_consensus, result.solver.t_star)
     try:
         q = numeric_projection(membership, plane_side, feasible_hint=hint, seed=7)
-        target = np.append(result.x_consensus, result.solver.t_star)
         proj_err = float(np.linalg.norm(q - target))
-    except OracleBudgetError as exc:
-        proj_status = "budget exhausted"
+    except OracleBudgetError:
+        # inconclusive, not a mismatch
+        proj_err = None
 
     proj_tol = 1e-2 * (1.0 + abs(result.solver.t_star))
     # the position row shows the first coordinates and the distance
@@ -279,12 +278,12 @@ def cmd_verify(cfg: ExperimentConfig, result: ConsensusResult, quiet: bool = Fal
         print(f"{'quantity':<20} {'solver':>14} {'oracle':>14} {'|diff|':>12} {'bound':>12}")
         for name, sv, ov, err, bnd in rows:
             print(f"{name:<20} {sv:>14.6f} {ov:>14.6f} {err:>12.2e} {bnd:>12.2e}")
-        if proj_status == "ok":
+        if proj_err is not None:
             print(f"{'projection check':<20} {proj_err:>14.2e} vs tol {proj_tol:.2e}")
         else:
             print("projection check     ORACLE BUDGET EXHAUSTED (not a mismatch)")
 
-    if proj_status == "budget exhausted":
+    if proj_err is None:
         print("verification inconclusive: oracle budget exhausted", file=sys.stderr)
         return EXIT_VERIFY
     if x_err > bound or t_err > bound or proj_err > proj_tol:

@@ -135,8 +135,10 @@ def second_order_reach_time_general(
     """Minimum time for the bounded double integrator, arbitrary endpoints.
 
     The active bang-bang branch is picked by the sign of the switching
-    function x2 - x1 - (v1 + v2)|v1 - v2| / (2 u_max); both branches agree
-    on the boundary.
+    function x2 - x1 - (v1 + v2)|v1 - v2| / (2 u_max). Where it is 0 the
+    target lies on the switching curve, reached by one phase at full
+    input in |v1 - v2| / u_max; the two-phase branches agree with that only
+    when v2 = 0.
     """
     if u_max <= 0:
         raise ValueError("u_max must be positive")
@@ -146,7 +148,9 @@ def second_order_reach_time_general(
     w1 = float(v1) / u_max
     w2 = float(v2) / u_max
     delta = (b - a) - 0.5 * (w1 + w2) * abs(w1 - w2)
-    if delta >= 0:
+    if delta == 0:
+        return abs(w1 - w2)
+    if delta > 0:
         arg = 4.0 * (b - a) + 2.0 * w1 * w1 + 2.0 * w2 * w2
         if arg < 0:
             raise InfeasibleTargetError("no nonnegative root on the + branch")
@@ -181,8 +185,7 @@ class SecondOrderAttainableSet(ProjectableSet):
         self.x0 = float(x0)
         self.v0 = float(v0)
         self.u_max = float(u_max)
-        self.nu = self.v0 / self.u_max
-        nu = self.nu
+        self.nu = nu = self.v0 / self.u_max
         self.c = abs(nu) - 0.5 * (nu * nu - nu * abs(nu))
         self.bstar = self.x0 + 0.5 * self.u_max * nu * abs(nu)
         self.slope = 4.0 / self.u_max
@@ -311,13 +314,10 @@ def simulate_trajectory(
 
     total = second_order_reach_time_general(x0, v0, xt, vt, um)
     if total == 0.0:
-        sched = ControlSchedule(())
-        return TrajectoryResult([TrajectorySample(0.0, x0, v0, 0.0)], sched, 0.0)
+        return TrajectoryResult([TrajectorySample(0.0, x0, v0, 0.0)], ControlSchedule(()), 0.0)
 
+    # nonzero: it is 0 only at the target itself, reached at total 0
     u1 = bang_bang_control((x0, v0), (xt, vt), um)
-    if u1 == 0.0:
-        # on the switching surface at matched velocity: single decel phase
-        u1 = -math.copysign(um, v0 - vt) if v0 != vt else um
     t1 = 0.5 * (total + (vt - v0) / u1)
     t1 = min(max(t1, 0.0), total)
     t2 = total - t1
@@ -411,15 +411,11 @@ def solve_min_time_consensus(
     solve = solve_minmax if mode == "centralized" else run_ring
     sol = solve(sets, plane, p0, cfg)
 
-    x_cons = sol.x_star
-    if height_kind == "squared":
-        t_cons = inverse_time_square(max(sol.t_star, 0.0))
-    else:
-        t_cons = sol.t_star
-
     return ConsensusResult(
-        x_consensus=x_cons,
-        t_consensus=t_cons,
+        x_consensus=sol.x_star,
+        t_consensus=(
+            inverse_time_square(max(sol.t_star, 0.0)) if height_kind == "squared" else sol.t_star
+        ),
         solver=sol,
         experimental=experimental,
     )

@@ -44,6 +44,22 @@ class PointTime:
         return np.append(self.x, self.t)
 
 
+def _check_dim(dim) -> None:
+    """TypeError unless dim is an integer, ValueError unless it is >= 1."""
+    if not isinstance(dim, (int, np.integer)) or isinstance(dim, bool):
+        raise TypeError("dim must be an integer")
+    if dim < 1:
+        raise ValueError("dim must be at least 1")
+
+
+def _check_positive(value, what: str) -> None:
+    """TypeError for a boolean, ValueError unless value is finite and > 0."""
+    if isinstance(value, bool):
+        raise TypeError(f"{what} must be a number, not a boolean")
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{what} must be finite and positive")
+
+
 class ProjectableSet:
     """A closed convex subset of R^{n+1} with membership and projection.
 
@@ -83,6 +99,7 @@ class HorizontalHyperplane(ProjectableSet):
     def __post_init__(self):
         if not np.isfinite(self.t_min):
             raise ValueError("t_min must be finite")
+        _check_dim(self.dim)
 
     def violation(self, v: Array) -> float:
         self._check(v)
@@ -104,8 +121,7 @@ class SecondOrderCone(ProjectableSet):
     slope: float
 
     def __post_init__(self):
-        if self.slope <= 0:
-            raise ValueError("slope must be positive")
+        _check_positive(self.slope, "slope")
 
     @property
     def dim(self) -> int:  # type: ignore[override]
@@ -239,8 +255,8 @@ class Halfspace(ProjectableSet):
     def __post_init__(self):
         n = np.asarray(self.normal, dtype=float)
         nrm = float(np.linalg.norm(n))
-        if nrm == 0 or not np.all(np.isfinite(n)):
-            raise ValueError("normal must be a finite nonzero vector")
+        if nrm == 0 or not np.all(np.isfinite(n)) or not math.isfinite(self.offset):
+            raise ValueError("normal must be a finite nonzero vector, and offset finite")
         object.__setattr__(self, "normal", n / nrm)
         object.__setattr__(self, "offset", float(self.offset) / nrm)
 
@@ -270,8 +286,9 @@ class Ball(ProjectableSet):
 
     def __post_init__(self):
         c = np.asarray(self.center, dtype=float)
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("center must be finite")
+        _check_positive(self.radius, "radius")
         object.__setattr__(self, "center", c)
 
     @property
@@ -315,8 +332,7 @@ class ConvexEpigraph(ProjectableSet):
         subgrad: Callable[[Array], Array],
         dim: int,
     ):
-        if dim < 1:
-            raise ValueError("dim must be at least 1")
+        _check_dim(dim)
         self.value = value
         self.subgrad = subgrad
         self.dim = dim

@@ -1,14 +1,15 @@
 """Deterministic token-ring simulation of the distributed solver.
 
 N agents sit on a cyclic digraph; agent i owns the set sets[i-1] and a
-private Dykstra increment.  A single (guess, flag) message circulates
-1 -> 2 -> ... -> N -> 1.  Agent 1 doubles as coordinator: when its own
-projection stops moving it drops the guess onto the plane (the Bregman
-step) and raises the increment-reset flag for one full cycle.  Under
-cfg.warm_start it sends the plane point plus a - b_prev instead, with
-flag 0, and every agent keeps its increment: a, agent 1's guess, and
-b_prev, the plane point the inner run started from, are both its own,
-and their difference is the sum of all the increments.
+private Dykstra increment.  A single guess circulates 1 -> 2 -> ... -> N
+-> 1.  Agent 1 doubles as coordinator: when its own projection stops
+moving it drops the guess onto the plane and ends the Bregman step in
+alternating.bregman_step, as solve_minmax does.  a, agent 1's guess, and
+b_prev, the plane point the inner run started from, are both its own, and
+their difference is the sum of all the increments, so a warm restart
+needs no more than they.  A cold one zeroes every increment at the event;
+the paper's agents each discard their own at the next visit, which
+projects the same points.
 
 run_ring keeps the increments in one (N, n+1) array, as dykstra_project
 does, and calls agent_step at each visit and coordinator_step once per
@@ -25,26 +26,20 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .alternating import MinMaxSolution, ToleranceConfig, Trace
+from .alternating import MinMaxSolution, ToleranceConfig, Trace, bregman_step
 from .errors import ConvergenceError
 from .geometry import ConeStack, HorizontalHyperplane, PointTime, ProjectableSet, norm, plus_zero
 
 Array = np.ndarray
 
 
-def agent_step(s: ProjectableSet, increment: Array, guess: Array, flag: int) -> Tuple[Array, Array]:
+def agent_step(s: ProjectableSet, increment: Array, guess: Array) -> Tuple[Array, Array]:
     """One Dykstra update at a single agent: the guess it sends on and its
     new increment.
 
     Projects the incoming guess minus the private increment onto the
-    agent's own set s.  flag = 1 (the cycle after a Bregman event) discards
-    the stale increment first, so the reset cycle doubles as the first
-    genuine cycle of the restarted inner run; zeroing after the projection
-    instead would unanchor the restart from the plane point and stall the
-    outer loop on non-optimal fixed points.
+    agent's own set s.
     """
-    if flag == 1:
-        increment = np.zeros_like(increment)
     y = guess - increment
     q = s.project(y)
     return q, q - y
@@ -78,23 +73,21 @@ def run_ring(
     """Simulate the token ring until two consecutive Bregman events move
     the plane-side point less than cfg.outer_tol; agent i owns sets[i-1].
 
-    cfg.max_outer_iters caps the Bregman events and cfg.max_inner_cycles
-    the cycles between two of them, as in solve_minmax. Every
+    Each event ends in alternating.bregman_step, which stops, raises the
+    outer cap or gives the guess agent 1 sends on, as in solve_minmax.
+    cfg.max_inner_cycles caps the cycles between two events. Every
     ConvergenceError carries the trace so far.
 
     A visit of agents 2..N is skipped when ConeStack.first_nontrivial finds
     it trivial: the increment is +0.0 on arrival and the guess lies strictly
     inside the agent's cone. agent_step would then send the same guess on,
-    keep a zero increment (under flag 1 too) and add 0.0 to the drift, so
-    the row (cycle, id, guess, 0.0, flag, False) that the returned Trace
-    builds from the received guess array is the one it would have
-    written. A nonzero increment that flag 1 resets is a real change,
-    and its agent is always visited.
+    keep a zero increment and add 0.0 to the drift, so the row
+    (cycle, id, guess, 0.0, flag, False) that the returned Trace builds
+    from the received guess array is the one it would have written.
 
-    With cfg.warm_start a Bregman event sends the plane point plus a -
-    b_prev with flag 0, so the next inner run starts from the increments
-    the last one ended with, as in solve_minmax. Agent 1's event row holds
-    the plane point either way.
+    The trace's flag is 1 on the rows of the cycle a cold event (one
+    without cfg.warm_start) starts, from agent 1's event row on, and 0
+    elsewhere. Agent 1's event row holds the plane point.
     """
     if not sets:
         raise ValueError("at least one agent is required")
@@ -108,7 +101,6 @@ def run_ring(
     # increment is +0.0 in every component; agent 1 always takes its turn,
     # so its entry is never read
     zero = np.ones(n_agents, dtype=bool)
-    flag = 0
     # every increment's movement since agent 1 last tested the guess
     drift = 0.0
     last_guess: Optional[Array] = None
@@ -117,51 +109,31 @@ def run_ring(
     last_event_cycle = 0
     best = guess
     for cycle in itertools.count(1):
-        a, inc = agent_step(sets[0], increments[0], guess, flag)
+        a, inc = agent_step(sets[0], increments[0], guess)
         drift += norm(inc - increments[0])
         increments[0] = inc
         e, plane_pt = coordinator_step(a, last_guess, drift, plane, cfg)
         drift = 0.0
         bregman = plane_pt is not None
-        # after a Bregman event agent 1 forgets the pre-drop guess: the
-        # restarted inner run must stabilize on its own evidence, not by
-        # matching the run it replaced
-        if not bregman:
-            guess, last_guess, flag = a, a, 0
-        elif cfg.warm_start:
-            # a - b_prev is the sum of every increment, so the run from
-            # plane_pt keeps them all
-            guess, last_guess, flag = plane_pt + (a - b_prev), None, 0
-        else:
-            guess, last_guess, flag = plane_pt, None, 1
+        flag = int(bregman and not cfg.warm_start)
         trace._add(cycle, 1, 2, plane_pt if bregman else a, norm(inc), flag, bregman)
+        if bregman or n_events == 0:
+            best = a
         if bregman:
             n_events += 1
             last_event_cycle = cycle
-            best = a
-            gap = norm(a - plane_pt)
-            if n_events > 1 and norm(plane_pt - b_prev) < cfg.outer_tol:
-                t_star = float(a[-1])
-                return MinMaxSolution(
-                    x_star=a[:-1].copy(),
-                    t_star=t_star,
-                    distance=gap,
-                    inner_cycles_total=cycle,
-                    outer_iters=n_events,
-                    trace=trace,
-                    plane_grazed=(t_star - plane.t_min) < cfg.outer_tol,
-                )
-            if n_events == cfg.max_outer_iters:
-                raise ConvergenceError(
-                    "ring protocol: Bregman event cap reached",
-                    iterate=a.copy(),
-                    residual=gap,
-                    iterations=n_events,
-                    trace=trace,
-                )
-            b_prev = plane_pt
-        elif n_events == 0:
-            best = a
+            guess = bregman_step(n_events, a, plane_pt, b_prev, increments, cycle, trace, plane, cfg)
+            if isinstance(guess, MinMaxSolution):
+                return guess
+            # agent 1 forgets the pre-drop guess: the restarted inner run
+            # must stabilize on its own evidence, not by matching the run
+            # it replaced
+            b_prev, last_guess = plane_pt, None
+            if not cfg.warm_start:
+                # bregman_step zeroed every increment
+                zero[:] = True
+        else:
+            guess = last_guess = a
         i = 1
         while i < n_agents:
             j = cones.first_nontrivial(guess, zero, i)
@@ -171,7 +143,7 @@ def run_ring(
                 trace._add(cycle, i + 1, j + 1, guess, 0.0, flag, False)
             if j == n_agents:
                 break
-            guess, inc = agent_step(sets[j], increments[j], guess, flag)
+            guess, inc = agent_step(sets[j], increments[j], guess)
             drift += norm(inc - increments[j])
             increments[j] = inc
             zero[j] = plus_zero(inc)

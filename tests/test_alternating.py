@@ -11,8 +11,10 @@ from minmaxap import (
     ToleranceConfig,
     dykstra_project,
     numeric_projection,
+    run_ring,
     solve_minmax,
 )
+from minmaxap.alternating import MinMaxSolution, Trace, bregman_step
 
 CFG = ToleranceConfig()
 
@@ -333,11 +335,32 @@ class TestSolveMinmax:
         assert abs(sols[0].x_star[0] - sols[1].x_star[0]) <= 10 * CFG.outer_tol
 
     def test_outer_cap_failure_carries_trace(self):
-        cones = [SecondOrderCone(pt([-1.0], 0.0), 1.0), SecondOrderCone(pt([2.0], 0.0), 2.0)]
-        cfg = ToleranceConfig(max_outer_iters=2)
-        with pytest.raises(ConvergenceError) as exc:
-            solve_minmax(cones, HorizontalHyperplane(0.0), pt([0.0], 6.0), cfg)
-        assert [r.cycle for r in exc.value.trace] == [1, 2]
+        # exp 1 takes 3 outer steps in both modes, and both end their
+        # steps in bregman_step, so a cap of 2 fails alike in both
+        cones = [
+            SecondOrderCone(pt([x], 0.0), 4.0)
+            for x in (-3.542884, 3.001152, 6.924106, -18.0296)
+        ]
+        plane, p0 = HorizontalHyperplane(0.0), pt([0.0], 80.0)
+        errors = []
+        for solver in (solve_minmax, run_ring):
+            assert solver(cones, plane, p0, CFG).outer_iters == 3
+            with pytest.raises(ConvergenceError) as exc:
+                solver(cones, plane, p0, ToleranceConfig(max_outer_iters=2))
+            err = exc.value
+            assert err.iterations == 2
+            assert sum(r.bregman_event for r in err.trace) == 2
+            assert list(err.trace)[-1].bregman_event
+            # the residual is the iterate's gap to the plane
+            assert err.residual == pytest.approx(err.iterate[-1] - plane.t_min, rel=1e-12)
+            errors.append(err)
+        central, ring = errors
+        assert str(central) == str(ring) == "Bregman outer iteration cap reached"
+        # both stop at the second run's intersection point
+        assert np.linalg.norm(central.iterate - ring.iterate) < 1e-4
+        assert central.residual == pytest.approx(ring.residual, abs=1e-4)
+        assert [r.cycle for r in central.trace] == [1, 2]
+        assert len(central.trace) < len(ring.trace)
 
     def test_trace_recorded(self):
         cones = [SecondOrderCone(pt([0.0], 0.0), 1.0)]
@@ -348,3 +371,45 @@ class TestSolveMinmax:
         assert np.array_equal(last.point, np.append(sol.x_star, sol.t_star))
         # the gap to the plane-side point (x, t_min) is the height above it
         assert last.point[-1] - plane.t_min == pytest.approx(sol.distance)
+
+
+class TestBregmanStep:
+    """The end of a Bregman step, as both solvers take it."""
+
+    PLANE = HorizontalHyperplane(0.0)
+
+    def step(self, k, cfg, increments=None):
+        a, b_prev = vec([1.0], 2.0), vec([0.5], 0.0)
+        increments = np.ones((2, 2)) if increments is None else increments
+        b = self.PLANE.project(a)
+        return a, b, b_prev, bregman_step(k, a, b, b_prev, increments, 7, Trace(), self.PLANE, cfg)
+
+    def test_warm_start_keeps_the_increments(self):
+        increments = np.ones((2, 2))
+        a, b, b_prev, start = self.step(1, CFG, increments)
+        assert np.array_equal(start, b + (a - b_prev))
+        assert np.array_equal(increments, np.ones((2, 2)))
+
+    def test_cold_restart_zeroes_the_increments_in_place(self):
+        increments = np.ones((2, 2))
+        a, b, _, start = self.step(1, ToleranceConfig(warm_start=False), increments)
+        assert np.array_equal(start, b)
+        # +0.0 in every component, in the caller's own array
+        assert increments.tobytes() == bytes(increments.nbytes)
+
+    def test_stops_only_after_the_first_step(self):
+        cfg = ToleranceConfig(outer_tol=1.0)
+        # the plane point moved 0.5 < outer_tol, but one step proves nothing
+        assert not isinstance(self.step(1, cfg)[-1], MinMaxSolution)
+        a, b, _, sol = self.step(2, cfg)
+        assert isinstance(sol, MinMaxSolution)
+        assert (sol.outer_iters, sol.inner_cycles_total) == (2, 7)
+        assert np.array_equal(vec(sol.x_star, sol.t_star), a)
+        assert sol.distance == 2.0 and not sol.plane_grazed
+
+    def test_cap_raises_with_the_iterate(self):
+        with pytest.raises(ConvergenceError, match="Bregman outer iteration cap") as exc:
+            self.step(3, ToleranceConfig(max_outer_iters=3))
+        assert exc.value.iterations == 3
+        assert np.array_equal(exc.value.iterate, vec([1.0], 2.0))
+        assert exc.value.residual == 2.0

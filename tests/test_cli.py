@@ -437,6 +437,18 @@ class TestVerify:
         assert main(["verify", "--config", path, "--quiet"]) == EXIT_VERIFY
         assert "verification inconclusive: " in capsys.readouterr().err
 
+    def test_exhausted_projection_oracle_is_inconclusive(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise minmaxap.OracleBudgetError("projection search budget exhausted")
+
+        monkeypatch.setattr("minmaxap.cli.numeric_projection", exhausted)
+        path = write_config(tmp_path / "c.json")
+        assert main(["verify", "--config", path]) == EXIT_VERIFY
+        out, err = capsys.readouterr()
+        assert "ORACLE BUDGET EXHAUSTED (not a mismatch)" in out
+        assert "verification inconclusive: oracle budget exhausted" in err
+        assert "mismatch:" not in err
+
 
 # SHA-256 of the files `solve` (solution.json, trace.csv) and `simulate`
 # (trajectory.csv) write for the benchmark's three CLI configs in both modes,

@@ -29,6 +29,19 @@ EXP2_STATES = (
 )
 
 
+# (x1, v1, x2, v2, u_max, minimum time) with the target on the switching
+# curve x2 - x1 = (v1 + v2)|v1 - v2| / (2 u_max), exactly in floats
+SWITCHING_CURVE = [
+    (0.0, -1.0, 0.0, -1.0, 1.0, 0.0),
+    (0.0, -1.0, -1.5, -2.0, 1.0, 1.0),
+    (0.0, -2.0, -1.5, -1.0, 1.0, 1.0),
+    (0.0, 1.0, 1.5, 2.0, 1.0, 1.0),
+    (0.0, 2.0, 1.5, 1.0, 1.0, 1.0),
+    (1.0, -2.0, -2.0, -4.0, 2.0, 1.0),
+    (1.0, 3.0, 5.0, 1.0, 1.0, 2.0),
+]
+
+
 def so_agent(x, v=0.0, u_max=1.0):
     return AgentDynamics(Model.SECOND_ORDER, [x], v, u_max)
 
@@ -107,6 +120,16 @@ class TestSecondOrderReachTimes:
 
     def test_u_max_scaling(self):
         assert second_order_reach_time_general(0.0, 0.0, 4.0, 0.0, u_max=4.0) == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("x1, v1, x2, v2, u_max, expected", SWITCHING_CURVE)
+    def test_switching_curve_is_one_phase(self, x1, v1, x2, v2, u_max, expected):
+        # the target lies where one phase at full input ends: that phase's
+        # duration is the minimum, in either velocity order and sign
+        t = second_order_reach_time_general(x1, v1, x2, v2, u_max)
+        assert t == expected
+        u = math.copysign(u_max, v2 - v1)
+        assert v1 + u * t == v2
+        assert x1 + v1 * t + 0.5 * u * t * t == x2
 
     def test_matches_trajectory_oracle_random(self):
         # independent oracle: dense bisection on arrival time via forward
@@ -235,6 +258,14 @@ class TestTrajectory:
             last = traj.samples[-1]
             assert abs(last.x - 6.9366) <= 1e-6
             assert abs(last.v) <= 1e-6
+
+    @pytest.mark.parametrize("x1, v1, x2, v2, u_max, expected", SWITCHING_CURVE)
+    def test_switching_curve_target_reached_in_one_phase(self, x1, v1, x2, v2, u_max, expected):
+        traj = simulate_trajectory(so_agent(x1, v1, u_max), (x2, v2), dt=0.1)
+        assert traj.arrival_time == expected
+        assert len(traj.schedule.segments) == (expected > 0)
+        last = traj.samples[-1]
+        assert (last.t, last.x, last.v) == (expected, x2, v2)
 
     def test_schedule_has_at_most_one_switch(self):
         rng = np.random.default_rng(33)

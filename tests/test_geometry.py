@@ -54,6 +54,44 @@ class TestPointTime:
         assert type(a) is np.ndarray and a.tolist() == [1.0, 2.0, 3.0]
 
 
+def _epigraph(dim):
+    return ConvexEpigraph(lambda x: 0.0, lambda x: 0 * x, dim)
+
+
+# (constructor, error) pairs: every parameter a set is built from must be a
+# finite number of the right kind
+BAD_SETS = {
+    "cone-nan-slope": (lambda: SecondOrderCone(pt([0.0], 0.0), np.nan), ValueError),
+    "cone-inf-slope": (lambda: SecondOrderCone(pt([0.0], 0.0), np.inf), ValueError),
+    "cone-zero-slope": (lambda: SecondOrderCone(pt([0.0], 0.0), 0.0), ValueError),
+    "cone-bool-slope": (lambda: SecondOrderCone(pt([0.0], 0.0), True), TypeError),
+    "ball-nan-radius": (lambda: Ball(np.zeros(2), np.nan), ValueError),
+    "ball-inf-radius": (lambda: Ball(np.zeros(2), np.inf), ValueError),
+    "ball-nan-center": (lambda: Ball(np.array([np.nan, 0.0]), 1.0), ValueError),
+    "ball-inf-center": (lambda: Ball(np.array([0.0, np.inf]), 1.0), ValueError),
+    "halfspace-nan-offset": (lambda: Halfspace(np.array([0.0, -1.0]), np.nan), ValueError),
+    "halfspace-inf-offset": (lambda: Halfspace(np.array([0.0, -1.0]), np.inf), ValueError),
+    "plane-dim-0": (lambda: HorizontalHyperplane(0.0, dim=0), ValueError),
+    "plane-dim-negative": (lambda: HorizontalHyperplane(0.0, dim=-1), ValueError),
+    "plane-dim-1.5": (lambda: HorizontalHyperplane(0.0, dim=1.5), TypeError),
+    "plane-dim-true": (lambda: HorizontalHyperplane(0.0, dim=True), TypeError),
+    "epigraph-dim-0": (lambda: _epigraph(0), ValueError),
+    "epigraph-dim-1.5": (lambda: _epigraph(1.5), TypeError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SETS))
+def test_set_parameters_validated_at_construction(case):
+    build, error = BAD_SETS[case]
+    with pytest.raises(error):
+        build()
+
+
+def test_numpy_integer_dim_accepted():
+    assert HorizontalHyperplane(0.0, dim=np.int64(2)).dim == 2
+    assert _epigraph(np.int64(3)).dim == 3
+
+
 class TestContains:
     def test_hyperplane_on_plane(self):
         assert HorizontalHyperplane(0.0).contains(vec([1.0], 0.0), 0.0)

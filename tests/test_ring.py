@@ -21,6 +21,7 @@ from minmaxap import (
     run_ring,
     solve_minmax,
 )
+from minmaxap.geometry import plus_zero
 
 
 def pt(x, t):
@@ -34,21 +35,13 @@ def vec(x, t):
 
 class TestAgentStep:
     def test_plane_projection_updates_increment(self):
-        out, inc = agent_step(HorizontalHyperplane(0.0), np.zeros(2), vec([2.0], 5.0), 0)
-        assert np.allclose(out, [2.0, 0.0])
-        assert np.allclose(inc, [0.0, -5.0])
-
-    def test_flag_one_discards_stale_increment(self):
-        stale = np.array([7.0, 7.0])  # leftover from the old run
-        out, inc = agent_step(HorizontalHyperplane(0.0), stale, vec([2.0], 5.0), 1)
-        # the stale increment must not shift the guess, and the new
-        # increment is the restarted run's first Dykstra update
+        out, inc = agent_step(HorizontalHyperplane(0.0), np.zeros(2), vec([2.0], 5.0))
         assert np.allclose(out, [2.0, 0.0])
         assert np.allclose(inc, [0.0, -5.0])
 
     def test_cone_step_derived_from_projection(self):
         cone = SecondOrderCone(pt([0.0], 0.0), 1.0)
-        out, inc = agent_step(cone, np.zeros(2), vec([2.0], 0.0), 0)
+        out, inc = agent_step(cone, np.zeros(2), vec([2.0], 0.0))
         assert np.allclose(out, [1.0, 1.0])
         assert np.allclose(inc, [-1.0, 1.0])
 
@@ -131,8 +124,9 @@ class TestRunRing:
             SecondOrderCone(pt([1.0], 0.0), 1.0),
         ]
         sol = run_ring(cones, PLANE, pt([0.3], 4.0), COLD)
-        # on a flag-1 step the stale increment is discarded, so the fresh
-        # increment equals emitted guess minus received guess
+        # every increment is zeroed at a cold event, so on the flag-1 steps
+        # that follow the fresh increment equals emitted guess minus
+        # received guess
         rows = list(sol.trace)
         seen = 0
         for prev, row in zip(rows, rows[1:]):
@@ -303,8 +297,10 @@ def full_ring(sets, plane, p0, cfg):
     """run_ring as the plain loop that calls agent_step at every visit,
     with increments of its own, under either cfg.warm_start.
 
-    Returns the solution and how many flag-1 visits reset a nonzero
-    increment. Assumes the solve converges within cfg's caps.
+    Under the paper's reset protocol each agent discards its own stale
+    increment at its first visit after a cold event, the visit that
+    carries flag 1. Returns the solution and how many such visits reset a
+    nonzero increment. Assumes the solve converges within cfg's caps.
     """
     increments = [np.zeros(p0.dim + 1) for _ in sets]
     guess, flag, drift, last_guess = p0.to_array(), 0, 0.0, None
@@ -314,7 +310,8 @@ def full_ring(sets, plane, p0, cfg):
     for cycle in itertools.count(1):
         for i, s in enumerate(sets):
             resets += i > 0 and flag == 1 and bool(increments[i].any())
-            guess, inc = agent_step(s, increments[i], guess, flag)
+            held = np.zeros_like(increments[i]) if flag == 1 else increments[i]
+            guess, inc = agent_step(s, held, guess)
             drift += float(np.linalg.norm(inc - increments[i]))
             increments[i] = inc
             bregman = False
@@ -438,6 +435,25 @@ class TestSkippedVisits:
         events = [r for r in sol.trace if r.bregman_event]
         assert len(events) == sol.outer_iters >= 2
         assert all(r.point[-1] == plane.t_min for r in events)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cold_reset_skips_the_cones_that_hold_the_guess(self, seed, monkeypatch):
+        # a cold event zeroes every increment and the skip flags with them,
+        # so in the cycle after it a cone that holds the guess is skipped as
+        # any trivial visit is (seeds 1 and 2 have such a visit)
+        rng = np.random.default_rng(seed)
+        cones = [SecondOrderCone(pt(rng.uniform(0, 10, 2), 0.0), 1.0) for _ in range(16)]
+        wasted = []
+
+        def checking(s, increment, guess):
+            margin = 1e-9 * (1.0 + abs(guess[-1]))
+            if s is not cones[0] and plus_zero(increment) and s.violation(guess) < -margin:
+                wasted.append(s)
+            return agent_step(s, increment, guess)
+
+        monkeypatch.setattr("minmaxap.ring.agent_step", checking)
+        sol = run_ring(cones, PLANE_2D, pt([5.0, 5.0], 20.0), COLD)
+        assert sol.outer_iters >= 2 and not wasted
 
     def test_skips_projections_but_keeps_every_row(self, monkeypatch):
         rng = np.random.default_rng(3)
