@@ -11,7 +11,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import ConvergenceError
-from .geometry import ConeStack, HorizontalHyperplane, PointTime, ProjectableSet, norm, plus_zero
+from .geometry import ConeStack, HorizontalHyperplane, PointTime, ProjectableSet, norm, plus_zero, plus_zero_rows
 
 Array = np.ndarray
 
@@ -152,7 +152,7 @@ def dykstra_project(
     if increments.shape != (m, x.size):
         raise ValueError(f"increments must have shape {(m, x.size)}, got {increments.shape}")
     # increment is +0.0 in every component
-    zero = np.array([plus_zero(inc) for inc in increments])
+    zero = plus_zero_rows(increments)
     cones = ConeStack(sets)
     prev = None
     resid = np.inf

