@@ -16,12 +16,9 @@ from .consensus import (
     Model,
     SecondOrderAttainableSet,
     bang_bang_control,
-    first_order_attainable_set,
-    first_order_reach_time,
-    inverse_time_square,
+    reach_time,
     second_order_reach_time_general,
     second_order_reach_time_zero_vel,
-    second_order_zero_vel_set,
     simulate_trajectory,
     solve_min_time_consensus,
 )

@@ -110,17 +110,18 @@ def load_config(path: str) -> ExperimentConfig:
                 agents.append(
                     AgentDynamics(
                         model=a.get("model", "second_order"),
-                        x0=np.atleast_1d(a["x0"]),
+                        x0=a["x0"],
                         v0=a.get("v0", 0.0),
                         u_max=a.get("u_max", 1.0),
                     )
                 )
             except (KeyError, ValueError, TypeError) as exc:
                 problems.append(f"agents[{i}]: {exc}")
-        if len({a.x0.size for a in agents}) > 1:
-            problems.append("agents: every x0 must have the same length")
-        if len({a.model for a in agents}) > 1:
-            problems.append("agents: every agent must use the same model")
+        if agents:
+            try:
+                _build_sets(agents)
+            except ValueError as exc:
+                problems.append(f"agents: {exc}")
 
     s = _section(raw, "solver", problems)
     _unknown_keys(s, "solver.", SOLVER_KEYS, problems)

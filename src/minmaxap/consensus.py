@@ -20,12 +20,15 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .alternating import MinMaxSolution, ToleranceConfig, solve_minmax
-from .errors import InfeasibleTargetError
+from .errors import DimensionMismatchError, InfeasibleTargetError
 from .geometry import (
     HorizontalHyperplane,
     PointTime,
     ProjectableSet,
     SecondOrderCone,
+    finite_number,
+    finite_vector,
+    positive_number,
 )
 from .ring import run_ring
 
@@ -48,19 +51,12 @@ class AgentDynamics:
 
     def __post_init__(self):
         object.__setattr__(self, "model", Model(self.model))
-        if isinstance(self.v0, bool) or isinstance(self.u_max, bool):
-            raise TypeError("v0 and u_max must be numbers, not booleans")
-        x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
-        object.__setattr__(self, "x0", x0)
-        object.__setattr__(self, "v0", float(self.v0))
-        object.__setattr__(self, "u_max", float(self.u_max))
-        if x0.ndim != 1 or x0.size < 1 or not np.all(np.isfinite(x0)):
-            raise ValueError("x0 must be a nonempty list of finite numbers")
-        if not (math.isfinite(self.u_max) and self.u_max > 0 and math.isfinite(self.v0)):
-            raise ValueError("u_max must be finite and positive, and v0 finite")
+        object.__setattr__(self, "x0", finite_vector(self.x0, "x0"))
+        object.__setattr__(self, "v0", finite_number(self.v0, "v0"))
+        object.__setattr__(self, "u_max", positive_number(self.u_max, "u_max"))
         if self.model is Model.FIRST_ORDER and self.v0 != 0.0:
             raise ValueError("first-order agents have no velocity state")
-        if self.model is Model.SECOND_ORDER and x0.size != 1:
+        if self.model is Model.SECOND_ORDER and self.x0.size != 1:
             raise ValueError("second-order agents are one-dimensional")
 
 
@@ -71,15 +67,10 @@ class ControlSchedule:
     segments: Tuple[Tuple[float, object], ...]
 
     def __post_init__(self):
-        segs = tuple((float(d), u) for d, u in self.segments)
-        for d, _ in segs:
-            if d < 0:
-                raise ValueError("segment durations must be nonnegative")
+        segs = tuple((finite_number(d, "duration"), u) for d, u in self.segments)
+        if any(d < 0 for d, _ in segs):
+            raise ValueError("segment durations must be nonnegative")
         object.__setattr__(self, "segments", segs)
-
-    @property
-    def total_duration(self) -> float:
-        return sum(d for d, _ in self.segments)
 
 
 @dataclass
@@ -94,39 +85,11 @@ class ConsensusResult:
 # reach times and attainable sets
 
 
-def first_order_reach_time(x0: Array, x: Array, u_max: float) -> float:
-    """Minimum time for a saturated single integrator: ||x - x0|| / u_max."""
-    if u_max <= 0:
-        raise ValueError("u_max must be positive")
-    return float(np.linalg.norm(np.asarray(x, float) - np.asarray(x0, float))) / u_max
-
-
-def first_order_attainable_set(agent: AgentDynamics) -> SecondOrderCone:
-    if agent.model is not Model.FIRST_ORDER:
-        raise ValueError("expected a first-order agent")
-    return SecondOrderCone(PointTime(agent.x0, 0.0), 1.0 / agent.u_max)
-
-
 def second_order_reach_time_zero_vel(x0: float, x: float, u_max: float) -> float:
     """Symmetric accelerate/decelerate maneuver: 2*sqrt(|x - x0| / u_max)."""
     if u_max <= 0:
         raise ValueError("u_max must be positive")
     return 2.0 * math.sqrt(abs(float(x) - float(x0)) / u_max)
-
-
-def inverse_time_square(s: float) -> float:
-    if s < 0:
-        raise ValueError("squared time must be nonnegative")
-    return math.sqrt(float(s))
-
-
-def second_order_zero_vel_set(agent: AgentDynamics) -> SecondOrderCone:
-    """Attainable set in (x, s = t^2) coordinates: s >= (4/u_max)|x - x0|."""
-    if agent.model is not Model.SECOND_ORDER:
-        raise ValueError("expected a second-order agent")
-    if agent.v0 != 0.0:
-        raise ValueError("nonzero initial velocity: use the experimental path")
-    return SecondOrderCone(PointTime(agent.x0, 0.0), 4.0 / agent.u_max)
 
 
 def second_order_reach_time_general(
@@ -180,11 +143,9 @@ class SecondOrderAttainableSet(ProjectableSet):
     dim = 1
 
     def __init__(self, x0: float, v0: float, u_max: float = 1.0):
-        if u_max <= 0:
-            raise ValueError("u_max must be positive")
-        self.x0 = float(x0)
-        self.v0 = float(v0)
-        self.u_max = float(u_max)
+        self.x0 = finite_number(x0, "x0")
+        self.v0 = finite_number(v0, "v0")
+        self.u_max = positive_number(u_max, "u_max")
         self.nu = nu = self.v0 / self.u_max
         self.c = abs(nu) - 0.5 * (nu * nu - nu * abs(nu))
         self.bstar = self.x0 + 0.5 * self.u_max * nu * abs(nu)
@@ -226,10 +187,6 @@ class SecondOrderAttainableSet(ProjectableSet):
         if np.linalg.norm(right - v) <= np.linalg.norm(left - v):
             return right
         return left
-
-
-def _attainable_set(agent: AgentDynamics) -> SecondOrderAttainableSet:
-    return SecondOrderAttainableSet(float(agent.x0[0]), agent.v0, agent.u_max)
 
 
 # ---------------------------------------------------------------------------
@@ -362,22 +319,35 @@ def simulate_trajectory(
 
 def _build_sets(
     agents: Sequence[AgentDynamics],
-) -> Tuple[List[ProjectableSet], str, bool]:
-    models = {a.model for a in agents}
-    if len(models) != 1:
-        raise ValueError("all agents must share one model class")
-    model = models.pop()
-    if model is Model.FIRST_ORDER:
-        return [first_order_attainable_set(a) for a in agents], "time", False
-    if all(a.v0 == 0.0 for a in agents):
-        return [second_order_zero_vel_set(a) for a in agents], "squared", False
-    return [_attainable_set(a) for a in agents], "time", True
+) -> Tuple[List[ProjectableSet], bool, bool]:
+    """Each agent's attainable set, whether its height is squared time, and
+    whether the sets are the experimental ones.
+
+    The rules of an agent list live here: it is nonempty, its agents share
+    one model (ValueError) and one x0 length (DimensionMismatchError).
+    A first-order agent reaches x in ||x - x0|| / u_max, a cone in time; a
+    double integrator at rest takes 2 sqrt(|x - x0| / u_max), a cone in
+    squared time, s >= (4 / u_max)|x - x0|.
+    """
+    if not agents:
+        raise ValueError("at least one agent is required")
+    model = agents[0].model
+    if any(a.model is not model for a in agents):
+        raise ValueError("every agent must use the same model")
+    if any(a.x0.size != agents[0].x0.size for a in agents):
+        raise DimensionMismatchError("every x0 must have the same length")
+    second_order = model is Model.SECOND_ORDER
+    if second_order and any(a.v0 != 0.0 for a in agents):
+        return [SecondOrderAttainableSet(a.x0[0], a.v0, a.u_max) for a in agents], False, True
+    slope = 4.0 if second_order else 1.0
+    cones = [SecondOrderCone(PointTime(a.x0, 0.0), slope / a.u_max) for a in agents]
+    return cones, second_order, False
 
 
 def reach_time(agent: AgentDynamics, x: Array) -> float:
-    """Minimum time for one agent to reach position x (final velocity 0)."""
+    """Minimum time for one agent to reach position x and stop there."""
     if agent.model is Model.FIRST_ORDER:
-        return first_order_reach_time(agent.x0, x, agent.u_max)
+        return float(np.linalg.norm(np.asarray(x, float) - agent.x0)) / agent.u_max
     return second_order_reach_time_general(
         float(agent.x0[0]), agent.v0, float(np.atleast_1d(x)[0]), 0.0, agent.u_max
     )
@@ -395,13 +365,11 @@ def solve_min_time_consensus(
     the simulated ring) and maps the height back to seconds.
     simulate_trajectory gives the motion that takes an agent there.
     """
-    if not agents:
-        raise ValueError("at least one agent is required")
     if mode not in ("centralized", "ring"):
         raise ValueError(f"unknown mode {mode!r}")
     cfg = cfg or ToleranceConfig()
 
-    sets, height_kind, experimental = _build_sets(agents)
+    sets, squared, experimental = _build_sets(agents)
     centroid = np.mean([a.x0 for a in agents], axis=0)
     # a set's violation at height 0 is its boundary height
     h0 = max(s.violation(np.append(centroid, 0.0)) for s in sets)
@@ -413,9 +381,7 @@ def solve_min_time_consensus(
 
     return ConsensusResult(
         x_consensus=sol.x_star,
-        t_consensus=(
-            inverse_time_square(max(sol.t_star, 0.0)) if height_kind == "squared" else sol.t_star
-        ),
+        t_consensus=math.sqrt(max(sol.t_star, 0.0)) if squared else sol.t_star,
         solver=sol,
         experimental=experimental,
     )

@@ -28,13 +28,8 @@ class PointTime:
     t: float
 
     def __post_init__(self):
-        x = np.atleast_1d(np.asarray(self.x, dtype=float))
-        if x.ndim != 1 or x.size < 1:
-            raise ValueError("x must be a 1-D vector with at least one component")
-        if not (np.all(np.isfinite(x)) and np.isfinite(self.t)):
-            raise ValueError("PointTime components must be finite")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "t", float(self.t))
+        object.__setattr__(self, "x", finite_vector(self.x, "x"))
+        object.__setattr__(self, "t", finite_number(self.t, "t"))
 
     @property
     def dim(self) -> int:
@@ -52,12 +47,39 @@ def _check_dim(dim) -> None:
         raise ValueError("dim must be at least 1")
 
 
-def _check_positive(value, what: str) -> None:
-    """TypeError for a boolean, ValueError unless value is finite and > 0."""
-    if isinstance(value, bool):
-        raise TypeError(f"{what} must be a number, not a boolean")
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{what} must be finite and positive")
+def finite_number(value, what: str) -> float:
+    """value as a float: TypeError for a boolean or a string (JSON true
+    and "2" would otherwise pass as 1.0 and 2.0), ValueError unless finite."""
+    if isinstance(value, (bool, np.bool_, str, bytes)):
+        raise TypeError(f"{what} must be a number, not {type(value).__name__}")
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{what} must be finite")
+    return value
+
+
+def positive_number(value, what: str) -> float:
+    """finite_number(value, what), and ValueError unless it is > 0."""
+    value = finite_number(value, what)
+    if value <= 0:
+        raise ValueError(f"{what} must be positive")
+    return value
+
+
+def finite_vector(x, what: str) -> Array:
+    """x (a scalar or a sequence) as a nonempty 1-D float array, by
+    finite_number's rules: an ndarray by its dtype, anything else item by
+    item, since numpy reads [True, 1.5] as two floats."""
+    if isinstance(x, np.ndarray):
+        if x.dtype.kind not in "fiu":
+            raise TypeError(f"{what} must hold numbers, not {x.dtype}")
+    else:
+        for v in np.ravel(np.array(x, dtype=object)):
+            finite_number(v, what)
+    a = np.atleast_1d(np.asarray(x, dtype=float))
+    if a.ndim != 1 or a.size < 1 or not np.isfinite(a).all():
+        raise ValueError(f"{what} must be a nonempty list of finite numbers")
+    return a
 
 
 class ProjectableSet:
@@ -97,8 +119,7 @@ class HorizontalHyperplane(ProjectableSet):
     dim: int = 1
 
     def __post_init__(self):
-        if not np.isfinite(self.t_min):
-            raise ValueError("t_min must be finite")
+        object.__setattr__(self, "t_min", finite_number(self.t_min, "t_min"))
         _check_dim(self.dim)
 
     def violation(self, v: Array) -> float:
@@ -121,7 +142,7 @@ class SecondOrderCone(ProjectableSet):
     slope: float
 
     def __post_init__(self):
-        _check_positive(self.slope, "slope")
+        positive_number(self.slope, "slope")
 
     @property
     def dim(self) -> int:  # type: ignore[override]
@@ -259,12 +280,12 @@ class Halfspace(ProjectableSet):
     offset: float
 
     def __post_init__(self):
-        n = np.asarray(self.normal, dtype=float)
+        n = finite_vector(self.normal, "normal")
         nrm = float(np.linalg.norm(n))
-        if nrm == 0 or not np.all(np.isfinite(n)) or not math.isfinite(self.offset):
-            raise ValueError("normal must be a finite nonzero vector, and offset finite")
+        if nrm == 0:
+            raise ValueError("normal must be nonzero")
         object.__setattr__(self, "normal", n / nrm)
-        object.__setattr__(self, "offset", float(self.offset) / nrm)
+        object.__setattr__(self, "offset", finite_number(self.offset, "offset") / nrm)
 
     @property
     def dim(self) -> int:  # type: ignore[override]
@@ -291,11 +312,8 @@ class Ball(ProjectableSet):
     radius: float
 
     def __post_init__(self):
-        c = np.asarray(self.center, dtype=float)
-        if not np.all(np.isfinite(c)):
-            raise ValueError("center must be finite")
-        _check_positive(self.radius, "radius")
-        object.__setattr__(self, "center", c)
+        object.__setattr__(self, "center", finite_vector(self.center, "center"))
+        positive_number(self.radius, "radius")
 
     @property
     def dim(self) -> int:  # type: ignore[override]

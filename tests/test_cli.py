@@ -151,6 +151,30 @@ class TestLoadConfig:
         assert main(["solve", "--config", str(path)]) == EXIT_VALIDATION
         assert "config error: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "agents, problems",
+        [
+            ([{"model": "first_order", "x0": x} for x in ([0.0], [1.0, 2.0])],
+             ["agents: every x0 must have the same length"]),
+            ([{"model": "first_order", "x0": [0.0]}, {"model": "second_order", "x0": [3.0]}],
+             ["agents: every agent must use the same model"]),
+            # the agents that parse are checked as a list too
+            ([{"model": "first_order", "x0": [0.0]}, {"x0": ["3.0"]}, {"x0": [3.0]}],
+             ["agents[1]: x0 must be a number, not str",
+              "agents: every agent must use the same model"]),
+            ([{"x0": ["1.5"]}], ["agents[0]: x0 must be a number, not str"]),
+            ([{"x0": [True]}], ["agents[0]: x0 must be a number, not bool"]),
+            ([{"x0": 1.5, "u_max": "2"}], ["agents[0]: u_max must be a number, not str"]),
+            ([{"x0": [1.5], "v0": "1"}], ["agents[0]: v0 must be a number, not str"]),
+        ],
+        ids=["x0-lengths-differ", "models-differ", "models-differ-among-parsed",
+             "x0-string", "x0-bool", "u_max-string", "v0-string"],
+    )
+    def test_agent_problems_reported(self, tmp_path, capsys, agents, problems):
+        path = write_config(tmp_path / "c.json", agents=agents)
+        assert main(["solve", "--config", path]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.splitlines() == [f"config error: {p}" for p in problems]
+
 
     @pytest.mark.parametrize(
         "overrides, key",

@@ -5,20 +5,20 @@ import pytest
 
 from minmaxap import (
     AgentDynamics,
+    ControlSchedule,
     ConvergenceError,
+    DimensionMismatchError,
     Model,
     SecondOrderAttainableSet,
     ToleranceConfig,
     bang_bang_control,
-    first_order_attainable_set,
-    first_order_reach_time,
-    inverse_time_square,
+    reach_time,
     second_order_reach_time_general,
     second_order_reach_time_zero_vel,
-    second_order_zero_vel_set,
     simulate_trajectory,
     solve_min_time_consensus,
 )
+from minmaxap.consensus import _build_sets
 
 EXP1_POSITIONS = (-3.542884, 3.001152, 6.924106, -18.0296)
 EXP2_STATES = (
@@ -51,6 +51,12 @@ def vec(x, t):
     return np.append(np.asarray(x, float), t)
 
 
+def attainable_set(agent):
+    """The one set _build_sets makes for a lone agent."""
+    (s,), _, _ = _build_sets([agent])
+    return s
+
+
 class TestAgentDynamics:
     def test_first_order_forbids_velocity(self):
         with pytest.raises(ValueError):
@@ -67,6 +73,46 @@ class TestAgentDynamics:
             AgentDynamics(Model.SECOND_ORDER, [0.0], **{field: True})
 
 
+# (constructor, error) pairs: strings, booleans and non-finite numbers are
+# refused where a consensus object is built, as geometry's sets refuse them
+BAD_CONSENSUS_OBJECTS = {
+    "agent-x0-string": (lambda: AgentDynamics(Model.SECOND_ORDER, ["1.5"]), TypeError),
+    "agent-x0-scalar-string": (lambda: AgentDynamics(Model.SECOND_ORDER, "1.5"), TypeError),
+    "agent-x0-bool": (lambda: AgentDynamics(Model.SECOND_ORDER, [True]), TypeError),
+    "agent-x0-bool-among-floats": (
+        lambda: AgentDynamics(Model.FIRST_ORDER, [True, 1.5]), TypeError),
+    "agent-x0-bool-array": (
+        lambda: AgentDynamics(Model.SECOND_ORDER, np.array([True])), TypeError),
+    "agent-x0-nan": (lambda: AgentDynamics(Model.SECOND_ORDER, [math.nan]), ValueError),
+    "agent-x0-inf": (lambda: AgentDynamics(Model.FIRST_ORDER, [0.0, math.inf]), ValueError),
+    "agent-u_max-string": (lambda: so_agent(0.0, u_max="2"), TypeError),
+    "agent-u_max-nan": (lambda: so_agent(0.0, u_max=math.nan), ValueError),
+    "agent-u_max-inf": (lambda: so_agent(0.0, u_max=math.inf), ValueError),
+    "agent-v0-string": (lambda: so_agent(0.0, v="1"), TypeError),
+    "agent-v0-nan": (lambda: so_agent(0.0, v=math.nan), ValueError),
+    "set-x0-nan": (lambda: SecondOrderAttainableSet(math.nan, 0.0), ValueError),
+    "set-x0-bool": (lambda: SecondOrderAttainableSet(True, 0.0), TypeError),
+    "set-v0-inf": (lambda: SecondOrderAttainableSet(0.0, math.inf), ValueError),
+    "set-v0-bool": (lambda: SecondOrderAttainableSet(0.0, False), TypeError),
+    "set-u_max-nan": (lambda: SecondOrderAttainableSet(0.0, 0.0, math.nan), ValueError),
+    "set-u_max-inf": (lambda: SecondOrderAttainableSet(0.0, 0.0, math.inf), ValueError),
+    "set-u_max-bool": (lambda: SecondOrderAttainableSet(0.0, 0.0, True), TypeError),
+    "set-u_max-zero": (lambda: SecondOrderAttainableSet(0.0, 0.0, 0.0), ValueError),
+    "schedule-nan-duration": (lambda: ControlSchedule(((math.nan, 1.0),)), ValueError),
+    "schedule-inf-duration": (lambda: ControlSchedule(((1.0, 1.0), (math.inf, -1.0))), ValueError),
+    "schedule-negative-duration": (lambda: ControlSchedule(((-1.0, 1.0),)), ValueError),
+    "schedule-bool-duration": (lambda: ControlSchedule(((True, 1.0),)), TypeError),
+    "schedule-string-duration": (lambda: ControlSchedule((("1", 1.0),)), TypeError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONSENSUS_OBJECTS))
+def test_consensus_parameters_validated_at_construction(case):
+    build, error = BAD_CONSENSUS_OBJECTS[case]
+    with pytest.raises(error):
+        build()
+
+
 class TestFirstOrder:
     @pytest.mark.parametrize(
         "x0,x,u,expected",
@@ -74,18 +120,15 @@ class TestFirstOrder:
          ([0.0, 0.0], [3.0, 4.0], 2.0, 2.5)],
     )
     def test_reach_time(self, x0, x, u, expected):
-        assert first_order_reach_time(np.atleast_1d(x0), np.atleast_1d(x), u) == pytest.approx(expected)
+        agent = AgentDynamics(Model.FIRST_ORDER, x0, u_max=u)
+        assert reach_time(agent, np.atleast_1d(x)) == pytest.approx(expected)
 
     def test_attainable_cone(self):
-        cone = first_order_attainable_set(AgentDynamics(Model.FIRST_ORDER, [0.0]))
+        cone = attainable_set(AgentDynamics(Model.FIRST_ORDER, [0.0]))
         assert cone.slope == 1.0 and cone.apex.t == 0.0
-        cone2 = first_order_attainable_set(AgentDynamics(Model.FIRST_ORDER, [2.0], u_max=2.0))
+        cone2 = attainable_set(AgentDynamics(Model.FIRST_ORDER, [2.0], u_max=2.0))
         assert cone2.slope == 0.5
         assert cone2.contains(vec([3.0], 1.0), 0.0)  # |3-2|/2 <= 1
-
-    def test_wrong_model_rejected(self):
-        with pytest.raises(ValueError):
-            first_order_attainable_set(so_agent(0.0))
 
 
 class TestSecondOrderReachTimes:
@@ -152,25 +195,14 @@ class TestSecondOrderReachTimes:
 
 
 class TestTransforms:
-    def test_square_roundtrip(self):
-        assert inverse_time_square(4.0) == 2.0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            inverse_time_square(-1.0)
-
     def test_zero_vel_set(self):
-        cone = second_order_zero_vel_set(so_agent(0.0))
+        cone = attainable_set(so_agent(0.0))
         assert cone.slope == 4.0
         assert cone.contains(vec([1.0], 4.0), 0.0)  # boundary point
         assert cone.violation(vec([1.0], 3.9)) > 0
         # apex is the unique height-0 point
         assert cone.contains(vec([0.0], 0.0), 0.0)
         assert cone.violation(vec([0.1], 0.0)) > 0
-
-    def test_zero_vel_set_requires_zero_velocity(self):
-        with pytest.raises(ValueError):
-            second_order_zero_vel_set(so_agent(0.0, v=1.0))
 
 
 class TestAttainableSet:
@@ -193,7 +225,7 @@ class TestAttainableSet:
 
     def test_zero_velocity_projection_is_near_exact(self):
         s = SecondOrderAttainableSet(0.0, 0.0)
-        cone = second_order_zero_vel_set(so_agent(0.0))
+        cone = attainable_set(so_agent(0.0))
         rng = np.random.default_rng(7)
         for _ in range(100):
             p = vec([rng.uniform(-5, 5)], rng.uniform(-5, 20))
@@ -355,7 +387,8 @@ class TestSolveConsensus:
         assert r.x_consensus[0] == pytest.approx(1.0, abs=1e-4)
         assert r.t_consensus == pytest.approx(4.0, abs=1e-4)
         traj = simulate_trajectory(agents[0], (r.x_consensus, 0.0), dt=1.0)
-        assert traj.schedule.total_duration == pytest.approx(4.0, abs=1e-4)
+        ((duration, _),) = traj.schedule.segments
+        assert duration == traj.arrival_time == pytest.approx(4.0, abs=1e-4)
 
     def test_model_given_as_a_string(self):
         agents = [AgentDynamics("second_order", [x]) for x in (1.0, 3.0)]
@@ -368,10 +401,33 @@ class TestSolveConsensus:
             AgentDynamics("bogus", [1.0])
 
     def test_mixed_models_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="same model"):
             solve_min_time_consensus(
                 [so_agent(0.0), AgentDynamics(Model.FIRST_ORDER, [1.0])]
             )
+
+    def test_mixed_lengths_rejected(self):
+        agents = [AgentDynamics(Model.FIRST_ORDER, x) for x in ([0.0], [1.0, 2.0])]
+        with pytest.raises(DimensionMismatchError, match="same length"):
+            solve_min_time_consensus(agents)
+
+    def test_no_agents_rejected(self):
+        with pytest.raises(ValueError, match="at least one agent"):
+            solve_min_time_consensus([])
+
+    def test_reach_time_is_the_set_boundary(self):
+        # the height _build_sets gives a position is the reach time there,
+        # squared for a double integrator at rest
+        for agents, power in (
+            ([AgentDynamics(Model.FIRST_ORDER, [1.0, -2.0], u_max=2.0)], 1),
+            ([so_agent(1.5, u_max=0.5)], 2),
+            ([so_agent(1.5, 2.0, 0.5)], 1),
+        ):
+            (s,), _, _ = _build_sets(agents)
+            for x in ([4.0, 2.0], [-3.0, 0.5]):
+                x = np.array(x[: agents[0].x0.size])
+                t = reach_time(agents[0], x)
+                assert s.violation(vec(x, t ** power)) == pytest.approx(0.0, abs=1e-12)
 
     def test_consensus_time_is_max_reach_time(self):
         agents = [so_agent(x) for x in EXP1_POSITIONS]

@@ -58,8 +58,8 @@ def _epigraph(dim):
     return ConvexEpigraph(lambda x: 0.0, lambda x: 0 * x, dim)
 
 
-# (constructor, error) pairs: every parameter a set is built from must be a
-# finite number of the right kind
+# (constructor, error) pairs: every parameter a set or a point is built from
+# must be a finite number of the right kind
 BAD_SETS = {
     "cone-nan-slope": (lambda: SecondOrderCone(pt([0.0], 0.0), np.nan), ValueError),
     "cone-inf-slope": (lambda: SecondOrderCone(pt([0.0], 0.0), np.inf), ValueError),
@@ -71,10 +71,19 @@ BAD_SETS = {
     "ball-inf-center": (lambda: Ball(np.array([0.0, np.inf]), 1.0), ValueError),
     "halfspace-nan-offset": (lambda: Halfspace(np.array([0.0, -1.0]), np.nan), ValueError),
     "halfspace-inf-offset": (lambda: Halfspace(np.array([0.0, -1.0]), np.inf), ValueError),
+    "halfspace-bool-offset": (lambda: Halfspace(np.array([0.0, -1.0]), True), TypeError),
+    "halfspace-zero-normal": (lambda: Halfspace(np.zeros(2), 1.0), ValueError),
+    "ball-bool-center": (lambda: Ball([0.0, True], 1.0), TypeError),
     "plane-dim-0": (lambda: HorizontalHyperplane(0.0, dim=0), ValueError),
     "plane-dim-negative": (lambda: HorizontalHyperplane(0.0, dim=-1), ValueError),
     "plane-dim-1.5": (lambda: HorizontalHyperplane(0.0, dim=1.5), TypeError),
     "plane-dim-true": (lambda: HorizontalHyperplane(0.0, dim=True), TypeError),
+    "plane-bool-t_min": (lambda: HorizontalHyperplane(True), TypeError),
+    "plane-nan-t_min": (lambda: HorizontalHyperplane(np.nan), ValueError),
+    "point-bool-t": (lambda: PointTime([1.0], True), TypeError),
+    "point-bool-x": (lambda: PointTime([True], 0.0), TypeError),
+    "point-bool-among-floats-x": (lambda: PointTime([0.5, True], 0.0), TypeError),
+    "point-string-x": (lambda: PointTime(["1.5"], 0.0), TypeError),
     "epigraph-dim-0": (lambda: _epigraph(0), ValueError),
     "epigraph-dim-1.5": (lambda: _epigraph(1.5), TypeError),
 }

@@ -75,6 +75,7 @@ class TestCoordinatorStep:
 CFG = ToleranceConfig()
 # the paper's protocol: flag 1 resets every increment after a Bregman event
 COLD = ToleranceConfig(warm_start=False)
+LOOSE_INNER = ToleranceConfig(err=1e-2, outer_tol=1e-6)
 PLANE = HorizontalHyperplane(0.0)
 PLANE_2D = HorizontalHyperplane(0.0, dim=2)
 
@@ -421,13 +422,20 @@ class TestSkippedVisits:
         # every case takes
         assert resets > 0
 
-    @pytest.mark.parametrize("seed", range(20))
-    def test_warm_matches_the_per_visit_loop_bit_for_bit(self, seed):
+    @pytest.mark.parametrize(
+        "seed, cfg",
+        [pytest.param(seed, CFG, id=str(seed)) for seed in range(20)]
+        # err above outer_tol: the inner runs stop early and the outer steps
+        # are many, so a guess agent 1 kept across a plane drop would change
+        # its stop tests and the run
+        + [pytest.param(seed, LOOSE_INNER, id=f"loose-inner-{seed}") for seed in range(20)],
+    )
+    def test_warm_matches_the_per_visit_loop_bit_for_bit(self, seed, cfg):
         sets = random_agent_sets(seed)
         dim = sets[0].dim
         plane, p0 = HorizontalHyperplane(-0.5, dim=dim), PointTime(np.zeros(dim), 30.0)
-        ref, resets = full_ring(sets, plane, p0, CFG)
-        sol = run_ring(sets, plane, p0, CFG)
+        ref, resets = full_ring(sets, plane, p0, cfg)
+        sol = run_ring(sets, plane, p0, cfg)
         assert hexed(sol) == hexed(ref)
         # no increment is ever reset, and every event row holds the plane
         # point that agent 1 dropped
