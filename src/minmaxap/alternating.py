@@ -110,6 +110,43 @@ class MinMaxSolution:
     plane_grazed: bool = False
 
 
+def dykstra_step(s: ProjectableSet, increment: Array, x: Array) -> tuple[Array, Array]:
+    """One Dykstra step onto the set s: the new iterate, the projection of
+    x minus s's increment, and s's new increment."""
+    y = x - increment
+    q = s.project(y)
+    return q, q - y
+
+
+def dykstra_pass(
+    sets: Sequence[ProjectableSet], cones: ConeStack, x: Array, increments: Array,
+    zero: Array, lo: int, trace: Optional[Trace] = None, cycle: int = 0, flag: int = 0,
+) -> tuple[Array, float]:
+    """One cyclic Dykstra pass over sets[lo:] from x, updating increments
+    and their +0.0 flags zero in place: the iterate it ends at, and the sum
+    of the increments' moves. It skips the steps ConeStack.first_nontrivial
+    finds trivial, which would change nothing bit for bit. A trace gets the
+    ring's rows, set i being agent i + 1: one per step, and one run per
+    stretch of skipped steps, holding the x they pass on."""
+    m = len(sets)
+    drift = 0.0
+    i = lo
+    while i < m:
+        j = cones.first_nontrivial(x, zero, i)
+        if trace is not None and j > i:
+            trace._add(cycle, i + 1, j + 1, x, 0.0, flag, False)
+        if j == m:
+            break
+        x, inc = dykstra_step(sets[j], increments[j], x)
+        drift += norm(inc - increments[j])
+        increments[j] = inc
+        zero[j] = plus_zero(inc)
+        if trace is not None:
+            trace._add(cycle, j + 1, j + 2, x, norm(inc), flag, False)
+        i = j + 1
+    return x, drift
+
+
 def dykstra_project(
     sets: Sequence[ProjectableSet],
     p0: Array,
@@ -118,16 +155,11 @@ def dykstra_project(
 ) -> Array:
     """Project the (x..., t) array p0 onto the intersection of the given sets.
 
-    Cycles through the sets in order, applying each projection to the
-    iterate minus that set's increment and updating the increment, until
-    the end-of-cycle iterate moves less than cfg.err between cycles.
-
-    A step is trivial when the set's increment is +0.0 throughout and the
-    iterate lies strictly inside the set: the step would leave both
-    bit-for-bit unchanged. The trivial steps that
-    ConeStack.first_nontrivial finds are skipped, as run_ring skips trivial
-    agent visits, so the result and the cycle count are those of the plain
-    per-set loop. p0 itself comes back when no step moves it.
+    Runs one dykstra_pass over all the sets per cycle, with no trace, until
+    the end-of-cycle iterate moves less than cfg.err between cycles. The
+    pass skips only steps that change nothing, so the result and the cycle
+    count are those of the plain per-set loop, and p0 itself comes back
+    when no step moves it.
 
     stats, when given, is a dict the run reports its cycle count in, as
     stats["cycles"]. The run's increments, one (n+1,) row per set, are
@@ -146,8 +178,7 @@ def dykstra_project(
         s._check(p0)
     x = p0
     m = len(sets)
-    if stats is None:
-        stats = {}
+    stats = {} if stats is None else stats
     increments = stats.setdefault("increments", np.zeros((m, x.size)))
     if increments.shape != (m, x.size):
         raise ValueError(f"increments must have shape {(m, x.size)}, got {increments.shape}")
@@ -157,22 +188,7 @@ def dykstra_project(
     prev = None
     resid = np.inf
     for cycle in range(1, cfg.max_inner_cycles + 1):
-        # sum of the increments' moves this cycle, in set order; an
-        # unchanged increment would add exactly 0.0
-        drift = 0
-        i = 0
-        while i < m:
-            i = cones.first_nontrivial(x, zero, i)
-            if i == m:
-                break
-            y = x - increments[i]
-            px = sets[i].project(y)
-            inc = px - y
-            drift += norm(inc - increments[i])
-            increments[i] = inc
-            zero[i] = plus_zero(inc)
-            x = px
-            i += 1
+        x, drift = dykstra_pass(sets, cones, x, increments, zero, 0)
         if prev is not None:
             # the iterate can stall for whole cycles while the increments
             # still drift, so both must settle before we may stop

@@ -62,7 +62,8 @@ class AgentDynamics:
 
 @dataclass(frozen=True)
 class ControlSchedule:
-    """Piecewise-constant input: list of (duration, input) segments."""
+    """Piecewise-constant input: list of (duration, input) segments, each
+    input a finite number or vector."""
 
     segments: Tuple[Tuple[float, object], ...]
 
@@ -70,6 +71,8 @@ class ControlSchedule:
         segs = tuple((finite_number(d, "duration"), u) for d, u in self.segments)
         if any(d < 0 for d, _ in segs):
             raise ValueError("segment durations must be nonnegative")
+        for _, u in segs:
+            finite_vector(u, "input")
         object.__setattr__(self, "segments", segs)
 
 
@@ -240,18 +243,20 @@ def simulate_trajectory(
 
     A first-order agent moves straight to the position vector at u_max; its
     target velocity must be 0.  A second-order agent flies the bang-bang
-    maneuver to the scalar position, integrated in closed form.
+    maneuver to the scalar position, integrated in closed form.  A position
+    whose length is not x0's raises DimensionMismatchError.
 
     dt only controls the output sampling; phase switch and arrival times
     are exact.  The sample list always contains the initial point, the
     switch instant and the arrival point.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    dt = positive_number(dt, "dt")
+    xt = _position(agent, finite_vector(target[0], "target position"))
+    vt = finite_number(target[1], "target velocity")
     if agent.model is Model.FIRST_ORDER:
-        if float(target[1]) != 0.0:
+        if vt != 0.0:
             raise ValueError("first-order agents have no velocity state")
-        d = np.asarray(target[0], dtype=float) - agent.x0
+        d = xt - agent.x0
         dist = float(np.linalg.norm(d))
         if dist == 0.0:
             total, u, sched = 0.0, np.zeros_like(agent.x0), ControlSchedule(())
@@ -266,8 +271,7 @@ def simulate_trajectory(
         ]
         return TrajectoryResult(samples, sched, total)
     um = agent.u_max
-    x0, v0 = float(agent.x0[0]), agent.v0
-    xt, vt = float(target[0]), float(target[1])
+    x0, v0, xt = float(agent.x0[0]), agent.v0, float(xt[0])
 
     total = second_order_reach_time_general(x0, v0, xt, vt, um)
     if total == 0.0:
@@ -275,8 +279,7 @@ def simulate_trajectory(
 
     # nonzero: it is 0 only at the target itself, reached at total 0
     u1 = bang_bang_control((x0, v0), (xt, vt), um)
-    t1 = 0.5 * (total + (vt - v0) / u1)
-    t1 = min(max(t1, 0.0), total)
+    t1 = min(max(0.5 * (total + (vt - v0) / u1), 0.0), total)
     t2 = total - t1
 
     segments = []
@@ -344,13 +347,19 @@ def _build_sets(
     return cones, second_order, False
 
 
+def _position(agent: AgentDynamics, x: Array) -> Array:
+    """x; DimensionMismatchError unless a number or a vector of x0's length."""
+    if x.ndim > 1 or x.size != agent.x0.size:
+        raise DimensionMismatchError(f"position length {x.size}, x0 length {agent.x0.size}")
+    return x
+
+
 def reach_time(agent: AgentDynamics, x: Array) -> float:
     """Minimum time for one agent to reach position x and stop there."""
+    x = _position(agent, np.asarray(x, dtype=float))
     if agent.model is Model.FIRST_ORDER:
-        return float(np.linalg.norm(np.asarray(x, float) - agent.x0)) / agent.u_max
-    return second_order_reach_time_general(
-        float(agent.x0[0]), agent.v0, float(np.atleast_1d(x)[0]), 0.0, agent.u_max
-    )
+        return float(np.linalg.norm(x - agent.x0)) / agent.u_max
+    return second_order_reach_time_general(float(agent.x0[0]), agent.v0, x.item(), 0.0, agent.u_max)
 
 
 def solve_min_time_consensus(

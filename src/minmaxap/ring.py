@@ -11,12 +11,10 @@ needs no more than they.  A cold one zeroes every increment at the event;
 the paper's agents each discard their own at the next visit, which
 projects the same points.
 
-run_ring keeps the increments in one (N, n+1) array, as dykstra_project
-does, and calls agent_step at each visit and coordinator_step once per
-cycle. It skips the agent visits that would change nothing bit for bit, as
-dykstra_project skips trivial steps, and records each run of them as one
-entry of its Trace; its traces and results are those of visiting every
-agent.
+run_ring keeps the increments in one (N, n+1) array. Each cycle agent 1
+takes its agent_step (alternating.dykstra_step) and coordinator_step, and
+agents 2..N take alternating.dykstra_pass, the pass dykstra_project makes,
+which skips the visits that change nothing but still writes their rows.
 """
 
 from __future__ import annotations
@@ -26,23 +24,12 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .alternating import MinMaxSolution, ToleranceConfig, Trace, bregman_step
+from .alternating import MinMaxSolution, ToleranceConfig, Trace, bregman_step, dykstra_pass
+from .alternating import dykstra_step as agent_step
 from .errors import ConvergenceError
-from .geometry import ConeStack, HorizontalHyperplane, PointTime, ProjectableSet, norm, plus_zero
+from .geometry import ConeStack, HorizontalHyperplane, PointTime, ProjectableSet, norm
 
 Array = np.ndarray
-
-
-def agent_step(s: ProjectableSet, increment: Array, guess: Array) -> Tuple[Array, Array]:
-    """One Dykstra update at a single agent: the guess it sends on and its
-    new increment.
-
-    Projects the incoming guess minus the private increment onto the
-    agent's own set s.
-    """
-    y = guess - increment
-    q = s.project(y)
-    return q, q - y
 
 
 def coordinator_step(
@@ -78,12 +65,12 @@ def run_ring(
     cfg.max_inner_cycles caps the cycles between two events. Every
     ConvergenceError carries the trace so far.
 
-    A visit of agents 2..N is skipped when ConeStack.first_nontrivial finds
-    it trivial: the increment is +0.0 on arrival and the guess lies strictly
-    inside the agent's cone. agent_step would then send the same guess on,
-    keep a zero increment and add 0.0 to the drift, so the row
-    (cycle, id, guess, 0.0, flag, False) that the returned Trace builds
-    from the received guess array is the one it would have written.
+    dykstra_pass skips a visit of agents 2..N when the increment is +0.0
+    on arrival and the guess lies strictly inside the agent's cone.
+    agent_step would then send the same guess on, keep a zero increment and
+    add 0.0 to the drift, so the row (cycle, id, guess, 0.0, flag, False)
+    that the returned Trace builds from the received guess array is the one
+    it would have written.
 
     The trace's flag is 1 on the rows of the cycle a cold event (one
     without cfg.warm_start) starts, from agent 1's event row on, and 0
@@ -95,12 +82,11 @@ def run_ring(
     plane._check(guess)
     for s in sets:
         s._check(guess)
-    n_agents = len(sets)
     cones = ConeStack(sets)
-    increments = np.zeros((n_agents, guess.size))
+    increments = np.zeros((len(sets), guess.size))
     # increment is +0.0 in every component; agent 1 always takes its turn,
     # so its entry is never read
-    zero = np.ones(n_agents, dtype=bool)
+    zero = np.ones(len(sets), dtype=bool)
     # every increment's movement since agent 1 last tested the guess
     drift = 0.0
     last_guess: Optional[Array] = None
@@ -113,7 +99,6 @@ def run_ring(
         drift += norm(inc - increments[0])
         increments[0] = inc
         e, plane_pt = coordinator_step(a, last_guess, drift, plane, cfg)
-        drift = 0.0
         bregman = plane_pt is not None
         flag = int(bregman and not cfg.warm_start)
         trace._add(cycle, 1, 2, plane_pt if bregman else a, norm(inc), flag, bregman)
@@ -134,21 +119,7 @@ def run_ring(
                 zero[:] = True
         else:
             guess = last_guess = a
-        i = 1
-        while i < n_agents:
-            j = cones.first_nontrivial(guess, zero, i)
-            # the visits in between are trivial and make one run (ids are
-            # indices + 1)
-            if j > i:
-                trace._add(cycle, i + 1, j + 1, guess, 0.0, flag, False)
-            if j == n_agents:
-                break
-            guess, inc = agent_step(sets[j], increments[j], guess)
-            drift += norm(inc - increments[j])
-            increments[j] = inc
-            zero[j] = plus_zero(inc)
-            trace._add(cycle, j + 1, j + 2, guess, norm(inc), flag, False)
-            i = j + 1
+        guess, drift = dykstra_pass(sets, cones, guess, increments, zero, 1, trace, cycle, flag)
         if cycle - last_event_cycle == cfg.max_inner_cycles:
             raise ConvergenceError(
                 "ring protocol: inner cycle cap reached",

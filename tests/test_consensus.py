@@ -103,6 +103,11 @@ BAD_CONSENSUS_OBJECTS = {
     "schedule-negative-duration": (lambda: ControlSchedule(((-1.0, 1.0),)), ValueError),
     "schedule-bool-duration": (lambda: ControlSchedule(((True, 1.0),)), TypeError),
     "schedule-string-duration": (lambda: ControlSchedule((("1", 1.0),)), TypeError),
+    "schedule-nan-input": (lambda: ControlSchedule(((1.0, math.nan),)), ValueError),
+    "schedule-inf-vector-input": (
+        lambda: ControlSchedule(((1.0, np.array([1.0, -math.inf])),)), ValueError),
+    "schedule-bool-input": (lambda: ControlSchedule(((1.0, True),)), TypeError),
+    "schedule-string-input": (lambda: ControlSchedule(((1.0, "1"),)), TypeError),
 }
 
 
@@ -130,8 +135,27 @@ class TestFirstOrder:
         assert cone2.slope == 0.5
         assert cone2.contains(vec([3.0], 1.0), 0.0)  # |3-2|/2 <= 1
 
+    @pytest.mark.parametrize("x", [[3.0], [3.0, 4.0, 0.0], [[3.0], [4.0]]])
+    def test_position_of_another_length_rejected(self, x):
+        # numpy would broadcast [3.0] against a 2-D x0 and answer 4.2426
+        agent = AgentDynamics(Model.FIRST_ORDER, [0.0, 0.0])
+        with pytest.raises(DimensionMismatchError):
+            reach_time(agent, np.array(x))
+        if np.ndim(x) == 1:
+            with pytest.raises(DimensionMismatchError):
+                simulate_trajectory(agent, (np.array(x), 0.0), dt=0.1)
+
 
 class TestSecondOrderReachTimes:
+    def test_position_of_another_length_rejected(self):
+        # only x[0] was read, so [1.0, 5.0] gave the time to 1.0
+        agent = so_agent(0.0)
+        assert reach_time(agent, 1.0) == reach_time(agent, np.array([1.0])) == 2.0
+        with pytest.raises(DimensionMismatchError):
+            reach_time(agent, np.array([1.0, 5.0]))
+        with pytest.raises(DimensionMismatchError):
+            simulate_trajectory(agent, (np.array([1.0, 5.0]), 0.0), dt=0.1)
+
     def test_zero_vel_unit_case(self):
         assert second_order_reach_time_zero_vel(0.0, 1.0, 1.0) == pytest.approx(2.0)
 
@@ -336,6 +360,27 @@ class TestFirstOrderTrajectory:
         agent = AgentDynamics(Model.FIRST_ORDER, [0.0])
         with pytest.raises(ValueError):
             simulate_trajectory(agent, ([1.0], 0.5), dt=0.1)
+
+
+@pytest.mark.parametrize(
+    "agent, target, dt, error",
+    [
+        # True would otherwise sample at dt 1.0
+        (so_agent(0.0), (1.0, 0.0), True, TypeError),
+        (so_agent(0.0), (1.0, 0.0), math.nan, ValueError),
+        (so_agent(0.0), (1.0, 0.0), 0.0, ValueError),
+        (so_agent(0.0), (math.inf, 0.0), 0.1, ValueError),
+        (so_agent(0.0), (1.0, math.nan), 0.1, ValueError),
+        (so_agent(0.0), ("1", 0.0), 0.1, TypeError),
+        (AgentDynamics(Model.FIRST_ORDER, [0.0, 0.0]), ([1.0, math.nan], 0.0), 0.1, ValueError),
+        (AgentDynamics(Model.FIRST_ORDER, [0.0]), ([1.0], True), 0.1, TypeError),
+    ],
+    ids=["dt-bool", "dt-nan", "dt-zero", "position-inf", "velocity-nan", "position-string",
+         "vector-nan", "velocity-bool"],
+)
+def test_trajectory_numbers_checked(agent, target, dt, error):
+    with pytest.raises(error):
+        simulate_trajectory(agent, target, dt)
 
 
 class TestSolveConsensus:
