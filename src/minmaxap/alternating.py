@@ -267,7 +267,6 @@ def solve_minmax(
     between runs otherwise.
     """
     start = b = p0.to_array()
-    plane._check(b)
     stats = {"increments": np.zeros((len(epigraphs), b.size))}
     trace = Trace()
     inner_total = 0

@@ -1,8 +1,9 @@
 """Command-line front end: solve / simulate / verify over JSON configs.
 
-Exit codes: 0 ok, 2 config validation error, 3 solver failure,
-4 verification mismatch (an inconclusive check, when the oracle budget runs
-out or x0 has more than 3 axes, is reported distinctly but also exits 4).
+Exit codes: 0 ok, 2 config validation error or an output file that cannot be
+written, 3 solver failure, 4 verification mismatch (an inconclusive check,
+when the oracle budget runs out or x0 has more than 3 axes, is reported
+distinctly but also exits 4).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .consensus import (
     solve_min_time_consensus,
 )
 from .errors import ConvergenceError, OracleBudgetError
+from .geometry import positive_number
 from .oracle import GridSpec, grid_minmax, numeric_projection
 
 EXIT_OK = 0
@@ -154,12 +156,11 @@ def load_config(path: str) -> ExperimentConfig:
         if path is not None and not isinstance(path, str):
             problems.append(f"outputs.{key}: must be a file path string")
     if "sample_dt" in out:
-        sample_dt = out["sample_dt"]
-        # bool is an int subclass, but true is no step length
-        if isinstance(sample_dt, bool) or not (isinstance(sample_dt, (int, float)) and sample_dt > 0):
-            problems.append("outputs.sample_dt: must be a positive number")
-        else:
-            outputs["sample_dt"] = float(sample_dt)
+        # the check simulate_trajectory makes of its step
+        try:
+            outputs["sample_dt"] = positive_number(out["sample_dt"], "sample_dt")
+        except (ValueError, TypeError) as exc:
+            problems.append(f"outputs: {exc}")
 
     if problems:
         raise ConfigError(problems)
@@ -317,15 +318,21 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.mode:
         cfg.mode = args.mode
 
+    # an output file that cannot be written, the partial trace of a capped
+    # solve included, is a config error
     try:
-        result = solve_min_time_consensus(cfg.agents, cfg.solver, mode=cfg.mode)
-    except ConvergenceError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        if args.command == "solve":
-            _write_trace(cfg, exc.trace)
-        return EXIT_SOLVER
-    handler = {"solve": cmd_solve, "simulate": cmd_simulate, "verify": cmd_verify}
-    return handler[args.command](cfg, result, quiet=args.quiet)
+        try:
+            result = solve_min_time_consensus(cfg.agents, cfg.solver, mode=cfg.mode)
+        except ConvergenceError as exc:
+            print(f"solver failure: {exc}", file=sys.stderr)
+            if args.command == "solve":
+                _write_trace(cfg, exc.trace)
+            return EXIT_SOLVER
+        handler = {"solve": cmd_solve, "simulate": cmd_simulate, "verify": cmd_verify}
+        return handler[args.command](cfg, result, quiet=args.quiet)
+    except OSError as exc:
+        print(f"config error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -343,8 +343,9 @@ def _build_sets(
     if second_order and any(a.v0 != 0.0 for a in agents):
         return [SecondOrderAttainableSet(a.x0[0], a.v0, a.u_max) for a in agents], False, True
     slope = 4.0 if second_order else 1.0
-    cones = [SecondOrderCone(PointTime(a.x0, 0.0), slope / a.u_max) for a in agents]
-    return cones, second_order, False
+    # row i is agent i's apex (x0..., 0)
+    apex = np.column_stack(([a.x0 for a in agents], np.zeros(len(agents))))
+    return [SecondOrderCone(p, slope / a.u_max) for p, a in zip(apex, agents)], second_order, False
 
 
 def _position(agent: AgentDynamics, x: Array) -> Array:
@@ -384,7 +385,7 @@ def solve_min_time_consensus(
     h0 = max(s.violation(np.append(centroid, 0.0)) for s in sets)
     p0 = PointTime(centroid, h0)
 
-    plane = HorizontalHyperplane(0.0, dim=centroid.size)
+    plane = HorizontalHyperplane(0.0)
     solve = solve_minmax if mode == "centralized" else run_ring
     sol = solve(sets, plane, p0, cfg)
 

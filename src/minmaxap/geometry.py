@@ -31,10 +31,6 @@ class PointTime:
         object.__setattr__(self, "x", finite_vector(self.x, "x"))
         object.__setattr__(self, "t", finite_number(self.t, "t"))
 
-    @property
-    def dim(self) -> int:
-        return int(self.x.size)
-
     def to_array(self) -> Array:
         return np.append(self.x, self.t)
 
@@ -85,7 +81,8 @@ def finite_vector(x, what: str) -> Array:
 class ProjectableSet:
     """A closed convex subset of R^{n+1} with membership and projection.
 
-    Points are raw (n+1) float arrays (x..., t).
+    Points are raw (n+1) float arrays (x..., t). dim is n for every set
+    but HorizontalHyperplane, which has none and takes every length.
     """
 
     dim: int
@@ -113,17 +110,17 @@ class ProjectableSet:
 
 @dataclass(frozen=True)
 class HorizontalHyperplane(ProjectableSet):
-    """The plane {(x, t) | t = t_min}."""
+    """The plane {(x, t) | t = t_min}, in the dimension of each point."""
 
     t_min: float
-    dim: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "t_min", finite_number(self.t_min, "t_min"))
-        _check_dim(self.dim)
+
+    def _check(self, v: Array) -> None:
+        """Every length is right: the plane exists in every dimension."""
 
     def violation(self, v: Array) -> float:
-        self._check(v)
         return abs(float(v[-1]) - self.t_min)
 
     def project(self, v: Array) -> Array:
@@ -136,37 +133,40 @@ class HorizontalHyperplane(ProjectableSet):
 
 @dataclass(frozen=True)
 class SecondOrderCone(ProjectableSet):
-    """The cone {(x, t) : slope * ||x - apex.x|| <= t - apex.t}, slope > 0."""
+    """The cone {(x, t) : slope * ||x - x_a|| <= t - t_a}, slope > 0, with
+    apex the (x_a..., t_a) array."""
 
-    apex: PointTime
+    apex: Array
     slope: float
 
     def __post_init__(self):
+        object.__setattr__(self, "apex", finite_vector(self.apex, "apex"))
+        _check_dim(self.apex.size - 1)
         positive_number(self.slope, "slope")
 
     @property
     def dim(self) -> int:  # type: ignore[override]
-        return self.apex.dim
+        return int(self.apex.size) - 1
 
     def violation(self, v: Array) -> float:
         self._check(v)
-        r = float(np.linalg.norm(v[:-1] - self.apex.x))
-        return self.slope * r - (float(v[-1]) - self.apex.t)
+        r = float(np.linalg.norm(v[:-1] - self.apex[:-1]))
+        return self.slope * r - float(v[-1] - self.apex[-1])
 
     def project(self, v: Array) -> Array:
-        a = self.slope
-        y = v[:-1] - self.apex.x
-        th = float(v[-1]) - self.apex.t
+        a, apex = self.slope, self.apex
+        y = v[:-1] - apex[:-1]
+        th = float(v[-1] - apex[-1])
         r = norm(y)
         if a * r <= th:
             return v
         if r <= -a * th:
-            return self.apex.to_array()
+            return apex.copy()
         # here r > 0; nearest boundary point along the ray through y
         rho = (r + a * th) / (1.0 + a * a)
-        q = np.empty(v.size)
-        q[:-1] = self.apex.x + rho * (y / r)
-        q[-1] = self.apex.t + a * rho
+        q = apex.copy()
+        q[:-1] += rho * (y / r)
+        q[-1] += a * rho
         return q
 
 
@@ -217,8 +217,8 @@ class ConeStack:
         dim = next((c.dim for c in cones if c is not None), 1)
         # a set that is not a cone gets an infinite apex height, which
         # leaves every point outside it
-        self.apex_x = np.array([np.zeros(dim) if c is None else c.apex.x for c in cones])
-        self.apex_t = np.array([np.inf if c is None else c.apex.t for c in cones])
+        self.apex_x = np.array([np.zeros(dim) if c is None else c.apex[:-1] for c in cones])
+        self.apex_t = np.array([np.inf if c is None else c.apex[-1] for c in cones])
         slope = np.array([1.0 if c is None else c.slope for c in cones])
         self.slope = slope * (1.0 + 1e-12)
         self.floor = slope * 1e-150

@@ -79,7 +79,6 @@ def run_ring(
     if not sets:
         raise ValueError("at least one agent is required")
     guess = b_prev = p0.to_array()
-    plane._check(guess)
     for s in sets:
         s._check(guess)
     cones = ConeStack(sets)

@@ -136,7 +136,7 @@ def _random_instance(rng):
             slope = float(rng.uniform(0.4, 2.0))
             ax = interior[0] + rng.normal()
             at = interior[1] - slope * abs(interior[0] - ax) - float(rng.uniform(0.1, 1.0))
-            sets.append(SecondOrderCone(pt([ax], at), slope))
+            sets.append(SecondOrderCone(vec([ax], at), slope))
     return sets, interior
 
 
@@ -165,7 +165,7 @@ def test_criterion_4_dykstra_oracle_equivalence():
 def test_criterion_5_projection_properties():
     sets = [
         HorizontalHyperplane(0.5),
-        SecondOrderCone(pt([0.2], -0.3), 1.4),
+        SecondOrderCone(vec([0.2], -0.3), 1.4),
         Halfspace(np.array([0.6, 0.8]), 1.0),
         Ball(np.array([0.0, 1.0]), 2.0),
     ]
@@ -201,7 +201,7 @@ def test_criterion_6_ring_centralized_equivalence():
         rng = np.random.default_rng(2000 + seed)
         cones = [
             SecondOrderCone(
-                pt(rng.uniform(-5, 5, size=1), float(rng.uniform(0.0, 0.5))),
+                vec(rng.uniform(-5, 5, size=1), float(rng.uniform(0.0, 0.5))),
                 float(rng.uniform(0.5, 3.0)),
             )
             for _ in range(int(rng.integers(2, 5)))
@@ -223,14 +223,14 @@ def test_criterion_7_minmax_vs_grid():
         rng = np.random.default_rng(3000 + seed)
         cones = [
             SecondOrderCone(
-                pt(rng.uniform(-4, 4, size=1), float(rng.uniform(0.0, 1.0))),
+                vec(rng.uniform(-4, 4, size=1), float(rng.uniform(0.0, 1.0))),
                 float(rng.uniform(0.5, 2.5)),
             )
             for _ in range(int(rng.integers(2, 7)))
         ]
         sol = solve_minmax(cones, HorizontalHyperplane(-1.0), pt([0.0], 40.0), cfg)
         funcs = [
-            (lambda c: (lambda x: c.slope * abs(float(x[0]) - float(c.apex.x[0])) + c.apex.t))(c)
+            (lambda c: (lambda x: c.slope * abs(float(x[0]) - float(c.apex[0])) + c.apex[-1]))(c)
             for c in cones
         ]
         g = grid_minmax(funcs, GridSpec(np.array([-6.0]), np.array([6.0]), 24001))

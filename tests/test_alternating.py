@@ -113,8 +113,8 @@ class TestDykstra:
 
     def test_fejer_monotone_toward_intersection(self):
         sets = [
-            SecondOrderCone(pt([-1.0], 0.0), 1.0),
-            SecondOrderCone(pt([1.0], 0.0), 1.0),
+            SecondOrderCone(vec([-1.0], 0.0), 1.0),
+            SecondOrderCone(vec([1.0], 0.0), 1.0),
         ]
         inner = vec([0.0], 5.0)  # interior point of the intersection
         x = vec([3.0], -2.0)
@@ -157,7 +157,7 @@ def textbook_dykstra(sets, p0, cfg, incs=None):
 def random_cones(rng, n, dim):
     return [
         SecondOrderCone(
-            pt(rng.uniform(-5.0, 5.0, size=dim), rng.uniform(-1.0, 1.0)),
+            vec(rng.uniform(-5.0, 5.0, size=dim), rng.uniform(-1.0, 1.0)),
             float(rng.uniform(0.5, 2.0)),
         )
         for _ in range(n)
@@ -180,7 +180,7 @@ class TestDykstraMatchesTextbook:
     def test_cone_families(self, n, dim):
         rng = np.random.default_rng(100 * n + dim)
         cones = random_cones(rng, n, dim)
-        centre = np.mean([c.apex.x for c in cones], axis=0)
+        centre = np.mean([c.apex[:-1] for c in cones], axis=0)
         # from the plane below (the solver's case) and from inside them all
         for t in (0.0, rng.uniform(-3.0, 3.0), 40.0):
             self.assert_same(cones, vec(centre + rng.normal(size=dim), t))
@@ -190,7 +190,7 @@ class TestDykstraMatchesTextbook:
         # point of the plane below; a nonzero increment is never skipped
         rng = np.random.default_rng(11)
         cones = random_cones(rng, 16, 2)
-        centre = np.mean([c.apex.x for c in cones], axis=0)
+        centre = np.mean([c.apex[:-1] for c in cones], axis=0)
         b = vec(centre, -5.0)
         first = {}
         a = dykstra_project(cones, b, CFG, stats=first)
@@ -213,7 +213,7 @@ class TestDykstraMatchesTextbook:
         # C-contiguous, and the run still updates them in place
         rng = np.random.default_rng(12)
         cones = random_cones(rng, 16, 2)
-        centre = np.mean([c.apex.x for c in cones], axis=0)
+        centre = np.mean([c.apex[:-1] for c in cones], axis=0)
         b = vec(centre, -5.0)
         first = {}
         a = dykstra_project(cones, b, CFG, stats=first)
@@ -236,7 +236,7 @@ class TestDykstraMatchesTextbook:
         rng = np.random.default_rng(7)
         for _ in range(10):
             cones = [
-                SecondOrderCone(pt(rng.uniform(-1.0, 1.0, size=2), rng.uniform(-1.0, 0.0)),
+                SecondOrderCone(vec(rng.uniform(-1.0, 1.0, size=2), rng.uniform(-1.0, 0.0)),
                                 float(rng.uniform(0.5, 1.0)))
                 for _ in range(3)
             ]
@@ -251,16 +251,16 @@ class TestDykstraMatchesTextbook:
 
     def test_starts_on_apex_and_near_surface(self):
         cones = [
-            SecondOrderCone(pt([0.3, -0.2], 0.5), 1.5),
-            SecondOrderCone(pt([-4.0, 1.0], -9.0), 1.0),
-            SecondOrderCone(pt([3.0, 2.0], -8.0), 0.7),
+            SecondOrderCone(vec([0.3, -0.2], 0.5), 1.5),
+            SecondOrderCone(vec([-4.0, 1.0], -9.0), 1.0),
+            SecondOrderCone(vec([3.0, 2.0], -8.0), 0.7),
         ]
         first = cones[0]
-        self.assert_same(cones, first.apex.to_array())
+        self.assert_same(cones, first.apex.copy())
         u = np.array([0.6, 0.8])
         for r in (1e-3, 0.7, 5.0):
-            x = first.apex.x + r * u
-            t = first.apex.t + first.slope * r
+            x = first.apex[:-1] + r * u
+            t = first.apex[-1] + first.slope * r
             for dt in (-1e-13, 0.0, 1e-13):
                 self.assert_same(cones, vec(x, t + dt))
                 self.assert_same(cones[::-1], vec(x, t + dt))
@@ -293,7 +293,7 @@ class TestSolveMinmax:
 
     def test_cone_touching_plane(self):
         r = solve_minmax(
-            [SecondOrderCone(pt([0.0], 0.0), 1.0)],
+            [SecondOrderCone(vec([0.0], 0.0), 1.0)],
             HorizontalHyperplane(0.0),
             pt([4.0], 9.0),
             CFG,
@@ -303,15 +303,15 @@ class TestSolveMinmax:
 
     def test_two_symmetric_cones(self):
         cones = [
-            SecondOrderCone(pt([-1.0], 0.0), 1.0),
-            SecondOrderCone(pt([1.0], 0.0), 1.0),
+            SecondOrderCone(vec([-1.0], 0.0), 1.0),
+            SecondOrderCone(vec([1.0], 0.0), 1.0),
         ]
         sol = solve_minmax(cones, HorizontalHyperplane(0.0), pt([0.3], 2.0), CFG)
         assert sol.x_star[0] == pytest.approx(0.0, abs=1e-5)
         assert sol.t_star == pytest.approx(1.0, abs=1e-5)
 
     def test_single_cone_minimum_at_apex(self):
-        cones = [SecondOrderCone(pt([3.0], 0.0), 2.0)]
+        cones = [SecondOrderCone(vec([3.0], 0.0), 2.0)]
         sol = solve_minmax(cones, HorizontalHyperplane(-1.0), pt([0.0], 5.0), CFG)
         assert sol.x_star[0] == pytest.approx(3.0, abs=1e-5)
         assert sol.t_star == pytest.approx(0.0, abs=1e-5)
@@ -319,7 +319,7 @@ class TestSolveMinmax:
 
     def test_experiment_one_in_squared_time(self):
         cones = [
-            SecondOrderCone(pt([x], 0.0), 4.0)
+            SecondOrderCone(vec([x], 0.0), 4.0)
             for x in (-3.542884, 3.001152, 6.924106, -18.0296)
         ]
         sol = solve_minmax(cones, HorizontalHyperplane(0.0), pt([0.0], 80.0), CFG)
@@ -328,8 +328,8 @@ class TestSolveMinmax:
 
     def test_result_is_a_minimum_under_perturbation(self):
         cones = [
-            SecondOrderCone(pt([-2.0], 0.5), 1.3),
-            SecondOrderCone(pt([1.5], 0.0), 0.8),
+            SecondOrderCone(vec([-2.0], 0.5), 1.3),
+            SecondOrderCone(vec([1.5], 0.0), 0.8),
         ]
         fs = [lambda x: 1.3 * abs(x + 2.0) + 0.5, lambda x: 0.8 * abs(x - 1.5)]
         sol = solve_minmax(cones, HorizontalHyperplane(-1.0), pt([0.0], 9.0), CFG)
@@ -343,8 +343,8 @@ class TestSolveMinmax:
 
     def test_plane_height_invariance(self):
         cones = [
-            SecondOrderCone(pt([-1.0], 0.0), 1.0),
-            SecondOrderCone(pt([2.0], 0.0), 2.0),
+            SecondOrderCone(vec([-1.0], 0.0), 1.0),
+            SecondOrderCone(vec([2.0], 0.0), 2.0),
         ]
         sols = [
             solve_minmax(cones, HorizontalHyperplane(tm), pt([0.0], 6.0), CFG)
@@ -356,7 +356,7 @@ class TestSolveMinmax:
         # exp 1 takes 3 outer steps in both modes, and both end their
         # steps in bregman_step, so a cap of 2 fails alike in both
         cones = [
-            SecondOrderCone(pt([x], 0.0), 4.0)
+            SecondOrderCone(vec([x], 0.0), 4.0)
             for x in (-3.542884, 3.001152, 6.924106, -18.0296)
         ]
         plane, p0 = HorizontalHyperplane(0.0), pt([0.0], 80.0)
@@ -381,7 +381,7 @@ class TestSolveMinmax:
         assert len(central.trace) < len(ring.trace)
 
     def test_trace_recorded(self):
-        cones = [SecondOrderCone(pt([0.0], 0.0), 1.0)]
+        cones = [SecondOrderCone(vec([0.0], 0.0), 1.0)]
         plane = HorizontalHyperplane(-1.0)
         sol = solve_minmax(cones, plane, pt([2.0], 5.0), CFG)
         assert len(sol.trace) == sol.outer_iters

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,6 @@ import pytest
 import minmaxap
 from minmaxap import (
     ConvergenceError,
-    PointTime,
     SecondOrderCone,
     ToleranceConfig,
     dykstra_project,
@@ -117,6 +117,7 @@ class TestLoadConfig:
             {"agents": [{"x0": [0.0], "u_max": NAN}]},
             {"agents": [{"model": "first_order", "x0": x} for x in ([0.0], [1.0, 2.0])]},
             {"agents": EXP1_AGENTS, "outputs": {"sample_dt": True}},
+            {"agents": EXP1_AGENTS, "outputs": {"sample_dt": math.inf}},
             {"agents": [{"x0": [0.0]}, {"x0": [1.0], "v0": True, "u_max": True}]},
             {"agents": EXP1_AGENTS, "outputs": {"solution": True}},
             {"agents": EXP1_AGENTS, "outputs": {"trace": 2}},
@@ -137,6 +138,7 @@ class TestLoadConfig:
             "u_max-nan",
             "x0-lengths-differ",
             "sample_dt-bool",
+            "sample_dt-inf",
             "v0-u_max-bool",
             "solution-path-bool",
             "trace-path-int",
@@ -284,7 +286,7 @@ class TestSolve:
         assert len(rows) >= 2
 
     def test_capped_dykstra_trace_writes_only_the_header(self, tmp_path):
-        cones = [SecondOrderCone(PointTime([x], 0.0), 1.0) for x in (-1.0, 2.0, 4.0)]
+        cones = [SecondOrderCone(np.array([x, 0.0]), 1.0) for x in (-1.0, 2.0, 4.0)]
         with pytest.raises(ConvergenceError) as exc:
             dykstra_project(cones, np.zeros(2), ToleranceConfig(max_inner_cycles=1))
         assert len(exc.value.trace) == 0
@@ -334,6 +336,32 @@ class TestSolve:
         path = write_config(tmp_path / "c.json", agents=[])
         assert main(["solve", "--config", path]) == EXIT_VALIDATION
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, key, cap",
+        [
+            ("solve", "solution", {}),
+            ("solve", "trace", {}),
+            ("solve", "trace", {"max_outer_iters": 1}),
+            ("simulate", "trajectory", {}),
+            ("simulate", "solution", {}),
+        ],
+        ids=["solve-solution", "solve-trace", "capped-solve-trace", "simulate-trajectory",
+             "simulate-solution"],
+    )
+    def test_output_in_a_missing_directory_is_a_config_error(
+        self, tmp_path, capsys, command, key, cap
+    ):
+        out = tmp_path / "missing" / "out"
+        path = write_config(
+            tmp_path / "c.json",
+            solver={"err": 1e-7, "outer_tol": 1e-6, **cap},
+            outputs={key: str(out)},
+        )
+        assert main([command, "--config", path, "--quiet"]) == EXIT_VALIDATION
+        errors = [e for e in capsys.readouterr().err.splitlines() if e.startswith("config error")]
+        assert len(errors) == 1 and errors[0].startswith("config error: cannot write output: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
     def test_determinism(self, tmp_path):
         outs = []

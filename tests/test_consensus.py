@@ -130,7 +130,7 @@ class TestFirstOrder:
 
     def test_attainable_cone(self):
         cone = attainable_set(AgentDynamics(Model.FIRST_ORDER, [0.0]))
-        assert cone.slope == 1.0 and cone.apex.t == 0.0
+        assert cone.slope == 1.0 and cone.apex[-1] == 0.0
         cone2 = attainable_set(AgentDynamics(Model.FIRST_ORDER, [2.0], u_max=2.0))
         assert cone2.slope == 0.5
         assert cone2.contains(vec([3.0], 1.0), 0.0)  # |3-2|/2 <= 1

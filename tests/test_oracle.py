@@ -6,7 +6,6 @@ import pytest
 from minmaxap import (
     GridSpec,
     Halfspace,
-    PointTime,
     SecondOrderCone,
     grid_minmax,
     numeric_projection,
@@ -14,10 +13,6 @@ from minmaxap import (
 )
 from minmaxap import oracle
 from minmaxap.errors import OracleBudgetError
-
-
-def pt(x, t):
-    return PointTime(np.atleast_1d(np.asarray(x, float)), t)
 
 
 def vec(x, t):
@@ -95,7 +90,7 @@ class TestNumericProjection:
         assert np.allclose(q, [0.0, 0.0], atol=1e-4)
 
     def test_cone(self):
-        cone = SecondOrderCone(pt([0.0], 0.0), 1.0)
+        cone = SecondOrderCone(vec([0.0], 0.0), 1.0)
         q = numeric_projection(lambda z: cone.contains(z, 1e-12), vec([2.0], 0.0), seed=2)
         assert np.allclose(q, [1.0, 1.0], atol=1e-4)
 
@@ -106,19 +101,19 @@ class TestNumericProjection:
         assert np.allclose(q, [5.0, 0.0], atol=1e-4)
 
     def test_feasible_input_returned_unchanged(self):
-        cone = SecondOrderCone(pt([0.0], 0.0), 1.0)
+        cone = SecondOrderCone(vec([0.0], 0.0), 1.0)
         p = vec([0.0], 2.0)
         assert numeric_projection(lambda z: cone.contains(z, 0.0), p) is p
 
     def test_agrees_with_closed_forms(self):
         rng = np.random.default_rng(13)
         for seed in range(10):
-            cone = SecondOrderCone(pt(rng.normal(size=1), rng.normal()), float(rng.uniform(0.5, 2)))
+            cone = SecondOrderCone(vec(rng.normal(size=1), rng.normal()), float(rng.uniform(0.5, 2)))
             p = vec(rng.normal(scale=3, size=1), rng.normal(scale=3))
             q = numeric_projection(
                 lambda z: cone.contains(z, 1e-12),
                 p,
-                feasible_hint=vec(cone.apex.x, cone.apex.t + 50.0),
+                feasible_hint=vec(cone.apex[:-1], cone.apex[-1] + 50.0),
                 seed=seed,
             )
             assert dist(q, cone.project(p)) < 1e-4

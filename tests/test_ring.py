@@ -7,7 +7,6 @@ import pytest
 from minmaxap import (
     Ball,
     ConvergenceError,
-    DimensionMismatchError,
     Halfspace,
     HorizontalHyperplane,
     MinMaxSolution,
@@ -41,7 +40,7 @@ class TestAgentStep:
         assert np.allclose(inc, [0.0, -5.0])
 
     def test_cone_step_derived_from_projection(self):
-        cone = SecondOrderCone(pt([0.0], 0.0), 1.0)
+        cone = SecondOrderCone(vec([0.0], 0.0), 1.0)
         out, inc = agent_step(cone, np.zeros(2), vec([2.0], 0.0))
         assert np.allclose(out, [1.0, 1.0])
         assert np.allclose(inc, [-1.0, 1.0])
@@ -78,24 +77,23 @@ CFG = ToleranceConfig()
 COLD = ToleranceConfig(warm_start=False)
 LOOSE_INNER = ToleranceConfig(err=1e-2, outer_tol=1e-6)
 PLANE = HorizontalHyperplane(0.0)
-PLANE_2D = HorizontalHyperplane(0.0, dim=2)
 
 
 class TestRunRing:
     def test_single_agent_minimum_at_apex(self):
-        cones = [SecondOrderCone(pt([3.0], 0.0), 1.0)]
+        cones = [SecondOrderCone(vec([3.0], 0.0), 1.0)]
         sol = run_ring(cones, HorizontalHyperplane(-1.0), pt([0.0], 5.0), CFG)
         assert sol.x_star[0] == pytest.approx(3.0, abs=1e-5)
 
     def test_two_symmetric_cones(self):
-        cones = [SecondOrderCone(pt([-1.0], 0.0), 1.0), SecondOrderCone(pt([1.0], 0.0), 1.0)]
+        cones = [SecondOrderCone(vec([-1.0], 0.0), 1.0), SecondOrderCone(vec([1.0], 0.0), 1.0)]
         sol = run_ring(cones, PLANE, pt([0.4], 3.0), CFG)
         assert sol.x_star[0] == pytest.approx(0.0, abs=1e-5)
         assert sol.t_star == pytest.approx(1.0, abs=1e-5)
 
     def test_experiment_one(self):
         cones = [
-            SecondOrderCone(pt([x], 0.0), 4.0)
+            SecondOrderCone(vec([x], 0.0), 4.0)
             for x in (-3.542884, 3.001152, 6.924106, -18.0296)
         ]
         sol = run_ring(cones, PLANE, pt([0.0], 80.0), CFG)
@@ -104,9 +102,9 @@ class TestRunRing:
 
     def test_message_conservation(self):
         cones = [
-            SecondOrderCone(pt([-1.0], 0.0), 1.0),
-            SecondOrderCone(pt([1.0], 0.0), 1.0),
-            SecondOrderCone(pt([0.5], 0.0), 2.0),
+            SecondOrderCone(vec([-1.0], 0.0), 1.0),
+            SecondOrderCone(vec([1.0], 0.0), 1.0),
+            SecondOrderCone(vec([0.5], 0.0), 2.0),
         ]
         sol = run_ring(cones, PLANE, pt([0.2], 4.0), CFG)
         counts = Counter(row.agent_id for row in sol.trace)
@@ -122,8 +120,8 @@ class TestRunRing:
 
     def test_flag_discipline_reset_step_restarts_increment(self):
         cones = [
-            SecondOrderCone(pt([-1.0], 0.0), 1.0),
-            SecondOrderCone(pt([1.0], 0.0), 1.0),
+            SecondOrderCone(vec([-1.0], 0.0), 1.0),
+            SecondOrderCone(vec([1.0], 0.0), 1.0),
         ]
         sol = run_ring(cones, PLANE, pt([0.3], 4.0), COLD)
         # every increment is zeroed at a cold event, so on the flag-1 steps
@@ -140,7 +138,7 @@ class TestRunRing:
 
     def test_matches_centralized_at_bregman_events(self):
         cones = [
-            SecondOrderCone(pt([x], 0.0), 4.0)
+            SecondOrderCone(vec([x], 0.0), 4.0)
             for x in (-3.542884, 3.001152, 6.924106, -18.0296)
         ]
         p0 = pt([0.0], 80.0)
@@ -161,7 +159,7 @@ class TestRunRing:
         # events agree as the reset protocol's do
         sets = random_agent_sets(seed)
         dim = sets[0].dim
-        plane, p0 = HorizontalHyperplane(-0.5, dim=dim), PointTime(np.zeros(dim), 30.0)
+        plane, p0 = HorizontalHyperplane(-0.5), PointTime(np.zeros(dim), 30.0)
         central = solve_minmax(sets, plane, p0, CFG)
         ring = run_ring(sets, plane, p0, CFG)
         ring_events = [r for r in ring.trace if r.bregman_event]
@@ -176,7 +174,7 @@ class TestRunRing:
             rng = np.random.default_rng(100 + seed)
             cones = [
                 SecondOrderCone(
-                    pt(rng.uniform(-5, 5, size=1), float(rng.uniform(0, 0.5))),
+                    vec(rng.uniform(-5, 5, size=1), float(rng.uniform(0, 0.5))),
                     float(rng.uniform(0.5, 3.0)),
                 )
                 for _ in range(rng.integers(2, 5))
@@ -187,7 +185,7 @@ class TestRunRing:
             assert np.linalg.norm(ring.x_star - central.x_star) <= 10 * cfg.outer_tol
 
     def test_cycle_cap_failure_carries_trace(self):
-        cones = [SecondOrderCone(pt([x], 0.0), 1.0) for x in (-1.0, 2.0, 4.0)]
+        cones = [SecondOrderCone(vec([x], 0.0), 1.0) for x in (-1.0, 2.0, 4.0)]
         cfg = ToleranceConfig(max_inner_cycles=3)
         # from below the cones the first inner run needs 4 cycles
         with pytest.raises(ConvergenceError) as exc:
@@ -196,7 +194,7 @@ class TestRunRing:
         assert [r.cycle for r in list(exc.value.trace)[-3:]] == [3, 3, 3]
 
     def test_inner_cap_counts_cycles_since_the_last_event(self):
-        cones = [SecondOrderCone(pt([x], 0.0), 1.0) for x in (-1.0, 2.0, 4.0)]
+        cones = [SecondOrderCone(vec([x], 0.0), 1.0) for x in (-1.0, 2.0, 4.0)]
         p0 = pt([0.0], 9.0)
         sol = run_ring(cones, PLANE, p0, CFG)
         events = [r.cycle for r in sol.trace if r.bregman_event]
@@ -214,7 +212,7 @@ class TestRunRing:
         assert len(exc.value.trace) == 3 * stop
 
     def test_event_cap_failure_carries_trace(self):
-        cones = [SecondOrderCone(pt([x], 0.0), 1.0) for x in (-1.0, 2.0, 4.0)]
+        cones = [SecondOrderCone(vec([x], 0.0), 1.0) for x in (-1.0, 2.0, 4.0)]
         cfg = ToleranceConfig(max_outer_iters=2)
         with pytest.raises(ConvergenceError) as exc:
             run_ring(cones, PLANE, pt([0.0], 9.0), cfg)
@@ -226,7 +224,7 @@ class TestRunRing:
         # the ring passes raw arrays, so the PointTimes built in a solve
         # must not grow with the number of agent visits
         rng = np.random.default_rng(3)
-        cones = [SecondOrderCone(pt(rng.uniform(0, 10, 2), 0.0), 1.0) for _ in range(16)]
+        cones = [SecondOrderCone(vec(rng.uniform(0, 10, 2), 0.0), 1.0) for _ in range(16)]
         p0 = pt([5.0, 5.0], 20.0)
         built = []
         init = PointTime.__post_init__
@@ -239,7 +237,7 @@ class TestRunRing:
         cycles, points = [], []
         for err in (1e-3, 1e-7):
             before = len(built)
-            sol = run_ring(cones, PLANE_2D, p0, ToleranceConfig(err=err))
+            sol = run_ring(cones, PLANE, p0, ToleranceConfig(err=err))
             cycles.append(sol.inner_cycles_total)
             points.append(len(built) - before)
         assert cycles[0] < cycles[1]
@@ -253,7 +251,7 @@ class TestRunRing:
         # the increments live inside a solve, so a second one on the same
         # sets starts afresh
         cones = [
-            SecondOrderCone(pt([x], 0.0), 4.0)
+            SecondOrderCone(vec([x], 0.0), 4.0)
             for x in (-3.542884, 3.001152, 6.924106, -18.0296)
         ]
         first = run_ring(cones, PLANE, pt([0.0], 80.0), CFG)
@@ -261,38 +259,24 @@ class TestRunRing:
         assert hexed(again) == hexed(first)
 
     @staticmethod
-    def lens_sets(plane_dim):
-        """Two 2-D cones cut by the plane t = 1 of the given dimension."""
+    def lens_sets():
+        """Two 2-D cones cut by the plane t = 1."""
         return [
-            SecondOrderCone(pt([0.0, 0.0], 0.0), 1.0),
-            HorizontalHyperplane(1.0, dim=plane_dim),
-            SecondOrderCone(pt([1.5, 0.0], 0.0), 1.0),
+            SecondOrderCone(vec([0.0, 0.0], 0.0), 1.0),
+            HorizontalHyperplane(1.0),
+            SecondOrderCone(vec([1.5, 0.0], 0.0), 1.0),
         ]
 
     def test_plane_agent_in_a_2d_ring(self):
         # the lens the plane cuts from the cones is nearest (1, 1) at its
         # corner (0.75, sqrt(7) / 4), and every lens point is equally high
-        sets = self.lens_sets(2)
-        plane, p0 = HorizontalHyperplane(0.0, dim=2), pt([1.0, 1.0], 5.0)
+        sets = self.lens_sets()
+        plane, p0 = PLANE, pt([1.0, 1.0], 5.0)
         corner = np.array([0.75, np.sqrt(7.0) / 4.0, 1.0])
         ring = run_ring(sets, plane, p0, CFG)
         central = solve_minmax(sets, plane, p0, CFG)
         for sol in (ring, central):
             assert np.linalg.norm(np.append(sol.x_star, sol.t_star) - corner) <= 10 * CFG.outer_tol
-
-    def test_plane_agent_of_the_wrong_dimension_is_rejected(self):
-        plane, p0 = HorizontalHyperplane(0.0, dim=2), pt([1.0, 1.0], 5.0)
-        with pytest.raises(DimensionMismatchError):
-            run_ring(self.lens_sets(1), plane, p0, CFG)
-
-    def test_plane_of_the_wrong_dimension_is_rejected(self):
-        # a 1-D plane under 2-D cones fails in both modes alike
-        cones = [SecondOrderCone(pt([x, y], 0.0), 1.0) for x, y in ((0.0, 0.0), (3.0, 1.0))]
-        p0 = pt([1.0, 1.0], 9.0)
-        with pytest.raises(DimensionMismatchError):
-            run_ring(cones, PLANE, p0, CFG)
-        with pytest.raises(DimensionMismatchError):
-            solve_minmax(cones, PLANE, p0, CFG)
 
 
 def full_ring(sets, plane, p0, cfg):
@@ -304,7 +288,7 @@ def full_ring(sets, plane, p0, cfg):
     carries flag 1. Returns the solution and how many such visits reset a
     nonzero increment. Assumes the solve converges within cfg's caps.
     """
-    increments = [np.zeros(p0.dim + 1) for _ in sets]
+    increments = [np.zeros(p0.x.size + 1) for _ in sets]
     guess, flag, drift, last_guess = p0.to_array(), 0, 0.0, None
     # the plane point the current inner run started from
     b_prev = guess
@@ -378,7 +362,7 @@ def random_agent_sets(seed):
     d = 1 + seed % 2
     sets = [
         SecondOrderCone(
-            pt(rng.uniform(-5, 5, size=d), float(rng.uniform(0, 0.5))),
+            vec(rng.uniform(-5, 5, size=d), float(rng.uniform(0, 0.5))),
             float(rng.uniform(0.5, 3.0)),
         )
         for _ in range(rng.integers(2, 6))
@@ -389,8 +373,8 @@ def random_agent_sets(seed):
         extra = Halfspace(np.append(a, -1.0), -float(rng.uniform(0.0, 2.0)))
     elif seed % 3 == 2:
         # centred strictly inside every cone, so the intersection is nonempty
-        cx = np.mean([c.apex.x for c in sets], axis=0)
-        top = max(c.apex.t + c.slope * np.linalg.norm(cx - c.apex.x) for c in sets)
+        cx = np.mean([c.apex[:-1] for c in sets], axis=0)
+        top = max(c.apex[-1] + c.slope * np.linalg.norm(cx - c.apex[:-1]) for c in sets)
         extra = Ball(np.append(cx, top + 2.0), float(rng.uniform(1.0, 3.0)))
     else:
         return sets
@@ -403,7 +387,7 @@ class TestSkippedVisits:
     def test_matches_the_per_visit_loop_bit_for_bit(self, seed, monkeypatch):
         sets = random_agent_sets(seed)
         dim = sets[0].dim
-        plane, p0 = HorizontalHyperplane(-0.5, dim=dim), PointTime(np.zeros(dim), 30.0)
+        plane, p0 = HorizontalHyperplane(-0.5), PointTime(np.zeros(dim), 30.0)
         ref, resets = full_ring(sets, plane, p0, COLD)
         # a set that is not a cone is projected at every one of its visits
         calls = Counter()
@@ -434,7 +418,7 @@ class TestSkippedVisits:
     def test_warm_matches_the_per_visit_loop_bit_for_bit(self, seed, cfg):
         sets = random_agent_sets(seed)
         dim = sets[0].dim
-        plane, p0 = HorizontalHyperplane(-0.5, dim=dim), PointTime(np.zeros(dim), 30.0)
+        plane, p0 = HorizontalHyperplane(-0.5), PointTime(np.zeros(dim), 30.0)
         ref, resets = full_ring(sets, plane, p0, cfg)
         sol = run_ring(sets, plane, p0, cfg)
         assert hexed(sol) == hexed(ref)
@@ -455,7 +439,7 @@ class TestSkippedVisits:
         # set in dykstra_project, here from zero increments at each cold
         # restart of solve_minmax
         rng = np.random.default_rng(0 if seed == "central" else seed)
-        cones = [SecondOrderCone(pt(rng.uniform(0, 10, 2), 0.0), 1.0) for _ in range(16)]
+        cones = [SecondOrderCone(vec(rng.uniform(0, 10, 2), 0.0), 1.0) for _ in range(16)]
         wasted = []
         step = alternating.dykstra_step
 
@@ -467,12 +451,12 @@ class TestSkippedVisits:
 
         monkeypatch.setattr(alternating, "dykstra_step", checking)
         solve = solve_minmax if seed == "central" else run_ring
-        sol = solve(cones, PLANE_2D, pt([5.0, 5.0], 20.0), COLD)
+        sol = solve(cones, PLANE, pt([5.0, 5.0], 20.0), COLD)
         assert sol.outer_iters >= 2 and not wasted
 
     def test_skips_projections_but_keeps_every_row(self, monkeypatch):
         rng = np.random.default_rng(3)
-        cones = [SecondOrderCone(pt(rng.uniform(0, 10, 2), 0.0), 1.0) for _ in range(16)]
+        cones = [SecondOrderCone(vec(rng.uniform(0, 10, 2), 0.0), 1.0) for _ in range(16)]
         calls = []
         project = SecondOrderCone.project
 
@@ -481,7 +465,7 @@ class TestSkippedVisits:
             return project(self, v)
 
         monkeypatch.setattr(SecondOrderCone, "project", counting)
-        sol = run_ring(cones, PLANE_2D, pt([5.0, 5.0], 20.0), CFG)
+        sol = run_ring(cones, PLANE, pt([5.0, 5.0], 20.0), CFG)
         assert len(calls) < len(sol.trace)
         ids = {}
         for row in sol.trace:
@@ -528,8 +512,8 @@ class TestRingTrace:
 
     def test_skipped_runs_are_not_rows(self):
         rng = np.random.default_rng(3)
-        cones = [SecondOrderCone(pt(rng.uniform(0, 10, 2), 0.0), 1.0) for _ in range(16)]
-        sol = run_ring(cones, PLANE_2D, pt([5.0, 5.0], 20.0), CFG)
+        cones = [SecondOrderCone(vec(rng.uniform(0, 10, 2), 0.0), 1.0) for _ in range(16)]
+        sol = run_ring(cones, PLANE, pt([5.0, 5.0], 20.0), CFG)
         assert_reads_as_its_rows(sol.trace)
         # 5009 rows in 2368 runs
         assert len(list(sol.trace.runs())) < len(sol.trace) / 2
@@ -546,21 +530,21 @@ class TestRingTrace:
         # the 16-cone ring has 15 cycles between two of its Bregman events
         # under the reset protocol; its warm runs are shorter
         rng = np.random.default_rng(3)
-        cones = [SecondOrderCone(pt(rng.uniform(0, 10, 2), 0.0), 1.0) for _ in range(16)]
+        cones = [SecondOrderCone(vec(rng.uniform(0, 10, 2), 0.0), 1.0) for _ in range(16)]
         with pytest.raises(ConvergenceError) as exc:
-            run_ring(cones, PLANE_2D, pt([5.0, 5.0], 20.0), ToleranceConfig(**caps))
+            run_ring(cones, PLANE, pt([5.0, 5.0], 20.0), ToleranceConfig(**caps))
         assert_reads_as_its_rows(exc.value.trace)
 
     def test_centralized_trace_reads_as_a_list(self):
         sets = random_agent_sets(4)
         dim = sets[0].dim
-        plane, p0 = HorizontalHyperplane(-0.5, dim=dim), PointTime(np.zeros(dim), 30.0)
+        plane, p0 = HorizontalHyperplane(-0.5), PointTime(np.zeros(dim), 30.0)
         sol = solve_minmax(sets, plane, p0, CFG)
         assert len(sol.trace) == sol.outer_iters
         assert_reads_as_its_rows(sol.trace)
 
     def test_partial_centralized_trace_reads_by_index(self):
-        cones = [SecondOrderCone(pt([-1.0], 0.0), 1.0), SecondOrderCone(pt([2.0], 0.0), 2.0)]
+        cones = [SecondOrderCone(vec([-1.0], 0.0), 1.0), SecondOrderCone(vec([2.0], 0.0), 2.0)]
         with pytest.raises(ConvergenceError) as exc:
             solve_minmax(cones, PLANE, pt([0.0], 6.0), ToleranceConfig(max_outer_iters=2))
         assert len(exc.value.trace) == 2
