@@ -11,7 +11,9 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import ConvergenceError
-from .geometry import ConeStack, HorizontalHyperplane, PointTime, ProjectableSet, norm, plus_zero, plus_zero_rows
+from .geometry import (
+    ConeStack, HorizontalHyperplane, PointTime, ProjectableSet, norm, plus_zero, plus_zero_rows, positive_integer,
+)
 
 Array = np.ndarray
 
@@ -41,11 +43,8 @@ class ToleranceConfig:
                 raise TypeError("tolerances must be numbers, not booleans")
             if not (math.isfinite(tol) and tol > 0):
                 raise ValueError("tolerances must be finite and positive")
-        for cap in (self.max_inner_cycles, self.max_outer_iters):
-            if not isinstance(cap, int) or isinstance(cap, bool):
-                raise TypeError("iteration caps must be integers")
-            if cap < 1:
-                raise ValueError("iteration caps must be at least 1")
+        for cap in ("max_inner_cycles", "max_outer_iters"):
+            object.__setattr__(self, cap, positive_integer(getattr(self, cap), cap))
         if not isinstance(self.warm_start, bool):
             raise TypeError("warm_start must be true or false")
 

@@ -95,16 +95,15 @@ def second_order_reach_time_zero_vel(x0: float, x: float, u_max: float) -> float
     return 2.0 * math.sqrt(abs(float(x) - float(x0)) / u_max)
 
 
-def second_order_reach_time_general(
-    x1: float, v1: float, x2: float, v2: float, u_max: float = 1.0
-) -> float:
-    """Minimum time for the bounded double integrator, arbitrary endpoints.
+def _bang_bang(x1: float, v1: float, x2: float, v2: float, u_max: float) -> Tuple[float, float]:
+    """(first input, duration) of the time-optimal bang-bang maneuver from
+    (x1, v1) to (x2, v2) under |u| <= u_max.
 
-    The active bang-bang branch is picked by the sign of the switching
-    function x2 - x1 - (v1 + v2)|v1 - v2| / (2 u_max). Where it is 0 the
-    target lies on the switching curve, reached by one phase at full
-    input in |v1 - v2| / u_max; the two-phase branches agree with that only
-    when v2 = 0.
+    The branch is the sign of the switching function
+    x2 - x1 - (v1 + v2)|v1 - v2| / (2 u_max), taken once at unit input
+    bound. Where it is 0 the target lies on the switching curve, reached by
+    one phase at full input in |v1 - v2| / u_max (input 0.0 at the target
+    itself); the two-phase branches agree with that only when v2 = 0.
     """
     if u_max <= 0:
         raise ValueError("u_max must be positive")
@@ -115,20 +114,23 @@ def second_order_reach_time_general(
     w2 = float(v2) / u_max
     delta = (b - a) - 0.5 * (w1 + w2) * abs(w1 - w2)
     if delta == 0:
-        return abs(w1 - w2)
-    if delta > 0:
-        arg = 4.0 * (b - a) + 2.0 * w1 * w1 + 2.0 * w2 * w2
-        if arg < 0:
-            raise InfeasibleTargetError("no nonnegative root on the + branch")
-        t = -(w1 + w2) + math.sqrt(arg)
-    else:
-        arg = -4.0 * (b - a) + 2.0 * w1 * w1 + 2.0 * w2 * w2
-        if arg < 0:
-            raise InfeasibleTargetError("no nonnegative root on the - branch")
-        t = (w1 + w2) + math.sqrt(arg)
+        return (math.copysign(u_max, w2 - w1) if w1 != w2 else 0.0), abs(w1 - w2)
+    side = 1.0 if delta > 0 else -1.0
+    arg = side * 4.0 * (b - a) + 2.0 * w1 * w1 + 2.0 * w2 * w2
+    if arg < 0:
+        raise InfeasibleTargetError(f"no nonnegative root on the {'+' if side > 0 else '-'} branch")
+    t = -side * (w1 + w2) + math.sqrt(arg)
     if t < 0:
         raise InfeasibleTargetError("negative reach time root")
-    return t
+    return side * u_max, t
+
+
+def second_order_reach_time_general(
+    x1: float, v1: float, x2: float, v2: float, u_max: float = 1.0
+) -> float:
+    """Minimum time for the bounded double integrator, arbitrary endpoints:
+    the duration of the bang-bang maneuver (x1, v1) -> (x2, v2)."""
+    return _bang_bang(x1, v1, x2, v2, u_max)[1]
 
 
 class SecondOrderAttainableSet(ProjectableSet):
@@ -155,9 +157,7 @@ class SecondOrderAttainableSet(ProjectableSet):
         self.slope = 4.0 / self.u_max
 
     def reach_time(self, pos: float) -> float:
-        return second_order_reach_time_general(
-            self.x0, self.v0, float(pos), 0.0, self.u_max
-        )
+        return _bang_bang(self.x0, self.v0, pos, 0.0, self.u_max)[1]
 
     def violation(self, v: Array) -> float:
         self._check(v)
@@ -199,24 +199,11 @@ class SecondOrderAttainableSet(ProjectableSet):
 def bang_bang_control(
     state: Tuple[float, float], target: Tuple[float, float], u_max: float
 ) -> float:
-    """Time-optimal input for the bounded double integrator.
-
-    Sign of the switching function; exactly on the switching surface the
-    decelerating sign is taken, which produces the two-phase optimal
-    trajectory.
-    """
-    if u_max <= 0:
-        raise ValueError("u_max must be positive")
-    x1, x2 = float(state[0]), float(state[1])
-    x12, x22 = float(target[0]), float(target[1])
-    sigma = (x12 - x1) - (x2 + x22) * abs(x2 - x22) / (2.0 * u_max)
-    if sigma > 0:
-        return u_max
-    if sigma < 0:
-        return -u_max
-    if x2 == x22:
-        return 0.0
-    return -math.copysign(u_max, x2 - x22)
+    """Time-optimal input for the bounded double integrator: u_max or
+    -u_max by the sign of the switching function, 0.0 at the target, and
+    on the switching surface the single phase at full input that ends at
+    the target."""
+    return _bang_bang(state[0], state[1], target[0], target[1], u_max)[0]
 
 
 @dataclass(frozen=True)
@@ -273,12 +260,11 @@ def simulate_trajectory(
     um = agent.u_max
     x0, v0, xt = float(agent.x0[0]), agent.v0, float(xt[0])
 
-    total = second_order_reach_time_general(x0, v0, xt, vt, um)
+    # one sign test decides the first input and the arrival time
+    u1, total = _bang_bang(x0, v0, xt, vt, um)
     if total == 0.0:
         return TrajectoryResult([TrajectorySample(0.0, x0, v0, 0.0)], ControlSchedule(()), 0.0)
 
-    # nonzero: it is 0 only at the target itself, reached at total 0
-    u1 = bang_bang_control((x0, v0), (xt, vt), um)
     t1 = min(max(0.5 * (total + (vt - v0) / u1), 0.0), total)
     t2 = total - t1
 
@@ -360,7 +346,7 @@ def reach_time(agent: AgentDynamics, x: Array) -> float:
     x = _position(agent, np.asarray(x, dtype=float))
     if agent.model is Model.FIRST_ORDER:
         return float(np.linalg.norm(x - agent.x0)) / agent.u_max
-    return second_order_reach_time_general(float(agent.x0[0]), agent.v0, x.item(), 0.0, agent.u_max)
+    return _bang_bang(agent.x0[0], agent.v0, x.item(), 0.0, agent.u_max)[1]
 
 
 def solve_min_time_consensus(

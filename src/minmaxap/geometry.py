@@ -35,14 +35,6 @@ class PointTime:
         return np.append(self.x, self.t)
 
 
-def _check_dim(dim) -> None:
-    """TypeError unless dim is an integer, ValueError unless it is >= 1."""
-    if not isinstance(dim, (int, np.integer)) or isinstance(dim, bool):
-        raise TypeError("dim must be an integer")
-    if dim < 1:
-        raise ValueError("dim must be at least 1")
-
-
 def finite_number(value, what: str) -> float:
     """value as a float: TypeError for a boolean or a string (JSON true
     and "2" would otherwise pass as 1.0 and 2.0), ValueError unless finite."""
@@ -62,17 +54,28 @@ def positive_number(value, what: str) -> float:
     return value
 
 
+def positive_integer(value, what: str) -> int:
+    """value as an int: TypeError unless it is an integer, numpy's included
+    (a boolean or a float is not one), ValueError unless it is >= 1."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise TypeError(f"{what} must be an integer")
+    if value < 1:
+        raise ValueError(f"{what} must be at least 1")
+    return int(value)
+
+
 def finite_vector(x, what: str) -> Array:
-    """x (a scalar or a sequence) as a nonempty 1-D float array, by
+    """x (a scalar or a sequence) as a new nonempty 1-D float array, by
     finite_number's rules: an ndarray by its dtype, anything else item by
-    item, since numpy reads [True, 1.5] as two floats."""
+    item, since numpy reads [True, 1.5] as two floats. Never x itself, so
+    no later write to the caller's array moves the object built from it."""
     if isinstance(x, np.ndarray):
         if x.dtype.kind not in "fiu":
             raise TypeError(f"{what} must hold numbers, not {x.dtype}")
     else:
         for v in np.ravel(np.array(x, dtype=object)):
             finite_number(v, what)
-    a = np.atleast_1d(np.asarray(x, dtype=float))
+    a = np.atleast_1d(np.array(x, dtype=float))
     if a.ndim != 1 or a.size < 1 or not np.isfinite(a).all():
         raise ValueError(f"{what} must be a nonempty list of finite numbers")
     return a
@@ -141,7 +144,7 @@ class SecondOrderCone(ProjectableSet):
 
     def __post_init__(self):
         object.__setattr__(self, "apex", finite_vector(self.apex, "apex"))
-        _check_dim(self.apex.size - 1)
+        positive_integer(self.apex.size - 1, "dim")
         positive_number(self.slope, "slope")
 
     @property
@@ -351,10 +354,9 @@ class ConvexEpigraph(ProjectableSet):
         subgrad: Callable[[Array], Array],
         dim: int,
     ):
-        _check_dim(dim)
+        self.dim = positive_integer(dim, "dim")
         self.value = value
         self.subgrad = subgrad
-        self.dim = dim
 
     def violation(self, v: Array) -> float:
         self._check(v)

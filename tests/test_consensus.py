@@ -51,6 +51,27 @@ def vec(x, t):
     return np.append(np.asarray(x, float), t)
 
 
+def assert_maneuver_reaches(x1, v1, x2, v2, u_max):
+    """The trajectory to (x2, v2) ends there, in the reach time, and opens
+    with bang_bang_control's input; its schedule, replayed, ends there too."""
+    traj = simulate_trajectory(so_agent(x1, v1, u_max), (x2, v2), dt=10.0)
+    last = traj.samples[-1]
+    assert last.x == pytest.approx(x2, rel=1e-9, abs=1e-9)
+    assert last.v == pytest.approx(v2, rel=1e-9, abs=1e-9)
+    assert traj.arrival_time == second_order_reach_time_general(x1, v1, x2, v2, u_max)
+    u = bang_bang_control((x1, v1), (x2, v2), u_max)
+    assert traj.samples[0].u == u
+    # the schedule leaves out a phase under 1e-12 s: a lone -u segment is the
+    # second phase of a maneuver whose first was that short
+    segments = traj.schedule.segments
+    assert segments[0][1] == u or [w for _, w in segments] == [-u]
+    x, v = x1, v1
+    for d, w in segments:
+        x, v = x + v * d + 0.5 * w * d * d, v + w * d
+    assert x == pytest.approx(x2, rel=1e-9, abs=1e-9)
+    assert v == pytest.approx(v2, rel=1e-9, abs=1e-9)
+
+
 def attainable_set(agent):
     """The one set _build_sets makes for a lone agent."""
     (s,), _, _ = _build_sets([agent])
@@ -322,6 +343,23 @@ class TestTrajectory:
         assert len(traj.schedule.segments) == (expected > 0)
         last = traj.samples[-1]
         assert (last.t, last.x, last.v) == (expected, x2, v2)
+
+    def test_target_an_ulp_off_the_switching_curve(self):
+        # the reach time and the first input once took the switching
+        # function's sign apart here, and the schedule ended at x = 0.8071
+        assert_maneuver_reaches(1.0, -0.2, 0.9785714285714285, -0.1, 0.7)
+
+    def test_targets_beside_the_switching_curve_random(self):
+        # one ulp either side of the curve, where only rounding picks the
+        # branch, with a moving target
+        rng = np.random.default_rng(41)
+        for _ in range(2000):
+            u_max = float(rng.choice([0.1, 0.3, 0.7, 3.0]))
+            x1, v1 = float(rng.uniform(-5, 5)), float(rng.uniform(-3, 3))
+            v2 = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 3))
+            x2 = x1 + (v1 + v2) * abs(v1 - v2) / (2 * u_max)
+            x2 = float(np.nextafter(x2, rng.choice([-np.inf, np.inf])))
+            assert_maneuver_reaches(x1, v1, x2, v2, u_max)
 
     def test_schedule_has_at_most_one_switch(self):
         rng = np.random.default_rng(33)

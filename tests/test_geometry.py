@@ -5,11 +5,13 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from minmaxap import (
+    AgentDynamics,
     Ball,
     ConvexEpigraph,
     DimensionMismatchError,
     Halfspace,
     HorizontalHyperplane,
+    Model,
     PointTime,
     ProjectionError,
     SecondOrderAttainableSet,
@@ -58,8 +60,8 @@ def _epigraph(dim):
     return ConvexEpigraph(lambda x: 0.0, lambda x: 0 * x, dim)
 
 
-# (constructor, error) pairs: every parameter a set or a point is built from
-# must be a finite number of the right kind
+# (constructor, error) pairs: every parameter a set, a point or a solver
+# config is built from must be a finite number of the right kind
 BAD_SETS = {
     "cone-nan-slope": (lambda: SecondOrderCone(vec([0.0], 0.0), np.nan), ValueError),
     "cone-inf-slope": (lambda: SecondOrderCone(vec([0.0], 0.0), np.inf), ValueError),
@@ -86,6 +88,7 @@ BAD_SETS = {
     "point-string-x": (lambda: PointTime(["1.5"], 0.0), TypeError),
     "epigraph-dim-0": (lambda: _epigraph(0), ValueError),
     "epigraph-dim-1.5": (lambda: _epigraph(1.5), TypeError),
+    "tolerance-int64-cap-0": (lambda: ToleranceConfig(max_inner_cycles=np.int64(0)), ValueError),
 }
 
 
@@ -98,6 +101,8 @@ def test_set_parameters_validated_at_construction(case):
 
 def test_numpy_integer_dim_accepted():
     assert _epigraph(np.int64(3)).dim == 3
+    # an iteration cap passes the same integer check
+    assert ToleranceConfig(max_inner_cycles=np.int64(100)).max_inner_cycles == 100
 
 
 class TestContains:
@@ -163,6 +168,18 @@ class TestConeProjection:
         assert np.allclose(q, [0.0, 0.0])
         # a copy: whoever holds the projection cannot move the apex
         assert not np.shares_memory(q, c.apex)
+        # nor can whoever holds the array a set, a point or an agent was
+        # built from
+        a = np.array([0.0, 0.0])
+        built = {
+            "apex": SecondOrderCone(a, 1.0),
+            "center": Ball(a, 1.0),
+            "x": PointTime(a, 0.0),
+            "x0": AgentDynamics(Model.FIRST_ORDER, a),
+        }
+        a[0] = 3.0
+        for field, obj in built.items():
+            assert getattr(obj, field).tolist() == [0.0, 0.0], field
 
     def test_boundary_case_derived(self):
         # expected value frozen from the 1-D boundary-minimization oracle
