@@ -95,15 +95,21 @@ def second_order_reach_time_zero_vel(x0: float, x: float, u_max: float) -> float
     return 2.0 * math.sqrt(abs(float(x) - float(x0)) / u_max)
 
 
-def _bang_bang(x1: float, v1: float, x2: float, v2: float, u_max: float) -> Tuple[float, float]:
-    """(first input, duration) of the time-optimal bang-bang maneuver from
-    (x1, v1) to (x2, v2) under |u| <= u_max.
+def _bang_bang(
+    x1: float, v1: float, x2: float, v2: float, u_max: float
+) -> Tuple[float, float, float]:
+    """(first input, duration, switch time) of the time-optimal bang-bang
+    maneuver from (x1, v1) to (x2, v2) under |u| <= u_max.
 
     The branch is the sign of the switching function
     x2 - x1 - (v1 + v2)|v1 - v2| / (2 u_max), taken once at unit input
     bound. Where it is 0 the target lies on the switching curve, reached by
     one phase at full input in |v1 - v2| / u_max (input 0.0 at the target
     itself); the two-phase branches agree with that only when v2 = 0.
+
+    The first phase ends at the switch time, clamped to the duration. Where
+    rounding puts the switch at or before 0, the target is on the curve to
+    rounding, and the maneuver is one phase of the other input.
     """
     if u_max <= 0:
         raise ValueError("u_max must be positive")
@@ -114,7 +120,8 @@ def _bang_bang(x1: float, v1: float, x2: float, v2: float, u_max: float) -> Tupl
     w2 = float(v2) / u_max
     delta = (b - a) - 0.5 * (w1 + w2) * abs(w1 - w2)
     if delta == 0:
-        return (math.copysign(u_max, w2 - w1) if w1 != w2 else 0.0), abs(w1 - w2)
+        t = abs(w1 - w2)
+        return (math.copysign(u_max, w2 - w1) if w1 != w2 else 0.0), t, t
     side = 1.0 if delta > 0 else -1.0
     arg = side * 4.0 * (b - a) + 2.0 * w1 * w1 + 2.0 * w2 * w2
     if arg < 0:
@@ -122,7 +129,11 @@ def _bang_bang(x1: float, v1: float, x2: float, v2: float, u_max: float) -> Tupl
     t = -side * (w1 + w2) + math.sqrt(arg)
     if t < 0:
         raise InfeasibleTargetError("negative reach time root")
-    return side * u_max, t
+    u1 = side * u_max
+    t1 = 0.5 * (t + (float(v2) - float(v1)) / u1)
+    if t1 <= 0:
+        return -u1, t, t
+    return u1, t, min(t1, t)
 
 
 def second_order_reach_time_general(
@@ -201,8 +212,9 @@ def bang_bang_control(
 ) -> float:
     """Time-optimal input for the bounded double integrator: u_max or
     -u_max by the sign of the switching function, 0.0 at the target, and
-    on the switching surface the single phase at full input that ends at
-    the target."""
+    on the switching surface (or within rounding of it, where the branch's
+    first phase would be empty) the single phase at full input that ends
+    at the target. It is the input of simulate_trajectory's first phase."""
     return _bang_bang(state[0], state[1], target[0], target[1], u_max)[0]
 
 
@@ -260,18 +272,14 @@ def simulate_trajectory(
     um = agent.u_max
     x0, v0, xt = float(agent.x0[0]), agent.v0, float(xt[0])
 
-    # one sign test decides the first input and the arrival time
-    u1, total = _bang_bang(x0, v0, xt, vt, um)
+    # one sign test decides the first input, the arrival and the switch
+    u1, total, t1 = _bang_bang(x0, v0, xt, vt, um)
     if total == 0.0:
         return TrajectoryResult([TrajectorySample(0.0, x0, v0, 0.0)], ControlSchedule(()), 0.0)
-
-    t1 = min(max(0.5 * (total + (vt - v0) / u1), 0.0), total)
     t2 = total - t1
 
-    segments = []
-    if t1 > 1e-12:
-        segments.append((t1, u1))
-    if t2 > 1e-12:
+    segments = [(t1, u1)]
+    if t2 > 0:
         segments.append((t2, -u1))
     sched = ControlSchedule(tuple(segments))
 
@@ -368,7 +376,8 @@ def solve_min_time_consensus(
     sets, squared, experimental = _build_sets(agents)
     centroid = np.mean([a.x0 for a in agents], axis=0)
     # a set's violation at height 0 is its boundary height
-    h0 = max(s.violation(np.append(centroid, 0.0)) for s in sets)
+    base = np.append(centroid, 0.0)
+    h0 = max(s.violation(base) for s in sets)
     p0 = PointTime(centroid, h0)
 
     plane = HorizontalHyperplane(0.0)

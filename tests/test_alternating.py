@@ -1,9 +1,13 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 from minmaxap import (
     Ball,
     ConvergenceError,
+    ConvexEpigraph,
     Halfspace,
     HorizontalHyperplane,
     PointTime,
@@ -389,6 +393,54 @@ class TestSolveMinmax:
         assert np.array_equal(last.point, np.append(sol.x_star, sol.t_star))
         # the gap to the plane-side point (x, t_min) is the height above it
         assert last.point[-1] - plane.t_min == pytest.approx(sol.distance)
+
+
+def quadratics_minmax(quads):
+    """min over x of max_i a_i (x - c_i)^2 + h_i: the optimum is a vertex
+    c_i or a crossing of two quadratics, so the best candidate is exact."""
+
+    def worst(x):
+        return max(a * (x - c) ** 2 + h for a, c, h in quads)
+
+    xs = [c for _, c, _ in quads]
+    for (ai, ci, hi), (aj, cj, hj) in itertools.combinations(quads, 2):
+        qa, qb = ai - aj, -2.0 * (ai * ci - aj * cj)
+        qc = ai * ci * ci - aj * cj * cj + hi - hj
+        if qa != 0.0:
+            disc = qb * qb - 4.0 * qa * qc
+            if disc >= 0.0:
+                r = math.sqrt(disc)
+                xs += [(-qb - r) / (2.0 * qa), (-qb + r) / (2.0 * qa)]
+        elif qb != 0.0:
+            xs.append(-qc / qb)
+    x = min(xs, key=worst)
+    return x, worst(x)
+
+
+@pytest.mark.parametrize("solver", [solve_minmax, run_ring])
+@pytest.mark.parametrize(
+    "quads",
+    [
+        [(1.0, -1.0, 0.0), (2.0, 1.5, 0.5)],
+        [(1.0, -1.0, 0.0), (0.5, 2.0, -0.5), (1.5, 0.5, 1.0)],
+    ],
+)
+def test_solve_over_quadratic_epigraphs(solver, quads):
+    # the sets are projected numerically (ConvexEpigraph), not in closed form
+    sets = [
+        ConvexEpigraph(
+            lambda x, a=a, c=c, h=h: a * (x[0] - c) ** 2 + h,
+            lambda x, a=a, c=c: np.array([2.0 * a * (x[0] - c)]),
+            1,
+        )
+        for a, c, h in quads
+    ]
+    x0 = float(np.mean([c for _, c, _ in quads]))
+    plane = HorizontalHyperplane(min(h for *_, h in quads) - 1.0)
+    sol = solver(sets, plane, pt([x0], 10.0), CFG)
+    x_ref, t_ref = quadratics_minmax(quads)
+    assert sol.x_star[0] == pytest.approx(x_ref, abs=1e-6)
+    assert sol.t_star == pytest.approx(t_ref, abs=1e-6)
 
 
 class TestBregmanStep:

@@ -358,6 +358,21 @@ def test_epigraph_projection_oracle_budget_on_quadratics():
     assert np.mean(calls) <= 100
 
 
+def test_epigraph_projection_stops_on_its_certificate():
+    # the subgradient cuts prove the best lifted point accurate long before
+    # SLSQP's merit function stalls: 16.1 calls on average and 37 at most,
+    # where SLSQP run to its ftol took 38.9 and 339
+    calls, errors = [], []
+    for a, c, h, p, s in quadratic_cases():
+        epi = quadratic_epigraph(a, c, h)
+        q = epi.project(np.array([p, s]))
+        calls.append(epi.calls)
+        errors.append(np.linalg.norm(q - quadratic_projection(a, c, h, p, s)))
+    assert np.mean(calls) <= 25
+    assert max(calls) <= 100
+    assert max(errors) <= 5e-8
+
+
 def l1_quadratic_projection(a, c, lam1, v):
     """Projection onto the epigraph of sum a_i (x_i - c_i)^2 + lam1 ||x||_1.
 
