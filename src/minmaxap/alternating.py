@@ -170,20 +170,29 @@ def dykstra_project(
     increments. From any such start the run converges to the projection
     of b: the increments are the variables of the dual problem that
     Dykstra's method ascends block by block.
+
+    The sets are checked against p0 and stacked into the run's ConeStack
+    only when stats holds no stats["cones"] yet; the run leaves its stack
+    there, and a later run with the same stats reuses it, reference point
+    and caps included. A stats dict therefore belongs to one list of sets.
     """
     if not sets:
         raise ValueError("sets must be nonempty")
-    for s in sets:
-        s._check(p0)
     x = p0
     m = len(sets)
     stats = {} if stats is None else stats
+    if "cones" not in stats:
+        for s in sets:
+            s._check(p0)
+        stats["cones"] = ConeStack(sets)
+    cones = stats["cones"]
+    if cones.cone.size != m:
+        raise ValueError(f"cones must stack {m} sets, got {cones.cone.size}")
     increments = stats.setdefault("increments", np.zeros((m, x.size)))
     if increments.shape != (m, x.size):
         raise ValueError(f"increments must have shape {(m, x.size)}, got {increments.shape}")
     # increment is +0.0 in every component
     zero = plus_zero_rows(increments)
-    cones = ConeStack(sets)
     prev = None
     resid = np.inf
     for cycle in range(1, cfg.max_inner_cycles + 1):
@@ -262,7 +271,8 @@ def solve_minmax(
     steps, each ended by bregman_step; a_k is the solution once
     consecutive b_k move less than cfg.outer_tol, and ``distance`` the gap
     to b_k. Every ConvergenceError carries the trace so far. All runs
-    share one increment array, kept under cfg.warm_start and zeroed
+    share one stats dict: one ConeStack, built and checked by the first
+    run, and one increment array, kept under cfg.warm_start and zeroed
     between runs otherwise.
     """
     start = b = p0.to_array()

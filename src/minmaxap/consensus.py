@@ -337,9 +337,9 @@ def _build_sets(
     if second_order and any(a.v0 != 0.0 for a in agents):
         return [SecondOrderAttainableSet(a.x0[0], a.v0, a.u_max) for a in agents], False, True
     slope = 4.0 if second_order else 1.0
-    # row i is agent i's apex (x0..., 0)
+    # row i is agent i's apex (x0..., 0), from x0s AgentDynamics has checked
     apex = np.column_stack(([a.x0 for a in agents], np.zeros(len(agents))))
-    return [SecondOrderCone(p, slope / a.u_max) for p, a in zip(apex, agents)], second_order, False
+    return [SecondOrderCone._from_row(p, slope / a.u_max) for p, a in zip(apex, agents)], second_order, False
 
 
 def _position(agent: AgentDynamics, x: Array) -> Array:

@@ -147,13 +147,23 @@ class SecondOrderCone(ProjectableSet):
         positive_integer(self.apex.size - 1, "dim")
         positive_number(self.slope, "slope")
 
+    @classmethod
+    def _from_row(cls, apex: Array, slope: float) -> SecondOrderCone:
+        """The cone with this apex, taken as it is: a finite float (x..., t)
+        array of length >= 2 that nothing else writes to. Only the slope is
+        checked, since one computed from valid inputs can still overflow."""
+        cone = object.__new__(cls)
+        object.__setattr__(cone, "apex", apex)
+        object.__setattr__(cone, "slope", positive_number(slope, "slope"))
+        return cone
+
     @property
     def dim(self) -> int:  # type: ignore[override]
         return int(self.apex.size) - 1
 
     def violation(self, v: Array) -> float:
         self._check(v)
-        r = float(np.linalg.norm(v[:-1] - self.apex[:-1]))
+        r = norm(v[:-1] - self.apex[:-1])
         return self.slope * r - float(v[-1] - self.apex[-1])
 
     def project(self, v: Array) -> Array:
@@ -371,8 +381,9 @@ class ConvexEpigraph(ProjectableSet):
         stopped as soon as its best point is proved accurate.
 
         min 0.5*||q - v||^2 s.t. f(q.x) <= q.t goes to scipy as it stands,
-        started at (v.x, f(v.x)). SLSQP linearizes the constraint at each
-        step, which is a subgradient cut, so kinks of f do not trap it.
+        started at (v.x, f(v.x)), with f called once at v.x. SLSQP
+        linearizes the constraint at each step, which is a subgradient cut,
+        so kinks of f do not trap it.
 
         Each point where SLSQP evaluates f is lifted to (x, max(f(x), v.t)),
         on or above the graph, and the lifted point q nearest v is returned.
@@ -385,8 +396,8 @@ class ConvexEpigraph(ProjectableSet):
         f(x) + g.(y - x) <= s holds the epigraph, so ||q* - v|| >= L, the
         largest distance from v to such a halfspace. With U = ||q - v||,
         ||q - q*||^2 <= U^2 - L^2, and SLSQP is stopped once that falls to
-        (1e-8 (1 + U))^2. On the 60 test quadratics this takes 16.1 value
-        and subgradient calls per projection on average and 37 at most,
+        (1e-8 (1 + U))^2. On the 60 test quadratics this takes 14.1 value
+        and subgradient calls per projection on average and 35 at most,
         and the worst error is 2e-8; the tests demand 1e-6 and at most 100
         calls. ftol 1e-14 and 200 iterations remain as SLSQP's own stop,
         for oracles whose cuts never close the gap.
@@ -409,7 +420,8 @@ class ConvexEpigraph(ProjectableSet):
         def slack(q):
             nonlocal best_x, best_t, best_d2, last_x, last_f
             x = q[:-1]
-            fq = self._value(x)
+            # SLSQP evaluates the start, whose f is known, twice more
+            fq = fx if x.tobytes() == px.tobytes() else self._value(x)
             t = max(fq, pt)
             dx = x - px
             d2 = dx.dot(dx) + (t - pt) ** 2

@@ -5,19 +5,23 @@ import numpy as np
 import pytest
 
 from minmaxap import (
+    AgentDynamics,
     Ball,
     ConvergenceError,
     ConvexEpigraph,
     Halfspace,
     HorizontalHyperplane,
+    Model,
     PointTime,
     SecondOrderCone,
     ToleranceConfig,
     dykstra_project,
     numeric_projection,
     run_ring,
+    solve_min_time_consensus,
     solve_minmax,
 )
+from minmaxap import alternating
 from minmaxap.alternating import MinMaxSolution, Trace, bregman_step
 
 CFG = ToleranceConfig()
@@ -235,6 +239,13 @@ class TestDykstraMatchesTextbook:
         with pytest.raises(ValueError):
             dykstra_project(cones, vec([0.0], 0.0), CFG, stats={"increments": np.zeros((3, 2))})
 
+    def test_cone_stack_of_the_wrong_length_rejected(self):
+        cones = random_cones(np.random.default_rng(3), 4, 1)
+        stats = {}
+        dykstra_project(cones[:3], vec([0.0], 0.0), CFG, stats=stats)
+        with pytest.raises(ValueError, match="cones must stack 4 sets, got 3"):
+            dykstra_project(cones, vec([0.0], 0.0), CFG, stats={"cones": stats["cones"]})
+
     def test_mixed_family(self):
         # Halfspace and Ball have no batched test, so they are never skipped
         rng = np.random.default_rng(7)
@@ -417,6 +428,17 @@ def quadratics_minmax(quads):
     return x, worst(x)
 
 
+def quadratic_epigraphs(quads):
+    return [
+        ConvexEpigraph(
+            lambda x, a=a, c=c, h=h: a * (x[0] - c) ** 2 + h,
+            lambda x, a=a, c=c: np.array([2.0 * a * (x[0] - c)]),
+            1,
+        )
+        for a, c, h in quads
+    ]
+
+
 @pytest.mark.parametrize("solver", [solve_minmax, run_ring])
 @pytest.mark.parametrize(
     "quads",
@@ -427,20 +449,87 @@ def quadratics_minmax(quads):
 )
 def test_solve_over_quadratic_epigraphs(solver, quads):
     # the sets are projected numerically (ConvexEpigraph), not in closed form
-    sets = [
-        ConvexEpigraph(
-            lambda x, a=a, c=c, h=h: a * (x[0] - c) ** 2 + h,
-            lambda x, a=a, c=c: np.array([2.0 * a * (x[0] - c)]),
-            1,
-        )
-        for a, c, h in quads
-    ]
+    sets = quadratic_epigraphs(quads)
     x0 = float(np.mean([c for _, c, _ in quads]))
     plane = HorizontalHyperplane(min(h for *_, h in quads) - 1.0)
     sol = solver(sets, plane, pt([x0], 10.0), CFG)
     x_ref, t_ref = quadratics_minmax(quads)
     assert sol.x_star[0] == pytest.approx(x_ref, abs=1e-6)
     assert sol.t_star == pytest.approx(t_ref, abs=1e-6)
+
+
+def swarm(seed, n):
+    """A seeded 2-D first-order swarm with unequal input bounds."""
+    rng = np.random.default_rng(seed)
+    return [
+        AgentDynamics(Model.FIRST_ORDER, x, u_max=float(u))
+        for x, u in zip(rng.uniform(-10.0, 10.0, (n, 2)), rng.uniform(0.5, 2.0, n))
+    ]
+
+
+class TestConeStackBuiltOnce:
+    """solve_minmax builds one ConeStack per solve and hands it from run to
+    run in stats["cones"]; rebuilding it for every run changes nothing."""
+
+    def test_one_stack_per_solve(self, monkeypatch):
+        built = []
+
+        class Counted(alternating.ConeStack):
+            def __init__(self, sets):
+                built.append(len(sets))
+                super().__init__(sets)
+
+        monkeypatch.setattr(alternating, "ConeStack", Counted)
+        for cfg in (CFG, ToleranceConfig(warm_start=False)):
+            built.clear()
+            r = solve_min_time_consensus(swarm(1, 16), cfg)
+            assert r.solver.outer_iters > 2
+            assert built == [16]
+
+    def solve_both_ways(self, monkeypatch, solve):
+        """solve() as it runs, and again with every inner run rebuilding
+        its ConeStack, as each run did before the stack was kept."""
+        kept = solve()
+        project = alternating.dykstra_project
+        dropped = []
+
+        def rebuilt(sets, p0, cfg, stats=None):
+            dropped.append(stats.pop("cones", None) is not None)
+            return project(sets, p0, cfg, stats=stats)
+
+        with monkeypatch.context() as m:
+            m.setattr(alternating, "dykstra_project", rebuilt)
+            fresh = solve()
+        # every run but the first found the last run's stack and dropped it
+        assert dropped == [False] + [True] * (fresh.outer_iters - 1)
+        return kept, fresh
+
+    def assert_identical(self, kept, fresh):
+        assert kept.x_star.tobytes() == fresh.x_star.tobytes()
+        assert float(kept.t_star).hex() == float(fresh.t_star).hex()
+        assert (kept.inner_cycles_total, kept.outer_iters) == (fresh.inner_cycles_total, fresh.outer_iters)
+        runs = [list(r.trace.runs()) for r in (kept, fresh)]
+        assert len(runs[0]) == len(runs[1]) == kept.outer_iters
+        for a, b in zip(*runs):
+            assert a[:3] + a[4:] == b[:3] + b[4:] and a[3].tobytes() == b[3].tobytes()
+
+    @pytest.mark.parametrize("warm", [True, False])
+    @pytest.mark.parametrize("seed, n", [(0, 4), (1, 16), (2, 96)])
+    def test_swarms_are_bit_identical(self, monkeypatch, seed, n, warm):
+        agents, cfg = swarm(seed, n), ToleranceConfig(warm_start=warm)
+        kept, fresh = self.solve_both_ways(
+            monkeypatch, lambda: solve_min_time_consensus(agents, cfg).solver
+        )
+        self.assert_identical(kept, fresh)
+
+    @pytest.mark.parametrize("warm", [True, False])
+    def test_quadratic_epigraphs_are_bit_identical(self, monkeypatch, warm):
+        sets = quadratic_epigraphs([(1.0, -1.0, 0.0), (2.0, 1.5, 0.5)])
+        cfg = ToleranceConfig(warm_start=warm)
+        kept, fresh = self.solve_both_ways(
+            monkeypatch, lambda: solve_minmax(sets, HorizontalHyperplane(-1.0), pt([0.25], 10.0), cfg)
+        )
+        self.assert_identical(kept, fresh)
 
 
 class TestBregmanStep:

@@ -179,6 +179,23 @@ class TestLoadConfig:
 
 
     @pytest.mark.parametrize(
+        "agents",
+        [
+            [{"model": "first_order", "x0": [0.0, 1.0], "u_max": 1e-320},
+             {"model": "first_order", "x0": [2.0, -1.0]}],
+            [{"model": "second_order", "x0": [0.0], "u_max": 1e-308},
+             {"model": "second_order", "x0": [3.0]}],
+        ],
+        ids=["first-order", "second-order-at-rest"],
+    )
+    def test_overflowing_slope_is_a_config_error(self, tmp_path, capsys, agents):
+        # each u_max is a finite positive number, but the cone slope
+        # 1/u_max or 4/u_max is not
+        path = write_config(tmp_path / "c.json", agents=agents)
+        assert main(["solve", "--config", path]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.splitlines() == ["config error: agents: slope must be finite"]
+
+    @pytest.mark.parametrize(
         "overrides, key",
         [
             ({"solver": {"max_outer_iter": 1}}, "solver.max_outer_iter"),

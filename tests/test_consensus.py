@@ -508,6 +508,20 @@ class TestSolveConsensus:
         with pytest.raises(ValueError, match="at least one agent"):
             solve_min_time_consensus([])
 
+    # u_max is finite and positive, but the cone slope 1/u_max (4/u_max for
+    # a double integrator at rest) overflows to inf
+    OVERFLOWING_SLOPES = {
+        "first-order": [AgentDynamics(Model.FIRST_ORDER, [0.0, 1.0], u_max=1e-320),
+                        AgentDynamics(Model.FIRST_ORDER, [2.0, -1.0])],
+        "second-order-at-rest": [so_agent(0.0, u_max=1e-308), so_agent(3.0)],
+    }
+
+    @pytest.mark.parametrize("mode", ["centralized", "ring"])
+    @pytest.mark.parametrize("case", sorted(OVERFLOWING_SLOPES))
+    def test_overflowing_slope_rejected(self, case, mode):
+        with pytest.raises(ValueError, match="^slope must be finite$"):
+            solve_min_time_consensus(self.OVERFLOWING_SLOPES[case], mode=mode)
+
     def test_reach_time_is_the_set_boundary(self):
         # the height _build_sets gives a position is the reach time there,
         # squared for a double integrator at rest
