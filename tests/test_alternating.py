@@ -1,9 +1,14 @@
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import minmaxap
 from minmaxap import (
     AgentDynamics,
     Ball,
@@ -456,6 +461,37 @@ def test_solve_over_quadratic_epigraphs(solver, quads):
     x_ref, t_ref = quadratics_minmax(quads)
     assert sol.x_star[0] == pytest.approx(x_ref, abs=1e-6)
     assert sol.t_star == pytest.approx(t_ref, abs=1e-6)
+
+
+def epigraph_answers():
+    """x* and t* (in hex) and the counts of solve_minmax and run_ring over
+    two 1-D quadratic epigraphs."""
+    quads = [(1.0, -1.0, 0.0), (2.0, 1.5, 0.5)]
+    answers = []
+    for solver in (solve_minmax, run_ring):
+        sol = solver(quadratic_epigraphs(quads), HorizontalHyperplane(-1.0), pt([0.25], 10.0), CFG)
+        x, t = float(sol.x_star[0]), float(sol.t_star)
+        answers.append([x.hex(), t.hex(), sol.outer_iters, sol.inner_cycles_total])
+    return answers
+
+
+def test_epigraph_solves_run_with_scipy_blocked():
+    # scipy is a test dependency only: with every import of it failing, both
+    # modes solve over epigraphs, to the bit, as in this process
+    src = os.path.dirname(os.path.dirname(os.path.abspath(minmaxap.__file__)))
+    code = (
+        "import json, sys; sys.modules['scipy'] = None; sys.path.insert(0, sys.argv[1]);"
+        " from test_alternating import epigraph_answers; print(json.dumps(epigraph_answers()))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, os.path.dirname(os.path.abspath(__file__))],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    ).stdout
+    assert json.loads(out) == epigraph_answers()
 
 
 def swarm(seed, n):

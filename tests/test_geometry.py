@@ -459,6 +459,104 @@ def test_epigraph_projection_matches_cone_formula(n):
         assert np.linalg.norm(epi.project(v) - expected) < 1e-6
 
 
+def epigraph_families():
+    """The cases of the four accuracy tests above, from the same seeds, by
+    family: (value, subgradient, dim, v, projection) each."""
+    families = {"quadratics": [], "l1-quadratics": [], "cone, n = 3": [], "cone, n = 1": []}
+    for a, c, h, p, s in quadratic_cases():
+        families["quadratics"].append(
+            (
+                lambda x, a=a, c=c, h=h: a * (x[0] - c) ** 2 + h,
+                lambda x, a=a, c=c: np.array([2 * a * (x[0] - c)]),
+                1,
+                np.array([p, s]),
+                quadratic_projection(a, c, h, p, s),
+            )
+        )
+    rng = np.random.default_rng(22)
+    for i in range(300):
+        n = 1 + i % 3
+        a, c = rng.uniform(0.2, 2.0, n), rng.uniform(-2.0, 2.0, n)
+        lam1 = rng.uniform(0.1, 2.0)
+
+        def f(x, a=a, c=c, lam1=lam1):
+            return float(np.sum(a * (x - c) ** 2) + lam1 * np.sum(np.abs(x)))
+
+        px = rng.normal(scale=3.0, size=n)
+        v = np.append(px, f(px) - rng.uniform(1e-3, 8.0))
+        families["l1-quadratics"].append(
+            (
+                f,
+                lambda x, a=a, c=c, lam1=lam1: 2 * a * (x - c) + lam1 * np.sign(x),
+                n,
+                v,
+                l1_quadratic_projection(a, c, lam1, v),
+            )
+        )
+    for n in (3, 1):
+        rng = np.random.default_rng(23 + n)
+        for i in range(100):
+            apex, apex_t, k = rng.normal(size=n), rng.normal(), rng.uniform(0.3, 3.0)
+            u = rng.normal(size=n)
+            u /= np.linalg.norm(u)
+            r = rng.uniform(0.0, 3.0)
+            if i % 2:
+                v = np.append(apex + r * u, apex_t - r / k - rng.uniform(0.0, 2.0))
+                expected = np.append(apex, apex_t)
+            else:
+                th = rng.uniform(-r / k, k * r)
+                v = np.append(apex + r * u, apex_t + th)
+                rho = (r + k * th) / (1 + k * k)
+                expected = np.append(apex + rho * u, apex_t + k * rho)
+            families[f"cone, n = {n}"].append(
+                (
+                    lambda x, apex=apex, apex_t=apex_t, k=k: k * float(np.linalg.norm(x - apex))
+                    + apex_t,
+                    lambda x, apex=apex, k=k: k * (x - apex) / max(np.linalg.norm(x - apex), 1e-300),
+                    n,
+                    v,
+                    expected,
+                )
+            )
+    return families
+
+
+@pytest.mark.parametrize(
+    "family, budget", [("l1-quadratics", 56.4), ("cone, n = 3", 17.1), ("cone, n = 1", 6.5)]
+)
+def test_epigraph_projection_oracle_budget_on_kinked_families(family, budget):
+    # the mean value and subgradient calls per projection when each budget
+    # was set (45.15, 13.71 and 5.21), plus 25 %; at the apex of a cone the
+    # kink is found from the cut of a rejected step and the cut at z
+    calls = []
+    for value, subgrad, dim, v, _ in epigraph_families()[family]:
+        epi = CountingEpigraph(value, subgrad, dim)
+        epi.project(v)
+        calls.append(epi.calls)
+    assert np.mean(calls) <= budget
+
+
+@pytest.mark.parametrize(
+    "subgrad",
+    [lambda x: np.array([2 * x[0], 0.0]), lambda x: None, lambda x: "2"],
+    ids=["wrong length", "None", "string"],
+)
+def test_malformed_subgradient_raises_projection_error(subgrad):
+    epi = ConvexEpigraph(lambda x: float(x[0] ** 2), subgrad, 1)
+    with pytest.raises(ProjectionError, match="must have length 1"):
+        epi.project(vec([3.0], -1.0))
+
+
+def test_number_and_list_subgradients_serve_for_dim_one():
+    def value(x):
+        return float(x[0] ** 2)
+
+    v = vec([3.0], -1.0)
+    expected = ConvexEpigraph(value, lambda x: 2 * x, 1).project(v)
+    for subgrad in (lambda x: float(2 * x[0]), lambda x: [2 * x[0]]):
+        assert ConvexEpigraph(value, subgrad, 1).project(v).tobytes() == expected.tobytes()
+
+
 ALL_SETS = [
     HorizontalHyperplane(0.5),
     SecondOrderCone(np.array([0.2, -0.3]), 1.4),
