@@ -28,6 +28,12 @@ class ToleranceConfig:
     max_outer_iters the Bregman steps. warm_start starts every inner run
     after the first from the last run's increments; False restarts each
     from zero increments, the paper's protocol.
+
+    exact_finish, when every set is a SecondOrderCone, ends the solve as
+    soon as finish() proves the lowest point of their intersection exactly:
+    both solvers try it whenever the sets with nonzero Dykstra increments
+    change and number at most n + 1. With False, or with any set that is
+    not a cone, only the paper's stop rule ends the solve.
     """
 
     err: float = 1e-7
@@ -35,6 +41,7 @@ class ToleranceConfig:
     max_inner_cycles: int = 10000
     max_outer_iters: int = 500
     warm_start: bool = True
+    exact_finish: bool = True
 
     def __post_init__(self):
         for tol in (self.err, self.outer_tol):
@@ -45,8 +52,9 @@ class ToleranceConfig:
                 raise ValueError("tolerances must be finite and positive")
         for cap in ("max_inner_cycles", "max_outer_iters"):
             object.__setattr__(self, cap, positive_integer(getattr(self, cap), cap))
-        if not isinstance(self.warm_start, bool):
-            raise TypeError("warm_start must be true or false")
+        for flag in ("warm_start", "exact_finish"):
+            if not isinstance(getattr(self, flag), bool):
+                raise TypeError(f"{flag} must be true or false")
 
 
 class TraceEvent(NamedTuple):
@@ -100,6 +108,12 @@ class Trace:
 
 @dataclass
 class MinMaxSolution:
+    """The lowest point (x_star, t_star) of the intersection and how it was
+    found. distance is its gap to the last plane point; finished says that
+    finish() proved it, which makes it exact to rounding, where the paper's
+    stop leaves it about outer_tol away. plane_grazed flags a t_star within
+    outer_tol of the plane, which the answer must lie strictly above."""
+
     x_star: Array
     t_star: float
     distance: float
@@ -107,6 +121,7 @@ class MinMaxSolution:
     outer_iters: int
     trace: Trace
     plane_grazed: bool = False
+    finished: bool = False
 
 
 def dykstra_step(s: ProjectableSet, increment: Array, x: Array) -> tuple[Array, Array]:
@@ -146,6 +161,92 @@ def dykstra_pass(
     return x, drift
 
 
+def finish(cones: ConeStack, v: Array, increments: Array, active: Array) -> Optional[Array]:
+    """The lowest point (x..., t) of the intersection of the cones, proved
+    optimal, or None when this try proves nothing.
+
+    Every set must be a cone, f_i(x) = t_i + a_i ||x - p_i|| with apex
+    (p_i, t_i). active holds the indices S of the cones with nonzero
+    Dykstra increments, at most n + 1 of them. Newton's method, from x and t
+    of the iterate v and weights w of the increments' height parts
+    normalised, solves f_i(x) = t for i in S, sum_i w_i grad f_i(x) = 0 and
+    sum_i w_i = 1 for at most 20 steps. Its root (x, t) is accepted when
+    - the f_i = t block is within 1e-12 (1 + |t|), the gradient block
+      within 1e-12 max_i a_i and sum_i w_i within 1e-12 of 1;
+    - w >= 0;
+    - max f_i(x) <= t + 1e-12 (1 + |t|) over every cone;
+    - t <= max f_i at v's x + 1e-12 (1 + |t|), an upper bound on t*.
+    The first three are the KKT conditions of min t s.t. f_i(x) <= t,
+    which prove (x, t) optimal for this convex problem. The first and last
+    each reject a root at infinity, where a test relative to |t| alone
+    passes. A value that is not finite, x at an apex of S, where grad f_i
+    does not exist, or a singular system gives None.
+    """
+    n, k = v.size - 1, active.size
+    p, h, a = cones.apex_x[active], cones.apex_t[active], cones.raw_slope[active]
+    lam = increments[active, -1]
+    # z is (x..., t, w...), F the residual and bound its acceptance test
+    z = np.concatenate((v, lam / lam.sum()))
+    F = np.empty(z.size)
+    bound = np.full(z.size, 1e-12 * a.max())
+    bound[-1] = 1e-12
+    J = np.zeros((z.size, z.size))
+    J[:k, n] = -1.0
+    J[-1, n + 1:] = 1.0
+    eye = np.eye(n)
+    # 20 Newton steps, and the test of the point the last one reaches
+    for _ in range(21):
+        x, t, w = z[:n], z[n], z[n + 1:]
+        d = x - p
+        r2 = np.einsum("ij,ij->i", d, d)
+        r = np.sqrt(r2)
+        if not (r > 0).all():
+            return None
+        g = d * (a / r)[:, None]
+        F[:k] = h + a * r - t
+        F[k:-1] = w @ g
+        F[-1] = w.sum() - 1.0
+        if not np.isfinite(F).all():
+            return None
+        bound[:k] = 1e-12 * (1.0 + abs(t))
+        if (np.abs(F) <= bound).all():
+            break
+        J[:k, :n] = g
+        # the Hessian of sum_i w_i f_i
+        c = w * a / r
+        J[k:-1, :n] = c.sum() * eye - (d.T * (c / r2)) @ d
+        J[k:-1, n + 1:] = g.T
+        try:
+            z = z - np.linalg.solve(J, F)
+        except np.linalg.LinAlgError:
+            return None
+    else:
+        return None
+
+    def top(y):
+        """max_i f_i(y) over every cone."""
+        d = y - cones.apex_x
+        return (cones.apex_t + cones.raw_slope * np.sqrt(np.einsum("ij,ij->i", d, d))).max()
+
+    tol = bound[0]  # 1e-12 (1 + |t|)
+    if (w < 0).any() or top(x) > t + tol or t > top(v[:-1]) + tol:
+        return None
+    return z[:n + 1].copy()
+
+
+def try_finish(
+    cones: ConeStack, x: Array, increments: Array, zero: Array, tried: Optional[Array],
+) -> tuple[Optional[Array], Optional[Array]]:
+    """finish() at the iterate x when S, the sets whose increments are not
+    +0.0 by zero, numbers 1 to n + 1 and differs from tried, the S of the
+    last try: the proved point or None, and the S of the last try now."""
+    active = np.flatnonzero(~zero)
+    # x.size is n + 1
+    if not 0 < active.size <= x.size or np.array_equal(active, tried):
+        return None, tried
+    return finish(cones, x, increments, active), active
+
+
 def dykstra_project(
     sets: Sequence[ProjectableSet],
     p0: Array,
@@ -175,6 +276,15 @@ def dykstra_project(
     only when stats holds no stats["cones"] yet; the run leaves its stack
     there, and a later run with the same stats reuses it, reference point
     and caps included. A stats dict therefore belongs to one list of sets.
+
+    A run is a projection and never finishes a min-max unless
+    stats["finish"] is true, as solve_minmax sets it under
+    cfg.exact_finish, and every set is a cone. Then after each cycle whose
+    sets with nonzero increments, S, number 1 to n + 1 and differ from
+    stats["tried"], the S of the last try, the run tries finish(). Once
+    that proves a point, the run ends: the point is stats["proved"], the
+    cycles so far stats["cycles"], and the run still returns its own
+    iterate, which keeps the invariant above.
     """
     if not sets:
         raise ValueError("sets must be nonempty")
@@ -193,10 +303,16 @@ def dykstra_project(
         raise ValueError(f"increments must have shape {(m, x.size)}, got {increments.shape}")
     # increment is +0.0 in every component
     zero = plus_zero_rows(increments)
+    finishing = stats.get("finish", False) and cones.cone.all()
     prev = None
     resid = np.inf
     for cycle in range(1, cfg.max_inner_cycles + 1):
         x, drift = dykstra_pass(sets, cones, x, increments, zero, 0)
+        if finishing:
+            stats["proved"], stats["tried"] = try_finish(cones, x, increments, zero, stats.get("tried"))
+            if stats["proved"] is not None:
+                stats["cycles"] = cycle
+                return x
         if prev is not None:
             # the iterate can stall for whole cycles while the increments
             # still drift, so both must settle before we may stop
@@ -213,6 +329,32 @@ def dykstra_project(
         iterations=cfg.max_inner_cycles,
         trace=Trace(),
     )
+
+
+def solution(
+    a: Array, distance: float, cycles: int, k: int, trace: Trace,
+    plane: HorizontalHyperplane, cfg: ToleranceConfig, finished: bool = False,
+) -> MinMaxSolution:
+    """The MinMaxSolution at the (x..., t) point a, found at Bregman step k."""
+    t_star = float(a[-1])
+    return MinMaxSolution(
+        x_star=a[:-1].copy(),
+        t_star=t_star,
+        distance=distance,
+        inner_cycles_total=cycles,
+        outer_iters=k,
+        trace=trace,
+        plane_grazed=(t_star - plane.t_min) < cfg.outer_tol,
+        finished=finished,
+    )
+
+
+def proved(
+    a: Array, cycles: int, k: int, trace: Trace, plane: HorizontalHyperplane, cfg: ToleranceConfig,
+) -> MinMaxSolution:
+    """The finished MinMaxSolution at the point a that finish() proved
+    during Bregman step k: its distance is its height above the plane."""
+    return solution(a, float(a[-1]) - plane.t_min, cycles, k, trace, plane, cfg, finished=True)
 
 
 def bregman_step(
@@ -234,16 +376,7 @@ def bregman_step(
     starts at b.
     """
     if k > 1 and norm(b - b_prev) < cfg.outer_tol:
-        t_star = float(a[-1])
-        return MinMaxSolution(
-            x_star=a[:-1].copy(),
-            t_star=t_star,
-            distance=norm(a - b),
-            inner_cycles_total=cycles,
-            outer_iters=k,
-            trace=trace,
-            plane_grazed=(t_star - plane.t_min) < cfg.outer_tol,
-        )
+        return solution(a, norm(a - b), cycles, k, trace, plane, cfg)
     if k == cfg.max_outer_iters:
         raise ConvergenceError(
             "Bregman outer iteration cap reached",
@@ -274,20 +407,31 @@ def solve_minmax(
     share one stats dict: one ConeStack, built and checked by the first
     run, and one increment array, kept under cfg.warm_start and zeroed
     between runs otherwise.
+
+    Under cfg.exact_finish every run may end early with a point finish()
+    proved (see dykstra_project); each Bregman step forgets the S of the
+    last try, so each run's first pass tries again. A proof in step k ends
+    the solve with one trace row for step k, holding the proved point.
     """
     start = b = p0.to_array()
-    stats = {"increments": np.zeros((len(epigraphs), b.size))}
+    stats = {"increments": np.zeros((len(epigraphs), b.size)), "finish": cfg.exact_finish}
     trace = Trace()
     inner_total = 0
+    flag = int(not cfg.warm_start)
     for k in range(1, cfg.max_outer_iters + 1):
+        stats["tried"] = None
         try:
             a = dykstra_project(epigraphs, start, cfg, stats=stats)
         except ConvergenceError as exc:
             exc.trace = trace
             raise
         inner_total += stats["cycles"]
+        point = stats.get("proved")
+        if point is not None:
+            trace._add(k, 0, 1, point, 0.0, flag, True)
+            return proved(point, inner_total, k, trace, plane, cfg)
         prev_b, b = b, plane.project(a)
-        trace._add(k, 0, 1, a, 0.0, int(not cfg.warm_start), True)
+        trace._add(k, 0, 1, a, 0.0, flag, True)
         start = bregman_step(k, a, b, prev_b, stats["increments"], inner_total, trace, plane, cfg)
         if isinstance(start, MinMaxSolution):
             return start

@@ -130,10 +130,12 @@ def load_config(path: str) -> ExperimentConfig:
     solver = None
     try:
         # the defaults are ToleranceConfig's own, but the CLI keeps the
-        # paper's protocol: every inner run restarts from zero increments,
-        # so warm_start is no config key
+        # paper's protocol: every inner run restarts from zero increments
+        # and only the paper's stop rule ends a solve, so warm_start and
+        # exact_finish are no config keys
         solver = ToleranceConfig(
             warm_start=False,
+            exact_finish=False,
             **{k: s[k] for k in TOLERANCE_KEYS if k in s},
         )
     except (ValueError, TypeError) as exc:
@@ -257,7 +259,7 @@ def cmd_verify(cfg: ExperimentConfig, result: ConsensusResult, quiet: bool = Fal
     # independent check of the projection machinery: nearest point of the
     # intersection of attainable sets (in solver height coordinates) to the
     # plane-side point must match the solver's intersection-side point
-    sets, _, _ = _build_sets(cfg.agents)
+    sets = _build_sets(cfg.agents)[0]
     membership = lambda q: all(s.contains(q, 1e-9) for s in sets)
     plane_side = np.append(result.x_consensus, 0.0)
     hint = np.append(result.x_consensus, result.solver.t_star + 1.0)

@@ -316,12 +316,14 @@ def simulate_trajectory(
 
 def _build_sets(
     agents: Sequence[AgentDynamics],
-) -> Tuple[List[ProjectableSet], bool, bool]:
-    """Each agent's attainable set, whether its height is squared time, and
-    whether the sets are the experimental ones.
+) -> Tuple[List[ProjectableSet], PointTime, bool, bool]:
+    """Each agent's attainable set, the solve's start point, whether the
+    height is squared time, and whether the sets are the experimental ones.
 
     The rules of an agent list live here: it is nonempty, its agents share
-    one model (ValueError) and one x0 length (DimensionMismatchError).
+    one model (ValueError) and one x0 length (DimensionMismatchError), and
+    the start point is finite (ValueError). That point is the centroid of
+    the x0s at the height max_i f_i(centroid), which lies in every set.
     A first-order agent reaches x in ||x - x0|| / u_max, a cone in time; a
     double integrator at rest takes 2 sqrt(|x - x0| / u_max), a cone in
     squared time, s >= (4 / u_max)|x - x0|.
@@ -334,12 +336,21 @@ def _build_sets(
     if any(a.x0.size != agents[0].x0.size for a in agents):
         raise DimensionMismatchError("every x0 must have the same length")
     second_order = model is Model.SECOND_ORDER
-    if second_order and any(a.v0 != 0.0 for a in agents):
-        return [SecondOrderAttainableSet(a.x0[0], a.v0, a.u_max) for a in agents], False, True
-    slope = 4.0 if second_order else 1.0
-    # row i is agent i's apex (x0..., 0), from x0s AgentDynamics has checked
-    apex = np.column_stack(([a.x0 for a in agents], np.zeros(len(agents))))
-    return [SecondOrderCone._from_row(p, slope / a.u_max) for p, a in zip(apex, agents)], second_order, False
+    experimental = second_order and any(a.v0 != 0.0 for a in agents)
+    if experimental:
+        sets: List[ProjectableSet] = [SecondOrderAttainableSet(a.x0[0], a.v0, a.u_max) for a in agents]
+    else:
+        slope = 4.0 if second_order else 1.0
+        # row i is agent i's apex (x0..., 0), from x0s AgentDynamics has checked
+        apex = np.column_stack(([a.x0 for a in agents], np.zeros(len(agents))))
+        sets = [SecondOrderCone._from_row(p, slope / a.u_max) for p, a in zip(apex, agents)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        base = np.append(np.mean([a.x0 for a in agents], axis=0), 0.0)
+        # a set's violation at height 0 is its boundary height
+        heights = [s.violation(base) for s in sets]
+    if not (np.isfinite(base).all() and np.isfinite(heights).all()):
+        raise ValueError("the start height max_i f_i(centroid) overflows: positions or velocities too large")
+    return sets, PointTime(base[:-1], max(heights)), second_order and not experimental, experimental
 
 
 def _position(agent: AgentDynamics, x: Array) -> Array:
@@ -373,13 +384,7 @@ def solve_min_time_consensus(
         raise ValueError(f"unknown mode {mode!r}")
     cfg = cfg or ToleranceConfig()
 
-    sets, squared, experimental = _build_sets(agents)
-    centroid = np.mean([a.x0 for a in agents], axis=0)
-    # a set's violation at height 0 is its boundary height
-    base = np.append(centroid, 0.0)
-    h0 = max(s.violation(base) for s in sets)
-    p0 = PointTime(centroid, h0)
-
+    sets, p0, squared, experimental = _build_sets(agents)
     plane = HorizontalHyperplane(0.0)
     solve = solve_minmax if mode == "centralized" else run_ring
     sol = solve(sets, plane, p0, cfg)

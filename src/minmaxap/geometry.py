@@ -216,7 +216,8 @@ class ConeStack:
         cap_i = (th_i - a'_i * r_i - floor_i) / (a'_i + 1) * (1 - 1e-9),
 
     with th_i the height of ref above the apex, r_i its distance from the
-    axis, a'_i the slope with its margin and floor_i the underflow floor.
+    axis, a'_i the slope with its margin (slope; raw_slope is the cone's
+    own) and floor_i the underflow floor.
     A move by d changes r_i and th_i by at most d each, so every point
     within cap_i of ref passes the margined test too; 1 - 1e-9 absorbs the
     rounding of cap_i and of the distance. Sets that are not cones get
@@ -232,9 +233,9 @@ class ConeStack:
         # leaves every point outside it
         self.apex_x = np.array([np.zeros(dim) if c is None else c.apex[:-1] for c in cones])
         self.apex_t = np.array([np.inf if c is None else c.apex[-1] for c in cones])
-        slope = np.array([1.0 if c is None else c.slope for c in cones])
-        self.slope = slope * (1.0 + 1e-12)
-        self.floor = slope * 1e-150
+        self.raw_slope = np.array([1.0 if c is None else c.slope for c in cones])
+        self.slope = self.raw_slope * (1.0 + 1e-12)
+        self.floor = self.raw_slope * 1e-150
         # no point is certified until the first refresh
         self.ref = np.zeros(dim + 1)
         self.cap = np.full(len(cones), -np.inf)

@@ -24,10 +24,10 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .alternating import MinMaxSolution, ToleranceConfig, Trace, bregman_step, dykstra_pass
+from .alternating import MinMaxSolution, ToleranceConfig, Trace, bregman_step, dykstra_pass, proved, try_finish
 from .alternating import dykstra_step as agent_step
 from .errors import ConvergenceError
-from .geometry import ConeStack, HorizontalHyperplane, PointTime, ProjectableSet, norm
+from .geometry import ConeStack, HorizontalHyperplane, PointTime, ProjectableSet, norm, plus_zero
 
 Array = np.ndarray
 
@@ -75,6 +75,14 @@ def run_ring(
     The trace's flag is 1 on the rows of the cycle a cold event (one
     without cfg.warm_start) starts, from agent 1's event row on, and 0
     elsewhere. Agent 1's event row holds the plane point.
+
+    Under cfg.exact_finish, with every set a cone, agent 1 tries
+    alternating.finish on its own turn, before its stop test, as
+    dykstra_project does after a cycle: whenever the agents with nonzero
+    increments change and number 1 to n + 1, and once more after each
+    event. A proof ends the solve at the step in progress, k: agent 1's
+    row, the trace's last, is then the event row of step k and holds the
+    proved point, as solve_minmax's last row does.
     """
     if not sets:
         raise ValueError("at least one agent is required")
@@ -82,9 +90,11 @@ def run_ring(
     for s in sets:
         s._check(guess)
     cones = ConeStack(sets)
+    finishing = cfg.exact_finish and cones.cone.all()
+    tried = None
     increments = np.zeros((len(sets), guess.size))
     # increment is +0.0 in every component; agent 1 always takes its turn,
-    # so its entry is never read
+    # so only the finish reads its entry
     zero = np.ones(len(sets), dtype=bool)
     # every increment's movement since agent 1 last tested the guess
     drift = 0.0
@@ -97,6 +107,12 @@ def run_ring(
         a, inc = agent_step(sets[0], increments[0], guess)
         drift += norm(inc - increments[0])
         increments[0] = inc
+        zero[0] = plus_zero(inc)
+        if finishing:
+            point, tried = try_finish(cones, a, increments, zero, tried)
+            if point is not None:
+                trace._add(cycle, 1, 2, point, norm(inc), int(not cfg.warm_start), True)
+                return proved(point, cycle, n_events + 1, trace, plane, cfg)
         e, plane_pt = coordinator_step(a, last_guess, drift, plane, cfg)
         bregman = plane_pt is not None
         flag = int(bregman and not cfg.warm_start)
@@ -109,10 +125,10 @@ def run_ring(
             guess = bregman_step(n_events, a, plane_pt, b_prev, increments, cycle, trace, plane, cfg)
             if isinstance(guess, MinMaxSolution):
                 return guess
-            # agent 1 forgets the pre-drop guess: the restarted inner run
-            # must stabilize on its own evidence, not by matching the run
-            # it replaced
-            b_prev, last_guess = plane_pt, None
+            # agent 1 forgets the pre-drop guess and the S of its last
+            # try: the restarted inner run must stabilize on its own
+            # evidence, not by matching the run it replaced
+            b_prev, last_guess, tried = plane_pt, None, None
             if not cfg.warm_start:
                 # bregman_step zeroed every increment
                 zero[:] = True

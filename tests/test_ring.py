@@ -76,6 +76,11 @@ CFG = ToleranceConfig()
 # the paper's protocol: flag 1 resets every increment after a Bregman event
 COLD = ToleranceConfig(warm_start=False)
 LOOSE_INNER = ToleranceConfig(err=1e-2, outer_tol=1e-6)
+# the same, ended by the paper's stop rule alone, for the tests that
+# assert the paper loop's own mechanics: rows, caps and cycle counts
+PAPER = ToleranceConfig(exact_finish=False)
+PAPER_COLD = ToleranceConfig(warm_start=False, exact_finish=False)
+PAPER_LOOSE_INNER = ToleranceConfig(err=1e-2, outer_tol=1e-6, exact_finish=False)
 PLANE = HorizontalHyperplane(0.0)
 
 
@@ -186,7 +191,7 @@ class TestRunRing:
 
     def test_cycle_cap_failure_carries_trace(self):
         cones = [SecondOrderCone(vec([x], 0.0), 1.0) for x in (-1.0, 2.0, 4.0)]
-        cfg = ToleranceConfig(max_inner_cycles=3)
+        cfg = ToleranceConfig(max_inner_cycles=3, exact_finish=False)
         # from below the cones the first inner run needs 4 cycles
         with pytest.raises(ConvergenceError) as exc:
             run_ring(cones, PLANE, pt([0.0], 0.0), cfg)
@@ -213,7 +218,7 @@ class TestRunRing:
 
     def test_event_cap_failure_carries_trace(self):
         cones = [SecondOrderCone(vec([x], 0.0), 1.0) for x in (-1.0, 2.0, 4.0)]
-        cfg = ToleranceConfig(max_outer_iters=2)
+        cfg = ToleranceConfig(max_outer_iters=2, exact_finish=False)
         with pytest.raises(ConvergenceError) as exc:
             run_ring(cones, PLANE, pt([0.0], 9.0), cfg)
         assert exc.value.iterations == 2
@@ -237,7 +242,7 @@ class TestRunRing:
         cycles, points = [], []
         for err in (1e-3, 1e-7):
             before = len(built)
-            sol = run_ring(cones, PLANE, p0, ToleranceConfig(err=err))
+            sol = run_ring(cones, PLANE, p0, ToleranceConfig(err=err, exact_finish=False))
             cycles.append(sol.inner_cycles_total)
             points.append(len(built) - before)
         assert cycles[0] < cycles[1]
@@ -388,7 +393,7 @@ class TestSkippedVisits:
         sets = random_agent_sets(seed)
         dim = sets[0].dim
         plane, p0 = HorizontalHyperplane(-0.5), PointTime(np.zeros(dim), 30.0)
-        ref, resets = full_ring(sets, plane, p0, COLD)
+        ref, resets = full_ring(sets, plane, p0, PAPER_COLD)
         # a set that is not a cone is projected at every one of its visits
         calls = Counter()
         for cls in (Halfspace, Ball):
@@ -397,7 +402,7 @@ class TestSkippedVisits:
                 return project(self, v)
 
             monkeypatch.setattr(cls, "project", counting)
-        sol = run_ring(sets, plane, p0, COLD)
+        sol = run_ring(sets, plane, p0, PAPER_COLD)
         assert hexed(sol) == hexed(ref)
         for i, s in enumerate(sets):
             if not isinstance(s, SecondOrderCone):
@@ -409,11 +414,11 @@ class TestSkippedVisits:
 
     @pytest.mark.parametrize(
         "seed, cfg",
-        [pytest.param(seed, CFG, id=str(seed)) for seed in range(20)]
+        [pytest.param(seed, PAPER, id=str(seed)) for seed in range(20)]
         # err above outer_tol: the inner runs stop early and the outer steps
         # are many, so a guess agent 1 kept across a plane drop would change
         # its stop tests and the run
-        + [pytest.param(seed, LOOSE_INNER, id=f"loose-inner-{seed}") for seed in range(20)],
+        + [pytest.param(seed, PAPER_LOOSE_INNER, id=f"loose-inner-{seed}") for seed in range(20)],
     )
     def test_warm_matches_the_per_visit_loop_bit_for_bit(self, seed, cfg):
         sets = random_agent_sets(seed)
@@ -504,16 +509,16 @@ class TestRingTrace:
     def test_reads_as_a_list(self, seed):
         sets = random_agent_sets(seed)
         plane, p0 = HorizontalHyperplane(-0.5), PointTime(np.zeros(sets[0].dim), 30.0)
-        sol = run_ring(sets, plane, p0, COLD)
+        sol = run_ring(sets, plane, p0, PAPER_COLD)
         assert_reads_as_its_rows(sol.trace)
         # and it holds the rows of the per-visit loop
-        ref, _ = full_ring(sets, plane, p0, COLD)
+        ref, _ = full_ring(sets, plane, p0, PAPER_COLD)
         assert [r.agent_id for r in sol.trace] == [r.agent_id for r in ref.trace]
 
     def test_skipped_runs_are_not_rows(self):
         rng = np.random.default_rng(3)
         cones = [SecondOrderCone(vec(rng.uniform(0, 10, 2), 0.0), 1.0) for _ in range(16)]
-        sol = run_ring(cones, PLANE, pt([5.0, 5.0], 20.0), CFG)
+        sol = run_ring(cones, PLANE, pt([5.0, 5.0], 20.0), PAPER)
         assert_reads_as_its_rows(sol.trace)
         # 5009 rows in 2368 runs
         assert len(list(sol.trace.runs())) < len(sol.trace) / 2
@@ -532,7 +537,7 @@ class TestRingTrace:
         rng = np.random.default_rng(3)
         cones = [SecondOrderCone(vec(rng.uniform(0, 10, 2), 0.0), 1.0) for _ in range(16)]
         with pytest.raises(ConvergenceError) as exc:
-            run_ring(cones, PLANE, pt([5.0, 5.0], 20.0), ToleranceConfig(**caps))
+            run_ring(cones, PLANE, pt([5.0, 5.0], 20.0), ToleranceConfig(**caps, exact_finish=False))
         assert_reads_as_its_rows(exc.value.trace)
 
     def test_centralized_trace_reads_as_a_list(self):
@@ -546,7 +551,7 @@ class TestRingTrace:
     def test_partial_centralized_trace_reads_by_index(self):
         cones = [SecondOrderCone(vec([-1.0], 0.0), 1.0), SecondOrderCone(vec([2.0], 0.0), 2.0)]
         with pytest.raises(ConvergenceError) as exc:
-            solve_minmax(cones, PLANE, pt([0.0], 6.0), ToleranceConfig(max_outer_iters=2))
+            solve_minmax(cones, PLANE, pt([0.0], 6.0), ToleranceConfig(max_outer_iters=2, exact_finish=False))
         assert len(exc.value.trace) == 2
         assert_reads_as_its_rows(exc.value.trace)
 

@@ -23,6 +23,10 @@ from minmaxap import (
 WARM = ToleranceConfig()
 COLD = ToleranceConfig(warm_start=False)
 SEEDS = range(3)
+# the same, ended by the paper's stop rule alone, for cycle counts that
+# measure the paper loop
+PAPER_WARM = ToleranceConfig(exact_finish=False)
+PAPER_COLD = ToleranceConfig(warm_start=False, exact_finish=False)
 
 
 def swarm(seed, n, dim):
@@ -84,8 +88,8 @@ def test_warm_agrees_with_cold_and_exact_in_fewer_cycles(dim, n, mode):
     cycles = {True: 0, False: 0}
     for seed in SEEDS:
         agents = swarm(seed, n, dim)
-        warm = solve_min_time_consensus(agents, WARM, mode=mode)
-        cold = solve_min_time_consensus(agents, COLD, mode=mode)
+        warm = solve_min_time_consensus(agents, PAPER_WARM, mode=mode)
+        cold = solve_min_time_consensus(agents, PAPER_COLD, mode=mode)
         cycles[True] += warm.solver.inner_cycles_total
         cycles[False] += cold.solver.inner_cycles_total
         gap = np.append(warm.x_consensus - cold.x_consensus, warm.t_consensus - cold.t_consensus)
