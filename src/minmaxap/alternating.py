@@ -29,11 +29,13 @@ class ToleranceConfig:
     after the first from the last run's increments; False restarts each
     from zero increments, the paper's protocol.
 
-    exact_finish, when every set is a SecondOrderCone, ends the solve as
-    soon as finish() proves the lowest point of their intersection exactly:
-    both solvers try it whenever the sets with nonzero Dykstra increments
-    change and number at most n + 1. With False, or with any set that is
-    not a cone, only the paper's stop rule ends the solve.
+    exact_finish, when every set is a SecondOrderCone or every set is a
+    ConvexEpigraph, ends the solve as soon as finish() proves the lowest
+    point of their intersection exactly: both solvers try it whenever the
+    sets with nonzero Dykstra increments change and number at most n + 1
+    (exactly n + 1 for epigraphs, whose oracles give no curvature). With
+    False, or with any other stack, only the paper's stop rule ends the
+    solve.
     """
 
     err: float = 1e-7
@@ -162,59 +164,64 @@ def dykstra_pass(
 
 
 def finish(cones: ConeStack, v: Array, increments: Array, active: Array) -> Optional[Array]:
-    """The lowest point (x..., t) of the intersection of the cones, proved
+    """The lowest point (x..., t) of the intersection of the sets, proved
     optimal, or None when this try proves nothing.
 
-    Every set must be a cone, f_i(x) = t_i + a_i ||x - p_i|| with apex
-    (p_i, t_i). active holds the indices S of the cones with nonzero
-    Dykstra increments, at most n + 1 of them. Newton's method, from x and t
-    of the iterate v and weights w of the increments' height parts
-    normalised, solves f_i(x) = t for i in S, sum_i w_i grad f_i(x) = 0 and
-    sum_i w_i = 1 for at most 20 steps. Its root (x, t) is accepted when
+    The stack must finish (ConeStack.finishes): every set is a cone, or
+    every set is a ConvexEpigraph. active holds the indices S of the sets
+    with nonzero Dykstra increments, at most n + 1 of them. Newton's
+    method, from x and t of the iterate v and weights w of the increments'
+    height parts normalised, solves f_i(x) = t for i in S,
+    sum_i w_i g_i(x) = 0 and sum_i w_i = 1 for at most 20 steps, with the
+    values f_i and subgradients g_i of ConeStack.terms. Cones give the
+    Hessian of sum_i w_i f_i too. Oracles give none, so the system splits:
+    f_i(x) = t fixes (x, t), and w solves the rest, linear in w; with
+    |S| <= n it is singular, and such a try gives up before any oracle call.
+    The root (x, t) is accepted when
     - the f_i = t block is within 1e-12 (1 + |t|), the gradient block
-      within 1e-12 max_i a_i and sum_i w_i within 1e-12 of 1;
+      within 1e-12 max_i ||g_i|| and sum_i w_i within 1e-12 of 1;
     - w >= 0;
-    - max f_i(x) <= t + 1e-12 (1 + |t|) over every cone;
-    - t <= max f_i at v's x + 1e-12 (1 + |t|), an upper bound on t*.
+    - max f_j(x) <= t + 1e-12 (1 + |t|) over every set;
+    - t <= max f_j at v's x + 1e-12 (1 + |t|), an upper bound on t*.
     The first three are the KKT conditions of min t s.t. f_i(x) <= t,
-    which prove (x, t) optimal for this convex problem. The first and last
-    each reject a root at infinity, where a test relative to |t| alone
-    passes. A value that is not finite, x at an apex of S, where grad f_i
-    does not exist, or a singular system gives None.
+    which prove (x, t) optimal for this convex problem: with the oracles'
+    own subgradients a try can fail, but accepts no other point. The first
+    and last each reject a root at infinity, where a test relative to |t|
+    alone passes. A value or subgradient that is not finite, x at an apex
+    of S, where grad f_i does not exist, or a singular system gives None;
+    an oracle's ArithmeticError passes on to try_finish.
     """
     n, k = v.size - 1, active.size
-    p, h, a = cones.apex_x[active], cones.apex_t[active], cones.raw_slope[active]
+    if k <= n and cones.oracles is not None:
+        return None
+    terms = cones.terms(active)
     lam = increments[active, -1]
     # z is (x..., t, w...), F the residual and bound its acceptance test
     z = np.concatenate((v, lam / lam.sum()))
     F = np.empty(z.size)
-    bound = np.full(z.size, 1e-12 * a.max())
-    bound[-1] = 1e-12
+    bound = np.full(z.size, 1e-12)
     J = np.zeros((z.size, z.size))
     J[:k, n] = -1.0
     J[-1, n + 1:] = 1.0
-    eye = np.eye(n)
     # 20 Newton steps, and the test of the point the last one reaches
     for _ in range(21):
         x, t, w = z[:n], z[n], z[n + 1:]
-        d = x - p
-        r2 = np.einsum("ij,ij->i", d, d)
-        r = np.sqrt(r2)
-        if not (r > 0).all():
+        at = terms(x)
+        if at is None:
             return None
-        g = d * (a / r)[:, None]
-        F[:k] = h + a * r - t
+        f, g, hessian, scale = at
+        F[:k] = f - t
         F[k:-1] = w @ g
         F[-1] = w.sum() - 1.0
         if not np.isfinite(F).all():
             return None
         bound[:k] = 1e-12 * (1.0 + abs(t))
+        bound[k:-1] = 1e-12 * scale
         if (np.abs(F) <= bound).all():
             break
         J[:k, :n] = g
-        # the Hessian of sum_i w_i f_i
-        c = w * a / r
-        J[k:-1, :n] = c.sum() * eye - (d.T * (c / r2)) @ d
+        if hessian is not None:
+            J[k:-1, :n] = hessian(w)
         J[k:-1, n + 1:] = g.T
         try:
             z = z - np.linalg.solve(J, F)
@@ -222,14 +229,9 @@ def finish(cones: ConeStack, v: Array, increments: Array, active: Array) -> Opti
             return None
     else:
         return None
-
-    def top(y):
-        """max_i f_i(y) over every cone."""
-        d = y - cones.apex_x
-        return (cones.apex_t + cones.raw_slope * np.sqrt(np.einsum("ij,ij->i", d, d))).max()
-
     tol = bound[0]  # 1e-12 (1 + |t|)
-    if (w < 0).any() or top(x) > t + tol or t > top(v[:-1]) + tol:
+    # not <=, so that a nan from ConeStack.top rejects
+    if (w < 0).any() or not cones.top(x) <= t + tol or not t <= cones.top(v[:-1]) + tol:
         return None
     return z[:n + 1].copy()
 
@@ -239,12 +241,17 @@ def try_finish(
 ) -> tuple[Optional[Array], Optional[Array]]:
     """finish() at the iterate x when S, the sets whose increments are not
     +0.0 by zero, numbers 1 to n + 1 and differs from tried, the S of the
-    last try: the proved point or None, and the S of the last try now."""
+    last try: the proved point or None, and the S of the last try now. An
+    oracle's ArithmeticError, at a Newton iterate far from any the solve
+    asked for, ends the try with None, not the solve."""
     active = np.flatnonzero(~zero)
     # x.size is n + 1
     if not 0 < active.size <= x.size or np.array_equal(active, tried):
         return None, tried
-    return finish(cones, x, increments, active), active
+    try:
+        return finish(cones, x, increments, active), active
+    except ArithmeticError:
+        return None, active
 
 
 def dykstra_project(
@@ -279,7 +286,8 @@ def dykstra_project(
 
     A run is a projection and never finishes a min-max unless
     stats["finish"] is true, as solve_minmax sets it under
-    cfg.exact_finish, and every set is a cone. Then after each cycle whose
+    cfg.exact_finish, and the stack finishes (ConeStack.finishes: every
+    set is a cone, or every set a ConvexEpigraph). Then after each cycle whose
     sets with nonzero increments, S, number 1 to n + 1 and differ from
     stats["tried"], the S of the last try, the run tries finish(). Once
     that proves a point, the run ends: the point is stats["proved"], the
@@ -303,7 +311,7 @@ def dykstra_project(
         raise ValueError(f"increments must have shape {(m, x.size)}, got {increments.shape}")
     # increment is +0.0 in every component
     zero = plus_zero_rows(increments)
-    finishing = stats.get("finish", False) and cones.cone.all()
+    finishing = stats.get("finish", False) and cones.finishes
     prev = None
     resid = np.inf
     for cycle in range(1, cfg.max_inner_cycles + 1):

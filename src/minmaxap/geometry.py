@@ -222,12 +222,20 @@ class ConeStack:
     within cap_i of ref passes the margined test too; 1 - 1e-9 absorbs the
     rounding of cap_i and of the distance. Sets that are not cones get
     cap -inf.
+
+    finishes says whether alternating.finish serves the stack: every set
+    is a cone, or every set is a ConvexEpigraph, whose sets oracles then
+    holds (None otherwise). terms and top give the finish the sets' values
+    and subgradients: in closed form, with curvature, for cones, and from
+    the oracles, without it, for epigraphs.
     """
 
     def __init__(self, sets: Sequence[ProjectableSet]):
         cones = [s if isinstance(s, SecondOrderCone) else None for s in sets]
         self.cone = np.array([c is not None for c in cones])
         self.any = bool(self.cone.any())
+        self.oracles = list(sets) if all(isinstance(s, ConvexEpigraph) for s in sets) else None
+        self.finishes = bool(self.cone.all()) or self.oracles is not None
         dim = next((c.dim for c in cones if c is not None), 1)
         # a set that is not a cone gets an infinite apex height, which
         # leaves every point outside it
@@ -284,6 +292,57 @@ class ConeStack:
             if trivial[k]:
                 return n
         return lo + k
+
+    def terms(self, active: Array) -> Callable:
+        """The finish's terms over the sets in active: a function of x that
+        gives f_i(x) and g_i(x) for each, the Hessian of sum_i w_i f_i as a
+        function of the weights w, and the gradient scale max_i ||g_i||; or
+        None at a cone's apex, where f_i(x) = t_i + a_i ||x - p_i|| has no
+        gradient. A cone's scale is max_i a_i.
+
+        An epigraph's terms come from its oracles, which give no curvature:
+        its Hessian is None. A value or subgradient that is not finite is
+        passed on for the caller's test, and a subgradient that is not dim
+        numbers raises ProjectionError.
+        """
+        if self.oracles is not None:
+            sets = [self.oracles[i] for i in active]
+
+            def oracle_terms(x):
+                f = np.array([float(s.value(x)) for s in sets])
+                g = np.array([s._subgrad(x, finite=False) for s in sets])
+                return f, g, None, np.sqrt(np.einsum("ij,ij->i", g, g)).max()
+
+            return oracle_terms
+        p, h, a = self.apex_x[active], self.apex_t[active], self.raw_slope[active]
+        scale = a.max()
+        eye = np.eye(p.shape[1])
+
+        def cone_terms(x):
+            d = x - p
+            r2 = np.einsum("ij,ij->i", d, d)
+            r = np.sqrt(r2)
+            if not (r > 0).all():
+                return None
+
+            def hessian(w):
+                c = w * a / r
+                return c.sum() * eye - (d.T * (c / r2)) @ d
+
+            return h + a * r, d * (a / r)[:, None], hessian, scale
+
+        return cone_terms
+
+    def top(self, y: Array) -> float:
+        """max_i f_i(y) over every set of a stack that finishes, or nan when
+        it is not finite."""
+        if self.oracles is not None:
+            f = np.array([float(s.value(y)) for s in self.oracles])
+        else:
+            d = y - self.apex_x
+            f = self.apex_t + self.raw_slope * np.sqrt(np.einsum("ij,ij->i", d, d))
+        top = f.max()
+        return top if math.isfinite(top) else math.nan
 
 
 @dataclass(frozen=True)
@@ -545,10 +604,10 @@ class ConvexEpigraph(ProjectableSet):
             raise ProjectionError(_NONFINITE.format("value"))
         return fx
 
-    def _subgrad(self, x: Array) -> Array:
+    def _subgrad(self, x: Array, finite: bool = True) -> Array:
         """A subgradient at x as a new float array of dim entries (a
         number or a list serves for dim 1), or ProjectionError when it is
-        not dim finite numbers."""
+        not dim numbers, or, unless finite is False, not finite ones."""
         raw = self.subgrad(x)
         g = np.asarray(raw)
         if g.dtype.kind not in "fiu" or g.size != self.dim or g.ndim > 1:
@@ -557,6 +616,6 @@ class ConvexEpigraph(ProjectableSet):
                 f" set's dim, not {raw!r}"
             )
         g = g.astype(float).reshape(self.dim)
-        if not np.isfinite(g).all():
+        if finite and not np.isfinite(g).all():
             raise ProjectionError(_NONFINITE.format("subgradient"))
         return g

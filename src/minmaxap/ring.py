@@ -76,7 +76,8 @@ def run_ring(
     without cfg.warm_start) starts, from agent 1's event row on, and 0
     elsewhere. Agent 1's event row holds the plane point.
 
-    Under cfg.exact_finish, with every set a cone, agent 1 tries
+    Under cfg.exact_finish, when the stack finishes (every set a cone, or
+    every set a ConvexEpigraph: ConeStack.finishes), agent 1 tries
     alternating.finish on its own turn, before its stop test, as
     dykstra_project does after a cycle: whenever the agents with nonzero
     increments change and number 1 to n + 1, and once more after each
@@ -90,7 +91,7 @@ def run_ring(
     for s in sets:
         s._check(guess)
     cones = ConeStack(sets)
-    finishing = cfg.exact_finish and cones.cone.all()
+    finishing = cfg.exact_finish and cones.finishes
     tried = None
     increments = np.zeros((len(sets), guess.size))
     # increment is +0.0 in every component; agent 1 always takes its turn,
