@@ -31,11 +31,13 @@ class ToleranceConfig:
 
     exact_finish, when every set is a SecondOrderCone or every set is a
     ConvexEpigraph, ends the solve as soon as finish() proves the lowest
-    point of their intersection exactly: both solvers try it whenever the
-    sets with nonzero Dykstra increments change and number at most n + 1
-    (exactly n + 1 for epigraphs, whose oracles give no curvature). With
-    False, or with any other stack, only the paper's stop rule ends the
-    solve.
+    point of their intersection exactly: both solvers try it through
+    try_finish on S, the sets with nonzero Dykstra increments, whenever S
+    changes and numbers at most n + 1 (exactly n + 1 for epigraphs, whose
+    oracles give no curvature), and on the n + 1 members of S with the
+    highest values once that choice holds for two cycles in a row when S
+    is larger. With False, or with any other stack, only the paper's stop
+    rule ends the solve.
     """
 
     err: float = 1e-7
@@ -168,16 +170,20 @@ def finish(cones: ConeStack, v: Array, increments: Array, active: Array) -> Opti
     optimal, or None when this try proves nothing.
 
     The stack must finish (ConeStack.finishes): every set is a cone, or
-    every set is a ConvexEpigraph. active holds the indices S of the sets
-    with nonzero Dykstra increments, at most n + 1 of them. Newton's
-    method, from x and t of the iterate v and weights w of the increments'
-    height parts normalised, solves f_i(x) = t for i in S,
-    sum_i w_i g_i(x) = 0 and sum_i w_i = 1 for at most 20 steps, with the
-    values f_i and subgradients g_i of ConeStack.terms. Cones give the
-    Hessian of sum_i w_i f_i too. Oracles give none, so the system splits:
-    f_i(x) = t fixes (x, t), and w solves the rest, linear in w; with
-    |S| <= n it is singular, and such a try gives up before any oracle call.
-    The root (x, t) is accepted when
+    every set is a ConvexEpigraph. active holds the indices S of at most
+    n + 1 sets, those that bind at the answer if this try is to succeed.
+    Newton's method, from x and t of the iterate v, solves the KKT system
+    f_i(x) = t for i in S, sum_i w_i g_i(x) = 0 and sum_i w_i = 1 for at
+    most 20 steps, with the values f_i and subgradients g_i of
+    ConeStack.terms. With |S| = n + 1 the system splits: the square system
+    f_i(x) = t fixes (x, t), and w, linear in the rest, is solved once at
+    its root. With |S| <= n the root of f_i = t is no point, so Newton runs
+    on (x, t, w) together, from w = the increments' height parts
+    normalised, with the Hessian of sum_i w_i f_i that cones give; oracles
+    give none, and such a try gives up before any oracle call. Newton stops
+    at the second iterate in a row whose residual passes the first test
+    below, which leaves the point at rounding. The root (x, t) is accepted
+    when
     - the f_i = t block is within 1e-12 (1 + |t|), the gradient block
       within 1e-12 max_i ||g_i|| and sum_i w_i within 1e-12 of 1;
     - w >= 0;
@@ -192,37 +198,49 @@ def finish(cones: ConeStack, v: Array, increments: Array, active: Array) -> Opti
     an oracle's ArithmeticError passes on to try_finish.
     """
     n, k = v.size - 1, active.size
-    if k <= n and cones.oracles is not None:
+    square = k == n + 1
+    if not square and cones.oracles is not None:
         return None
     terms = cones.terms(active)
-    lam = increments[active, -1]
-    # z is (x..., t, w...), F the residual and bound its acceptance test
-    z = np.concatenate((v, lam / lam.sum()))
+    if square:
+        z = v
+    else:
+        lam = increments[active, -1]
+        z = np.concatenate((v, lam / lam.sum()))
+    # z is (x..., t) or (x..., t, w...), F the residual and bound its
+    # acceptance test, J the Jacobian
     F = np.empty(z.size)
     bound = np.full(z.size, 1e-12)
     J = np.zeros((z.size, z.size))
     J[:k, n] = -1.0
     J[-1, n + 1:] = 1.0
-    # 20 Newton steps, and the test of the point the last one reaches
+    # at most 20 Newton steps, until two iterates in a row pass the
+    # residual test: the step after the first leaves (x, t) at rounding
+    near = False
     for _ in range(21):
-        x, t, w = z[:n], z[n], z[n + 1:]
+        x, t = z[:n], z[n]
         at = terms(x)
         if at is None:
             return None
         f, g, hessian, scale = at
         F[:k] = f - t
-        F[k:-1] = w @ g
-        F[-1] = w.sum() - 1.0
-        if not np.isfinite(F).all():
-            return None
         bound[:k] = 1e-12 * (1.0 + abs(t))
-        bound[k:-1] = 1e-12 * scale
-        if (np.abs(F) <= bound).all():
-            break
         J[:k, :n] = g
-        if hessian is not None:
+        if not square:
+            w = z[n + 1:]
+            F[k:-1] = w @ g
+            F[-1] = w.sum() - 1.0
+            bound[k:-1] = 1e-12 * scale
+        # the largest excess of |F| over its bound, nan or inf unless F is finite
+        excess = (np.abs(F) - bound).max()
+        if not excess < math.inf:
+            return None
+        if excess <= 0.0 and near:
+            break
+        near = excess <= 0.0
+        if not square:
             J[k:-1, :n] = hessian(w)
-        J[k:-1, n + 1:] = g.T
+            J[k:-1, n + 1:] = g.T
         try:
             z = z - np.linalg.solve(J, F)
         except np.linalg.LinAlgError:
@@ -230,6 +248,15 @@ def finish(cones: ConeStack, v: Array, increments: Array, active: Array) -> Opti
     else:
         return None
     tol = bound[0]  # 1e-12 (1 + |t|)
+    if square:
+        # the rest, sum_i w_i g_i = 0 and -sum_i w_i = -1, is J.T w = -e_n
+        try:
+            w = np.linalg.solve(J.T, -np.eye(k)[n])
+        except np.linalg.LinAlgError:
+            return None
+        # not <=, so that a nan rejects
+        if not ((np.abs(w @ g) <= 1e-12 * scale).all() and abs(w.sum() - 1.0) <= 1e-12):
+            return None
     # not <=, so that a nan from ConeStack.top rejects
     if (w < 0).any() or not cones.top(x) <= t + tol or not t <= cones.top(v[:-1]) + tol:
         return None
@@ -237,21 +264,37 @@ def finish(cones: ConeStack, v: Array, increments: Array, active: Array) -> Opti
 
 
 def try_finish(
-    cones: ConeStack, x: Array, increments: Array, zero: Array, tried: Optional[Array],
-) -> tuple[Optional[Array], Optional[Array]]:
-    """finish() at the iterate x when S, the sets whose increments are not
-    +0.0 by zero, numbers 1 to n + 1 and differs from tried, the S of the
-    last try: the proved point or None, and the S of the last try now. An
-    oracle's ArithmeticError, at a Newton iterate far from any the solve
-    asked for, ends the try with None, not the solve."""
-    active = np.flatnonzero(~zero)
-    # x.size is n + 1
-    if not 0 < active.size <= x.size or np.array_equal(active, tried):
-        return None, tried
+    cones: ConeStack, x: Array, increments: Array, zero: Array, memo: Optional[tuple],
+) -> tuple[Optional[Array], tuple]:
+    """finish() at the iterate x over a support drawn from S, the sets
+    whose increments are not +0.0 by zero: S itself when it numbers 1 to
+    n + 1, else the n + 1 members of S with the highest values f_i at x
+    (ConeStack.values), since the increments name the binding sets long
+    before S shrinks to them.
+
+    memo is None or the pair (the support of the last call, the support of
+    the last try). The support is tried unless it is the last one tried;
+    one ranked from more than n + 1 sets only once it is also the last
+    call's, since near ties reorder the ranking from cycle to cycle.
+    Returns the proved point or None, and memo now. An oracle's
+    ArithmeticError, at a Newton iterate far from any the solve asked for,
+    ends the try with None, not the solve."""
+    seen, tried = (None, None) if memo is None else memo
+    support = np.flatnonzero(~zero)
     try:
-        return finish(cones, x, increments, active), active
+        # x.size is n + 1
+        ranked = support.size > x.size
+        if ranked:
+            # the n + 1 highest values, kept in index order
+            top = np.zeros(support.size, dtype=bool)
+            top[np.argpartition(cones.values(x[:-1], support), -x.size)[-x.size:]] = True
+            support = support[top]
+        held = not ranked or np.array_equal(support, seen)
+        if not support.size or np.array_equal(support, tried) or not held:
+            return None, (support, tried)
+        return finish(cones, x, increments, support), (support, support)
     except ArithmeticError:
-        return None, active
+        return None, (support, support)
 
 
 def dykstra_project(
@@ -287,12 +330,15 @@ def dykstra_project(
     A run is a projection and never finishes a min-max unless
     stats["finish"] is true, as solve_minmax sets it under
     cfg.exact_finish, and the stack finishes (ConeStack.finishes: every
-    set is a cone, or every set a ConvexEpigraph). Then after each cycle whose
-    sets with nonzero increments, S, number 1 to n + 1 and differ from
-    stats["tried"], the S of the last try, the run tries finish(). Once
-    that proves a point, the run ends: the point is stats["proved"], the
-    cycles so far stats["cycles"], and the run still returns its own
-    iterate, which keeps the invariant above.
+    set is a cone, or every set a ConvexEpigraph). Then after each cycle
+    the run calls try_finish, which keeps its memory of the supports seen
+    and tried in stats["tried"]: it tries finish() on S, the sets with
+    nonzero increments, when S numbers 1 to n + 1 and was not the last
+    try's, and on the n + 1 members of S with the highest values when S
+    is larger and that choice is the last cycle's too. Once a try proves a
+    point, the run ends: the point is stats["proved"], the cycles so far
+    stats["cycles"], and the run still returns its own iterate, which
+    keeps the invariant above.
     """
     if not sets:
         raise ValueError("sets must be nonempty")
@@ -417,9 +463,10 @@ def solve_minmax(
     between runs otherwise.
 
     Under cfg.exact_finish every run may end early with a point finish()
-    proved (see dykstra_project); each Bregman step forgets the S of the
-    last try, so each run's first pass tries again. A proof in step k ends
-    the solve with one trace row for step k, holding the proved point.
+    proved (see dykstra_project); each Bregman step forgets the supports
+    seen and tried, so each run tries again on its own evidence. A proof
+    in step k ends the solve with one trace row for step k, holding the
+    proved point.
     """
     start = b = p0.to_array()
     stats = {"increments": np.zeros((len(epigraphs), b.size)), "finish": cfg.exact_finish}

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -226,8 +226,9 @@ class ConeStack:
     finishes says whether alternating.finish serves the stack: every set
     is a cone, or every set is a ConvexEpigraph, whose sets oracles then
     holds (None otherwise). terms and top give the finish the sets' values
-    and subgradients: in closed form, with curvature, for cones, and from
-    the oracles, without it, for epigraphs.
+    and subgradients, and values gives alternating.try_finish the values it
+    ranks S by: in closed form, with curvature, for cones, and from the
+    oracles, without it, for epigraphs.
     """
 
     def __init__(self, sets: Sequence[ProjectableSet]):
@@ -322,7 +323,7 @@ class ConeStack:
             d = x - p
             r2 = np.einsum("ij,ij->i", d, d)
             r = np.sqrt(r2)
-            if not (r > 0).all():
+            if not r.all():
                 return None
 
             def hessian(w):
@@ -333,15 +334,21 @@ class ConeStack:
 
         return cone_terms
 
+    def values(self, y: Array, sets: Optional[Array] = None) -> Array:
+        """f_i(y) for each index i in sets, or for every set, of a stack
+        that finishes."""
+        if self.oracles is not None:
+            oracles = self.oracles if sets is None else [self.oracles[i] for i in sets]
+            return np.array([float(s.value(y)) for s in oracles])
+        if sets is None:
+            sets = slice(None)
+        d = y - self.apex_x[sets]
+        return self.apex_t[sets] + self.raw_slope[sets] * np.sqrt(np.einsum("ij,ij->i", d, d))
+
     def top(self, y: Array) -> float:
         """max_i f_i(y) over every set of a stack that finishes, or nan when
         it is not finite."""
-        if self.oracles is not None:
-            f = np.array([float(s.value(y)) for s in self.oracles])
-        else:
-            d = y - self.apex_x
-            f = self.apex_t + self.raw_slope * np.sqrt(np.einsum("ij,ij->i", d, d))
-        top = f.max()
+        top = self.values(y).max()
         return top if math.isfinite(top) else math.nan
 
 

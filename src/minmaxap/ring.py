@@ -77,13 +77,16 @@ def run_ring(
     elsewhere. Agent 1's event row holds the plane point.
 
     Under cfg.exact_finish, when the stack finishes (every set a cone, or
-    every set a ConvexEpigraph: ConeStack.finishes), agent 1 tries
-    alternating.finish on its own turn, before its stop test, as
-    dykstra_project does after a cycle: whenever the agents with nonzero
-    increments change and number 1 to n + 1, and once more after each
-    event. A proof ends the solve at the step in progress, k: agent 1's
-    row, the trace's last, is then the event row of step k and holds the
-    proved point, as solve_minmax's last row does.
+    every set a ConvexEpigraph: ConeStack.finishes), agent 1 calls
+    alternating.try_finish on its own turn, before its stop test, as
+    dykstra_project does after a cycle: it tries alternating.finish on the
+    agents with nonzero increments whenever they change and number 1 to
+    n + 1, and on the n + 1 of them with the highest values at the guess
+    once that choice holds for two turns in a row when they are more. Each
+    event forgets the supports seen and tried. A proof ends the solve at
+    the step in progress, k: agent 1's row, the trace's last, is then the
+    event row of step k and holds the proved point, as solve_minmax's last
+    row does.
     """
     if not sets:
         raise ValueError("at least one agent is required")
@@ -92,7 +95,7 @@ def run_ring(
         s._check(guess)
     cones = ConeStack(sets)
     finishing = cfg.exact_finish and cones.finishes
-    tried = None
+    memo = None
     increments = np.zeros((len(sets), guess.size))
     # increment is +0.0 in every component; agent 1 always takes its turn,
     # so only the finish reads its entry
@@ -110,7 +113,7 @@ def run_ring(
         increments[0] = inc
         zero[0] = plus_zero(inc)
         if finishing:
-            point, tried = try_finish(cones, a, increments, zero, tried)
+            point, memo = try_finish(cones, a, increments, zero, memo)
             if point is not None:
                 trace._add(cycle, 1, 2, point, norm(inc), int(not cfg.warm_start), True)
                 return proved(point, cycle, n_events + 1, trace, plane, cfg)
@@ -126,10 +129,10 @@ def run_ring(
             guess = bregman_step(n_events, a, plane_pt, b_prev, increments, cycle, trace, plane, cfg)
             if isinstance(guess, MinMaxSolution):
                 return guess
-            # agent 1 forgets the pre-drop guess and the S of its last
-            # try: the restarted inner run must stabilize on its own
+            # agent 1 forgets the pre-drop guess and the supports it saw
+            # and tried: the restarted inner run must stabilize on its own
             # evidence, not by matching the run it replaced
-            b_prev, last_guess, tried = plane_pt, None, None
+            b_prev, last_guess, memo = plane_pt, None, None
             if not cfg.warm_start:
                 # bregman_step zeroed every increment
                 zero[:] = True

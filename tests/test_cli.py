@@ -395,10 +395,12 @@ class TestSolve:
         assert outs[0] == outs[1]
 
     def test_trace_written_by_run_matches_row_by_row(self, tmp_path):
-        # a 64-agent ring skips most visits, so its runs are long
+        # a 64-agent ring skips most visits, so its runs are long; the
+        # paper's stop alone keeps the solve long enough to show it
         points = np.random.default_rng(1).uniform(-10, 10, (64, 2))
         agents = [minmaxap.AgentDynamics(minmaxap.Model.FIRST_ORDER, p) for p in points]
-        trace = minmaxap.solve_min_time_consensus(agents, mode="ring").solver.trace
+        paper = minmaxap.ToleranceConfig(exact_finish=False)
+        trace = minmaxap.solve_min_time_consensus(agents, paper, mode="ring").solver.trace
         assert len(list(trace.runs())) < len(trace) / 5
         by_run = tmp_path / "by_run.csv"
         cfg = ExperimentConfig(agents, minmaxap.ToleranceConfig(), "ring", trace_path=str(by_run))

@@ -1,6 +1,7 @@
-"""The exact finish: a Newton solve of the KKT system over the sets whose
-Dykstra increments are nonzero, which ends a solve once it proves the
-lowest point of an intersection of cones or of oracle epigraphs."""
+"""The exact finish: a Newton solve of the KKT system over at most n + 1
+of the sets whose Dykstra increments are nonzero, which ends a solve once
+it proves the lowest point of an intersection of cones or of oracle
+epigraphs."""
 
 import json
 import math
@@ -84,7 +85,64 @@ def swarm_cases():
                     yield pytest.param(x0, u, id=f"{dim}d-{n}-{seed}-{'equal' if equal else 'unequal'}")
 
 
+def polygon(m, radius=5.0):
+    """The m vertices of a regular polygon of this radius about 0."""
+    angles = 2.0 * np.pi * np.arange(m) / m
+    return radius * np.c_[np.cos(angles), np.sin(angles)]
+
+
+def count_tries(monkeypatch):
+    """A list that grows by |S| at each alternating.finish call."""
+    tries = []
+    real = alternating.finish
+
+    def spy(cones, v, increments, active):
+        tries.append(active.size)
+        return real(cones, v, increments, active)
+
+    monkeypatch.setattr(alternating, "finish", spy)
+    return tries
+
+
+def proof_cases():
+    """Seeded first-order swarms in 1-D and 2-D, N from 4 to 256, and
+    polygons whose vertices are moved by about 1e-9."""
+    for dim in (1, 2):
+        for n in (4, 16, 96, 256):
+            for seed in range(2):
+                x0 = np.random.default_rng([dim, n, seed, 27]).uniform(-10.0, 10.0, (n, dim))
+                yield pytest.param(x0, id=f"{dim}d-{n}-{seed}")
+    for m in (4, 7, 16, 96):
+        x0 = polygon(m) + 1e-9 * np.random.default_rng(m).standard_normal((m, 2))
+        yield pytest.param(x0, id=f"near-{m}-gon")
+
+
 class TestProperty:
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("x0", proof_cases())
+    def test_no_wrong_point_is_proved(self, x0, mode):
+        # tries on the highest n + 1 of more binding sets may fail, but a
+        # finished answer is the closed form's to rounding
+        r = solve_min_time_consensus(first_order(x0, np.ones(len(x0))), mode=mode)
+        x, t = minmax_1d(x0[:, 0], np.ones(len(x0))) if x0.shape[1] == 1 else enclosing_circle(x0)
+        tol = 1e-12 if r.solver.finished else 1e-5
+        assert rel(r.x_consensus, x) <= tol and rel(r.t_consensus, t) <= tol
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_bench_swarms_finish_in_few_cycles(self, mode):
+        # the swarms of the benchmark, unmoved: each finishes exactly, and
+        # together they take at most 110 inner cycles (183 when tries
+        # waited for at most n + 1 binding cones)
+        cycles = 0
+        for base in (0, 2, 4, 8, 10):
+            x0 = np.random.default_rng(base).uniform(0.0, 10.0, (96, 2))
+            r = solve_min_time_consensus(first_order(x0, np.ones(96)), mode=mode)
+            x, t = enclosing_circle(x0)
+            assert r.solver.finished
+            assert rel(r.x_consensus, x) <= 1e-12 and rel(r.t_consensus, t) <= 1e-12
+            cycles += r.solver.inner_cycles_total
+        assert cycles <= 110
+
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("x0, u", swarm_cases())
     def test_first_order_swarms(self, x0, u, mode):
@@ -238,12 +296,26 @@ class TestRejections:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_four_cocircular_agents(self, mode):
-        # all four bind, one more than n + 1, so no try is made
+        # all four bind, one more than n + 1: a try takes the three with the
+        # highest values at the iterate, and three whose triangle holds the
+        # centre prove the circle
         angles = (0.3, 1.9, 3.5, 5.0)
         x0 = 3.0 * np.array([[np.cos(a), np.sin(a)] for a in angles]) + [1.0, -2.0]
         r = solve_min_time_consensus(first_order(x0, np.ones(4)), mode=mode)
-        assert not r.solver.finished
-        assert rel(r.x_consensus, [1.0, -2.0]) <= 1e-5 and rel(r.t_consensus, 3.0) <= 1e-5
+        assert r.solver.finished
+        assert rel(r.x_consensus, [1.0, -2.0]) <= 1e-12 and rel(r.t_consensus, 3.0) <= 1e-12
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("m", [8, 96])
+    def test_regular_polygons(self, m, mode, monkeypatch):
+        # every vertex ties at the answer, so the highest n + 1 values churn
+        # from cycle to cycle; a support is tried only once it has held for
+        # two cycles, so a solve that cannot finish pays for few tries
+        tries = count_tries(monkeypatch)
+        r = solve_min_time_consensus(first_order(polygon(m), np.ones(m)), mode=mode)
+        assert len(tries) <= 2 * r.solver.outer_iters
+        tol = 1e-12 if r.solver.finished else 1e-5
+        assert rel(r.x_consensus, [0.0, 0.0]) <= tol and rel(r.t_consensus, 5.0) <= tol
 
 
 class TestMixedStacks:
@@ -407,14 +479,7 @@ class TestOracleStacks:
             (lambda x: float(3 * (x[0] - 0.15) ** 2 + 0.05 * abs(x[0])),
              lambda x: np.array([6 * (x[0] - 0.15) + 0.05 * np.sign(x[0])])),
         ]
-        sizes = []
-        real = alternating.finish
-
-        def spy(cones, v, increments, active):
-            sizes.append(active.size)
-            return real(cones, v, increments, active)
-
-        monkeypatch.setattr(alternating, "finish", spy)
+        sizes = count_tries(monkeypatch)
         p0 = PointTime(np.array([2.0]), 3.0)
         on = solver([ConvexEpigraph(f, g, 1) for f, g in fs], PLANE, p0, ToleranceConfig())
         assert 2 in sizes
