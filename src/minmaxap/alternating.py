@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .geometry import (
-    ConeStack, HorizontalHyperplane, PointTime, ProjectableSet, norm, plus_zero, plus_zero_rows, positive_integer,
+    ConeStack, HorizontalHyperplane, PointTime, ProjectableSet, norm, plus_zero, positive_integer,
 )
 
 Array = np.ndarray
@@ -32,12 +32,12 @@ class ToleranceConfig:
     exact_finish, when every set is a SecondOrderCone or every set is a
     ConvexEpigraph, ends the solve as soon as finish() proves the lowest
     point of their intersection exactly: both solvers try it through
-    try_finish on S, the sets with nonzero Dykstra increments, whenever S
-    changes and numbers at most n + 1 (exactly n + 1 for epigraphs, whose
-    oracles give no curvature), and on the n + 1 members of S with the
-    highest values once that choice holds for two cycles in a row when S
-    is larger. With False, or with any other stack, only the paper's stop
-    rule ends the solve.
+    DykstraState.try_finish on S, the sets with nonzero Dykstra
+    increments, whenever S changes and numbers at most n + 1 (exactly
+    n + 1 for epigraphs, whose oracles give no curvature), and on the
+    n + 1 members of S with the highest values once that choice holds for
+    two cycles in a row when S is larger. With False, or with any other
+    stack, only the paper's stop rule ends the solve.
     """
 
     err: float = 1e-7
@@ -137,28 +137,26 @@ def dykstra_step(s: ProjectableSet, increment: Array, x: Array) -> tuple[Array, 
 
 
 def dykstra_pass(
-    sets: Sequence[ProjectableSet], cones: ConeStack, x: Array, increments: Array,
-    zero: Array, lo: int, trace: Optional[Trace] = None, cycle: int = 0, flag: int = 0,
+    state: DykstraState, x: Array, lo: int, trace: Optional[Trace] = None, cycle: int = 0, flag: int = 0,
 ) -> tuple[Array, float]:
-    """One cyclic Dykstra pass over sets[lo:] from x, updating increments
-    and their +0.0 flags zero in place: the iterate it ends at, and the sum
-    of the increments' moves. It skips the steps ConeStack.first_nontrivial
+    """One cyclic Dykstra pass over the state's sets[lo:] from x, taking
+    each increment into it: the iterate it ends at, and the sum of the
+    increments' moves. It skips the steps ConeStack.first_nontrivial
     finds trivial, which would change nothing bit for bit. A trace gets the
     ring's rows, set i being agent i + 1: one per step, and one run per
     stretch of skipped steps, holding the x they pass on."""
+    sets, increments = state.sets, state.increments
     m = len(sets)
     drift = 0.0
     i = lo
     while i < m:
-        j = cones.first_nontrivial(x, zero, i)
+        j = state.cones.first_nontrivial(x, state.zero, i)
         if trace is not None and j > i:
             trace._add(cycle, i + 1, j + 1, x, 0.0, flag, False)
         if j == m:
             break
         x, inc = dykstra_step(sets[j], increments[j], x)
-        drift += norm(inc - increments[j])
-        increments[j] = inc
-        zero[j] = plus_zero(inc)
+        drift += state.take(j, inc)
         if trace is not None:
             trace._add(cycle, j + 1, j + 2, x, norm(inc), flag, False)
         i = j + 1
@@ -195,7 +193,7 @@ def finish(cones: ConeStack, v: Array, increments: Array, active: Array) -> Opti
     and last each reject a root at infinity, where a test relative to |t|
     alone passes. A value or subgradient that is not finite, x at an apex
     of S, where grad f_i does not exist, or a singular system gives None;
-    an oracle's ArithmeticError passes on to try_finish.
+    an oracle's ArithmeticError passes on to DykstraState.try_finish.
     """
     n, k = v.size - 1, active.size
     square = k == n + 1
@@ -263,38 +261,74 @@ def finish(cones: ConeStack, v: Array, increments: Array, active: Array) -> Opti
     return z[:n + 1].copy()
 
 
-def try_finish(
-    cones: ConeStack, x: Array, increments: Array, zero: Array, memo: Optional[tuple],
-) -> tuple[Optional[Array], tuple]:
-    """finish() at the iterate x over a support drawn from S, the sets
-    whose increments are not +0.0 by zero: S itself when it numbers 1 to
-    n + 1, else the n + 1 members of S with the highest values f_i at x
-    (ConeStack.values), since the increments name the binding sets long
-    before S shrinks to them.
+class DykstraState:
+    """The state a solve's Dykstra runs share, in either mode.
 
-    memo is None or the pair (the support of the last call, the support of
-    the last try). The support is tried unless it is the last one tried;
-    one ranked from more than n + 1 sets only once it is also the last
-    call's, since near ties reorder the ranking from cycle to cycle.
-    Returns the proved point or None, and memo now. An oracle's
-    ArithmeticError, at a Newton iterate far from any the solve asked for,
-    ends the try with None, not the solve."""
-    seen, tried = (None, None) if memo is None else memo
-    support = np.flatnonzero(~zero)
-    try:
-        # x.size is n + 1
-        ranked = support.size > x.size
-        if ranked:
-            # the n + 1 highest values, kept in index order
-            top = np.zeros(support.size, dtype=bool)
-            top[np.argpartition(cones.values(x[:-1], support), -x.size)[-x.size:]] = True
-            support = support[top]
-        held = not ranked or np.array_equal(support, seen)
-        if not support.size or np.array_equal(support, tried) or not held:
-            return None, (support, tried)
-        return finish(cones, x, increments, support), (support, support)
-    except ArithmeticError:
-        return None, (support, support)
+    sets are the sets, each checked against the (x..., t) array p0 once,
+    and cones their ConeStack. increments holds one (n+1,) row per set and
+    zero flags the rows that are +0.0 throughout; take keeps the two in
+    step. try_finish remembers the supports it saw and tried, and tries
+    only with finish true and a stack that finishes (ConeStack.finishes).
+    restart begins a Bregman step."""
+
+    def __init__(self, sets: Sequence[ProjectableSet], p0: Array, finish: bool = False):
+        if not sets:
+            raise ValueError("sets must be nonempty")
+        for s in sets:
+            s._check(p0)
+        self.sets = sets
+        self.cones = ConeStack(sets)
+        self.increments = np.zeros((len(sets), p0.size))
+        self.zero = np.ones(len(sets), dtype=bool)
+        self.finishing = finish and self.cones.finishes
+        self.seen = self.tried = None
+
+    def take(self, j: int, inc: Array) -> float:
+        """Make inc set j's increment: how far the increment moved."""
+        move = norm(inc - self.increments[j])
+        self.increments[j] = inc
+        self.zero[j] = plus_zero(inc)
+        return move
+
+    def restart(self, warm: bool) -> None:
+        """Forget the supports seen and tried, so that the next run tries
+        again on its own evidence; unless warm, zero every increment."""
+        self.seen = self.tried = None
+        if not warm:
+            self.increments[...] = 0.0
+            self.zero[:] = True
+
+    def try_finish(self, x: Array) -> Optional[Array]:
+        """finish() at the iterate x over a support drawn from S, the sets
+        whose increments are nonzero: S itself when it numbers 1 to n + 1,
+        else the n + 1 members of S with the highest values f_i at x
+        (ConeStack.values), since the increments name the binding sets long
+        before S shrinks to them. The support is tried unless it is the
+        last one tried; one ranked from more than n + 1 sets only once it
+        is also the last call's, since near ties reorder the ranking from
+        cycle to cycle. Returns the proved point or None. An oracle's
+        ArithmeticError, at a Newton iterate far from any the solve asked
+        for, ends the try with None, not the solve."""
+        if not self.finishing:
+            return None
+        support = np.flatnonzero(~self.zero)
+        try:
+            # x.size is n + 1
+            ranked = support.size > x.size
+            if ranked:
+                # the n + 1 highest values, kept in index order
+                top = np.zeros(support.size, dtype=bool)
+                top[np.argpartition(self.cones.values(x[:-1], support), -x.size)[-x.size:]] = True
+                support = support[top]
+            held = not ranked or np.array_equal(support, self.seen)
+            self.seen = support
+            if not support.size or np.array_equal(support, self.tried) or not held:
+                return None
+            self.tried = support
+            return finish(self.cones, x, self.increments, support)
+        except ArithmeticError:
+            self.seen = self.tried = support
+            return None
 
 
 def dykstra_project(
@@ -312,77 +346,54 @@ def dykstra_project(
     when no step moves it.
 
     stats, when given, is a dict the run reports its cycle count in, as
-    stats["cycles"]. The run's increments, one (n+1,) row per set, are
-    stats["increments"]: an (m, n+1) array found there is the start of a
-    warm run, and the run updates it in place; without one the run starts
-    from zero increments and leaves its own there. Every step keeps the
-    iterate at b + increments.sum(0), where b is the point being
-    projected, so a warm run's p0 must be b plus the sum of its starting
-    increments. From any such start the run converges to the projection
-    of b: the increments are the variables of the dual problem that
-    Dykstra's method ascends block by block.
+    stats["cycles"]. stats["state"] is the run's DykstraState: one found
+    there, built for this very list of sets, starts a warm run, which
+    updates it in place; without one the run builds its own and leaves it
+    there. Every step keeps the iterate at b + increments.sum(0), where b
+    is the point being projected, so a warm run's p0 must be b plus the
+    sum of its starting increments. From any such start the run converges
+    to the projection of b: the increments are the variables of the dual
+    problem that Dykstra's method ascends block by block.
 
-    The sets are checked against p0 and stacked into the run's ConeStack
-    only when stats holds no stats["cones"] yet; the run leaves its stack
-    there, and a later run with the same stats reuses it, reference point
-    and caps included. A stats dict therefore belongs to one list of sets.
-
-    A run is a projection and never finishes a min-max unless
-    stats["finish"] is true, as solve_minmax sets it under
-    cfg.exact_finish, and the stack finishes (ConeStack.finishes: every
-    set is a cone, or every set a ConvexEpigraph). Then after each cycle
-    the run calls try_finish, which keeps its memory of the supports seen
-    and tried in stats["tried"]: it tries finish() on S, the sets with
-    nonzero increments, when S numbers 1 to n + 1 and was not the last
-    try's, and on the n + 1 members of S with the highest values when S
-    is larger and that choice is the last cycle's too. Once a try proves a
-    point, the run ends: the point is stats["proved"], the cycles so far
-    stats["cycles"], and the run still returns its own iterate, which
-    keeps the invariant above.
+    A run is a projection and never finishes a min-max, unless its state
+    was built with finish true, as solve_minmax builds it under
+    cfg.exact_finish. Then the run calls DykstraState.try_finish after
+    each cycle and ends once a try proves a point: the point is
+    stats["proved"] (None otherwise), and the run still returns its own
+    iterate, which keeps the invariant above.
     """
-    if not sets:
-        raise ValueError("sets must be nonempty")
-    x = p0
-    m = len(sets)
     stats = {} if stats is None else stats
-    if "cones" not in stats:
-        for s in sets:
-            s._check(p0)
-        stats["cones"] = ConeStack(sets)
-    cones = stats["cones"]
-    if cones.cone.size != m:
-        raise ValueError(f"cones must stack {m} sets, got {cones.cone.size}")
-    increments = stats.setdefault("increments", np.zeros((m, x.size)))
-    if increments.shape != (m, x.size):
-        raise ValueError(f"increments must have shape {(m, x.size)}, got {increments.shape}")
-    # increment is +0.0 in every component
-    zero = plus_zero_rows(increments)
-    finishing = stats.get("finish", False) and cones.finishes
+    state = stats.get("state")
+    if state is None:
+        state = stats["state"] = DykstraState(sets, p0)
+    elif state.sets is not sets:
+        raise ValueError("stats['state'] was built for another list of sets")
+    x = p0
     prev = None
     resid = np.inf
     for cycle in range(1, cfg.max_inner_cycles + 1):
-        x, drift = dykstra_pass(sets, cones, x, increments, zero, 0)
-        if finishing:
-            stats["proved"], stats["tried"] = try_finish(cones, x, increments, zero, stats.get("tried"))
-            if stats["proved"] is not None:
-                stats["cycles"] = cycle
-                return x
+        x, drift = dykstra_pass(state, x, 0)
+        point = state.try_finish(x)
+        if point is not None:
+            break
         if prev is not None:
             # the iterate can stall for whole cycles while the increments
             # still drift, so both must settle before we may stop
             resid = norm(x - prev) + drift
             if resid < cfg.err:
-                stats["cycles"] = cycle
-                return x
+                break
         prev = x
-    stats["cycles"] = cfg.max_inner_cycles
-    raise ConvergenceError(
-        "Dykstra cycle cap reached (empty or ill-conditioned intersection?)",
-        iterate=x.copy(),
-        residual=resid,
-        iterations=cfg.max_inner_cycles,
-        trace=Trace(),
-    )
+    else:
+        stats["cycles"] = cfg.max_inner_cycles
+        raise ConvergenceError(
+            "Dykstra cycle cap reached (empty or ill-conditioned intersection?)",
+            iterate=x.copy(),
+            residual=resid,
+            iterations=cfg.max_inner_cycles,
+            trace=Trace(),
+        )
+    stats["cycles"], stats["proved"] = cycle, point
+    return x
 
 
 def solution(
@@ -412,22 +423,22 @@ def proved(
 
 
 def bregman_step(
-    k: int, a: Array, b: Array, b_prev: Array, increments: Array, cycles: int,
+    k: int, a: Array, b: Array, b_prev: Array, state: DykstraState, cycles: int,
     trace: Trace, plane: HorizontalHyperplane, cfg: ToleranceConfig,
 ) -> MinMaxSolution | Array:
     """The end of Bregman step k, in solve_minmax and run_ring alike.
 
     a is the inner run's result, b = plane.project(a), b_prev the plane
-    point the run projected, increments its (m, n+1) increments, cycles
-    the inner cycles so far and trace the rows so far. Returns the
+    point the run projected, state the solve's DykstraState, cycles the
+    inner cycles so far and trace the rows so far. Returns the
     MinMaxSolution once k > 1 and b moved less than cfg.outer_tol (flagged
     plane_grazed when the limit lies within outer_tol of the plane, which
     it must lie strictly above), and raises the outer-cap ConvergenceError
-    at k == cfg.max_outer_iters. Otherwise returns the next run's start:
-    a - b_prev is the sum of the increments, so under cfg.warm_start the
-    run keeps them and starts at b + (a - b_prev), where that invariant
-    puts the iterate of a run from b; else they are zeroed in place and it
-    starts at b.
+    at k == cfg.max_outer_iters. Otherwise restarts the state and returns
+    the next run's start: a - b_prev is the sum of the increments, so
+    under cfg.warm_start the run keeps them and starts at b + (a - b_prev),
+    where that invariant puts the iterate of a run from b; else they are
+    zeroed and it starts at b.
     """
     if k > 1 and norm(b - b_prev) < cfg.outer_tol:
         return solution(a, norm(a - b), cycles, k, trace, plane, cfg)
@@ -439,10 +450,8 @@ def bregman_step(
             iterations=k,
             trace=trace,
         )
-    if cfg.warm_start:
-        return b + (a - b_prev)
-    increments[...] = 0.0
-    return b
+    state.restart(cfg.warm_start)
+    return b + (a - b_prev) if cfg.warm_start else b
 
 
 def solve_minmax(
@@ -458,9 +467,9 @@ def solve_minmax(
     steps, each ended by bregman_step; a_k is the solution once
     consecutive b_k move less than cfg.outer_tol, and ``distance`` the gap
     to b_k. Every ConvergenceError carries the trace so far. All runs
-    share one stats dict: one ConeStack, built and checked by the first
-    run, and one increment array, kept under cfg.warm_start and zeroed
-    between runs otherwise.
+    share one DykstraState, passed as stats["state"]: one ConeStack, and
+    one increment array, kept under cfg.warm_start and zeroed between runs
+    otherwise.
 
     Under cfg.exact_finish every run may end early with a point finish()
     proved (see dykstra_project); each Bregman step forgets the supports
@@ -469,24 +478,23 @@ def solve_minmax(
     proved point.
     """
     start = b = p0.to_array()
-    stats = {"increments": np.zeros((len(epigraphs), b.size)), "finish": cfg.exact_finish}
+    stats = {"state": DykstraState(epigraphs, b, cfg.exact_finish)}
     trace = Trace()
     inner_total = 0
     flag = int(not cfg.warm_start)
     for k in range(1, cfg.max_outer_iters + 1):
-        stats["tried"] = None
         try:
             a = dykstra_project(epigraphs, start, cfg, stats=stats)
         except ConvergenceError as exc:
             exc.trace = trace
             raise
         inner_total += stats["cycles"]
-        point = stats.get("proved")
+        point = stats["proved"]
         if point is not None:
             trace._add(k, 0, 1, point, 0.0, flag, True)
             return proved(point, inner_total, k, trace, plane, cfg)
         prev_b, b = b, plane.project(a)
         trace._add(k, 0, 1, a, 0.0, flag, True)
-        start = bregman_step(k, a, b, prev_b, stats["increments"], inner_total, trace, plane, cfg)
+        start = bregman_step(k, a, b, prev_b, stats["state"], inner_total, trace, plane, cfg)
         if isinstance(start, MinMaxSolution):
             return start

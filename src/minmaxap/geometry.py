@@ -226,9 +226,9 @@ class ConeStack:
     finishes says whether alternating.finish serves the stack: every set
     is a cone, or every set is a ConvexEpigraph, whose sets oracles then
     holds (None otherwise). terms and top give the finish the sets' values
-    and subgradients, and values gives alternating.try_finish the values it
-    ranks S by: in closed form, with curvature, for cones, and from the
-    oracles, without it, for epigraphs.
+    and subgradients, and values gives alternating.DykstraState.try_finish
+    the values it ranks S by: in closed form, with curvature, for cones,
+    and from the oracles, without it, for epigraphs.
     """
 
     def __init__(self, sets: Sequence[ProjectableSet]):
@@ -474,12 +474,12 @@ class ConvexEpigraph(ProjectableSet):
         it is taken by weak duality, which holds for any multipliers >= 0.
         With U = ||q - v||, ||q - q*||^2 <= U^2 - L^2, and the solve ends
         once that is at most (1e-8 (1 + U))^2 or within the 8 ulps of U^2
-        that the rounding of both bounds leaves. SLSQP's own stop (an
-        objective change below 1e-14 at a feasible point), a step at
-        rounding level and 200 iterations remain for oracles whose cuts
-        never close the gap. On the 60 test quadratics this takes 13.1
-        value and subgradient calls per projection on average and 27 at
-        most, and the worst error is 1.7e-8; the tests demand 1e-6.
+        that the rounding of both bounds leaves. A step at rounding level,
+        a direction that is no descent and 200 iterations remain for
+        oracles whose cuts never close the gap. On the 60 test quadratics
+        this takes 13.1 value and subgradient calls per projection on
+        average and 27 at most, and the worst error is 1.7e-8; the tests
+        demand 1e-6.
 
         Raises ProjectionError when the oracle gives a non-finite value or
         subgradient, or a subgradient that is not dim numbers, at v or at
@@ -590,7 +590,7 @@ class ConvexEpigraph(ProjectableSet):
                 alpha = max(h3 / (2 * (h3 - h1)), 0.1)
                 h3 *= alpha
                 s = alpha * s
-            if zn.tobytes() == z.tobytes() or (fn - zn[-1] < 1e-14 and abs(objn - obj) < 1e-14):
+            if zn.tobytes() == z.tobytes():
                 break
             gn = self._subgrad(xn)
             y = s.copy()

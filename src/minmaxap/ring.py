@@ -11,10 +11,11 @@ needs no more than they.  A cold one zeroes every increment at the event;
 the paper's agents each discard their own at the next visit, which
 projects the same points.
 
-run_ring keeps the increments in one (N, n+1) array. Each cycle agent 1
-takes its agent_step (alternating.dykstra_step) and coordinator_step, and
-agents 2..N take alternating.dykstra_pass, the pass dykstra_project makes,
-which skips the visits that change nothing but still writes their rows.
+run_ring keeps one alternating.DykstraState, as solve_minmax does, and
+adds only its visit order, agent 1's stop test and its cycle cap. Each
+cycle agent 1 takes agent_step (alternating.dykstra_step) and
+coordinator_step, and agents 2..N take alternating.dykstra_pass, which
+skips the visits that change nothing but still writes their rows.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .alternating import MinMaxSolution, ToleranceConfig, Trace, bregman_step, dykstra_pass, proved, try_finish
+from .alternating import DykstraState, MinMaxSolution, ToleranceConfig, Trace, bregman_step, dykstra_pass, proved
 from .alternating import dykstra_step as agent_step
 from .errors import ConvergenceError
-from .geometry import ConeStack, HorizontalHyperplane, PointTime, ProjectableSet, norm, plus_zero
+from .geometry import HorizontalHyperplane, PointTime, ProjectableSet, norm
 
 Array = np.ndarray
 
@@ -78,7 +79,7 @@ def run_ring(
 
     Under cfg.exact_finish, when the stack finishes (every set a cone, or
     every set a ConvexEpigraph: ConeStack.finishes), agent 1 calls
-    alternating.try_finish on its own turn, before its stop test, as
+    DykstraState.try_finish on its own turn, before its stop test, as
     dykstra_project does after a cycle: it tries alternating.finish on the
     agents with nonzero increments whenever they change and number 1 to
     n + 1, and on the n + 1 of them with the highest values at the guess
@@ -88,18 +89,8 @@ def run_ring(
     event row of step k and holds the proved point, as solve_minmax's last
     row does.
     """
-    if not sets:
-        raise ValueError("at least one agent is required")
     guess = b_prev = p0.to_array()
-    for s in sets:
-        s._check(guess)
-    cones = ConeStack(sets)
-    finishing = cfg.exact_finish and cones.finishes
-    memo = None
-    increments = np.zeros((len(sets), guess.size))
-    # increment is +0.0 in every component; agent 1 always takes its turn,
-    # so only the finish reads its entry
-    zero = np.ones(len(sets), dtype=bool)
+    state = DykstraState(sets, guess, cfg.exact_finish)
     # every increment's movement since agent 1 last tested the guess
     drift = 0.0
     last_guess: Optional[Array] = None
@@ -108,15 +99,12 @@ def run_ring(
     last_event_cycle = 0
     best = guess
     for cycle in itertools.count(1):
-        a, inc = agent_step(sets[0], increments[0], guess)
-        drift += norm(inc - increments[0])
-        increments[0] = inc
-        zero[0] = plus_zero(inc)
-        if finishing:
-            point, memo = try_finish(cones, a, increments, zero, memo)
-            if point is not None:
-                trace._add(cycle, 1, 2, point, norm(inc), int(not cfg.warm_start), True)
-                return proved(point, cycle, n_events + 1, trace, plane, cfg)
+        a, inc = agent_step(sets[0], state.increments[0], guess)
+        drift += state.take(0, inc)
+        point = state.try_finish(a)
+        if point is not None:
+            trace._add(cycle, 1, 2, point, norm(inc), int(not cfg.warm_start), True)
+            return proved(point, cycle, n_events + 1, trace, plane, cfg)
         e, plane_pt = coordinator_step(a, last_guess, drift, plane, cfg)
         bregman = plane_pt is not None
         flag = int(bregman and not cfg.warm_start)
@@ -126,19 +114,15 @@ def run_ring(
         if bregman:
             n_events += 1
             last_event_cycle = cycle
-            guess = bregman_step(n_events, a, plane_pt, b_prev, increments, cycle, trace, plane, cfg)
+            guess = bregman_step(n_events, a, plane_pt, b_prev, state, cycle, trace, plane, cfg)
             if isinstance(guess, MinMaxSolution):
                 return guess
-            # agent 1 forgets the pre-drop guess and the supports it saw
-            # and tried: the restarted inner run must stabilize on its own
-            # evidence, not by matching the run it replaced
-            b_prev, last_guess, memo = plane_pt, None, None
-            if not cfg.warm_start:
-                # bregman_step zeroed every increment
-                zero[:] = True
+            # agent 1 forgets the pre-drop guess, and the state the supports
+            # it saw: the restarted run must stabilize on its own evidence
+            b_prev, last_guess = plane_pt, None
         else:
             guess = last_guess = a
-        guess, drift = dykstra_pass(sets, cones, guess, increments, zero, 1, trace, cycle, flag)
+        guess, drift = dykstra_pass(state, guess, 1, trace, cycle, flag)
         if cycle - last_event_cycle == cfg.max_inner_cycles:
             raise ConvergenceError(
                 "ring protocol: inner cycle cap reached",

@@ -208,51 +208,28 @@ class TestDykstraMatchesTextbook:
         cones = random_cones(rng, 16, 2)
         centre = np.mean([c.apex[:-1] for c in cones], axis=0)
         b = vec(centre, -5.0)
-        first = {}
-        a = dykstra_project(cones, b, CFG, stats=first)
-        inc = first["increments"]
+        stats = {}
+        a = dykstra_project(cones, b, CFG, stats=stats)
+        inc = stats["state"].increments
         active = [bool(r.any()) for r in inc]
         assert inc.shape == (16, 3) and any(active) and not all(active)
         b_next = vec(centre + rng.normal(size=2), -5.0)
         start = b_next + (a - b)
         x, cycles = textbook_dykstra(cones, start, CFG, incs=inc)
-        stats = {"increments": inc}
         q = dykstra_project(cones, start, CFG, stats=stats)
         assert [float(v).hex() for v in q] == [float(v).hex() for v in x]
         assert stats["cycles"] == cycles
         # updated in place, and the run still lands on the projection of b_next
-        assert stats["increments"] is inc
+        assert stats["state"].increments is inc
         assert np.linalg.norm(q - dykstra_project(cones, b_next, CFG)) < 1e-6
 
-    def test_warm_increments_in_any_memory_layout(self):
-        # the skip flags are read the same from increments that are not
-        # C-contiguous, and the run still updates them in place
-        rng = np.random.default_rng(12)
-        cones = random_cones(rng, 16, 2)
-        centre = np.mean([c.apex[:-1] for c in cones], axis=0)
-        b = vec(centre, -5.0)
-        first = {}
-        a = dykstra_project(cones, b, CFG, stats=first)
-        start = vec(centre + rng.normal(size=2), -5.0) + (a - b)
-        c_order = {"increments": first["increments"].copy()}
-        f_order = {"increments": np.asfortranarray(first["increments"])}
-        inc = f_order["increments"]
-        q = dykstra_project(cones, start, CFG, stats=c_order)
-        r = dykstra_project(cones, start, CFG, stats=f_order)
-        assert q.tobytes() == r.tobytes() and c_order["cycles"] == f_order["cycles"]
-        assert f_order["increments"] is inc and np.array_equal(inc, c_order["increments"])
-
-    def test_increments_of_the_wrong_shape_rejected(self):
-        cones = random_cones(np.random.default_rng(3), 4, 1)
-        with pytest.raises(ValueError):
-            dykstra_project(cones, vec([0.0], 0.0), CFG, stats={"increments": np.zeros((3, 2))})
-
     def test_cone_stack_of_the_wrong_length_rejected(self):
+        # a state belongs to the one list of sets it was built for
         cones = random_cones(np.random.default_rng(3), 4, 1)
         stats = {}
         dykstra_project(cones[:3], vec([0.0], 0.0), CFG, stats=stats)
-        with pytest.raises(ValueError, match="cones must stack 4 sets, got 3"):
-            dykstra_project(cones, vec([0.0], 0.0), CFG, stats={"cones": stats["cones"]})
+        with pytest.raises(ValueError, match="built for another list of sets"):
+            dykstra_project(cones, vec([0.0], 0.0), CFG, stats=stats)
 
     def test_mixed_family(self):
         # Halfspace and Ball have no batched test, so they are never skipped
@@ -508,7 +485,7 @@ def swarm(seed, n):
 
 class TestConeStackBuiltOnce:
     """solve_minmax builds one ConeStack per solve and hands it from run to
-    run in stats["cones"]; rebuilding it for every run changes nothing."""
+    run in its DykstraState; rebuilding it for every run changes nothing."""
 
     def test_one_stack_per_solve(self, monkeypatch):
         built = []
@@ -530,17 +507,18 @@ class TestConeStackBuiltOnce:
         its ConeStack, as each run did before the stack was kept."""
         kept = solve()
         project = alternating.dykstra_project
-        dropped = []
+        states = []
 
         def rebuilt(sets, p0, cfg, stats=None):
-            dropped.append(stats.pop("cones", None) is not None)
+            states.append(stats["state"])
+            stats["state"].cones = alternating.ConeStack(sets)
             return project(sets, p0, cfg, stats=stats)
 
         with monkeypatch.context() as m:
             m.setattr(alternating, "dykstra_project", rebuilt)
             fresh = solve()
-        # every run but the first found the last run's stack and dropped it
-        assert dropped == [False] + [True] * (fresh.outer_iters - 1)
+        # every run got the solve's one state and a stack of its own
+        assert len(states) == fresh.outer_iters and all(s is states[0] for s in states)
         return kept, fresh
 
     def assert_identical(self, kept, fresh):
@@ -576,24 +554,40 @@ class TestBregmanStep:
 
     PLANE = HorizontalHyperplane(0.0)
 
-    def step(self, k, cfg, increments=None):
+    def state(self):
+        """A DykstraState with every increment 1.0, tried on a support."""
+        cones = [SecondOrderCone(vec([0.0], 0.0), 1.0), SecondOrderCone(vec([1.0], 0.0), 1.0)]
+        state = alternating.DykstraState(cones, vec([0.5], 0.0), finish=True)
+        for j in range(2):
+            state.take(j, np.ones(2))
+        state.seen = state.tried = np.arange(2)
+        return state
+
+    def step(self, k, cfg, state=None):
         a, b_prev = vec([1.0], 2.0), vec([0.5], 0.0)
-        increments = np.ones((2, 2)) if increments is None else increments
+        state = self.state() if state is None else state
         b = self.PLANE.project(a)
-        return a, b, b_prev, bregman_step(k, a, b, b_prev, increments, 7, Trace(), self.PLANE, cfg)
+        return a, b, b_prev, bregman_step(k, a, b, b_prev, state, 7, Trace(), self.PLANE, cfg)
 
     def test_warm_start_keeps_the_increments(self):
-        increments = np.ones((2, 2))
-        a, b, b_prev, start = self.step(1, CFG, increments)
+        state = self.state()
+        increments = state.increments
+        a, b, b_prev, start = self.step(1, CFG, state)
         assert np.array_equal(start, b + (a - b_prev))
-        assert np.array_equal(increments, np.ones((2, 2)))
+        assert state.increments is increments and np.array_equal(increments, np.ones((2, 2)))
+        assert not state.zero.any()
+        # the supports are forgotten all the same
+        assert state.seen is None and state.tried is None
 
     def test_cold_restart_zeroes_the_increments_in_place(self):
-        increments = np.ones((2, 2))
-        a, b, _, start = self.step(1, ToleranceConfig(warm_start=False), increments)
+        state = self.state()
+        increments = state.increments
+        a, b, _, start = self.step(1, ToleranceConfig(warm_start=False), state)
         assert np.array_equal(start, b)
-        # +0.0 in every component, in the caller's own array
-        assert increments.tobytes() == bytes(increments.nbytes)
+        # +0.0 in every component, in the state's own array, flagged so
+        assert state.increments is increments and increments.tobytes() == bytes(increments.nbytes)
+        assert state.zero.all()
+        assert state.seen is None and state.tried is None
 
     def test_stops_only_after_the_first_step(self):
         cfg = ToleranceConfig(outer_tol=1.0)

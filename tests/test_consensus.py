@@ -508,6 +508,11 @@ class TestSolveConsensus:
         with pytest.raises(ValueError, match="at least one agent"):
             solve_min_time_consensus([])
 
+    def test_unknown_mode_rejected(self):
+        agents = [AgentDynamics(Model.FIRST_ORDER, np.array([0.0]))]
+        with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+            solve_min_time_consensus(agents, mode="bogus")
+
     # u_max is finite and positive, but the cone slope 1/u_max (4/u_max for
     # a double integrator at rest) overflows to inf
     OVERFLOWING_SLOPES = {

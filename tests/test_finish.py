@@ -132,16 +132,21 @@ class TestProperty:
     def test_bench_swarms_finish_in_few_cycles(self, mode):
         # the swarms of the benchmark, unmoved: each finishes exactly, and
         # together they take at most 110 inner cycles (183 when tries
-        # waited for at most n + 1 binding cones)
-        cycles = 0
+        # waited for at most n + 1 binding cones). Warm starts still save
+        # cycles with the finish on: cold restarts take more (98 against
+        # 117 centrally, 87 against 100 on the ring)
+        cycles = {True: 0, False: 0}
         for base in (0, 2, 4, 8, 10):
             x0 = np.random.default_rng(base).uniform(0.0, 10.0, (96, 2))
-            r = solve_min_time_consensus(first_order(x0, np.ones(96)), mode=mode)
             x, t = enclosing_circle(x0)
-            assert r.solver.finished
-            assert rel(r.x_consensus, x) <= 1e-12 and rel(r.t_consensus, t) <= 1e-12
-            cycles += r.solver.inner_cycles_total
-        assert cycles <= 110
+            for warm in (True, False):
+                cfg = ToleranceConfig(warm_start=warm)
+                r = solve_min_time_consensus(first_order(x0, np.ones(96)), cfg, mode=mode)
+                assert r.solver.finished
+                assert rel(r.x_consensus, x) <= 1e-12 and rel(r.t_consensus, t) <= 1e-12
+                cycles[warm] += r.solver.inner_cycles_total
+        assert cycles[True] <= 110
+        assert cycles[True] < cycles[False]
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("x0, u", swarm_cases())
@@ -228,12 +233,17 @@ class TestTraces:
         assert len(rows) == sol.inner_cycles_total * 96 - 95
         assert rows[-1].agent_id == 1 and rows[-1].bregman_event
 
-    def test_plain_projection_never_finishes(self):
+    def test_plain_projection_never_finishes(self, monkeypatch):
         # (0, 0) lies below every cone, and its projection is no min-max:
-        # without stats["finish"] no try is made
+        # a plain projection builds its state without the finish, so no try
+        # is made, even under the default exact_finish=True
+        def tried(*args):
+            raise AssertionError("a plain projection tried the finish")
+
+        monkeypatch.setattr(alternating, "finish", tried)
         stats = {}
         x = dykstra_project(exp1_cones(), np.array([0.0, 0.0]), ToleranceConfig(), stats)
-        assert "proved" not in stats and "tried" not in stats
+        assert stats["proved"] is None and stats["state"].tried is None
         assert all(c.contains(x, 1e-6) for c in exp1_cones())
 
 

@@ -249,8 +249,11 @@ class TestRunRing:
         assert points[0] == points[1]
 
     def test_no_agents_rejected(self):
-        with pytest.raises(ValueError):
-            run_ring([], PLANE, pt([0.0], 0.0), CFG)
+        # one check, in the DykstraState that each entry point builds
+        project = lambda sets, plane, p0, cfg: alternating.dykstra_project(sets, p0.to_array(), cfg)
+        for solve in (run_ring, solve_minmax, project):
+            with pytest.raises(ValueError, match="sets must be nonempty"):
+                solve([], PLANE, pt([0.0], 0.0), CFG)
 
     def test_repeated_solves_are_identical(self):
         # the increments live inside a solve, so a second one on the same

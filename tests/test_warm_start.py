@@ -110,7 +110,7 @@ def test_every_warm_run_keeps_the_iterate_at_plane_point_plus_increments(n, monk
 
     def recording(sets, p0, cfg, stats=None):
         x = dykstra(sets, p0, cfg, stats=stats)
-        runs.append((p0, x, stats["increments"].sum(axis=0)))
+        runs.append((p0, x, stats["state"].increments.sum(axis=0)))
         return x
 
     monkeypatch.setattr(alternating, "dykstra_project", recording)
