@@ -4,6 +4,7 @@ plane below it, which solves the min-max."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
@@ -36,8 +37,11 @@ class ToleranceConfig:
     increments, whenever S changes and numbers at most n + 1 (exactly
     n + 1 for epigraphs, whose oracles give no curvature), and on the
     n + 1 members of S with the highest values once that choice holds for
-    two cycles in a row when S is larger. With False, or with any other
-    stack, only the paper's stop rule ends the solve.
+    two cycles in a row when S is larger. On cones a failed try goes on to
+    a basis exchange of at most 4 (n + 1) steps (exchange()), which hands
+    finish() a repaired support, and an empty S tries the apex of the cone
+    highest at the iterate (apex()). With False, or with any other stack,
+    only the paper's stop rule ends the solve.
     """
 
     err: float = 1e-7
@@ -163,48 +167,34 @@ def dykstra_pass(
     return x, drift
 
 
-def finish(cones: ConeStack, v: Array, increments: Array, active: Array) -> Optional[Array]:
-    """The lowest point (x..., t) of the intersection of the sets, proved
-    optimal, or None when this try proves nothing.
+def newton(cones: ConeStack, v: Array, weights: Array, active: Array) -> Optional[tuple[Array, Array]]:
+    """The point (x..., t) where every set in active binds and weights
+    w >= 0 might prove it, by Newton's method on the KKT system, or None.
 
-    The stack must finish (ConeStack.finishes): every set is a cone, or
-    every set is a ConvexEpigraph. active holds the indices S of at most
-    n + 1 sets, those that bind at the answer if this try is to succeed.
-    Newton's method, from x and t of the iterate v, solves the KKT system
+    active holds the indices S of at most n + 1 sets of a stack that
+    finishes (ConeStack.finishes). Newton, from x and t of v, solves
     f_i(x) = t for i in S, sum_i w_i g_i(x) = 0 and sum_i w_i = 1 for at
     most 20 steps, with the values f_i and subgradients g_i of
     ConeStack.terms. With |S| = n + 1 the system splits: the square system
     f_i(x) = t fixes (x, t), and w, linear in the rest, is solved once at
     its root. With |S| <= n the root of f_i = t is no point, so Newton runs
-    on (x, t, w) together, from w = the increments' height parts
-    normalised, with the Hessian of sum_i w_i f_i that cones give; oracles
-    give none, and such a try gives up before any oracle call. Newton stops
-    at the second iterate in a row whose residual passes the first test
-    below, which leaves the point at rounding. The root (x, t) is accepted
-    when
-    - the f_i = t block is within 1e-12 (1 + |t|), the gradient block
-      within 1e-12 max_i ||g_i|| and sum_i w_i within 1e-12 of 1;
-    - w >= 0;
-    - max f_j(x) <= t + 1e-12 (1 + |t|) over every set;
-    - t <= max f_j at v's x + 1e-12 (1 + |t|), an upper bound on t*.
-    The first three are the KKT conditions of min t s.t. f_i(x) <= t,
-    which prove (x, t) optimal for this convex problem: with the oracles'
-    own subgradients a try can fail, but accepts no other point. The first
-    and last each reject a root at infinity, where a test relative to |t|
-    alone passes. A value or subgradient that is not finite, x at an apex
-    of S, where grad f_i does not exist, or a singular system gives None;
-    an oracle's ArithmeticError passes on to DykstraState.try_finish.
+    on (x, t, w) together, from w = weights normalised, with the Hessian of
+    sum_i w_i f_i that cones give; oracles give none, and such a solve
+    gives up before any oracle call. Newton stops at the second iterate in
+    a row whose residual passes the test, which leaves the point at
+    rounding: the f_i = t block within 1e-12 (1 + |t|), the gradient block
+    within 1e-12 max_i ||g_i|| and sum_i w_i within 1e-12 of 1. Returns
+    the root and its w, whose sign it leaves to the caller. A value or
+    subgradient that is not finite, x at an apex of S, where grad f_i does
+    not exist, or a singular system gives None; an oracle's
+    ArithmeticError passes on.
     """
     n, k = v.size - 1, active.size
     square = k == n + 1
     if not square and cones.oracles is not None:
         return None
     terms = cones.terms(active)
-    if square:
-        z = v
-    else:
-        lam = increments[active, -1]
-        z = np.concatenate((v, lam / lam.sum()))
+    z = v if square else np.concatenate((v, weights / weights.sum()))
     # z is (x..., t) or (x..., t, w...), F the residual and bound its
     # acceptance test, J the Jacobian
     F = np.empty(z.size)
@@ -245,7 +235,6 @@ def finish(cones: ConeStack, v: Array, increments: Array, active: Array) -> Opti
             return None
     else:
         return None
-    tol = bound[0]  # 1e-12 (1 + |t|)
     if square:
         # the rest, sum_i w_i g_i = 0 and -sum_i w_i = -1, is J.T w = -e_n
         try:
@@ -255,10 +244,130 @@ def finish(cones: ConeStack, v: Array, increments: Array, active: Array) -> Opti
         # not <=, so that a nan rejects
         if not ((np.abs(w @ g) <= 1e-12 * scale).all() and abs(w.sum() - 1.0) <= 1e-12):
             return None
-    # not <=, so that a nan from ConeStack.top rejects
-    if (w < 0).any() or not cones.top(x) <= t + tol or not t <= cones.top(v[:-1]) + tol:
+    return z[:n + 1].copy(), w
+
+
+def finish(cones: ConeStack, v: Array, weights: Array, active: Array) -> Optional[Array]:
+    """The lowest point (x..., t) of the intersection of the sets, proved
+    optimal, or None when this try proves nothing.
+
+    The stack must finish (ConeStack.finishes). active holds the indices S
+    of at most n + 1 sets, those that bind at the answer if this try is to
+    succeed, and weights, positive and one per set in S, the start of w
+    when Newton runs on w too. newton() solves the KKT system from v; its
+    root (x, t) is accepted when
+    - the f_i = t block is within 1e-12 (1 + |t|), the gradient block
+      within 1e-12 max_i ||g_i|| and sum_i w_i within 1e-12 of 1;
+    - w >= 0;
+    - max f_j(x) <= t + 1e-12 (1 + |t|) over every set;
+    - t <= max f_j at v's x + 1e-12 (1 + |t|), an upper bound on t*.
+    The first three are the KKT conditions of min t s.t. f_i(x) <= t,
+    which prove (x, t) optimal for this convex problem: with the oracles'
+    own subgradients a try can fail, but accepts no other point. The first
+    and last each reject a root at infinity, where a test relative to |t|
+    alone passes. An oracle's ArithmeticError passes on to
+    DykstraState.try_finish.
+    """
+    root = newton(cones, v, weights, active)
+    if root is None:
         return None
-    return z[:n + 1].copy()
+    point, w = root
+    t = point[-1]
+    tol = 1e-12 * (1.0 + abs(t))
+    # not <=, so that a nan from ConeStack.top rejects
+    if (w < 0).any() or not cones.top(point[:-1]) <= t + tol or not t <= cones.top(v[:-1]) + tol:
+        return None
+    return point
+
+
+def apex(cones: ConeStack, v: Array, j: int) -> Optional[Array]:
+    """The apex (p_j, t_j) of cone j, proved the lowest point of a cone
+    stack's intersection, or None. Since f_j >= t_j everywhere, it is
+    when every f_i(p_j) <= t_j + 1e-12 (1 + |t_j|); t_j must also pass
+    finish()'s upper bound at v."""
+    point = np.append(cones.apex_x[j], cones.apex_t[j])
+    t = point[-1]
+    tol = 1e-12 * (1.0 + abs(t))
+    # not <=, so that a nan rejects
+    if cones.top(point[:-1]) <= t + tol and t <= cones.top(v[:-1]) + tol:
+        return point
+    return None
+
+
+def binding(cones: ConeStack, z: Array, active: Array) -> Optional[tuple[Array, Array]]:
+    """The point (x..., t) where every cone in active binds and the
+    weights w, summing to 1, that balance their gradients there, or None.
+
+    One cone binds at its apex with w = 1, and two on the segment between
+    their apexes p_i and p_j, at distance s from p_i with
+    t_i + a_i s = t_j + a_j (d - s), d = ||p_j - p_i||, and w proportional
+    to (a_j, a_i); None unless 0 < s < d. More run newton() from the
+    (x..., t) array z, with equal starting weights when they number at
+    most n. A cone stack only.
+    """
+    if active.size == 1:
+        j = active[0]
+        return np.append(cones.apex_x[j], cones.apex_t[j]), np.ones(1)
+    if active.size == 2:
+        (pi, pj), (ti, tj), (ai, aj) = cones.apex_x[active], cones.apex_t[active], cones.raw_slope[active]
+        d = norm(pj - pi)
+        s = (tj - ti + aj * d) / (ai + aj)
+        if not 0.0 < s < d:
+            return None
+        return np.append(pi + (s / d) * (pj - pi), ti + ai * s), np.array([aj, ai]) / (ai + aj)
+    return newton(cones, z, np.ones(active.size), active)
+
+
+def basis(cones: ConeStack, z: Array, sets: Array, j: Optional[int] = None) -> Optional[tuple]:
+    """The first T of the sets, by size and then index order, that holds j
+    (unless j is None) and at most n + 1 sets, whose binding() point has
+    w >= 0 and lies on or above every cone of sets, to 1e-12 (1 + |t|):
+    (T, point, w), or None when no T does. That point is the lowest of
+    the intersection of the sets' cones, for which T is a basis."""
+    n = z.size - 1
+    first = () if j is None else (j,)
+    rest = [i for i in sets.tolist() if i != j]
+    for size in range(1, min(sets.size, n + 1) + 1):
+        for more in itertools.combinations(rest, size - len(first)):
+            T = np.array(first + more)
+            found = binding(cones, z, T)
+            if found is None:
+                continue
+            point, w = found
+            t = point[-1]
+            if (w >= 0).all() and (cones.values(point[:-1], sets) <= t + 1e-12 * (1.0 + abs(t))).all():
+                return T, point, w
+    return None
+
+
+def exchange(cones: ConeStack, v: Array, support: Array) -> Optional[Array]:
+    """The lowest point (x..., t) of a cone stack, proved, from the
+    support of a failed try at the iterate v, or None.
+
+    The min-max of cones is an LP-type problem of combinatorial dimension
+    n + 1 (Matousek, Sharir & Welzl 1996), so the try's support is
+    repaired as pivoting smallest-enclosing-ball solvers do (Fischer,
+    Gartner & Kutz 2003): B, the basis() of the support, takes in the
+    cone j with the highest value f_j at its point (x_B, t_B), and basis()
+    of B and j, which holds j, replaces it, for at most 4 (n + 1)
+    exchanges. Each raises t_B, so no basis returns. Once f_j <= t_B +
+    1e-12 (1 + |t_B|), finish() from (x_B, t_B) with B's weights decides;
+    a single cone there is proved at its apex in closed form, since
+    f_B >= t_B everywhere, when t_B passes finish()'s upper bound at v.
+    """
+    n = v.size - 1
+    found = basis(cones, v, support)
+    for _ in range(4 * (n + 1)):
+        if found is None:
+            return None
+        B, point, w = found
+        t = point[-1]
+        values = cones.values(point[:-1])
+        j = int(values.argmax())
+        if values[j] <= t + 1e-12 * (1.0 + abs(t)):
+            return finish(cones, point, w, B) if B.size > 1 else apex(cones, v, B[0])
+        found = basis(cones, point, np.append(B, j), j)
+    return None
 
 
 class DykstraState:
@@ -306,11 +415,15 @@ class DykstraState:
         before S shrinks to them. The support is tried unless it is the
         last one tried; one ranked from more than n + 1 sets only once it
         is also the last call's, since near ties reorder the ranking from
-        cycle to cycle. Returns the proved point or None. An oracle's
-        ArithmeticError, at a Newton iterate far from any the solve asked
-        for, ends the try with None, not the solve."""
+        cycle to cycle. On a cone stack a failed try goes on to exchange()
+        from its support, and an empty S, with x in every cone, tries the
+        apex() of the cone highest at x in every cycle: an answer at an
+        apex can leave every increment zero. Returns the proved point or
+        None. An oracle's ArithmeticError, at a Newton iterate far from
+        any the solve asked for, ends the try with None, not the solve."""
         if not self.finishing:
             return None
+        cones = self.cones
         support = np.flatnonzero(~self.zero)
         try:
             # x.size is n + 1
@@ -318,14 +431,20 @@ class DykstraState:
             if ranked:
                 # the n + 1 highest values, kept in index order
                 top = np.zeros(support.size, dtype=bool)
-                top[np.argpartition(self.cones.values(x[:-1], support), -x.size)[-x.size:]] = True
+                top[np.argpartition(cones.values(x[:-1], support), -x.size)[-x.size:]] = True
                 support = support[top]
             held = not ranked or np.array_equal(support, self.seen)
             self.seen = support
-            if not support.size or np.array_equal(support, self.tried) or not held:
+            if not support.size:
+                # x lies in every set and none binds: only an apex can be the answer
+                return None if cones.oracles is not None else apex(cones, x, int(cones.values(x[:-1]).argmax()))
+            if np.array_equal(support, self.tried) or not held:
                 return None
             self.tried = support
-            return finish(self.cones, x, self.increments, support)
+            point = finish(cones, x, self.increments[support, -1], support)
+            if point is None and cones.oracles is None:
+                point = exchange(cones, x, support)
+            return point
         except ArithmeticError:
             self.seen = self.tried = support
             return None

@@ -194,12 +194,6 @@ def plus_zero(v: Array) -> bool:
     return v.tobytes() == bytes(v.nbytes)
 
 
-def plus_zero_rows(a: Array) -> Array:
-    """plus_zero of each row of the 2-D array a, by one bitwise test: a row
-    is +0.0 throughout when no bit of its float64 words is set."""
-    return ~np.ascontiguousarray(a, dtype=np.float64).view(np.int64).any(axis=1)
-
-
 class ConeStack:
     """The SecondOrderCones among a list of sets, stacked for one batched test.
 

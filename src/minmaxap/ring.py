@@ -83,8 +83,10 @@ def run_ring(
     dykstra_project does after a cycle: it tries alternating.finish on the
     agents with nonzero increments whenever they change and number 1 to
     n + 1, and on the n + 1 of them with the highest values at the guess
-    once that choice holds for two turns in a row when they are more. Each
-    event forgets the supports seen and tried. A proof ends the solve at
+    once that choice holds for two turns in a row when they are more; on
+    cones a failed try goes on to alternating.exchange, and with no
+    nonzero increment the apex of the cone highest at the guess is tried.
+    Each event forgets the supports seen and tried. A proof ends the solve at
     the step in progress, k: agent 1's row, the trace's last, is then the
     event row of step k and holds the proved point, as solve_minmax's last
     row does.
