@@ -32,16 +32,13 @@ class ToleranceConfig:
 
     exact_finish, when every set is a SecondOrderCone or every set is a
     ConvexEpigraph, ends the solve as soon as finish() proves the lowest
-    point of their intersection exactly: both solvers try it through
-    DykstraState.try_finish on S, the sets with nonzero Dykstra
-    increments, whenever S changes and numbers at most n + 1 (exactly
-    n + 1 for epigraphs, whose oracles give no curvature), and on the
-    n + 1 members of S with the highest values once that choice holds for
-    two cycles in a row when S is larger. On cones a failed try goes on to
-    a basis exchange of at most 4 (n + 1) steps (exchange()), which hands
-    finish() a repaired support, and an empty S tries the apex of the cone
-    highest at the iterate (apex()). With False, or with any other stack,
-    only the paper's stop rule ends the solve.
+    point of their intersection exactly: both solvers try it after every
+    cycle through DykstraState.try_finish, which says which sets a try
+    takes (epigraphs, whose oracles give no curvature, only exactly
+    n + 1). On cones a failed try goes on to a basis exchange of at most
+    4 (n + 1) steps (exchange()), which hands finish() a repaired support.
+    With False, or with any other stack, only the paper's stop rule ends
+    the solve.
     """
 
     err: float = 1e-7
@@ -376,8 +373,8 @@ class DykstraState:
     sets are the sets, each checked against the (x..., t) array p0 once,
     and cones their ConeStack. increments holds one (n+1,) row per set and
     zero flags the rows that are +0.0 throughout; take keeps the two in
-    step. try_finish remembers the supports it saw and tried, and tries
-    only with finish true and a stack that finishes (ConeStack.finishes).
+    step. try_finish remembers the last support it tried, and tries only
+    with finish true and a stack that finishes (ConeStack.finishes).
     restart begins a Bregman step."""
 
     def __init__(self, sets: Sequence[ProjectableSet], p0: Array, finish: bool = False):
@@ -390,7 +387,7 @@ class DykstraState:
         self.increments = np.zeros((len(sets), p0.size))
         self.zero = np.ones(len(sets), dtype=bool)
         self.finishing = finish and self.cones.finishes
-        self.seen = self.tried = None
+        self.tried = None
 
     def take(self, j: int, inc: Array) -> float:
         """Make inc set j's increment: how far the increment moved."""
@@ -400,9 +397,9 @@ class DykstraState:
         return move
 
     def restart(self, warm: bool) -> None:
-        """Forget the supports seen and tried, so that the next run tries
-        again on its own evidence; unless warm, zero every increment."""
-        self.seen = self.tried = None
+        """Forget the support tried, so that the next run tries again on
+        its own evidence; unless warm, zero every increment."""
+        self.tried = None
         if not warm:
             self.increments[...] = 0.0
             self.zero[:] = True
@@ -412,14 +409,12 @@ class DykstraState:
         whose increments are nonzero: S itself when it numbers 1 to n + 1,
         else the n + 1 members of S with the highest values f_i at x
         (ConeStack.values), since the increments name the binding sets long
-        before S shrinks to them. The support is tried unless it is the
-        last one tried; one ranked from more than n + 1 sets only once it
-        is also the last call's, since near ties reorder the ranking from
-        cycle to cycle. On a cone stack a failed try goes on to exchange()
-        from its support, and an empty S, with x in every cone, tries the
-        apex() of the cone highest at x in every cycle: an answer at an
-        apex can leave every increment zero. Returns the proved point or
-        None. An oracle's ArithmeticError, at a Newton iterate far from
+        before S shrinks to them. The support is tried at once unless it is
+        the last one tried. On a cone stack a failed try goes on to
+        exchange() from its support, and an empty S, with x in every cone,
+        tries the apex() of the cone highest at x in every cycle: an answer
+        at an apex can leave every increment zero. Returns the proved point
+        or None. An oracle's ArithmeticError, at a Newton iterate far from
         any the solve asked for, ends the try with None, not the solve."""
         if not self.finishing:
             return None
@@ -427,18 +422,15 @@ class DykstraState:
         support = np.flatnonzero(~self.zero)
         try:
             # x.size is n + 1
-            ranked = support.size > x.size
-            if ranked:
+            if support.size > x.size:
                 # the n + 1 highest values, kept in index order
                 top = np.zeros(support.size, dtype=bool)
                 top[np.argpartition(cones.values(x[:-1], support), -x.size)[-x.size:]] = True
                 support = support[top]
-            held = not ranked or np.array_equal(support, self.seen)
-            self.seen = support
             if not support.size:
                 # x lies in every set and none binds: only an apex can be the answer
                 return None if cones.oracles is not None else apex(cones, x, int(cones.values(x[:-1]).argmax()))
-            if np.array_equal(support, self.tried) or not held:
+            if np.array_equal(support, self.tried):
                 return None
             self.tried = support
             point = finish(cones, x, self.increments[support, -1], support)
@@ -446,7 +438,7 @@ class DykstraState:
                 point = exchange(cones, x, support)
             return point
         except ArithmeticError:
-            self.seen = self.tried = support
+            self.tried = support
             return None
 
 
@@ -591,10 +583,10 @@ def solve_minmax(
     otherwise.
 
     Under cfg.exact_finish every run may end early with a point finish()
-    proved (see dykstra_project); each Bregman step forgets the supports
-    seen and tried, so each run tries again on its own evidence. A proof
-    in step k ends the solve with one trace row for step k, holding the
-    proved point.
+    proved (see dykstra_project and DykstraState.try_finish); each Bregman
+    step forgets the support tried, so each run tries again on its own
+    evidence. A proof in step k ends the solve with one trace row for
+    step k, holding the proved point.
     """
     start = b = p0.to_array()
     stats = {"state": DykstraState(epigraphs, b, cfg.exact_finish)}

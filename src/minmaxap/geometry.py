@@ -197,12 +197,12 @@ def plus_zero(v: Array) -> bool:
 class ConeStack:
     """The SecondOrderCones among a list of sets, stacked for one batched test.
 
-    inside(v, lo) says, for each of sets[lo:], whether v surely lies strictly
-    inside that set; every set that is not a cone reads False. Where it says
-    True, SecondOrderCone.project(v) returns v itself: the test keeps a
-    relative margin of 1e-12 (the batched norm may differ from
-    np.linalg.norm by a few ulps, well under that up to thousands of
-    dimensions) plus 1e-150 for squares that underflow.
+    refresh(v) says, for each set, whether v surely lies strictly inside
+    it; every set that is not a cone reads False. Where it says True,
+    SecondOrderCone.project(v) returns v itself: the test keeps a relative
+    margin of 1e-12 (the batched norm may differ from np.linalg.norm by a
+    few ulps, well under that up to thousands of dimensions) plus 1e-150
+    for squares that underflow.
 
     first_nontrivial runs that test only now and then. Each run, at a point
     ref, also sets one radius per cone,
@@ -249,13 +249,9 @@ class ConeStack:
         r = np.sqrt(np.einsum("ij,ij->i", d, d))
         return self.slope * r + self.floor, v[-1] - self.apex_t
 
-    def inside(self, v: Array, lo: int = 0) -> Array:
-        lhs, th = self._sides(v)
-        return (lhs < th)[lo:]
-
     def refresh(self, v: Array) -> Array:
         """Certify from v: make v the reference point, set the caps, and
-        return inside(v)."""
+        return the margined test at v, one flag per set."""
         lhs, th = self._sides(v)
         self.ref = v
         self.cap = (th - lhs) / (self.slope + 1.0) * (1.0 - 1e-9)

@@ -80,16 +80,11 @@ def run_ring(
     Under cfg.exact_finish, when the stack finishes (every set a cone, or
     every set a ConvexEpigraph: ConeStack.finishes), agent 1 calls
     DykstraState.try_finish on its own turn, before its stop test, as
-    dykstra_project does after a cycle: it tries alternating.finish on the
-    agents with nonzero increments whenever they change and number 1 to
-    n + 1, and on the n + 1 of them with the highest values at the guess
-    once that choice holds for two turns in a row when they are more; on
-    cones a failed try goes on to alternating.exchange, and with no
-    nonzero increment the apex of the cone highest at the guess is tried.
-    Each event forgets the supports seen and tried. A proof ends the solve at
-    the step in progress, k: agent 1's row, the trace's last, is then the
-    event row of step k and holds the proved point, as solve_minmax's last
-    row does.
+    dykstra_project does after a cycle; try_finish says which agents a
+    try takes. Each event forgets the support tried. A proof ends the
+    solve at the step in progress, k: agent 1's row, the trace's last, is
+    then the event row of step k and holds the proved point, as
+    solve_minmax's last row does.
     """
     guess = b_prev = p0.to_array()
     state = DykstraState(sets, guess, cfg.exact_finish)
@@ -119,8 +114,8 @@ def run_ring(
             guess = bregman_step(n_events, a, plane_pt, b_prev, state, cycle, trace, plane, cfg)
             if isinstance(guess, MinMaxSolution):
                 return guess
-            # agent 1 forgets the pre-drop guess, and the state the supports
-            # it saw: the restarted run must stabilize on its own evidence
+            # agent 1 forgets the pre-drop guess, and the state the support
+            # it tried: the restarted run must stabilize on its own evidence
             b_prev, last_guess = plane_pt, None
         else:
             guess = last_guess = a

@@ -560,7 +560,7 @@ class TestBregmanStep:
         state = alternating.DykstraState(cones, vec([0.5], 0.0), finish=True)
         for j in range(2):
             state.take(j, np.ones(2))
-        state.seen = state.tried = np.arange(2)
+        state.tried = np.arange(2)
         return state
 
     def step(self, k, cfg, state=None):
@@ -576,8 +576,8 @@ class TestBregmanStep:
         assert np.array_equal(start, b + (a - b_prev))
         assert state.increments is increments and np.array_equal(increments, np.ones((2, 2)))
         assert not state.zero.any()
-        # the supports are forgotten all the same
-        assert state.seen is None and state.tried is None
+        # the support tried is forgotten all the same
+        assert state.tried is None
 
     def test_cold_restart_zeroes_the_increments_in_place(self):
         state = self.state()
@@ -587,7 +587,7 @@ class TestBregmanStep:
         # +0.0 in every component, in the state's own array, flagged so
         assert state.increments is increments and increments.tobytes() == bytes(increments.nbytes)
         assert state.zero.all()
-        assert state.seen is None and state.tried is None
+        assert state.tried is None
 
     def test_stops_only_after_the_first_step(self):
         cfg = ToleranceConfig(outer_tol=1.0)

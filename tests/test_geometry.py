@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -668,17 +670,19 @@ def test_cone_stack_inside_only_where_projection_keeps_the_point():
     ]
     found = 0
     for v in points:
-        inside = stack.inside(v)
+        inside = stack.refresh(v)
         assert inside.shape == (len(sets),)
         assert not inside[len(cones):].any()
         for s, flag in zip(cones, inside):
             if flag:
                 assert s.project(v) is v
         found += int(inside.sum())
-        assert np.array_equal(stack.inside(v, 5), inside[5:])
+        # v is now the reference point, with a positive cap exactly where
+        # it lies inside
+        assert stack.ref is v and np.array_equal(stack.cap > 0, inside)
     assert found > 0
     # well inside every cone at once
-    assert stack.inside(np.array([0.0, 0.0, 100.0]))[: len(cones)].all()
+    assert stack.refresh(np.array([0.0, 0.0, 100.0]))[: len(cones)].all()
 
 
 def test_cone_stack_first_nontrivial():
@@ -702,6 +706,12 @@ def test_cone_stack_first_nontrivial():
     assert not plain.any
     assert plain.first_nontrivial(v, np.ones(2, dtype=bool), 0) == 0
     assert plain.first_nontrivial(v, np.ones(2, dtype=bool), 1) == 1
+
+
+def inside_at(stack, v):
+    """ConeStack.refresh's test at v, taken on a copy, so that the stack
+    keeps its own reference point and caps."""
+    return copy.copy(stack).refresh(v)
 
 
 def unit(rng, n):
@@ -738,17 +748,18 @@ def moves(c, ref, cap, rng):
 def assert_certified_moves_stay_inside(stack, sets, refs, rng):
     """Every point within cap_i of the reference point (by the distance
     first_nontrivial takes) is kept by SecondOrderCone.project, and, where
-    the reference is not within rounding of the surface, passes inside()."""
+    the reference is not within rounding of the surface, passes the test
+    that refresh() makes."""
     checked = 0
     for ref in refs:
         inside = stack.refresh(ref)
-        assert np.array_equal(inside, stack.inside(ref))
+        assert stack.ref is ref
         for i, c in enumerate(sets):
             cap = stack.cap[i]
             if not isinstance(c, SecondOrderCone):
                 assert cap == -np.inf
                 continue
-            # a positive cap comes only from a point inside()
+            # a positive cap comes only from a point inside
             assert cap <= 0 or inside[i]
             if not cap > 0:
                 continue
@@ -759,7 +770,7 @@ def assert_certified_moves_stay_inside(stack, sets, refs, rng):
                 if not norm(v - ref) < cap:
                     continue
                 assert c.project(v) is v
-                assert not clear or stack.inside(v)[i]
+                assert not clear or inside_at(stack, v)[i]
                 checked += 1
     return checked
 
@@ -790,7 +801,7 @@ def test_cone_stack_certificate_keeps_moves_inside(seed):
 def test_cone_stack_certificate_at_extreme_slopes(slope):
     # far from slope 1 the bound (a' + 1) * d is nearly tight for moves out
     # from the axis or down, so only the cap's factor 1 - 1e-9 keeps the
-    # rounding of cap and distance from certifying a point inside() rejects
+    # rounding of cap and distance from certifying a point refresh() rejects
     rng = np.random.default_rng(5)
     cones = [SecondOrderCone(vec(np.zeros(d), 0.0), slope) for d in (1, 2, 3)]
     for c in cones:
@@ -844,7 +855,7 @@ def test_cone_stack_first_nontrivial_is_the_batched_test(seed):
         v = v + rng.normal(size=d + 1) * 10 ** rng.uniform(-6, 0)
         zero = rng.uniform(size=len(sets)) < 0.9
         lo = int(rng.integers(0, len(sets)))
-        trivial = zero[lo:] & stack.inside(v, lo)
+        trivial = zero[lo:] & inside_at(stack, v)[lo:]
         k = int(trivial.argmin())
         expected = len(sets) if trivial[k] else lo + k
         assert stack.first_nontrivial(v, zero, lo) == expected
