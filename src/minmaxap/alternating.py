@@ -269,26 +269,22 @@ def finish(cones: ConeStack, v: Array, weights: Array, active: Array) -> Optiona
     if root is None:
         return None
     point, w = root
+    return None if (w < 0).any() or not proves(cones, v, point) else point
+
+
+def proves(cones: ConeStack, v: Array, point: Array) -> bool:
+    """finish()'s last two tests of the point (x..., t), and apex()'s; a
+    nan from ConeStack.top fails both."""
     t = point[-1]
     tol = 1e-12 * (1.0 + abs(t))
-    # not <=, so that a nan from ConeStack.top rejects
-    if (w < 0).any() or not cones.top(point[:-1]) <= t + tol or not t <= cones.top(v[:-1]) + tol:
-        return None
-    return point
+    return cones.top(point[:-1]) <= t + tol and t <= cones.top(v[:-1]) + tol
 
 
 def apex(cones: ConeStack, v: Array, j: int) -> Optional[Array]:
     """The apex (p_j, t_j) of cone j, proved the lowest point of a cone
-    stack's intersection, or None. Since f_j >= t_j everywhere, it is
-    when every f_i(p_j) <= t_j + 1e-12 (1 + |t_j|); t_j must also pass
-    finish()'s upper bound at v."""
-    point = np.append(cones.apex_x[j], cones.apex_t[j])
-    t = point[-1]
-    tol = 1e-12 * (1.0 + abs(t))
-    # not <=, so that a nan rejects
-    if cones.top(point[:-1]) <= t + tol and t <= cones.top(v[:-1]) + tol:
-        return point
-    return None
+    stack's intersection by proves(), since f_j >= t_j everywhere, or None."""
+    point = cones.apex[j].copy()
+    return point if proves(cones, v, point) else None
 
 
 def binding(cones: ConeStack, z: Array, active: Array) -> Optional[tuple[Array, Array]]:
@@ -303,8 +299,7 @@ def binding(cones: ConeStack, z: Array, active: Array) -> Optional[tuple[Array, 
     most n. A cone stack only.
     """
     if active.size == 1:
-        j = active[0]
-        return np.append(cones.apex_x[j], cones.apex_t[j]), np.ones(1)
+        return cones.apex[active[0]].copy(), np.ones(1)
     if active.size == 2:
         (pi, pj), (ti, tj), (ai, aj) = cones.apex_x[active], cones.apex_t[active], cones.raw_slope[active]
         d = norm(pj - pi)
@@ -370,20 +365,21 @@ def exchange(cones: ConeStack, v: Array, support: Array) -> Optional[Array]:
 class DykstraState:
     """The state a solve's Dykstra runs share, in either mode.
 
-    sets are the sets, each checked against the (x..., t) array p0 once,
-    and cones their ConeStack. increments holds one (n+1,) row per set and
-    zero flags the rows that are +0.0 throughout; take keeps the two in
-    step. try_finish remembers the last support it tried, and tries only
-    with finish true and a stack that finishes (ConeStack.finishes).
-    restart begins a Bregman step."""
+    sets are the sets, checked against the (x..., t) array p0 once, and
+    cones their ConeStack: sets itself when it is one, else ConeStack.of.
+    increments holds one (n+1,) row per set and zero flags the rows that
+    are +0.0 throughout; take keeps the two in step. try_finish remembers
+    the last support it tried, and tries only with finish true and a stack
+    that finishes (ConeStack.finishes). restart begins a Bregman step."""
 
     def __init__(self, sets: Sequence[ProjectableSet], p0: Array, finish: bool = False):
         if not sets:
             raise ValueError("sets must be nonempty")
-        for s in sets:
+        # a stack's rows share one width, so one row's check serves for all
+        for s in [sets[0]] if isinstance(sets, ConeStack) else sets:
             s._check(p0)
+        self.cones = sets if isinstance(sets, ConeStack) else ConeStack.of(sets)
         self.sets = sets
-        self.cones = ConeStack(sets)
         self.increments = np.zeros((len(sets), p0.size))
         self.zero = np.ones(len(sets), dtype=bool)
         self.finishing = finish and self.cones.finishes
@@ -424,9 +420,7 @@ class DykstraState:
             # x.size is n + 1
             if support.size > x.size:
                 # the n + 1 highest values, kept in index order
-                top = np.zeros(support.size, dtype=bool)
-                top[np.argpartition(cones.values(x[:-1], support), -x.size)[-x.size:]] = True
-                support = support[top]
+                support = np.sort(support[np.argpartition(cones.values(x[:-1], support), -x.size)[-x.size:]])
             if not support.size:
                 # x lies in every set and none binds: only an apex can be the answer
                 return None if cones.oracles is not None else apex(cones, x, int(cones.values(x[:-1]).argmax()))

@@ -259,7 +259,8 @@ def cmd_verify(cfg: ExperimentConfig, result: ConsensusResult, quiet: bool = Fal
     # independent check of the projection machinery: nearest point of the
     # intersection of attainable sets (in solver height coordinates) to the
     # plane-side point must match the solver's intersection-side point
-    sets = _build_sets(cfg.agents)[0]
+    # a list: a stack would make its cones anew for every oracle call
+    sets = list(_build_sets(cfg.agents)[0])
     membership = lambda q: all(s.contains(q, 1e-9) for s in sets)
     plane_side = np.append(result.x_consensus, 0.0)
     hint = np.append(result.x_consensus, result.solver.t_star + 1.0)

@@ -22,10 +22,10 @@ import numpy as np
 from .alternating import MinMaxSolution, ToleranceConfig, solve_minmax
 from .errors import DimensionMismatchError, InfeasibleTargetError
 from .geometry import (
+    ConeStack,
     HorizontalHyperplane,
     PointTime,
     ProjectableSet,
-    SecondOrderCone,
     finite_number,
     finite_vector,
     positive_number,
@@ -316,41 +316,45 @@ def simulate_trajectory(
 
 def _build_sets(
     agents: Sequence[AgentDynamics],
-) -> Tuple[List[ProjectableSet], PointTime, bool, bool]:
+) -> Tuple[Sequence[ProjectableSet], PointTime, bool, bool]:
     """Each agent's attainable set, the solve's start point, whether the
     height is squared time, and whether the sets are the experimental ones.
 
     The rules of an agent list live here: it is nonempty, its agents share
     one model (ValueError) and one x0 length (DimensionMismatchError), and
-    the start point is finite (ValueError). That point is the centroid of
-    the x0s at the height max_i f_i(centroid), which lies in every set.
+    the slopes and the start point are finite (ValueError). That point is
+    the centroid of the x0s at the height max_i f_i(centroid), in every set.
     A first-order agent reaches x in ||x - x0|| / u_max, a cone in time; a
     double integrator at rest takes 2 sqrt(|x - x0| / u_max), a cone in
-    squared time, s >= (4 / u_max)|x - x0|.
+    squared time, s >= (4 / u_max)|x - x0|; the cones come as a ConeStack.
     """
     if not agents:
         raise ValueError("at least one agent is required")
-    model = agents[0].model
-    if any(a.model is not model for a in agents):
+    if any(a.model is not agents[0].model for a in agents):
         raise ValueError("every agent must use the same model")
     if any(a.x0.size != agents[0].x0.size for a in agents):
         raise DimensionMismatchError("every x0 must have the same length")
-    second_order = model is Model.SECOND_ORDER
+    second_order = agents[0].model is Model.SECOND_ORDER
     experimental = second_order and any(a.v0 != 0.0 for a in agents)
-    if experimental:
-        sets: List[ProjectableSet] = [SecondOrderAttainableSet(a.x0[0], a.v0, a.u_max) for a in agents]
-    else:
-        slope = 4.0 if second_order else 1.0
-        # row i is agent i's apex (x0..., 0), from x0s AgentDynamics has checked
-        apex = np.column_stack(([a.x0 for a in agents], np.zeros(len(agents))))
-        sets = [SecondOrderCone._from_row(p, slope / a.u_max) for p, a in zip(apex, agents)]
+    x0 = np.array([a.x0 for a in agents])
     with np.errstate(over="ignore", invalid="ignore"):
-        base = np.append(np.mean([a.x0 for a in agents], axis=0), 0.0)
-        # a set's violation at height 0 is its boundary height
-        heights = [s.violation(base) for s in sets]
+        base = np.append(x0.mean(axis=0), 0.0)
+        if experimental:
+            sets = [SecondOrderAttainableSet(a.x0[0], a.v0, a.u_max) for a in agents]
+            # a set's violation at height 0 is its boundary height
+            heights = np.array([s.violation(base) for s in sets])
+        else:
+            # a finite u_max can still give an infinite slope
+            slope = (4.0 if second_order else 1.0) / np.array([a.u_max for a in agents])
+            if not np.isfinite(slope).all():
+                raise ValueError("slope must be finite")
+            sets = ConeStack(np.column_stack((x0, np.zeros(len(agents)))), slope)
+            d = base[:-1] - x0
+            # the cone's own norm, sqrt(d.dot(d)), bit for bit, which einsum is not
+            heights = slope * np.sqrt(np.matmul(d[:, None, :], d[:, :, None]).ravel())
     if not (np.isfinite(base).all() and np.isfinite(heights).all()):
         raise ValueError("the start height max_i f_i(centroid) overflows: positions or velocities too large")
-    return sets, PointTime(base[:-1], max(heights)), second_order and not experimental, experimental
+    return sets, PointTime(base[:-1], heights.max()), second_order and not experimental, experimental
 
 
 def _position(agent: AgentDynamics, x: Array) -> Array:

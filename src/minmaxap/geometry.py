@@ -147,16 +147,6 @@ class SecondOrderCone(ProjectableSet):
         positive_integer(self.apex.size - 1, "dim")
         positive_number(self.slope, "slope")
 
-    @classmethod
-    def _from_row(cls, apex: Array, slope: float) -> SecondOrderCone:
-        """The cone with this apex, taken as it is: a finite float (x..., t)
-        array of length >= 2 that nothing else writes to. Only the slope is
-        checked, since one computed from valid inputs can still overflow."""
-        cone = object.__new__(cls)
-        object.__setattr__(cone, "apex", apex)
-        object.__setattr__(cone, "slope", positive_number(slope, "slope"))
-        return cone
-
     @property
     def dim(self) -> int:  # type: ignore[override]
         return int(self.apex.size) - 1
@@ -195,7 +185,12 @@ def plus_zero(v: Array) -> bool:
 
 
 class ConeStack:
-    """The SecondOrderCones among a list of sets, stacked for one batched test.
+    """N sets stacked for batched tests: row i of the (N, n+1) array apex
+    and raw_slope[i] hold set i's apex (x..., t) and slope as the caller
+    checked them; a set that is not a cone has slope 1.0 and its apex at
+    infinity, outside which every point lies. of(sets) stacks a list. A
+    stack of cones serves the solvers as their list: stack[j] is row j's
+    SecondOrderCone, made on demand on the row, which nothing writes to.
 
     refresh(v) says, for each set, whether v surely lies strictly inside
     it; every set that is not a cone reads False. Where it says True,
@@ -218,41 +213,49 @@ class ConeStack:
     cap -inf.
 
     finishes says whether alternating.finish serves the stack: every set
-    is a cone, or every set is a ConvexEpigraph, whose sets oracles then
-    holds (None otherwise). terms and top give the finish the sets' values
-    and subgradients, and values gives alternating.DykstraState.try_finish
-    the values it ranks S by: in closed form, with curvature, for cones,
-    and from the oracles, without it, for epigraphs.
+    is a cone, or every set is a ConvexEpigraph, whose sets the object
+    array oracles then holds (None otherwise). terms and top give the
+    finish the sets' values and subgradients, and values gives
+    alternating.DykstraState.try_finish the values it ranks S by: in closed
+    form, with curvature, for cones, and from the oracles, without it, for
+    epigraphs.
     """
 
-    def __init__(self, sets: Sequence[ProjectableSet]):
-        cones = [s if isinstance(s, SecondOrderCone) else None for s in sets]
-        self.cone = np.array([c is not None for c in cones])
+    def __init__(self, apex: Array, slope: Array, oracles: Optional[Array] = None):
+        self.apex, self.raw_slope, self.oracles = apex, slope, oracles
+        self.apex_x, self.apex_t = apex[:, :-1], apex[:, -1]
+        self.cone = self.apex_t < math.inf
         self.any = bool(self.cone.any())
-        self.oracles = list(sets) if all(isinstance(s, ConvexEpigraph) for s in sets) else None
-        self.finishes = bool(self.cone.all()) or self.oracles is not None
-        dim = next((c.dim for c in cones if c is not None), 1)
-        # a set that is not a cone gets an infinite apex height, which
-        # leaves every point outside it
-        self.apex_x = np.array([np.zeros(dim) if c is None else c.apex[:-1] for c in cones])
-        self.apex_t = np.array([np.inf if c is None else c.apex[-1] for c in cones])
-        self.raw_slope = np.array([1.0 if c is None else c.slope for c in cones])
-        self.slope = self.raw_slope * (1.0 + 1e-12)
-        self.floor = self.raw_slope * 1e-150
+        self.finishes = bool(self.cone.all()) or oracles is not None
+        self.slope = slope * (1.0 + 1e-12)
+        self.floor = slope * 1e-150
         # no point is certified until the first refresh
-        self.ref = np.zeros(dim + 1)
-        self.cap = np.full(len(cones), -np.inf)
+        self.ref = np.zeros(apex.shape[1])
+        self.cap = np.full(len(slope), -np.inf)
 
-    def _sides(self, v: Array):
-        """a'_i * r_i + floor_i and th_i at v, for every set."""
-        d = v[:-1] - self.apex_x
-        r = np.sqrt(np.einsum("ij,ij->i", d, d))
-        return self.slope * r + self.floor, v[-1] - self.apex_t
+    @classmethod
+    def of(cls, sets: Sequence[ProjectableSet]) -> ConeStack:
+        """The stack of a list of sets of one dimension."""
+        other = np.full(next((s.apex.size for s in sets if isinstance(s, SecondOrderCone)), 2), np.inf)
+        apex = np.array([s.apex if isinstance(s, SecondOrderCone) else other for s in sets])
+        slope = np.array([s.slope if isinstance(s, SecondOrderCone) else 1.0 for s in sets])
+        oracles = np.array(sets, dtype=object) if all(isinstance(s, ConvexEpigraph) for s in sets) else None
+        return cls(apex, slope, oracles)
+
+    def __len__(self) -> int:
+        return len(self.raw_slope)
+
+    def __getitem__(self, j: int) -> SecondOrderCone:
+        cone = object.__new__(SecondOrderCone)
+        vars(cone).update(apex=self.apex[j], slope=float(self.raw_slope[j]))
+        return cone
 
     def refresh(self, v: Array) -> Array:
         """Certify from v: make v the reference point, set the caps, and
-        return the margined test at v, one flag per set."""
-        lhs, th = self._sides(v)
+        return the margined test at v, a'_i * r_i + floor_i < th_i, one
+        flag per set."""
+        d = v[:-1] - self.apex_x
+        lhs, th = self.slope * np.sqrt(np.einsum("ij,ij->i", d, d)) + self.floor, v[-1] - self.apex_t
         self.ref = v
         self.cap = (th - lhs) / (self.slope + 1.0) * (1.0 - 1e-9)
         return lhs < th
@@ -297,7 +300,7 @@ class ConeStack:
         numbers raises ProjectionError.
         """
         if self.oracles is not None:
-            sets = [self.oracles[i] for i in active]
+            sets = self.oracles[active]
 
             def oracle_terms(x):
                 f = np.array([float(s.value(x)) for s in sets])
@@ -324,14 +327,11 @@ class ConeStack:
 
         return cone_terms
 
-    def values(self, y: Array, sets: Optional[Array] = None) -> Array:
+    def values(self, y: Array, sets: Array | slice = slice(None)) -> Array:
         """f_i(y) for each index i in sets, or for every set, of a stack
         that finishes."""
         if self.oracles is not None:
-            oracles = self.oracles if sets is None else [self.oracles[i] for i in sets]
-            return np.array([float(s.value(y)) for s in oracles])
-        if sets is None:
-            sets = slice(None)
+            return np.array([float(s.value(y)) for s in self.oracles[sets]])
         d = y - self.apex_x[sets]
         return self.apex_t[sets] + self.raw_slope[sets] * np.sqrt(np.einsum("ij,ij->i", d, d))
 

@@ -484,18 +484,18 @@ def swarm(seed, n):
 
 
 class TestConeStackBuiltOnce:
-    """solve_minmax builds one ConeStack per solve and hands it from run to
-    run in its DykstraState; rebuilding it for every run changes nothing."""
+    """A consensus solve builds one ConeStack and hands it from run to run
+    in its DykstraState; rebuilding it for every run changes nothing."""
 
     def test_one_stack_per_solve(self, monkeypatch):
         built = []
+        init = alternating.ConeStack.__init__
 
-        class Counted(alternating.ConeStack):
-            def __init__(self, sets):
-                built.append(len(sets))
-                super().__init__(sets)
+        def counted(self, apex, slope, sets=None):
+            built.append(len(slope))
+            init(self, apex, slope, sets)
 
-        monkeypatch.setattr(alternating, "ConeStack", Counted)
+        monkeypatch.setattr(alternating.ConeStack, "__init__", counted)
         for cfg in (PAPER, ToleranceConfig(warm_start=False, exact_finish=False)):
             built.clear()
             r = solve_min_time_consensus(swarm(1, 16), cfg)
@@ -511,7 +511,7 @@ class TestConeStackBuiltOnce:
 
         def rebuilt(sets, p0, cfg, stats=None):
             states.append(stats["state"])
-            stats["state"].cones = alternating.ConeStack(sets)
+            stats["state"].cones = alternating.ConeStack.of(sets)
             return project(sets, p0, cfg, stats=stats)
 
         with monkeypatch.context() as m:

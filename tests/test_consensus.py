@@ -10,6 +10,7 @@ from minmaxap import (
     DimensionMismatchError,
     Model,
     SecondOrderAttainableSet,
+    SecondOrderCone,
     ToleranceConfig,
     bang_bang_control,
     reach_time,
@@ -521,11 +522,38 @@ class TestSolveConsensus:
         "second-order-at-rest": [so_agent(0.0, u_max=1e-308), so_agent(3.0)],
     }
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("mode", ["centralized", "ring"])
     @pytest.mark.parametrize("case", sorted(OVERFLOWING_SLOPES))
     def test_overflowing_slope_rejected(self, case, mode):
         with pytest.raises(ValueError, match="^slope must be finite$"):
             solve_min_time_consensus(self.OVERFLOWING_SLOPES[case], mode=mode)
+
+    def test_cone_stack_is_bit_for_bit_the_agents_cones(self):
+        # _build_sets stacks the cones from arrays and takes the start
+        # height in one batched pass; each row must project and measure
+        # violation as the agent's own SecondOrderCone does, and the height
+        # must be the largest of their violations at the centroid. A height
+        # from einsum's row norms, as ConeStack.values takes them, differs
+        # in the last bits on some of these stacks, so this test can tell
+        rng = np.random.default_rng(31)
+        einsum_differs = 0
+        for k in range(400):
+            n, m = (1, 4.0) if k % 4 == 0 else (int(rng.integers(1, 9)), 1.0)
+            x0 = rng.uniform(-10.0, 10.0, (int(rng.integers(1, 13)), n)) * 10.0 ** rng.integers(-3, 4)
+            u_max = 10.0 ** rng.uniform(-4.0, 4.0, len(x0))
+            model = Model.SECOND_ORDER if m == 4.0 else Model.FIRST_ORDER
+            stack, p0, *_ = _build_sets([AgentDynamics(model, x, u_max=u) for x, u in zip(x0, u_max)])
+            cones = [SecondOrderCone(vec(x, 0.0), m / u) for x, u in zip(x0, u_max)]
+            centroid = vec(x0.mean(axis=0), 0.0)
+            assert float(p0.t).hex() == max(c.violation(centroid) for c in cones).hex()
+            for row, cone in zip(stack, cones):
+                for v in rng.normal(scale=20.0, size=(3, n + 1)):
+                    assert row.project(v).tobytes() == cone.project(v).tobytes()
+                    assert row.violation(v).hex() == cone.violation(v).hex()
+            d = x0.mean(axis=0) - x0
+            einsum_differs += (m / u_max * np.sqrt(np.einsum("ij,ij->i", d, d))).max() != p0.t
+        assert einsum_differs
 
     def test_reach_time_is_the_set_boundary(self):
         # the height _build_sets gives a position is the reach time there,

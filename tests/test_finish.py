@@ -321,7 +321,7 @@ class TestRejections:
         # relative to |t| alone would accept it; the gradient block's own
         # scale (max slope) rejects it
         pts = np.random.default_rng(1116).uniform(-10.0, 10.0, (4, 2))
-        cones = ConeStack([SecondOrderCone(np.append(p, 0.0), 1.0) for p in pts])
+        cones = ConeStack.of([SecondOrderCone(np.append(p, 0.0), 1.0) for p in pts])
         a, b = pts[0], pts[1]
         x = b + 9e15 * (b - a) / np.linalg.norm(b - a)
         t = float(np.linalg.norm(pts - x, axis=1).max())
@@ -340,7 +340,7 @@ class TestRejections:
         assert rel(r.x_consensus, x) <= tol and rel(r.t_consensus, t) <= tol
 
     def test_a_start_at_an_apex_is_rejected(self):
-        cones = ConeStack(exp1_cones())
+        cones = ConeStack.of(exp1_cones())
         assert finish(cones, np.array([EXP1[1], 5.0]), np.ones(2), np.array([1, 2])) is None
 
     @pytest.mark.parametrize("mode", MODES)
@@ -526,7 +526,7 @@ class TestOracleStacks:
     def test_a_try_over_at_most_n_epigraphs_calls_no_oracle(self):
         # without curvature the KKT system over |S| <= n sets is singular
         sets = [CountingEpigraph(lambda x: float(x @ x), lambda x: 2 * x, 2) for _ in range(3)]
-        assert finish(ConeStack(sets), np.array([0.5, 0.5, 1.0]), np.ones(2), np.array([0, 1])) is None
+        assert finish(ConeStack.of(sets), np.array([0.5, 0.5, 1.0]), np.ones(2), np.array([0, 1])) is None
         assert sum(s.calls for s in sets) == 0
 
     @pytest.mark.parametrize("mode", MODES)
@@ -683,6 +683,7 @@ OVERFLOWS = {
 
 
 class TestOverflowingStart:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("name", sorted(OVERFLOWS))
     def test_library_raises_value_error(self, name, mode):

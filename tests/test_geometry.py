@@ -634,21 +634,27 @@ def test_project_returns_inside_points_themselves(s, inside):
     assert s.contains(points[0])
 
 
-# every set type that has a fixed dimension, given a point of the wrong length
-SETS_WITH_DIM = [s for s, _ in SETS_WITH_INSIDE if not isinstance(s, HorizontalHyperplane)]
+# every set type that has a fixed dimension, given a point of the wrong
+# length, and a stack of cones built from arrays, as the consensus layer
+# hands the solvers its agents' cones
+SETS_WITH_DIM = [s for s, _ in SETS_WITH_INSIDE if not isinstance(s, HorizontalHyperplane)] + [
+    ConeStack(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([1.0, 2.0]))
+]
 
 
 @pytest.mark.parametrize("s", SETS_WITH_DIM, ids=lambda s: type(s).__name__)
 def test_wrong_length_point_raises_dimension_mismatch(s):
-    v = np.zeros(s.dim + 2)
+    # a stack is its own list of sets, row 0 one of them
+    one, sets = (s[0], s) if isinstance(s, ConeStack) else (s, [s])
+    v = np.zeros(one.dim + 2)
     with pytest.raises(DimensionMismatchError):
-        s.violation(v)
+        one.violation(v)
     with pytest.raises(DimensionMismatchError):
-        s.contains(v, 0.0)
+        one.contains(v, 0.0)
     with pytest.raises(DimensionMismatchError):
-        dykstra_project([s], v, ToleranceConfig())
+        dykstra_project(sets, v, ToleranceConfig())
     with pytest.raises(DimensionMismatchError):
-        run_ring([s], HorizontalHyperplane(0.0), pt([0.0, 0.0], 1.0), ToleranceConfig())
+        run_ring(sets, HorizontalHyperplane(0.0), pt([0.0, 0.0], 1.0), ToleranceConfig())
 
 
 def test_cone_stack_inside_only_where_projection_keeps_the_point():
@@ -658,7 +664,7 @@ def test_cone_stack_inside_only_where_projection_keeps_the_point():
         for _ in range(20)
     ]
     sets = cones + [Halfspace(np.array([0.0, 0.0, 1.0]), 100.0), Ball(np.zeros(3), 100.0)]
-    stack = ConeStack(sets)
+    stack = ConeStack.of(sets)
     c = cones[0]
     u = np.array([0.6, 0.8])
     points = [rng.normal(scale=3, size=3) for _ in range(200)]
@@ -688,7 +694,7 @@ def test_cone_stack_inside_only_where_projection_keeps_the_point():
 def test_cone_stack_first_nontrivial():
     cones = [SecondOrderCone(vec([x], 0.0), 1.0) for x in (0.0, 1.0, 2.0)]
     half = Halfspace(np.array([0.0, 1.0]), 100.0)
-    stack = ConeStack([cones[0], cones[1], half, cones[2]])
+    stack = ConeStack.of([cones[0], cones[1], half, cones[2]])
     v = vec([1.0], 10.0)  # strictly inside every set
     zero = np.ones(4, dtype=bool)
     # the halfspace holds v too, but only a cone is ever found trivial
@@ -702,7 +708,7 @@ def test_cone_stack_first_nontrivial():
     assert stack.first_nontrivial(vec([1.0], 0.5), np.ones(4, dtype=bool), 0) == 0
     assert stack.first_nontrivial(vec([1.0], 1.0), np.ones(4, dtype=bool), 3) == 3
     # with no cone in the stack every step is real
-    plain = ConeStack([half, Ball(np.zeros(2), 50.0)])
+    plain = ConeStack.of([half, Ball(np.zeros(2), 50.0)])
     assert not plain.any
     assert plain.first_nontrivial(v, np.ones(2, dtype=bool), 0) == 0
     assert plain.first_nontrivial(v, np.ones(2, dtype=bool), 1) == 1
@@ -792,7 +798,7 @@ def test_cone_stack_certificate_keeps_moves_inside(seed):
     sets = list(cones)
     sets.insert(2, Halfspace(np.append(np.zeros(d), -1.0), 1e7))
     sets.insert(5, Ball(np.zeros(d + 1), 1e7))
-    stack = ConeStack(sets)
+    stack = ConeStack.of(sets)
     refs = [v for c in cones for v in reference_points(c, rng)]
     assert assert_certified_moves_stay_inside(stack, sets, refs, rng) > 200
 
@@ -805,7 +811,7 @@ def test_cone_stack_certificate_at_extreme_slopes(slope):
     rng = np.random.default_rng(5)
     cones = [SecondOrderCone(vec(np.zeros(d), 0.0), slope) for d in (1, 2, 3)]
     for c in cones:
-        stack = ConeStack([c])
+        stack = ConeStack.of([c])
         refs = [np.append(0.1 * unit(rng, c.dim) * r, h)
                 for r in (0.0, 1e-20, 1e-3 / slope) for h in (1.0, 7.5, 1e3)]
         refs += [np.append(np.zeros(c.dim), 2.0 ** -k) for k in range(40)]
@@ -816,7 +822,7 @@ def test_cone_stack_recomputes_caps_only_for_a_zero_increment_cone():
     cones = [SecondOrderCone(vec([x, 0.0], 0.0), 1.0) for x in (0.0, 1.0, 2.0)]
     sets = [cones[0], Halfspace(np.array([0.0, 0.0, 1.0]), 100.0), cones[1],
             Ball(np.zeros(3), 100.0), cones[2]]
-    stack = ConeStack(sets)
+    stack = ConeStack.of(sets)
     refreshes = []
     refresh = stack.refresh
     stack.refresh = lambda v: refreshes.append(v) or refresh(v)
@@ -849,7 +855,7 @@ def test_cone_stack_first_nontrivial_is_the_batched_test(seed):
         for _ in range(12)
     ]
     sets.insert(4, Halfspace(np.append(np.zeros(d), -1.0), 1.0))
-    stack = ConeStack(sets)
+    stack = ConeStack.of(sets)
     v = np.append(np.zeros(d), 8.0)
     for _ in range(300):
         v = v + rng.normal(size=d + 1) * 10 ** rng.uniform(-6, 0)
