@@ -4,7 +4,6 @@ plane below it, which solves the min-max."""
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
@@ -31,14 +30,13 @@ class ToleranceConfig:
     from zero increments, the paper's protocol.
 
     exact_finish, when every set is a SecondOrderCone or every set is a
-    ConvexEpigraph, ends the solve as soon as finish() proves the lowest
-    point of their intersection exactly: both solvers try it after every
+    ConvexEpigraph, ends the solve as soon as a try proves the lowest
+    point of their intersection exactly: both solvers try after every
     cycle through DykstraState.try_finish, which says which sets a try
-    takes (epigraphs, whose oracles give no curvature, only exactly
-    n + 1). On cones a failed try goes on to a basis exchange of at most
-    4 (n + 1) steps (exchange()), which hands finish() a repaired support.
-    With False, or with any other stack, only the paper's stop rule ends
-    the solve.
+    takes. Cones pivot to the answer from those sets (exchange(), at most
+    4 (n + 1) steps); epigraphs, whose oracles give no curvature, try
+    finish() on exactly n + 1. With False, or with any other stack, only
+    the paper's stop rule ends the solve.
     """
 
     err: float = 1e-7
@@ -115,9 +113,10 @@ class Trace:
 class MinMaxSolution:
     """The lowest point (x_star, t_star) of the intersection and how it was
     found. distance is its gap to the last plane point; finished says that
-    finish() proved it, which makes it exact to rounding, where the paper's
-    stop leaves it about outer_tol away. plane_grazed flags a t_star within
-    outer_tol of the plane, which the answer must lie strictly above."""
+    the exact finish proved it, which makes it exact to rounding, where the
+    paper's stop leaves it about outer_tol away. plane_grazed flags a
+    t_star within outer_tol of the plane, which the answer must lie
+    strictly above."""
 
     x_star: Array
     t_star: float
@@ -164,7 +163,7 @@ def dykstra_pass(
     return x, drift
 
 
-def newton(cones: ConeStack, v: Array, weights: Array, active: Array) -> Optional[tuple[Array, Array]]:
+def newton(cones: ConeStack, v: Array, active: Array) -> Optional[tuple[Array, Array]]:
     """The point (x..., t) where every set in active binds and weights
     w >= 0 might prove it, by Newton's method on the KKT system, or None.
 
@@ -175,7 +174,7 @@ def newton(cones: ConeStack, v: Array, weights: Array, active: Array) -> Optiona
     ConeStack.terms. With |S| = n + 1 the system splits: the square system
     f_i(x) = t fixes (x, t), and w, linear in the rest, is solved once at
     its root. With |S| <= n the root of f_i = t is no point, so Newton runs
-    on (x, t, w) together, from w = weights normalised, with the Hessian of
+    on (x, t, w) together, from equal weights 1 / |S|, with the Hessian of
     sum_i w_i f_i that cones give; oracles give none, and such a solve
     gives up before any oracle call. Newton stops at the second iterate in
     a row whose residual passes the test, which leaves the point at
@@ -191,7 +190,7 @@ def newton(cones: ConeStack, v: Array, weights: Array, active: Array) -> Optiona
     if not square and cones.oracles is not None:
         return None
     terms = cones.terms(active)
-    z = v if square else np.concatenate((v, weights / weights.sum()))
+    z = v if square else np.concatenate((v, np.full(k, 1.0 / k)))
     # z is (x..., t) or (x..., t, w...), F the residual and bound its
     # acceptance test, J the Jacobian
     F = np.empty(z.size)
@@ -244,15 +243,16 @@ def newton(cones: ConeStack, v: Array, weights: Array, active: Array) -> Optiona
     return z[:n + 1].copy(), w
 
 
-def finish(cones: ConeStack, v: Array, weights: Array, active: Array) -> Optional[Array]:
+def finish(cones: ConeStack, v: Array, active: Array) -> Optional[Array]:
     """The lowest point (x..., t) of the intersection of the sets, proved
     optimal, or None when this try proves nothing.
 
     The stack must finish (ConeStack.finishes). active holds the indices S
     of at most n + 1 sets, those that bind at the answer if this try is to
-    succeed, and weights, positive and one per set in S, the start of w
-    when Newton runs on w too. newton() solves the KKT system from v; its
-    root (x, t) is accepted when
+    succeed. DykstraState.try_finish calls it on oracle stacks, with
+    |S| = n + 1; a cone stack's tries pivot in exchange() instead, whose
+    answer passes the same tests. newton() solves the KKT system from v;
+    its root (x, t) is accepted when
     - the f_i = t block is within 1e-12 (1 + |t|), the gradient block
       within 1e-12 max_i ||g_i|| and sum_i w_i within 1e-12 of 1;
     - w >= 0;
@@ -265,7 +265,7 @@ def finish(cones: ConeStack, v: Array, weights: Array, active: Array) -> Optiona
     alone passes. An oracle's ArithmeticError passes on to
     DykstraState.try_finish.
     """
-    root = newton(cones, v, weights, active)
+    root = newton(cones, v, active)
     if root is None:
         return None
     point, w = root
@@ -273,18 +273,11 @@ def finish(cones: ConeStack, v: Array, weights: Array, active: Array) -> Optiona
 
 
 def proves(cones: ConeStack, v: Array, point: Array) -> bool:
-    """finish()'s last two tests of the point (x..., t), and apex()'s; a
-    nan from ConeStack.top fails both."""
+    """finish()'s last two tests of the point (x..., t), which also accept
+    exchange()'s answer and an apex; a nan from ConeStack.top fails both."""
     t = point[-1]
     tol = 1e-12 * (1.0 + abs(t))
     return cones.top(point[:-1]) <= t + tol and t <= cones.top(v[:-1]) + tol
-
-
-def apex(cones: ConeStack, v: Array, j: int) -> Optional[Array]:
-    """The apex (p_j, t_j) of cone j, proved the lowest point of a cone
-    stack's intersection by proves(), since f_j >= t_j everywhere, or None."""
-    point = cones.apex[j].copy()
-    return point if proves(cones, v, point) else None
 
 
 def binding(cones: ConeStack, z: Array, active: Array) -> Optional[tuple[Array, Array]]:
@@ -294,9 +287,10 @@ def binding(cones: ConeStack, z: Array, active: Array) -> Optional[tuple[Array, 
     One cone binds at its apex with w = 1, and two on the segment between
     their apexes p_i and p_j, at distance s from p_i with
     t_i + a_i s = t_j + a_j (d - s), d = ||p_j - p_i||, and w proportional
-    to (a_j, a_i); None unless 0 < s < d. More run newton() from the
-    (x..., t) array z, with equal starting weights when they number at
-    most n. A cone stack only.
+    to (a_j, a_i). Unless 0 < s < d, one apex lies on or above the other
+    cone and is the pair's lowest point: it comes back with w = 1 on its
+    own cone and 0 on the other. More run newton() from the (x..., t)
+    array z. A cone stack only.
     """
     if active.size == 1:
         return cones.apex[active[0]].copy(), np.ones(1)
@@ -305,60 +299,61 @@ def binding(cones: ConeStack, z: Array, active: Array) -> Optional[tuple[Array, 
         d = norm(pj - pi)
         s = (tj - ti + aj * d) / (ai + aj)
         if not 0.0 < s < d:
-            return None
+            k = int(s > 0.0)
+            return cones.apex[active[k]].copy(), np.eye(2)[k]
         return np.append(pi + (s / d) * (pj - pi), ti + ai * s), np.array([aj, ai]) / (ai + aj)
-    return newton(cones, z, np.ones(active.size), active)
-
-
-def basis(cones: ConeStack, z: Array, sets: Array, j: Optional[int] = None) -> Optional[tuple]:
-    """The first T of the sets, by size and then index order, that holds j
-    (unless j is None) and at most n + 1 sets, whose binding() point has
-    w >= 0 and lies on or above every cone of sets, to 1e-12 (1 + |t|):
-    (T, point, w), or None when no T does. That point is the lowest of
-    the intersection of the sets' cones, for which T is a basis."""
-    n = z.size - 1
-    first = () if j is None else (j,)
-    rest = [i for i in sets.tolist() if i != j]
-    for size in range(1, min(sets.size, n + 1) + 1):
-        for more in itertools.combinations(rest, size - len(first)):
-            T = np.array(first + more)
-            found = binding(cones, z, T)
-            if found is None:
-                continue
-            point, w = found
-            t = point[-1]
-            if (w >= 0).all() and (cones.values(point[:-1], sets) <= t + 1e-12 * (1.0 + abs(t))).all():
-                return T, point, w
-    return None
+    return newton(cones, z, active)
 
 
 def exchange(cones: ConeStack, v: Array, support: Array) -> Optional[Array]:
     """The lowest point (x..., t) of a cone stack, proved, from the
-    support of a failed try at the iterate v, or None.
+    support of a try at the iterate v, or None.
 
     The min-max of cones is an LP-type problem of combinatorial dimension
-    n + 1 (Matousek, Sharir & Welzl 1996), so the try's support is
-    repaired as pivoting smallest-enclosing-ball solvers do (Fischer,
-    Gartner & Kutz 2003): B, the basis() of the support, takes in the
-    cone j with the highest value f_j at its point (x_B, t_B), and basis()
-    of B and j, which holds j, replaces it, for at most 4 (n + 1)
-    exchanges. Each raises t_B, so no basis returns. Once f_j <= t_B +
-    1e-12 (1 + |t_B|), finish() from (x_B, t_B) with B's weights decides;
-    a single cone there is proved at its apex in closed form, since
-    f_B >= t_B everywhere, when t_B passes finish()'s upper bound at v.
+    n + 1 (Matousek, Sharir & Welzl 1996): its answer is that of a basis B
+    of at most n + 1 cones, which is found by pivoting, as
+    smallest-enclosing-ball solvers do (Fischer, Gartner & Kutz 2003).
+    Each step solves binding() of B from the last point. B starts as the
+    support when that holds n + 1 cones, whose square system often proves
+    at once; else, or when that solve fails or gives a weight w_i <= 0, as
+    the cone of the support highest at v. Later, a weight w_i <= 0 drops
+    its cone. With w > 0, B's point (x_B, t_B), which passed binding()'s
+    residual test, is the answer once proves() accepts it. Until then the
+    cone j highest there, which lies above t_B + 1e-12 (1 + |t_B|), joins
+    B, and a full B makes room by the ratio test: with j's gradient row
+    (g_j, -1) = sum_i mu_i (g_i, -1) over B, the member with the least
+    w_i / mu_i over mu_i > 0 leaves, the first whose weight runs out as
+    j's grows. Each basis's t_B is at most t*, which is at most proves()'s
+    upper bound, so only a cone above fails it. At most 4 (n + 1) steps.
     """
     n = v.size - 1
-    found = basis(cones, v, support)
+    B, point = support, v
     for _ in range(4 * (n + 1)):
+        # the support itself is solved only when it holds n + 1 cones
+        found = binding(cones, point, B) if B is not support or B.size == n + 1 else None
+        if B is support and (found is None or (found[1] <= 0).any()):
+            B = support[[int(cones.values(v[:-1], support).argmax())]]
+            continue
         if found is None:
             return None
-        B, point, w = found
-        t = point[-1]
-        values = cones.values(point[:-1])
-        j = int(values.argmax())
-        if values[j] <= t + 1e-12 * (1.0 + abs(t)):
-            return finish(cones, point, w, B) if B.size > 1 else apex(cones, v, B[0])
-        found = basis(cones, point, np.append(B, j), j)
+        point, w = found
+        if (w <= 0).any():
+            B = np.delete(B, w.argmin())
+            continue
+        if proves(cones, v, point):
+            return point
+        j = int(cones.values(point[:-1]).argmax())
+        if B.size > n:
+            at = cones.terms(np.append(B, j))(point[:-1])
+            if at is None:
+                return None
+            a = np.c_[at[1], -np.ones(n + 2)]
+            try:
+                mu = np.linalg.solve(a[:-1].T, a[-1])
+            except np.linalg.LinAlgError:
+                return None
+            B = np.delete(B, np.divide(w, mu, out=np.full(n + 1, np.inf), where=mu > 0).argmin())
+        B = np.append(B, j)
     return None
 
 
@@ -401,14 +396,15 @@ class DykstraState:
             self.zero[:] = True
 
     def try_finish(self, x: Array) -> Optional[Array]:
-        """finish() at the iterate x over a support drawn from S, the sets
+        """A try at the iterate x over a support drawn from S, the sets
         whose increments are nonzero: S itself when it numbers 1 to n + 1,
         else the n + 1 members of S with the highest values f_i at x
         (ConeStack.values), since the increments name the binding sets long
         before S shrinks to them. The support is tried at once unless it is
-        the last one tried. On a cone stack a failed try goes on to
-        exchange() from its support, and an empty S, with x in every cone,
-        tries the apex() of the cone highest at x in every cycle: an answer
+        the last one tried: by exchange() on a cone stack, and by finish()
+        on an oracle stack. On a cone stack an empty S, with x in every
+        cone, tries in every cycle the apex (p_j, t_j) of the cone j highest
+        at x, which proves() accepts, since f_j >= t_j everywhere: an answer
         at an apex can leave every increment zero. Returns the proved point
         or None. An oracle's ArithmeticError, at a Newton iterate far from
         any the solve asked for, ends the try with None, not the solve."""
@@ -423,14 +419,14 @@ class DykstraState:
                 support = np.sort(support[np.argpartition(cones.values(x[:-1], support), -x.size)[-x.size:]])
             if not support.size:
                 # x lies in every set and none binds: only an apex can be the answer
-                return None if cones.oracles is not None else apex(cones, x, int(cones.values(x[:-1]).argmax()))
+                if cones.oracles is not None:
+                    return None
+                point = cones.apex[int(cones.values(x[:-1]).argmax())].copy()
+                return point if proves(cones, x, point) else None
             if np.array_equal(support, self.tried):
                 return None
             self.tried = support
-            point = finish(cones, x, self.increments[support, -1], support)
-            if point is None and cones.oracles is None:
-                point = exchange(cones, x, support)
-            return point
+            return exchange(cones, x, support) if cones.oracles is None else finish(cones, x, support)
         except ArithmeticError:
             self.tried = support
             return None
@@ -522,7 +518,7 @@ def solution(
 def proved(
     a: Array, cycles: int, k: int, trace: Trace, plane: HorizontalHyperplane, cfg: ToleranceConfig,
 ) -> MinMaxSolution:
-    """The finished MinMaxSolution at the point a that finish() proved
+    """The finished MinMaxSolution at the point a that a try proved
     during Bregman step k: its distance is its height above the plane."""
     return solution(a, float(a[-1]) - plane.t_min, cycles, k, trace, plane, cfg, finished=True)
 
@@ -576,7 +572,7 @@ def solve_minmax(
     one increment array, kept under cfg.warm_start and zeroed between runs
     otherwise.
 
-    Under cfg.exact_finish every run may end early with a point finish()
+    Under cfg.exact_finish every run may end early with a point a try
     proved (see dykstra_project and DykstraState.try_finish); each Bregman
     step forgets the support tried, so each run tries again on its own
     evidence. A proof in step k ends the solve with one trace row for

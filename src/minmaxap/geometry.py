@@ -212,13 +212,13 @@ class ConeStack:
     rounding of cap_i and of the distance. Sets that are not cones get
     cap -inf.
 
-    finishes says whether alternating.finish serves the stack: every set
-    is a cone, or every set is a ConvexEpigraph, whose sets the object
-    array oracles then holds (None otherwise). terms and top give the
-    finish the sets' values and subgradients, and values gives
-    alternating.DykstraState.try_finish the values it ranks S by: in closed
-    form, with curvature, for cones, and from the oracles, without it, for
-    epigraphs.
+    finishes says whether the exact finish (alternating.DykstraState.
+    try_finish) serves the stack: every set is a cone, or every set is a
+    ConvexEpigraph, whose sets the object array oracles then holds (None
+    otherwise). terms and top give the finish the sets' values and
+    subgradients, and values gives try_finish the values it ranks S by: in
+    closed form, with curvature, for cones, and from the oracles, without
+    it, for epigraphs.
     """
 
     def __init__(self, apex: Array, slope: Array, oracles: Optional[Array] = None):

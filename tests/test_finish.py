@@ -92,15 +92,15 @@ def polygon(m, radius=5.0):
 
 
 def count_tries(monkeypatch):
-    """A list that grows by |S| at each alternating.finish call."""
+    """A list that grows by |S| at each try: an alternating.finish call on
+    an oracle stack, an alternating.exchange call on a cone stack."""
     tries = []
-    real = alternating.finish
+    for name in ("finish", "exchange"):
+        def spy(cones, v, active, real=getattr(alternating, name)):
+            tries.append(active.size)
+            return real(cones, v, active)
 
-    def spy(cones, v, weights, active):
-        tries.append(active.size)
-        return real(cones, v, weights, active)
-
-    monkeypatch.setattr(alternating, "finish", spy)
+        monkeypatch.setattr(alternating, name, spy)
     return tries
 
 
@@ -205,20 +205,27 @@ class TestProperty:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_no_wrong_point_is_proved_by_an_exchange(self, mode, monkeypatch):
-        # seeded first-order swarms in 1-3-D with unequal u_max, and 1-D
-        # double integrators at rest with u_max over five decades: a
+        # seeded first-order swarms in 1-5-D and 8-D with unequal u_max,
+        # and 1-D double integrators at rest with u_max over five decades: a
         # finished answer is the reference's to rounding, and any other is
-        # the paper's to 1e-5
-        exchanges = []
-        real = alternating.exchange
+        # the paper's to 1e-5. Each exchange pivots in at most 2 (n + 1)
+        # binding() solves
+        exchanges, solves = [], []
+        real, real_binding = alternating.exchange, alternating.binding
 
-        def spy(*args):
-            exchanges.append(real(*args))
+        def spy(cones, v, support):
+            solves.append([v.size, 0])
+            exchanges.append(real(cones, v, support))
             return exchanges[-1]
 
+        def counted(*args):
+            solves[-1][1] += 1
+            return real_binding(*args)
+
         monkeypatch.setattr(alternating, "exchange", spy)
+        monkeypatch.setattr(alternating, "binding", counted)
         solver = SOLVERS[MODES.index(mode)]
-        for dim in (1, 2, 3):
+        for dim in (1, 2, 3, 4, 5, 8):
             for n in (2, 3, 4, 6, 10, 24, 64):
                 for seed in range(4):
                     rng = np.random.default_rng([dim, n, seed, 29])
@@ -246,6 +253,7 @@ class TestProperty:
                     x, s, tol = paper.x_star, paper.t_star, 1e-5
                 assert rel(r.solver.x_star, x) <= tol and rel(r.solver.t_star, s) <= tol, (n, seed)
         assert sum(e is not None for e in exchanges) >= 40
+        assert all(count <= 2 * size for size, count in solves), max(solves, key=lambda c: c[1] / c[0])
         # the regular 8-gon, whose values tie, finishes too
         sol = solver([SecondOrderCone(np.append(p, 0.0), 1.0) for p in polygon(8)], PLANE,
                      PointTime(np.zeros(2), 5.0), ToleranceConfig())
@@ -306,6 +314,7 @@ class TestTraces:
             raise AssertionError("a plain projection tried the finish")
 
         monkeypatch.setattr(alternating, "finish", tried)
+        monkeypatch.setattr(alternating, "exchange", tried)
         stats = {}
         x = dykstra_project(exp1_cones(), np.array([0.0, 0.0]), ToleranceConfig(), stats)
         assert stats["proved"] is None and stats["state"].tried is None
@@ -329,7 +338,7 @@ class TestRejections:
         u = (x - pts[:2]) / np.linalg.norm(x - pts[:2], axis=1)[:, None]
         assert np.abs(np.linalg.norm(x - pts[:2], axis=1) - t).max() <= 1e-12 * (1 + t)
         assert np.abs(w @ u).max() <= 1e-12 * (1 + t)
-        assert finish(cones, np.append(x, t), w, np.array([0, 1])) is None
+        assert finish(cones, np.append(x, t), np.array([0, 1])) is None
 
     @pytest.mark.parametrize("mode", MODES)
     def test_the_instance_of_the_far_root(self, mode):
@@ -341,7 +350,7 @@ class TestRejections:
 
     def test_a_start_at_an_apex_is_rejected(self):
         cones = ConeStack.of(exp1_cones())
-        assert finish(cones, np.array([EXP1[1], 5.0]), np.ones(2), np.array([1, 2])) is None
+        assert finish(cones, np.array([EXP1[1], 5.0]), np.array([1, 2])) is None
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("x0", [[[3.0, 4.0]], [[1.0, 2.0]] * 3], ids=["one", "coincident"])
@@ -369,6 +378,19 @@ class TestRejections:
             sol = solver(cones, PLANE, PointTime(np.array([0.5]), height), ToleranceConfig())
             assert sol.finished
             assert sol.x_star.tolist() == [0.0] and sol.t_star == 10.0
+
+    def test_an_exchange_through_a_raised_apex(self):
+        # from the two low cones' crossing, the raised cone joins and the
+        # ratio test leaves a pair whose lowest point is the raised apex,
+        # which lies above the other cone; the pivot drops that cone's zero
+        # weight and proves the apex
+        cones = ConeStack.of([
+            SecondOrderCone(np.array([0.0, 10.0]), 1.0),
+            SecondOrderCone(np.array([1.0, 0.0]), 1.0),
+            SecondOrderCone(np.array([-2.0, 0.0]), 1.0),
+        ])
+        point = alternating.exchange(cones, np.array([0.5, 12.0]), np.array([1, 2]))
+        assert point.tolist() == [0.0, 10.0]
 
     @pytest.mark.parametrize("mode", MODES)
     def test_four_cocircular_agents(self, mode):
@@ -477,7 +499,7 @@ def slsqp_minmax(n, fs):
 
 
 def weighted_minmax(x0, u):
-    """min over x of max_i ||x - x0_i|| / u_i in 2-D or 3-D: SLSQP's
+    """min over x of max_i ||x - x0_i|| / u_i in 2-D or more: SLSQP's
     answer, polished to rounding by scipy's fsolve on the KKT system of the
     cones that bind there. (x, t)"""
     from scipy.optimize import fsolve
@@ -526,7 +548,7 @@ class TestOracleStacks:
     def test_a_try_over_at_most_n_epigraphs_calls_no_oracle(self):
         # without curvature the KKT system over |S| <= n sets is singular
         sets = [CountingEpigraph(lambda x: float(x @ x), lambda x: 2 * x, 2) for _ in range(3)]
-        assert finish(ConeStack.of(sets), np.array([0.5, 0.5, 1.0]), np.ones(2), np.array([0, 1])) is None
+        assert finish(ConeStack.of(sets), np.array([0.5, 0.5, 1.0]), np.array([0, 1])) is None
         assert sum(s.calls for s in sets) == 0
 
     @pytest.mark.parametrize("mode", MODES)
@@ -595,6 +617,7 @@ class TestOracleStacks:
             raise AssertionError("a mixed stack tried the finish")
 
         monkeypatch.setattr(alternating, "finish", never)
+        monkeypatch.setattr(alternating, "exchange", never)
         sets = [
             SecondOrderCone(np.array([-1.0, 0.0]), 1.0),
             ConvexEpigraph(lambda x: float((x[0] - 1.0) ** 2), lambda x: np.array([2.0 * (x[0] - 1.0)]), 1),
