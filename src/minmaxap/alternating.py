@@ -34,9 +34,9 @@ class ToleranceConfig:
     point of their intersection exactly: both solvers try after every
     cycle through DykstraState.try_finish, which says which sets a try
     takes. Cones pivot to the answer from those sets (exchange(), at most
-    4 (n + 1) steps); epigraphs, whose oracles give no curvature, try
-    finish() on exactly n + 1. With False, or with any other stack, only
-    the paper's stop rule ends the solve.
+    4 (n + 1) steps); epigraphs, which have no apexes, try finish() on
+    exactly n + 1. With False, or with any other stack, only the paper's
+    stop rule ends the solve.
     """
 
     err: float = 1e-7
@@ -168,79 +168,63 @@ def newton(cones: ConeStack, v: Array, active: Array) -> Optional[tuple[Array, A
     w >= 0 might prove it, by Newton's method on the KKT system, or None.
 
     active holds the indices S of at most n + 1 sets of a stack that
-    finishes (ConeStack.finishes). Newton, from x and t of v, solves
-    f_i(x) = t for i in S, sum_i w_i g_i(x) = 0 and sum_i w_i = 1 for at
-    most 20 steps, with the values f_i and subgradients g_i of
-    ConeStack.terms. With |S| = n + 1 the system splits: the square system
-    f_i(x) = t fixes (x, t), and w, linear in the rest, is solved once at
-    its root. With |S| <= n the root of f_i = t is no point, so Newton runs
-    on (x, t, w) together, from equal weights 1 / |S|, with the Hessian of
-    sum_i w_i f_i that cones give; oracles give none, and such a solve
-    gives up before any oracle call. Newton stops at the second iterate in
-    a row whose residual passes the test, which leaves the point at
-    rounding: the f_i = t block within 1e-12 (1 + |t|), the gradient block
-    within 1e-12 max_i ||g_i|| and sum_i w_i within 1e-12 of 1. Returns
-    the root and its w, whose sign it leaves to the caller. A value or
-    subgradient that is not finite, x at an apex of S, where grad f_i does
-    not exist, or a singular system gives None; an oracle's
-    ArithmeticError passes on.
+    finishes (ConeStack.finishes). Newton solves the square system
+    f_i = t, i in S, from v, with the values f_i and subgradients g_i of
+    ConeStack.terms: over (x, t) for n + 1 sets, else over (y, t) with
+    x = p_0 + Q y in the affine hull of the apexes p_i of S's cones, Q an
+    orthonormal basis of the p_i - p_0; the hull holds S's lowest point,
+    and span(Q) each x - p_i (an oracle try with |S| <= n gives up before
+    any oracle call). It stops at the second iterate in a row with f_i = t
+    within 1e-12 (1 + |t|), in at most 20 steps, and solves w there, which
+    must balance the gradients within 1e-12 max_i ||g_i|| and sum to within
+    1e-12 of 1; its sign is left to the caller. A value or subgradient that
+    is not finite, x at an apex, where grad f_i does not exist, or a
+    singular system gives None; an oracle's ArithmeticError passes on.
     """
     n, k = v.size - 1, active.size
-    square = k == n + 1
-    if not square and cones.oracles is not None:
-        return None
+    z = v
+    if k <= n:
+        if cones.oracles is not None:
+            return None
+        p = cones.apex_x[active]
+        q = np.linalg.qr((p[1:] - p[0]).T)[0]
+        z = np.append(q.T @ (v[:n] - p[0]), v[n])
     terms = cones.terms(active)
-    z = v if square else np.concatenate((v, np.full(k, 1.0 / k)))
-    # z is (x..., t) or (x..., t, w...), F the residual and bound its
-    # acceptance test, J the Jacobian
-    F = np.empty(z.size)
-    bound = np.full(z.size, 1e-12)
-    J = np.zeros((z.size, z.size))
-    J[:k, n] = -1.0
-    J[-1, n + 1:] = 1.0
-    # at most 20 Newton steps, until two iterates in a row pass the
-    # residual test: the step after the first leaves (x, t) at rounding
+    # z is (x..., t) or (y..., t), F the residual of f_i = t and J its Jacobian
+    J = np.full((k, k), -1.0)
+    # until two iterates in a row pass: the second leaves (x, t) at rounding
     near = False
     for _ in range(21):
-        x, t = z[:n], z[n]
+        t = z[-1]
+        x = z[:n] if k > n else p[0] + q @ z[:-1]
         at = terms(x)
         if at is None:
             return None
-        f, g, hessian, scale = at
-        F[:k] = f - t
-        bound[:k] = 1e-12 * (1.0 + abs(t))
-        J[:k, :n] = g
-        if not square:
-            w = z[n + 1:]
-            F[k:-1] = w @ g
-            F[-1] = w.sum() - 1.0
-            bound[k:-1] = 1e-12 * scale
+        f, g, scale = at
+        F = f - t
+        J[:, :-1] = g if k > n else g @ q
         # the largest excess of |F| over its bound, nan or inf unless F is finite
-        excess = (np.abs(F) - bound).max()
+        excess = (np.abs(F) - 1e-12 * (1.0 + abs(t))).max()
         if not excess < math.inf:
             return None
         if excess <= 0.0 and near:
             break
         near = excess <= 0.0
-        if not square:
-            J[k:-1, :n] = hessian(w)
-            J[k:-1, n + 1:] = g.T
         try:
             z = z - np.linalg.solve(J, F)
         except np.linalg.LinAlgError:
             return None
     else:
         return None
-    if square:
-        # the rest, sum_i w_i g_i = 0 and -sum_i w_i = -1, is J.T w = -e_n
-        try:
-            w = np.linalg.solve(J.T, -np.eye(k)[n])
-        except np.linalg.LinAlgError:
-            return None
-        # not <=, so that a nan rejects
-        if not ((np.abs(w @ g) <= 1e-12 * scale).all() and abs(w.sum() - 1.0) <= 1e-12):
-            return None
-    return z[:n + 1].copy(), w
+    # the rest, sum_i w_i g_i = 0 and -sum_i w_i = -1, is J.T w = -e_k
+    try:
+        w = np.linalg.solve(J.T, -np.eye(k)[-1])
+    except np.linalg.LinAlgError:
+        return None
+    # not <=, so that a nan rejects
+    if not ((np.abs(w @ g) <= 1e-12 * scale).all() and abs(w.sum() - 1.0) <= 1e-12):
+        return None
+    return np.append(x, t), w
 
 
 def finish(cones: ConeStack, v: Array, active: Array) -> Optional[Array]:
@@ -253,8 +237,7 @@ def finish(cones: ConeStack, v: Array, active: Array) -> Optional[Array]:
     |S| = n + 1; a cone stack's tries pivot in exchange() instead, whose
     answer passes the same tests. newton() solves the KKT system from v;
     its root (x, t) is accepted when
-    - the f_i = t block is within 1e-12 (1 + |t|), the gradient block
-      within 1e-12 max_i ||g_i|| and sum_i w_i within 1e-12 of 1;
+    - it passes newton()'s tests of f_i = t, the gradients and sum_i w_i;
     - w >= 0;
     - max f_j(x) <= t + 1e-12 (1 + |t|) over every set;
     - t <= max f_j at v's x + 1e-12 (1 + |t|), an upper bound on t*.
@@ -290,7 +273,7 @@ def binding(cones: ConeStack, z: Array, active: Array) -> Optional[tuple[Array, 
     to (a_j, a_i). Unless 0 < s < d, one apex lies on or above the other
     cone and is the pair's lowest point: it comes back with w = 1 on its
     own cone and 0 on the other. More run newton() from the (x..., t)
-    array z. A cone stack only.
+    array z, in their apexes' affine hull if at most n. A cone stack only.
     """
     if active.size == 1:
         return cones.apex[active[0]].copy(), np.ones(1)
@@ -313,18 +296,19 @@ def exchange(cones: ConeStack, v: Array, support: Array) -> Optional[Array]:
     n + 1 (Matousek, Sharir & Welzl 1996): its answer is that of a basis B
     of at most n + 1 cones, which is found by pivoting, as
     smallest-enclosing-ball solvers do (Fischer, Gartner & Kutz 2003).
-    Each step solves binding() of B from the last point. B starts as the
-    support when that holds n + 1 cones, whose square system often proves
-    at once; else, or when that solve fails or gives a weight w_i <= 0, as
-    the cone of the support highest at v. Later, a weight w_i <= 0 drops
-    its cone. With w > 0, B's point (x_B, t_B), which passed binding()'s
-    residual test, is the answer once proves() accepts it. Until then the
-    cone j highest there, which lies above t_B + 1e-12 (1 + |t_B|), joins
-    B, and a full B makes room by the ratio test: with j's gradient row
-    (g_j, -1) = sum_i mu_i (g_i, -1) over B, the member with the least
-    w_i / mu_i over mu_i > 0 leaves, the first whose weight runs out as
-    j's grows. Each basis's t_B is at most t*, which is at most proves()'s
-    upper bound, so only a cone above fails it. At most 4 (n + 1) steps.
+    Each step solves binding() of B, by newton() for 3 or more cones,
+    from the last point. B starts as the support when that holds n + 1
+    cones, whose system often proves at once; else, or when that solve
+    fails or gives a weight w_i <= 0, as the cone of the support highest
+    at v. Later, a weight w_i <= 0 drops its cone. With w > 0, B's point
+    (x_B, t_B), which passed binding()'s residual test, is the answer once
+    proves() accepts it. Until then the cone j highest there, which lies
+    above t_B + 1e-12 (1 + |t_B|), joins B, and a full B makes room by the
+    ratio test: with j's gradient row (g_j, -1) = sum_i mu_i (g_i, -1)
+    over B, the member with the least w_i / mu_i over mu_i > 0 leaves, the
+    first whose weight runs out as j's grows. Each basis's t_B is at most
+    t*, which is at most proves()'s upper bound, so only a cone above
+    fails it. At most 4 (n + 1) steps.
     """
     n = v.size - 1
     B, point = support, v

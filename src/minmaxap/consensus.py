@@ -90,7 +90,7 @@ class ConsensusResult:
 
 def second_order_reach_time_zero_vel(x0: float, x: float, u_max: float) -> float:
     """Symmetric accelerate/decelerate maneuver: 2*sqrt(|x - x0| / u_max)."""
-    if u_max <= 0:
+    if not u_max > 0:
         raise ValueError("u_max must be positive")
     return 2.0 * math.sqrt(abs(float(x) - float(x0)) / u_max)
 
@@ -111,7 +111,8 @@ def _bang_bang(
     rounding puts the switch at or before 0, the target is on the curve to
     rounding, and the maneuver is one phase of the other input.
     """
-    if u_max <= 0:
+    # not <=, so that a nan rejects, here and in the zero-velocity time
+    if not u_max > 0:
         raise ValueError("u_max must be positive")
     # normalize to unit input bound; time is scale-invariant
     a = float(x1) / u_max

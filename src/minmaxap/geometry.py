@@ -215,10 +215,8 @@ class ConeStack:
     finishes says whether the exact finish (alternating.DykstraState.
     try_finish) serves the stack: every set is a cone, or every set is a
     ConvexEpigraph, whose sets the object array oracles then holds (None
-    otherwise). terms and top give the finish the sets' values and
-    subgradients, and values gives try_finish the values it ranks S by: in
-    closed form, with curvature, for cones, and from the oracles, without
-    it, for epigraphs.
+    otherwise). terms, top and values give the finish the sets' values and
+    subgradients: in closed form for cones, from the oracles for epigraphs.
     """
 
     def __init__(self, apex: Array, slope: Array, oracles: Optional[Array] = None):
@@ -289,41 +287,28 @@ class ConeStack:
 
     def terms(self, active: Array) -> Callable:
         """The finish's terms over the sets in active: a function of x that
-        gives f_i(x) and g_i(x) for each, the Hessian of sum_i w_i f_i as a
-        function of the weights w, and the gradient scale max_i ||g_i||; or
-        None at a cone's apex, where f_i(x) = t_i + a_i ||x - p_i|| has no
-        gradient. A cone's scale is max_i a_i.
-
-        An epigraph's terms come from its oracles, which give no curvature:
-        its Hessian is None. A value or subgradient that is not finite is
-        passed on for the caller's test, and a subgradient that is not dim
-        numbers raises ProjectionError.
-        """
+        gives f_i(x) and g_i(x) for each and the gradient scale
+        max_i ||g_i||, which is max_i a_i for cones; or None at a cone's
+        apex, where f_i(x) = t_i + a_i ||x - p_i|| has no gradient. An
+        epigraph's terms come from its oracles: a value or subgradient that
+        is not finite is passed on for the caller's test, and a subgradient
+        that is not dim numbers raises ProjectionError."""
         if self.oracles is not None:
             sets = self.oracles[active]
 
             def oracle_terms(x):
                 f = np.array([float(s.value(x)) for s in sets])
                 g = np.array([s._subgrad(x, finite=False) for s in sets])
-                return f, g, None, np.sqrt(np.einsum("ij,ij->i", g, g)).max()
+                return f, g, np.sqrt(np.einsum("ij,ij->i", g, g)).max()
 
             return oracle_terms
         p, h, a = self.apex_x[active], self.apex_t[active], self.raw_slope[active]
         scale = a.max()
-        eye = np.eye(p.shape[1])
 
         def cone_terms(x):
             d = x - p
-            r2 = np.einsum("ij,ij->i", d, d)
-            r = np.sqrt(r2)
-            if not r.all():
-                return None
-
-            def hessian(w):
-                c = w * a / r
-                return c.sum() * eye - (d.T * (c / r2)) @ d
-
-            return h + a * r, d * (a / r)[:, None], hessian, scale
+            r = np.sqrt(np.einsum("ij,ij->i", d, d))
+            return (h + a * r, d * (a / r)[:, None], scale) if r.all() else None
 
         return cone_terms
 

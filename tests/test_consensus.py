@@ -186,6 +186,20 @@ class TestSecondOrderReachTimes:
     def test_zero_distance(self):
         assert second_order_reach_time_zero_vel(0.0, 0.0, 1.0) == 0.0
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: second_order_reach_time_zero_vel(0.0, 1.0, math.nan),
+            lambda: second_order_reach_time_general(0.0, 0.0, 1.0, 0.0, u_max=math.nan),
+            lambda: bang_bang_control((0.0, 0.0), (1.0, 0.0), math.nan),
+        ],
+        ids=["zero-vel", "general", "control"],
+    )
+    def test_nan_bound_rejected(self, call):
+        # u_max <= 0 is False for nan, which then ran through as a nan time
+        with pytest.raises(ValueError, match="u_max must be positive"):
+            call()
+
     def test_general_reduces_to_zero_vel(self):
         assert second_order_reach_time_general(0.0, 0.0, 1.0, 0.0) == pytest.approx(2.0)
         t = second_order_reach_time_general(6.924106, 0.0, -5.5527, 0.0)

@@ -526,6 +526,85 @@ def weighted_minmax(x0, u):
     return y[:n], y[n]
 
 
+def hull_cones(dim, k, seed, equal):
+    """k cones in dim-D that all bind at their lowest point (x, t), with
+    weights > 0: their apexes lie at distances u_i t from x, in directions
+    near those of a regular simplex's vertices in a random (k - 1)-D
+    subspace, centred so that 0 lies inside their hull. (apexes, u)"""
+    rng = np.random.default_rng([dim, k, seed, 33])
+    u = np.ones(k) if equal else rng.uniform(0.5, 2.0, k)
+    subspace = np.linalg.qr(rng.standard_normal((dim, k - 1)))[0]
+    e = np.linalg.qr(np.eye(k) - 1.0 / k)[0][:, :k - 1] + 0.1 * rng.standard_normal((k, k - 1))
+    e -= e.mean(0)
+    e /= np.linalg.norm(e, axis=1)[:, None]
+    x, t = rng.uniform(-5.0, 5.0, dim), rng.uniform(1.0, 5.0)
+    return x - (u * t)[:, None] * (e @ subspace.T), u
+
+
+def kkt_holds(cones, active, point, w):
+    """Whether the (x..., t) point and the weights w pass newton()'s KKT
+    test over the cones in active."""
+    f, g, scale = cones.terms(active)(point[:-1])
+    t = point[-1]
+    return bool((np.abs(f - t) <= 1e-12 * (1.0 + abs(t))).all() and (np.abs(w @ g) <= 1e-12 * scale).all()
+                and abs(w.sum() - 1.0) <= 1e-12)
+
+
+class TestHullSolve:
+    """binding() of 3 to n cones runs Newton's square system in the affine
+    hull of their apexes."""
+
+    # the reference's fsolve can stop at rounding short of xtol, with a warning
+    @pytest.mark.filterwarnings("ignore:The iteration is not making good progress")
+    @pytest.mark.parametrize("equal", [True, False], ids=["equal", "unequal"])
+    @pytest.mark.parametrize("dim", range(3, 9))
+    def test_agrees_with_the_reference(self, dim, equal):
+        # from the apexes' centroid, at the highest value there
+        for k in range(3, dim + 1):
+            p, u = hull_cones(dim, k, 0, equal)
+            cones = ConeStack(np.c_[p, np.zeros(k)], 1.0 / u)
+            y = p.mean(0)
+            point, w = alternating.binding(cones, np.append(y, cones.values(y).max()), np.arange(k))
+            assert (w > 0).all() and kkt_holds(cones, np.arange(k), point, w)
+            assert rel(point, np.append(*weighted_minmax(p, u))) <= 1e-12, (dim, k)
+
+    def test_collinear_apexes_prove_no_other_point(self):
+        # the hull is a line, and its QR basis holds more directions, which
+        # rounding picks; a root off the line balances its gradients only
+        # with a weight < 0, and on the line at most two cones bind
+        returned = 0
+        for dim in range(3, 7):
+            for k in range(3, min(dim, 4) + 1):
+                active = np.arange(k)
+                for seed in range(10):
+                    rng = np.random.default_rng([dim, k, seed, 33])
+                    d = rng.standard_normal(dim)
+                    d /= np.linalg.norm(d)
+                    c, s, u = rng.uniform(-5.0, 5.0, dim), rng.uniform(-5.0, 5.0, k), rng.uniform(0.5, 2.0, k)
+                    p = c + s[:, None] * d
+                    cones = ConeStack(np.c_[p, np.zeros(k)], 1.0 / u)
+                    for y in (p.mean(0), p.mean(0) + rng.standard_normal(dim)):
+                        found = alternating.binding(cones, np.append(y, cones.values(y).max()), active)
+                        if found is None:
+                            continue
+                        returned += 1
+                        point, w = found
+                        assert kkt_holds(cones, active, point, w), (dim, k, seed)
+                        if (w >= 0).all():
+                            line, t = minmax_1d(s, 1.0 / u)
+                            assert rel(point, np.append(c + line * d, t)) <= 1e-12, (dim, k, seed)
+        assert returned
+
+    def test_terms_are_values_subgradients_and_scale(self):
+        active = np.array([0, 1])
+        cones = ConeStack.of([SecondOrderCone(np.array([float(i), 1.0, 0.0]), 1.0 + i) for i in range(3)])
+        f, g, scale = cones.terms(active)(np.array([0.5, -1.0]))
+        assert f.shape == (2,) and g.shape == (2, 2) and scale == 2.0
+        sets = [ConvexEpigraph(lambda x: float(x @ x), lambda x: 2 * x, 2) for _ in range(3)]
+        f, g, scale = ConeStack.of(sets).terms(active)(np.array([3.0, 4.0]))
+        assert f.tolist() == [25.0, 25.0] and g.tolist() == [[6.0, 8.0]] * 2 and scale == 10.0
+
+
 class TestOracleStacks:
     """Stacks of ConvexEpigraphs finish from their oracles' values and
     subgradients when n + 1 of them bind; every other try falls back."""
