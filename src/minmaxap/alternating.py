@@ -33,10 +33,10 @@ class ToleranceConfig:
     ConvexEpigraph, ends the solve as soon as a try proves the lowest
     point of their intersection exactly: both solvers try after every
     cycle through DykstraState.try_finish, which says which sets a try
-    takes. Cones pivot to the answer from those sets (exchange(), at most
-    4 (n + 1) steps); epigraphs, which have no apexes, try finish() on
-    exactly n + 1. With False, or with any other stack, only the paper's
-    stop rule ends the solve.
+    takes. Every try pivots to the answer from those sets (exchange(), at
+    most 4 (n + 1) steps); epigraphs, which have no apexes, pivot only
+    from n + 1 at once. With False, or with any other stack, only the
+    paper's stop rule ends the solve.
     """
 
     err: float = 1e-7
@@ -173,11 +173,12 @@ def newton(cones: ConeStack, v: Array, active: Array) -> Optional[tuple[Array, A
     ConeStack.terms: over (x, t) for n + 1 sets, else over (y, t) with
     x = p_0 + Q y in the affine hull of the apexes p_i of S's cones, Q an
     orthonormal basis of the p_i - p_0; the hull holds S's lowest point,
-    and span(Q) each x - p_i (an oracle try with |S| <= n gives up before
-    any oracle call). It stops at the second iterate in a row with f_i = t
-    within 1e-12 (1 + |t|), in at most 20 steps, and solves w there, which
-    must balance the gradients within 1e-12 max_i ||g_i|| and sum to within
-    1e-12 of 1; its sign is left to the caller. A value or subgradient that
+    and span(Q) each x - p_i (oracles have no apexes, so an oracle basis
+    of |S| <= n sets gives up before any oracle call). It stops at the
+    second iterate in a row with f_i = t within 1e-12 (1 + |t|), in at
+    most 20 steps, and solves w there, which must balance the gradients
+    within 1e-12 max_i ||g_i|| and sum to within 1e-12 of 1; its sign is
+    left to the caller. A value or subgradient that
     is not finite, x at an apex, where grad f_i does not exist, or a
     singular system gives None; an oracle's ArithmeticError passes on.
     """
@@ -227,95 +228,88 @@ def newton(cones: ConeStack, v: Array, active: Array) -> Optional[tuple[Array, A
     return np.append(x, t), w
 
 
-def finish(cones: ConeStack, v: Array, active: Array) -> Optional[Array]:
-    """The lowest point (x..., t) of the intersection of the sets, proved
-    optimal, or None when this try proves nothing.
-
-    The stack must finish (ConeStack.finishes). active holds the indices S
-    of at most n + 1 sets, those that bind at the answer if this try is to
-    succeed. DykstraState.try_finish calls it on oracle stacks, with
-    |S| = n + 1; a cone stack's tries pivot in exchange() instead, whose
-    answer passes the same tests. newton() solves the KKT system from v;
-    its root (x, t) is accepted when
-    - it passes newton()'s tests of f_i = t, the gradients and sum_i w_i;
-    - w >= 0;
-    - max f_j(x) <= t + 1e-12 (1 + |t|) over every set;
-    - t <= max f_j at v's x + 1e-12 (1 + |t|), an upper bound on t*.
-    The first three are the KKT conditions of min t s.t. f_i(x) <= t,
-    which prove (x, t) optimal for this convex problem: with the oracles'
-    own subgradients a try can fail, but accepts no other point. The first
-    and last each reject a root at infinity, where a test relative to |t|
-    alone passes. An oracle's ArithmeticError passes on to
-    DykstraState.try_finish.
-    """
-    root = newton(cones, v, active)
-    if root is None:
-        return None
-    point, w = root
-    return None if (w < 0).any() or not proves(cones, v, point) else point
-
-
 def proves(cones: ConeStack, v: Array, point: Array) -> bool:
-    """finish()'s last two tests of the point (x..., t), which also accept
-    exchange()'s answer and an apex; a nan from ConeStack.top fails both."""
+    """Whether the point (x..., t), an apex or a root that exchange()
+    weighs, passes the last two tests of exchange(): max_j f_j(x) <=
+    t + 1e-12 (1 + |t|) over every set, and t <= max_j f_j at v's x +
+    1e-12 (1 + |t|), an upper bound on t*. A nan from ConeStack.top fails
+    both."""
     t = point[-1]
     tol = 1e-12 * (1.0 + abs(t))
     return cones.top(point[:-1]) <= t + tol and t <= cones.top(v[:-1]) + tol
 
 
 def binding(cones: ConeStack, z: Array, active: Array) -> Optional[tuple[Array, Array]]:
-    """The point (x..., t) where every cone in active binds and the
+    """The point (x..., t) where every set in active binds and the
     weights w, summing to 1, that balance their gradients there, or None.
 
-    One cone binds at its apex with w = 1, and two on the segment between
-    their apexes p_i and p_j, at distance s from p_i with
+    On a cone stack one cone binds at its apex with w = 1, and two on the
+    segment between their apexes p_i and p_j, at distance s from p_i with
     t_i + a_i s = t_j + a_j (d - s), d = ||p_j - p_i||, and w proportional
     to (a_j, a_i). Unless 0 < s < d, one apex lies on or above the other
     cone and is the pair's lowest point: it comes back with w = 1 on its
-    own cone and 0 on the other. More run newton() from the (x..., t)
-    array z, in their apexes' affine hull if at most n. A cone stack only.
+    own cone and 0 on the other. More cones, and every oracle basis, run
+    newton() from the (x..., t) array z: cones in their apexes' affine
+    hull if at most n, oracles only when n + 1.
     """
+    if cones.oracles is not None or active.size > 2:
+        return newton(cones, z, active)
     if active.size == 1:
         return cones.apex[active[0]].copy(), np.ones(1)
-    if active.size == 2:
-        (pi, pj), (ti, tj), (ai, aj) = cones.apex_x[active], cones.apex_t[active], cones.raw_slope[active]
-        d = norm(pj - pi)
-        s = (tj - ti + aj * d) / (ai + aj)
-        if not 0.0 < s < d:
-            k = int(s > 0.0)
-            return cones.apex[active[k]].copy(), np.eye(2)[k]
-        return np.append(pi + (s / d) * (pj - pi), ti + ai * s), np.array([aj, ai]) / (ai + aj)
-    return newton(cones, z, active)
+    (pi, pj), (ti, tj), (ai, aj) = cones.apex_x[active], cones.apex_t[active], cones.raw_slope[active]
+    d = norm(pj - pi)
+    s = (tj - ti + aj * d) / (ai + aj)
+    if not 0.0 < s < d:
+        k = int(s > 0.0)
+        return cones.apex[active[k]].copy(), np.eye(2)[k]
+    return np.append(pi + (s / d) * (pj - pi), ti + ai * s), np.array([aj, ai]) / (ai + aj)
 
 
 def exchange(cones: ConeStack, v: Array, support: Array) -> Optional[Array]:
-    """The lowest point (x..., t) of a cone stack, proved, from the
-    support of a try at the iterate v, or None.
+    """The lowest point (x..., t) of a stack that finishes
+    (ConeStack.finishes), proved, from the support of a try at the
+    iterate v, or None.
 
-    The min-max of cones is an LP-type problem of combinatorial dimension
-    n + 1 (Matousek, Sharir & Welzl 1996): its answer is that of a basis B
-    of at most n + 1 cones, which is found by pivoting, as
-    smallest-enclosing-ball solvers do (Fischer, Gartner & Kutz 2003).
-    Each step solves binding() of B, by newton() for 3 or more cones,
-    from the last point. B starts as the support when that holds n + 1
-    cones, whose system often proves at once; else, or when that solve
-    fails or gives a weight w_i <= 0, as the cone of the support highest
-    at v. Later, a weight w_i <= 0 drops its cone. With w > 0, B's point
-    (x_B, t_B), which passed binding()'s residual test, is the answer once
-    proves() accepts it. Until then the cone j highest there, which lies
-    above t_B + 1e-12 (1 + |t_B|), joins B, and a full B makes room by the
+    The min-max of convex functions f_i is an LP-type problem of
+    combinatorial dimension n + 1 (Matousek, Sharir & Welzl 1996): its
+    answer is that of a basis B of at most n + 1 sets, which is found by
+    pivoting, as smallest-enclosing-ball solvers do (Fischer, Gartner &
+    Kutz 2003). Each step solves binding() of B from the last point. B
+    starts as the support when that holds n + 1 sets, whose system often
+    proves at once. When it holds fewer, or that solve fails or gives a
+    weight w_i <= 0, a cone stack starts again from the cone of the
+    support highest at v, and an oracle stack gives up: one oracle set has
+    no apex to solve. Later, a weight w_i <= 0 drops its set, and an
+    oracle basis left with n sets fails in newton().
+
+    With w > 0, B's point (x_B, t_B), which passed binding()'s residual
+    test, is the answer once proves() accepts it. f_i(x_B) = t_B over B,
+    sum_i w_i g_i = 0 with sum_i w_i = 1 and w >= 0, and
+    max_j f_j(x_B) <= t_B are the KKT conditions of min t s.t.
+    f_i(x) <= t, which prove (x_B, t_B) optimal for this convex problem:
+    with an oracle's own subgradients a try can fail, but it accepts no
+    other point. newton()'s tests and proves()'s upper bound each reject a
+    root at infinity, where a test relative to |t| alone passes.
+
+    Until then the set j highest at x_B, which lies above
+    t_B + 1e-12 (1 + |t_B|), joins B, and a full B makes room by the
     ratio test: with j's gradient row (g_j, -1) = sum_i mu_i (g_i, -1)
     over B, the member with the least w_i / mu_i over mu_i > 0 leaves, the
-    first whose weight runs out as j's grows. Each basis's t_B is at most
-    t*, which is at most proves()'s upper bound, so only a cone above
-    fails it. At most 4 (n + 1) steps.
+    first whose weight runs out as j's grows, so a full B stays full. Each
+    basis's t_B is at most t*: sum_i w_i g_i = 0 with w > 0 makes x_B a
+    minimiser of the convex sum_i w_i f_i, so t_B = sum_i w_i f_i(x_B) <=
+    sum_i w_i f_i(x*) <= t*. t* is at most proves()'s upper bound, so only
+    a set above t_B fails it. At most 4 (n + 1) steps. An oracle's
+    ArithmeticError passes on to DykstraState.try_finish.
     """
     n = v.size - 1
     B, point = support, v
     for _ in range(4 * (n + 1)):
-        # the support itself is solved only when it holds n + 1 cones
+        # the support itself is solved only when it holds n + 1 sets
         found = binding(cones, point, B) if B is not support or B.size == n + 1 else None
         if B is support and (found is None or (found[1] <= 0).any()):
+            if cones.oracles is not None:
+                return None
             B = support[[int(cones.values(v[:-1], support).argmax())]]
             continue
         if found is None:
@@ -384,14 +378,14 @@ class DykstraState:
         whose increments are nonzero: S itself when it numbers 1 to n + 1,
         else the n + 1 members of S with the highest values f_i at x
         (ConeStack.values), since the increments name the binding sets long
-        before S shrinks to them. The support is tried at once unless it is
-        the last one tried: by exchange() on a cone stack, and by finish()
-        on an oracle stack. On a cone stack an empty S, with x in every
-        cone, tries in every cycle the apex (p_j, t_j) of the cone j highest
-        at x, which proves() accepts, since f_j >= t_j everywhere: an answer
-        at an apex can leave every increment zero. Returns the proved point
-        or None. An oracle's ArithmeticError, at a Newton iterate far from
-        any the solve asked for, ends the try with None, not the solve."""
+        before S shrinks to them. The support is tried at once, by
+        exchange(), unless it is the last one tried. On a cone stack an
+        empty S, with x in every cone, tries in every cycle the apex
+        (p_j, t_j) of the cone j highest at x, which proves() accepts,
+        since f_j >= t_j everywhere: an answer at an apex can leave every
+        increment zero. Returns the proved point or None. An oracle's
+        ArithmeticError, at a Newton iterate far from any the solve asked
+        for, ends the try with None, not the solve."""
         if not self.finishing:
             return None
         cones = self.cones
@@ -410,7 +404,7 @@ class DykstraState:
             if np.array_equal(support, self.tried):
                 return None
             self.tried = support
-            return exchange(cones, x, support) if cones.oracles is None else finish(cones, x, support)
+            return exchange(cones, x, support)
         except ArithmeticError:
             self.tried = support
             return None

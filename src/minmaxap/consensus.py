@@ -90,8 +90,8 @@ class ConsensusResult:
 
 def second_order_reach_time_zero_vel(x0: float, x: float, u_max: float) -> float:
     """Symmetric accelerate/decelerate maneuver: 2*sqrt(|x - x0| / u_max)."""
-    if not u_max > 0:
-        raise ValueError("u_max must be positive")
+    if not 0.0 < u_max < math.inf:
+        raise ValueError("u_max must be positive and finite")
     return 2.0 * math.sqrt(abs(float(x) - float(x0)) / u_max)
 
 
@@ -111,9 +111,10 @@ def _bang_bang(
     rounding puts the switch at or before 0, the target is on the curve to
     rounding, and the maneuver is one phase of the other input.
     """
-    # not <=, so that a nan rejects, here and in the zero-velocity time
-    if not u_max > 0:
-        raise ValueError("u_max must be positive")
+    # not a test of <= 0, so that a nan rejects, here and in the
+    # zero-velocity time; an infinite bound would give time 0 to anywhere
+    if not 0.0 < u_max < math.inf:
+        raise ValueError("u_max must be positive and finite")
     # normalize to unit input bound; time is scale-invariant
     a = float(x1) / u_max
     b = float(x2) / u_max

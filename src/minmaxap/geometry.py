@@ -215,8 +215,9 @@ class ConeStack:
     finishes says whether the exact finish (alternating.DykstraState.
     try_finish) serves the stack: every set is a cone, or every set is a
     ConvexEpigraph, whose sets the object array oracles then holds (None
-    otherwise). terms, top and values give the finish the sets' values and
-    subgradients: in closed form for cones, from the oracles for epigraphs.
+    otherwise). terms, top and values give the finish's one pivot
+    (alternating.exchange) the sets' values and subgradients: in closed
+    form for cones, from the oracles for epigraphs.
     """
 
     def __init__(self, apex: Array, slope: Array, oracles: Optional[Array] = None):

@@ -192,12 +192,17 @@ class TestSecondOrderReachTimes:
             lambda: second_order_reach_time_zero_vel(0.0, 1.0, math.nan),
             lambda: second_order_reach_time_general(0.0, 0.0, 1.0, 0.0, u_max=math.nan),
             lambda: bang_bang_control((0.0, 0.0), (1.0, 0.0), math.nan),
+            lambda: second_order_reach_time_zero_vel(0.0, 5.0, math.inf),
+            lambda: second_order_reach_time_general(0.0, 1.0, 5.0, 0.0, u_max=math.inf),
+            lambda: bang_bang_control((0.0, 1.0), (5.0, 0.0), math.inf),
         ],
-        ids=["zero-vel", "general", "control"],
+        ids=["zero-vel", "general", "control", "zero-vel-inf", "general-inf", "control-inf"],
     )
     def test_nan_bound_rejected(self, call):
-        # u_max <= 0 is False for nan, which then ran through as a nan time
-        with pytest.raises(ValueError, match="u_max must be positive"):
+        # u_max <= 0 is False for nan, which then ran through as a nan time;
+        # an infinite bound, which AgentDynamics and SecondOrderAttainableSet
+        # reject, gave time 0.0 to any target
+        with pytest.raises(ValueError, match="u_max must be positive and finite"):
             call()
 
     def test_general_reduces_to_zero_vel(self):

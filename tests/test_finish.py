@@ -1,6 +1,7 @@
-"""The exact finish: a Newton solve of the KKT system over at most n + 1
-of the sets whose Dykstra increments are nonzero, which ends a solve once
-it proves the lowest point of an intersection of cones or of oracle
+"""The exact finish: a pivot over bases of at most n + 1 sets, started
+from the sets whose Dykstra increments are nonzero, each basis solved in
+closed form or by Newton's method on the KKT system, which ends a solve
+once it proves the lowest point of an intersection of cones or of oracle
 epigraphs."""
 
 import json
@@ -26,7 +27,6 @@ from minmaxap import (
     solve_minmax,
 )
 from minmaxap import alternating
-from minmaxap.alternating import finish
 from minmaxap.cli import main
 from minmaxap.geometry import ConeStack
 from test_alternating import quadratics_minmax
@@ -92,15 +92,15 @@ def polygon(m, radius=5.0):
 
 
 def count_tries(monkeypatch):
-    """A list that grows by |S| at each try: an alternating.finish call on
-    an oracle stack, an alternating.exchange call on a cone stack."""
+    """A list that grows by |S| at each try, an alternating.exchange call."""
     tries = []
-    for name in ("finish", "exchange"):
-        def spy(cones, v, active, real=getattr(alternating, name)):
-            tries.append(active.size)
-            return real(cones, v, active)
+    real = alternating.exchange
 
-        monkeypatch.setattr(alternating, name, spy)
+    def spy(cones, v, active):
+        tries.append(active.size)
+        return real(cones, v, active)
+
+    monkeypatch.setattr(alternating, "exchange", spy)
     return tries
 
 
@@ -313,7 +313,6 @@ class TestTraces:
         def tried(*args):
             raise AssertionError("a plain projection tried the finish")
 
-        monkeypatch.setattr(alternating, "finish", tried)
         monkeypatch.setattr(alternating, "exchange", tried)
         stats = {}
         x = dykstra_project(exp1_cones(), np.array([0.0, 0.0]), ToleranceConfig(), stats)
@@ -328,7 +327,8 @@ class TestRejections:
         # two cones of a swarm bind. At a point 9e15 out along their axis
         # every block of the KKT residual is below 1e-12 (1 + |t|), so a test
         # relative to |t| alone would accept it; the gradient block's own
-        # scale (max slope) rejects it
+        # scale (max slope) rejects it in newton(), and the pivot from there
+        # proves the smallest enclosing circle
         pts = np.random.default_rng(1116).uniform(-10.0, 10.0, (4, 2))
         cones = ConeStack.of([SecondOrderCone(np.append(p, 0.0), 1.0) for p in pts])
         a, b = pts[0], pts[1]
@@ -338,7 +338,9 @@ class TestRejections:
         u = (x - pts[:2]) / np.linalg.norm(x - pts[:2], axis=1)[:, None]
         assert np.abs(np.linalg.norm(x - pts[:2], axis=1) - t).max() <= 1e-12 * (1 + t)
         assert np.abs(w @ u).max() <= 1e-12 * (1 + t)
-        assert finish(cones, np.append(x, t), np.array([0, 1])) is None
+        assert alternating.newton(cones, np.append(x, t), np.array([0, 1])) is None
+        point = alternating.exchange(cones, np.append(x, t), np.array([0, 1]))
+        assert rel(point, np.append(*enclosing_circle(pts))) <= 1e-12
 
     @pytest.mark.parametrize("mode", MODES)
     def test_the_instance_of_the_far_root(self, mode):
@@ -349,8 +351,14 @@ class TestRejections:
         assert rel(r.x_consensus, x) <= tol and rel(r.t_consensus, t) <= tol
 
     def test_a_start_at_an_apex_is_rejected(self):
+        # no gradient at an apex: newton() gives up there, and the pivot
+        # from there proves experiment 1's crossing
         cones = ConeStack.of(exp1_cones())
-        assert finish(cones, np.array([EXP1[1], 5.0]), np.array([1, 2])) is None
+        start = np.array([EXP1[1], 5.0])
+        assert alternating.newton(cones, start, np.array([1, 2])) is None
+        point = alternating.exchange(cones, start, np.array([1, 2]))
+        assert rel(point, minmax_1d(EXP1, [4.0] * 4)) <= 1e-12
+        assert point == pytest.approx([-5.5527, 49.9074], abs=1e-4)
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("x0", [[[3.0, 4.0]], [[1.0, 2.0]] * 3], ids=["one", "coincident"])
@@ -481,6 +489,16 @@ def oracle_stack(seed, n):
             ))
             quads.append((float(a[0]), float(c[0]), float(h)))
     return fs, (quads if n == 1 and not l1 else None)
+
+
+def solve_oracle_stack(solver, seed, n, **cfg):
+    """solver over oracle_stack(seed, n) as CountingEpigraphs from x = 0,
+    one above the highest value there, above the plane t = -1, under
+    ToleranceConfig(**cfg): the solution and the sets."""
+    fs, _ = oracle_stack(seed, n)
+    p0 = PointTime(np.zeros(n), max(f(np.zeros(n)) for f, _ in fs) + 1.0)
+    sets = [CountingEpigraph(f, g, n) for f, g in fs]
+    return solver(sets, HorizontalHyperplane(-1.0), p0, ToleranceConfig(**cfg)), sets
 
 
 def slsqp_minmax(n, fs):
@@ -627,7 +645,7 @@ class TestOracleStacks:
     def test_a_try_over_at_most_n_epigraphs_calls_no_oracle(self):
         # without curvature the KKT system over |S| <= n sets is singular
         sets = [CountingEpigraph(lambda x: float(x @ x), lambda x: 2 * x, 2) for _ in range(3)]
-        assert finish(ConeStack.of(sets), np.array([0.5, 0.5, 1.0]), np.array([0, 1])) is None
+        assert alternating.exchange(ConeStack.of(sets), np.array([0.5, 0.5, 1.0]), np.array([0, 1])) is None
         assert sum(s.calls for s in sets) == 0
 
     @pytest.mark.parametrize("mode", MODES)
@@ -644,21 +662,35 @@ class TestOracleStacks:
         stacks += [(seed, 2, {"err": 1e-3, "outer_tol": 1e-2}) for seed in (11, 13, 15, 17)]
         finished, calls = [], np.zeros(2)
         for seed, n, tol in stacks:
-            fs, quads = oracle_stack(seed, n)
-            plane = HorizontalHyperplane(-1.0)
-            p0 = PointTime(np.zeros(n), max(f(np.zeros(n)) for f, _ in fs) + 1.0)
-            sets = [CountingEpigraph(f, g, n) for f, g in fs]
-            sol = solver(sets, plane, p0, ToleranceConfig(**tol))
+            sol, sets = solve_oracle_stack(solver, seed, n, **tol)
             if sol.finished:
                 finished.append(n)
+                fs, quads = oracle_stack(seed, n)
                 ref = np.array(quadratics_minmax(quads)) if quads else slsqp_minmax(n, fs)
                 assert rel(np.append(sol.x_star, sol.t_star), ref) <= 1e-9, (seed, n)
                 continue
-            paper_sets = [CountingEpigraph(f, g, n) for f, g in fs]
-            assert_identical(sol, solver(paper_sets, plane, p0, ToleranceConfig(exact_finish=False, **tol)))
+            paper, paper_sets = solve_oracle_stack(solver, seed, n, exact_finish=False, **tol)
+            assert_identical(sol, paper)
             calls += [sum(s.calls for s in sets), sum(s.calls for s in paper_sets)]
         assert finished.count(1) >= 12 and finished.count(2) >= 1
         assert calls[0] <= 1.05 * calls[1]
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("seed", [1, 3, 11])
+    def test_the_pivot_swaps_past_a_third_function(self, seed, mode):
+        # three 1-D functions, of which the root of a binding pair leaves
+        # the third above it: the ratio test swaps it in, and the pivot
+        # proves the answer at the first try, in 3 inner cycles, with fewer
+        # oracle calls than the paper's stop (a try that stopped at the
+        # first root took 4 to 10 cycles in one mode or the other)
+        solver = SOLVERS[MODES.index(mode)]
+        sol, sets = solve_oracle_stack(solver, seed, 1)
+        _, paper_sets = solve_oracle_stack(solver, seed, 1, exact_finish=False)
+        fs, quads = oracle_stack(seed, 1)
+        ref = np.array(quadratics_minmax(quads)) if quads else slsqp_minmax(1, fs)
+        assert sol.finished and sol.inner_cycles_total == 3
+        assert rel(np.append(sol.x_star, sol.t_star), ref) <= 1e-9
+        assert sum(s.calls for s in sets) < sum(s.calls for s in paper_sets)
 
     @pytest.mark.parametrize("solver", SOLVERS)
     def test_one_quadratic_falls_back(self, solver):
@@ -695,7 +727,6 @@ class TestOracleStacks:
         def never(*args):
             raise AssertionError("a mixed stack tried the finish")
 
-        monkeypatch.setattr(alternating, "finish", never)
         monkeypatch.setattr(alternating, "exchange", never)
         sets = [
             SecondOrderCone(np.array([-1.0, 0.0]), 1.0),
@@ -713,10 +744,10 @@ class TestFailingOracles:
 
     def stub(self, monkeypatch, fail):
         """The pair of bench_quads(9) as epigraphs whose oracles call
-        fail(value, subgradient) while finish() runs, and a list that counts
-        the tries."""
+        fail(value, subgradient) while exchange() runs, and a list that
+        counts the tries."""
         tries = []
-        real = alternating.finish
+        real = alternating.exchange
 
         def spy(*args):
             tries.append(True)
@@ -725,7 +756,7 @@ class TestFailingOracles:
             finally:
                 tries.append(False)
 
-        monkeypatch.setattr(alternating, "finish", spy)
+        monkeypatch.setattr(alternating, "exchange", spy)
 
         def epigraph(a, c, h):
             def value(x):
