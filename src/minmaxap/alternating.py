@@ -32,11 +32,11 @@ class ToleranceConfig:
     exact_finish, when every set is a SecondOrderCone or every set is a
     ConvexEpigraph, ends the solve as soon as a try proves the lowest
     point of their intersection exactly: both solvers try after every
-    cycle through DykstraState.try_finish, which says which sets a try
-    takes. Every try pivots to the answer from those sets (exchange(), at
-    most 4 (n + 1) steps); epigraphs, which have no apexes, pivot only
-    from n + 1 at once. With False, or with any other stack, only the
-    paper's stop rule ends the solve.
+    cycle through DykstraState.try_finish, which picks the basis a try
+    starts from. Every try pivots from it to the answer (exchange(), at
+    most 4 (n + 1) steps): from one cone of a cone stack, or from n + 1
+    epigraphs, which have no apexes to start from. With False, or with
+    any other stack, only the paper's stop rule ends the solve.
     """
 
     err: float = 1e-7
@@ -190,7 +190,6 @@ def newton(cones: ConeStack, v: Array, active: Array) -> Optional[tuple[Array, A
         p = cones.apex_x[active]
         q = np.linalg.qr((p[1:] - p[0]).T)[0]
         z = np.append(q.T @ (v[:n] - p[0]), v[n])
-    terms = cones.terms(active)
     # z is (x..., t) or (y..., t), F the residual of f_i = t and J its Jacobian
     J = np.full((k, k), -1.0)
     # until two iterates in a row pass: the second leaves (x, t) at rounding
@@ -198,7 +197,7 @@ def newton(cones: ConeStack, v: Array, active: Array) -> Optional[tuple[Array, A
     for _ in range(21):
         t = z[-1]
         x = z[:n] if k > n else p[0] + q @ z[:-1]
-        at = terms(x)
+        at = cones.terms(x, active)
         if at is None:
             return None
         f, g, scale = at
@@ -228,15 +227,16 @@ def newton(cones: ConeStack, v: Array, active: Array) -> Optional[tuple[Array, A
     return np.append(x, t), w
 
 
-def proves(cones: ConeStack, v: Array, point: Array) -> bool:
+def proves(cones: ConeStack, v: Array, point: Array, high: float) -> bool:
     """Whether the point (x..., t), an apex or a root that exchange()
-    weighs, passes the last two tests of exchange(): max_j f_j(x) <=
-    t + 1e-12 (1 + |t|) over every set, and t <= max_j f_j at v's x +
-    1e-12 (1 + |t|), an upper bound on t*. A nan from ConeStack.top fails
-    both."""
+    weighs, passes the last two tests of exchange(): high, the caller's
+    max_j f_j(x) over every set, is at most t + 1e-12 (1 + |t|), and t is
+    at most max_j f_j at v's x + 1e-12 (1 + |t|), an upper bound on t*.
+    A nan fails either test: in high by the comparison, in the bound by
+    ConeStack.top."""
     t = point[-1]
     tol = 1e-12 * (1.0 + abs(t))
-    return cones.top(point[:-1]) <= t + tol and t <= cones.top(v[:-1]) + tol
+    return high <= t + tol and t <= cones.top(v[:-1]) + tol
 
 
 def binding(cones: ConeStack, z: Array, active: Array) -> Optional[tuple[Array, Array]]:
@@ -249,8 +249,8 @@ def binding(cones: ConeStack, z: Array, active: Array) -> Optional[tuple[Array, 
     to (a_j, a_i). Unless 0 < s < d, one apex lies on or above the other
     cone and is the pair's lowest point: it comes back with w = 1 on its
     own cone and 0 on the other. More cones, and every oracle basis, run
-    newton() from the (x..., t) array z: cones in their apexes' affine
-    hull if at most n, oracles only when n + 1.
+    newton() from the pivot's last point z: cones in their apexes' affine
+    hull if at most n, oracles only when n + 1, else None at once.
     """
     if cones.oracles is not None or active.size > 2:
         return newton(cones, z, active)
@@ -265,22 +265,18 @@ def binding(cones: ConeStack, z: Array, active: Array) -> Optional[tuple[Array, 
     return np.append(pi + (s / d) * (pj - pi), ti + ai * s), np.array([aj, ai]) / (ai + aj)
 
 
-def exchange(cones: ConeStack, v: Array, support: Array) -> Optional[Array]:
+def exchange(cones: ConeStack, v: Array, B: Array) -> Optional[Array]:
     """The lowest point (x..., t) of a stack that finishes
-    (ConeStack.finishes), proved, from the support of a try at the
-    iterate v, or None.
+    (ConeStack.finishes), proved, by pivoting from the basis B that a try
+    at the iterate v picked (DykstraState.try_finish), or None.
 
     The min-max of convex functions f_i is an LP-type problem of
     combinatorial dimension n + 1 (Matousek, Sharir & Welzl 1996): its
     answer is that of a basis B of at most n + 1 sets, which is found by
     pivoting, as smallest-enclosing-ball solvers do (Fischer, Gartner &
-    Kutz 2003). Each step solves binding() of B from the last point. B
-    starts as the support when that holds n + 1 sets, whose system often
-    proves at once. When it holds fewer, or that solve fails or gives a
-    weight w_i <= 0, a cone stack starts again from the cone of the
-    support highest at v, and an oracle stack gives up: one oracle set has
-    no apex to solve. Later, a weight w_i <= 0 drops its set, and an
-    oracle basis left with n sets fails in newton().
+    Kutz 2003). Each step solves binding() of B from the last point, v at
+    first, and evaluates every set once at that point. A weight w_i <= 0
+    drops its set; an oracle basis left with n sets fails in newton().
 
     With w > 0, B's point (x_B, t_B), which passed binding()'s residual
     test, is the answer once proves() accepts it. f_i(x_B) = t_B over B,
@@ -303,26 +299,21 @@ def exchange(cones: ConeStack, v: Array, support: Array) -> Optional[Array]:
     ArithmeticError passes on to DykstraState.try_finish.
     """
     n = v.size - 1
-    B, point = support, v
+    point = v
     for _ in range(4 * (n + 1)):
-        # the support itself is solved only when it holds n + 1 sets
-        found = binding(cones, point, B) if B is not support or B.size == n + 1 else None
-        if B is support and (found is None or (found[1] <= 0).any()):
-            if cones.oracles is not None:
-                return None
-            B = support[[int(cones.values(v[:-1], support).argmax())]]
-            continue
+        found = binding(cones, point, B)
         if found is None:
             return None
         point, w = found
         if (w <= 0).any():
             B = np.delete(B, w.argmin())
             continue
-        if proves(cones, v, point):
+        f = cones.values(point[:-1])
+        j = int(f.argmax())
+        if proves(cones, v, point, f[j]):
             return point
-        j = int(cones.values(point[:-1]).argmax())
         if B.size > n:
-            at = cones.terms(np.append(B, j))(point[:-1])
+            at = cones.terms(point[:-1], np.append(B, j))
             if at is None:
                 return None
             a = np.c_[at[1], -np.ones(n + 2)]
@@ -341,9 +332,9 @@ class DykstraState:
     sets are the sets, checked against the (x..., t) array p0 once, and
     cones their ConeStack: sets itself when it is one, else ConeStack.of.
     increments holds one (n+1,) row per set and zero flags the rows that
-    are +0.0 throughout; take keeps the two in step. try_finish remembers
-    the last support it tried, and tries only with finish true and a stack
-    that finishes (ConeStack.finishes). restart begins a Bregman step."""
+    are +0.0 throughout; take keeps the two in step. try_finish tries only
+    with finish true and a stack that finishes (ConeStack.finishes), and
+    tried holds the basis of its last try. restart begins a Bregman step."""
 
     def __init__(self, sets: Sequence[ProjectableSet], p0: Array, finish: bool = False):
         if not sets:
@@ -366,7 +357,7 @@ class DykstraState:
         return move
 
     def restart(self, warm: bool) -> None:
-        """Forget the support tried, so that the next run tries again on
+        """Forget the basis tried, so that the next run tries again on
         its own evidence; unless warm, zero every increment."""
         self.tried = None
         if not warm:
@@ -374,39 +365,42 @@ class DykstraState:
             self.zero[:] = True
 
     def try_finish(self, x: Array) -> Optional[Array]:
-        """A try at the iterate x over a support drawn from S, the sets
-        whose increments are nonzero: S itself when it numbers 1 to n + 1,
-        else the n + 1 members of S with the highest values f_i at x
-        (ConeStack.values), since the increments name the binding sets long
-        before S shrinks to them. The support is tried at once, by
-        exchange(), unless it is the last one tried. On a cone stack an
-        empty S, with x in every cone, tries in every cycle the apex
-        (p_j, t_j) of the cone j highest at x, which proves() accepts,
-        since f_j >= t_j everywhere: an answer at an apex can leave every
-        increment zero. Returns the proved point or None. An oracle's
-        ArithmeticError, at a Newton iterate far from any the solve asked
-        for, ends the try with None, not the solve."""
+        """A try at the iterate x from S, the sets whose increments are
+        nonzero, which name the binding sets long before the paper's stop.
+        Its basis B, which exchange() pivots from, is the cone of S highest
+        at x on a cone stack; on an oracle stack S when it holds n + 1 sets,
+        else its n + 1 highest at x, and no try when fewer, as an oracle set
+        has no apex. B is tried at once unless it equals tried, the last
+        try's. On a cone stack an empty S, with x in every cone, tries in
+        every cycle the apex (p_j, t_j) of the cone j highest at x, which
+        proves() accepts, since f_j >= t_j everywhere: an answer at an apex
+        can leave every increment zero. Returns the proved point or None.
+        An oracle's ArithmeticError, at a Newton iterate far from any the
+        solve asked for, ends the try with None, not the solve."""
         if not self.finishing:
             return None
         cones = self.cones
-        support = np.flatnonzero(~self.zero)
+        B = np.flatnonzero(~self.zero)
         try:
             # x.size is n + 1
-            if support.size > x.size:
-                # the n + 1 highest values, kept in index order
-                support = np.sort(support[np.argpartition(cones.values(x[:-1], support), -x.size)[-x.size:]])
-            if not support.size:
-                # x lies in every set and none binds: only an apex can be the answer
-                if cones.oracles is not None:
+            if cones.oracles is not None:
+                if B.size < x.size:
                     return None
+                if B.size > x.size:
+                    # the n + 1 highest values, kept in index order
+                    B = np.sort(B[np.argpartition(cones.values(x[:-1], B), -x.size)[-x.size:]])
+            elif B.size:
+                B = B[[int(cones.values(x[:-1], B).argmax())]]
+            else:
+                # x lies in every set and none binds: only an apex can be the answer
                 point = cones.apex[int(cones.values(x[:-1]).argmax())].copy()
-                return point if proves(cones, x, point) else None
-            if np.array_equal(support, self.tried):
+                return point if proves(cones, x, point, cones.values(point[:-1]).max()) else None
+            if np.array_equal(B, self.tried):
                 return None
-            self.tried = support
-            return exchange(cones, x, support)
+            self.tried = B
+            return exchange(cones, x, B)
         except ArithmeticError:
-            self.tried = support
+            self.tried = B
             return None
 
 
@@ -422,7 +416,7 @@ def dykstra_project(
     the end-of-cycle iterate moves less than cfg.err between cycles. The
     pass skips only steps that change nothing, so the result and the cycle
     count are those of the plain per-set loop, and p0 itself comes back
-    when no step moves it.
+    when no step moves it; a p0 that is not finite raises ValueError.
 
     stats, when given, is a dict the run reports its cycle count in, as
     stats["cycles"]. stats["state"] is the run's DykstraState: one found
@@ -441,6 +435,8 @@ def dykstra_project(
     stats["proved"] (None otherwise), and the run still returns its own
     iterate, which keeps the invariant above.
     """
+    if not np.isfinite(p0).all():
+        raise ValueError("p0 must hold finite numbers")
     stats = {} if stats is None else stats
     state = stats.get("state")
     if state is None:
@@ -552,7 +548,7 @@ def solve_minmax(
 
     Under cfg.exact_finish every run may end early with a point a try
     proved (see dykstra_project and DykstraState.try_finish); each Bregman
-    step forgets the support tried, so each run tries again on its own
+    step forgets the basis tried, so each run tries again on its own
     evidence. A proof in step k ends the solve with one trace row for
     step k, holding the proved point.
     """

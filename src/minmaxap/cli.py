@@ -221,11 +221,16 @@ def cmd_simulate(cfg: ExperimentConfig, result: ConsensusResult, quiet: bool = F
     else:
         target = (float(x[0]), 0.0)
         row = lambda s: [_sig9(s.t), _sig9(s.x), _sig9(s.v), _sig9(s.u)]
-    rows = [
-        [i] + row(s)
-        for i, agent in enumerate(cfg.agents, start=1)
-        for s in simulate_trajectory(agent, target, dt=cfg.sample_dt).samples
-    ]
+    try:
+        rows = [
+            [i] + row(s)
+            for i, agent in enumerate(cfg.agents, start=1)
+            for s in simulate_trajectory(agent, target, dt=cfg.sample_dt).samples
+        ]
+    except ValueError as exc:
+        # a solved target is reachable, so only the sample cap can raise here
+        print(f"config error: outputs.sample_dt: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     if cfg.trajectory_path:
         with open(cfg.trajectory_path, "w", newline="") as fh:
             w = csv.writer(fh)

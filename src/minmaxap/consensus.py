@@ -34,6 +34,9 @@ from .ring import run_ring
 
 Array = np.ndarray
 
+# the most samples simulate_trajectory builds for one agent
+MAX_SAMPLES = 10**6
+
 
 class Model(Enum):
     FIRST_ORDER = "first_order"
@@ -237,6 +240,15 @@ class TrajectoryResult:
     arrival_time: float
 
 
+def _grid(total: float, dt: float) -> List[float]:
+    """The sample times k dt, k = 0 .. total / dt, rounded to 1e-12; a
+    ValueError if they number more than MAX_SAMPLES (the test takes no int
+    of total / dt, which may be inf)."""
+    if total / dt >= MAX_SAMPLES:
+        raise ValueError(f"dt {dt!r} would take more than {MAX_SAMPLES} samples to cover {total!r} s")
+    return [round(k * dt, 12) for k in range(int(total / dt) + 1)]
+
+
 def simulate_trajectory(
     agent: AgentDynamics, target: Tuple[object, float], dt: float
 ) -> TrajectoryResult:
@@ -249,7 +261,8 @@ def simulate_trajectory(
 
     dt only controls the output sampling; phase switch and arrival times
     are exact.  The sample list always contains the initial point, the
-    switch instant and the arrival point.
+    switch instant and the arrival point.  A dt that would take more than
+    MAX_SAMPLES grid samples raises ValueError before any is built.
     """
     dt = positive_number(dt, "dt")
     xt = _position(agent, finite_vector(target[0], "target position"))
@@ -265,7 +278,7 @@ def simulate_trajectory(
             total, u = dist / agent.u_max, agent.u_max * d / dist
             sched = ControlSchedule(((total, u),))
         # a grid time that rounds past total holds the arrival state
-        times = sorted({round(k * dt, 12) for k in range(int(total / dt) + 1)} | {0.0, total})
+        times = sorted(set(_grid(total, dt)) | {0.0, total})
         samples = [
             TrajectorySample(t, agent.x0 + min(t, total) * u, 0.0, u if t < total else 0 * u)
             for t in times
@@ -301,13 +314,7 @@ def simulate_trajectory(
             -u1,
         )
 
-    times = sorted(
-        set(
-            [round(k * dt, 12) for k in range(int(total / dt) + 1)]
-            + ([t1] if 0.0 < t1 < total else [])
-            + [0.0, total]
-        )
-    )
+    times = sorted(set(_grid(total, dt) + ([t1] if 0.0 < t1 < total else []) + [0.0, total]))
     samples = [TrajectorySample(t, *state_at(t)) for t in times if t <= total]
     return TrajectoryResult(samples, sched, total)
 

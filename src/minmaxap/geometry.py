@@ -215,9 +215,10 @@ class ConeStack:
     finishes says whether the exact finish (alternating.DykstraState.
     try_finish) serves the stack: every set is a cone, or every set is a
     ConvexEpigraph, whose sets the object array oracles then holds (None
-    otherwise). terms, top and values give the finish's one pivot
-    (alternating.exchange) the sets' values and subgradients: in closed
-    form for cones, from the oracles for epigraphs.
+    otherwise). The finish reads the sets in closed form for cones and
+    from the oracles for epigraphs: values picks a try's basis and gives
+    each pivot step its one evaluation of every set, terms a basis's
+    values and subgradients at x, and top the proof's upper bound.
     """
 
     def __init__(self, apex: Array, slope: Array, oracles: Optional[Array] = None):
@@ -286,32 +287,22 @@ class ConeStack:
                 return n
         return lo + k
 
-    def terms(self, active: Array) -> Callable:
-        """The finish's terms over the sets in active: a function of x that
-        gives f_i(x) and g_i(x) for each and the gradient scale
-        max_i ||g_i||, which is max_i a_i for cones; or None at a cone's
-        apex, where f_i(x) = t_i + a_i ||x - p_i|| has no gradient. An
-        epigraph's terms come from its oracles: a value or subgradient that
-        is not finite is passed on for the caller's test, and a subgradient
-        that is not dim numbers raises ProjectionError."""
+    def terms(self, x: Array, active: Array) -> Optional[tuple[Array, Array, float]]:
+        """The finish's terms at x over the sets in active: f_i(x) and
+        g_i(x) for each and the gradient scale max_i ||g_i||, which is
+        max_i a_i for cones; or None at a cone's apex, where f_i(x) = t_i +
+        a_i ||x - p_i|| has no gradient. An epigraph's terms come from its
+        oracles: a value or subgradient that is not finite is passed on for
+        the caller's test, and a subgradient that is not dim numbers raises
+        ProjectionError."""
         if self.oracles is not None:
-            sets = self.oracles[active]
-
-            def oracle_terms(x):
-                f = np.array([float(s.value(x)) for s in sets])
-                g = np.array([s._subgrad(x, finite=False) for s in sets])
-                return f, g, np.sqrt(np.einsum("ij,ij->i", g, g)).max()
-
-            return oracle_terms
-        p, h, a = self.apex_x[active], self.apex_t[active], self.raw_slope[active]
-        scale = a.max()
-
-        def cone_terms(x):
-            d = x - p
-            r = np.sqrt(np.einsum("ij,ij->i", d, d))
-            return (h + a * r, d * (a / r)[:, None], scale) if r.all() else None
-
-        return cone_terms
+            f = self.values(x, active)
+            g = np.array([s._subgrad(x, finite=False) for s in self.oracles[active]])
+            return f, g, np.sqrt(np.einsum("ij,ij->i", g, g)).max()
+        d = x - self.apex_x[active]
+        r = np.sqrt(np.einsum("ij,ij->i", d, d))
+        a = self.raw_slope[active]
+        return (self.apex_t[active] + a * r, d * (a / r)[:, None], a.max()) if r.all() else None
 
     def values(self, y: Array, sets: Array | slice = slice(None)) -> Array:
         """f_i(y) for each index i in sets, or for every set, of a stack

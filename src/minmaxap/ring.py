@@ -80,8 +80,8 @@ def run_ring(
     Under cfg.exact_finish, when the stack finishes (every set a cone, or
     every set a ConvexEpigraph: ConeStack.finishes), agent 1 calls
     DykstraState.try_finish on its own turn, before its stop test, as
-    dykstra_project does after a cycle; try_finish says which agents a
-    try takes. Each event forgets the support tried. A proof ends the
+    dykstra_project does after a cycle; try_finish picks the agents whose
+    sets a try starts from. Each event forgets the basis tried. A proof ends the
     solve at the step in progress, k: agent 1's row, the trace's last, is
     then the event row of step k and holds the proved point, as
     solve_minmax's last row does.
@@ -114,7 +114,7 @@ def run_ring(
             guess = bregman_step(n_events, a, plane_pt, b_prev, state, cycle, trace, plane, cfg)
             if isinstance(guess, MinMaxSolution):
                 return guess
-            # agent 1 forgets the pre-drop guess, and the state the support
+            # agent 1 forgets the pre-drop guess, and the state the basis
             # it tried: the restarted run must stabilize on its own evidence
             b_prev, last_guess = plane_pt, None
         else:

@@ -127,6 +127,26 @@ class TestDykstra:
         assert exc.value.iterate is not None
         assert exc.value.residual > 0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("p0", [[np.nan, 0.0], [1.0, np.inf]], ids=["nan", "inf"])
+    def test_a_start_that_is_not_finite_raises_before_the_first_cycle(self, p0, monkeypatch):
+        # such a start once ran all 10,000 cycles, with RuntimeWarnings, to
+        # the cycle cap's ConvergenceError
+        def no_cycle(*args):
+            raise AssertionError("a cycle ran")
+
+        monkeypatch.setattr(alternating, "dykstra_pass", no_cycle)
+        sets = [SecondOrderCone(vec([-1.0], 0.0), 1.0), SecondOrderCone(vec([1.0], 0.0), 1.0),
+                Ball(vec([0.0], 5.0), 4.0)]
+        with pytest.raises(ValueError, match="p0"):
+            dykstra_project(sets, np.array(p0), CFG)
+
+    @pytest.mark.parametrize("p0", [vec([0.0], 5.0), np.array([0, 5])], ids=["float", "int"])
+    def test_a_start_no_step_moves_comes_back_itself(self, p0):
+        # inside both cones, so every step is skipped
+        sets = [SecondOrderCone(vec([-1.0], 0.0), 1.0), SecondOrderCone(vec([1.0], 0.0), 1.0)]
+        assert dykstra_project(sets, p0, CFG) is p0
+
     def test_fejer_monotone_toward_intersection(self):
         sets = [
             SecondOrderCone(vec([-1.0], 0.0), 1.0),

@@ -466,6 +466,25 @@ class TestSimulate:
             assert float(sub[-1]["t"]) == pytest.approx(2.0, abs=1e-3)
 
 
+    def test_a_sample_dt_past_the_cap_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        # the agents meet after about 1.0 s, so dt 0.999e-6 asks for about
+        # 1,001,001 samples each, past consensus.MAX_SAMPLES; none is built
+        def no_sample(*args):
+            raise AssertionError("a sample was built")
+
+        monkeypatch.setattr(minmaxap.consensus, "TrajectorySample", no_sample)
+        traj = tmp_path / "traj.csv"
+        path = write_config(
+            tmp_path / "c.json",
+            agents=[{"model": "first_order", "x0": [0.0]}, {"model": "first_order", "x0": [2.0]}],
+            outputs={"trajectory": str(traj), "sample_dt": 0.999e-6},
+        )
+        assert main(["simulate", "--config", path]) == EXIT_VALIDATION
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: outputs.sample_dt: ")
+        assert not traj.exists()
+
+
 class TestVerify:
     def test_passes_on_experiment_one(self, tmp_path, capsys):
         path = write_config(tmp_path / "c.json")

@@ -19,6 +19,7 @@ from minmaxap import (
     simulate_trajectory,
     solve_min_time_consensus,
 )
+from minmaxap import consensus
 from minmaxap.consensus import _build_sets
 
 EXP1_POSITIONS = (-3.542884, 3.001152, 6.924106, -18.0296)
@@ -449,6 +450,26 @@ class TestFirstOrderTrajectory:
 def test_trajectory_numbers_checked(agent, target, dt, error):
     with pytest.raises(error):
         simulate_trajectory(agent, target, dt)
+
+
+def no_sample(*args):
+    raise AssertionError("a sample was built")
+
+
+@pytest.mark.parametrize(
+    "agent, target, dt",
+    [
+        # arrival after 1.0 s and 2.0 s: MAX_SAMPLES + 1 grid samples each
+        (AgentDynamics(Model.FIRST_ORDER, [0.0]), ([1.0], 0.0), 1e-6),
+        (so_agent(0.0), (1.0, 0.0), 2e-6),
+    ],
+    ids=["first-order", "second-order"],
+)
+def test_a_dt_past_the_sample_cap_raises_before_sampling(agent, target, dt, monkeypatch):
+    monkeypatch.setattr(consensus, "TrajectorySample", no_sample)
+    with pytest.raises(ValueError, match="more than 1000000 samples"):
+        simulate_trajectory(agent, target, dt)
+    assert consensus.MAX_SAMPLES == 10**6
 
 
 class TestSolveConsensus:

@@ -92,13 +92,14 @@ def polygon(m, radius=5.0):
 
 
 def count_tries(monkeypatch):
-    """A list that grows by |S| at each try, an alternating.exchange call."""
+    """A list that grows by |B| at each try, an alternating.exchange call
+    on the basis B that DykstraState.try_finish picks."""
     tries = []
     real = alternating.exchange
 
-    def spy(cones, v, active):
-        tries.append(active.size)
-        return real(cones, v, active)
+    def spy(cones, v, B):
+        tries.append(B.size)
+        return real(cones, v, B)
 
     monkeypatch.setattr(alternating, "exchange", spy)
     return tries
@@ -132,8 +133,8 @@ class TestProperty:
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("x0", proof_cases())
     def test_no_wrong_point_is_proved(self, x0, mode):
-        # tries on the highest n + 1 of more binding sets may fail, but a
-        # finished answer is the closed form's to rounding
+        # a try may fail, but a finished answer is the closed form's to
+        # rounding
         r = solve_min_time_consensus(first_order(x0, np.ones(len(x0))), mode=mode)
         x, t = minmax_1d(x0[:, 0], np.ones(len(x0))) if x0.shape[1] == 1 else enclosing_circle(x0)
         tol = 1e-12 if r.solver.finished else 1e-5
@@ -213,9 +214,9 @@ class TestProperty:
         exchanges, solves = [], []
         real, real_binding = alternating.exchange, alternating.binding
 
-        def spy(cones, v, support):
+        def spy(cones, v, B):
             solves.append([v.size, 0])
-            exchanges.append(real(cones, v, support))
+            exchanges.append(real(cones, v, B))
             return exchanges[-1]
 
         def counted(*args):
@@ -277,6 +278,64 @@ EXP1 = (-3.542884, 3.001152, 6.924106, -18.0296)
 
 def exp1_cones():
     return [SecondOrderCone(np.array([x, 0.0]), 4.0) for x in EXP1]
+
+
+class TestStart:
+    """DykstraState.try_finish picks the basis B that exchange() pivots
+    from, and remembers it."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_every_cone_try_starts_from_one_cone(self, mode, monkeypatch):
+        # the cone of S highest at the iterate, however many S holds
+        sizes = count_tries(monkeypatch)
+        for dim in (1, 2, 3):
+            for n in (5, 12, 40):
+                rng = np.random.default_rng([dim, n, 0, 29])
+                agents = first_order(rng.uniform(-10.0, 10.0, (n, dim)), rng.uniform(0.5, 2.0, n))
+                assert solve_min_time_consensus(agents, mode=mode).solver.finished
+        for m in (8, 96):
+            assert solve_min_time_consensus(first_order(polygon(m), np.ones(m)), mode=mode).solver.finished
+        assert sizes and set(sizes) == {1}
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_bench_swarms_take_at_most_three_binding_solves(self, mode, monkeypatch):
+        # a pivot from the support of n + 1 cones took 4 on swarms 2, 4 and 8,
+        # whose first solve, on that support, failed
+        solves = []
+        real = alternating.binding
+
+        def counted(*args):
+            solves[-1] += 1
+            return real(*args)
+
+        monkeypatch.setattr(alternating, "binding", counted)
+        for base in (0, 2, 4, 8, 10):
+            solves.append(0)
+            x0 = np.random.default_rng(base).uniform(0.0, 10.0, (96, 2))
+            assert solve_min_time_consensus(first_order(x0, np.ones(96)), mode=mode).solver.finished
+        assert max(solves) <= 3, solves
+
+    def test_a_new_s_with_the_same_highest_cone_is_not_tried_again(self, monkeypatch):
+        # at x = 0 cone 0 lies above cone 1, so S = {0} and S = {0, 1}
+        # start from the same basis
+        sizes = count_tries(monkeypatch)
+        state = alternating.DykstraState(ConeStack.of(exp1_cones()), np.array([0.0, 80.0]), True)
+        x = np.array([0.0, 1.0])
+        state.zero[0] = False
+        state.try_finish(x)
+        state.zero[1] = False
+        state.try_finish(x)
+        assert sizes == [1] and state.tried.tolist() == [0]
+
+    def test_an_oracle_s_of_at_most_n_sets_is_not_tried(self, monkeypatch):
+        # an oracle set has no apex to solve, so no basis of n sets can prove
+        sizes = count_tries(monkeypatch)
+        sets = [CountingEpigraph(lambda x: float(x @ x), lambda x: 2 * x, 2) for _ in range(3)]
+        state = alternating.DykstraState(sets, np.array([0.5, 0.5, 1.0]), True)
+        for i in (0, 1):
+            state.zero[i] = False
+            assert state.try_finish(np.array([0.5, 0.5, 1.0])) is None
+        assert sizes == [] and sum(s.calls for s in sets) == 0 and state.tried is None
 
 
 class TestTraces:
@@ -375,8 +434,8 @@ class TestRejections:
         # the cone with apex (0, 10) holds the lowest point at its apex,
         # where no Newton root lies. From above every cone, S is empty and
         # its try proves the apex of the highest cone there; from below
-        # the raised cone, S = {that cone}, and the exchange after the
-        # failed try proves its apex in closed form
+        # the raised cone, S = {that cone}, and the pivot from that cone
+        # proves its apex in closed form
         cones = [
             SecondOrderCone(np.array([0.0, 10.0]), 1.0),
             SecondOrderCone(np.array([1.0, 0.0]), 1.0),
@@ -402,9 +461,9 @@ class TestRejections:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_four_cocircular_agents(self, mode):
-        # all four bind, one more than n + 1: a try takes the three with the
-        # highest values at the iterate, and three whose triangle holds the
-        # centre prove the circle
+        # all four bind, one more than n + 1: a try pivots from the one
+        # highest at the iterate, and three whose triangle holds the centre
+        # prove the circle
         angles = (0.3, 1.9, 3.5, 5.0)
         x0 = 3.0 * np.array([[np.cos(a), np.sin(a)] for a in angles]) + [1.0, -2.0]
         r = solve_min_time_consensus(first_order(x0, np.ones(4)), mode=mode)
@@ -414,9 +473,9 @@ class TestRejections:
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("m", [8, 96])
     def test_regular_polygons(self, m, mode, monkeypatch):
-        # every vertex ties at the answer, so the highest n + 1 values churn
-        # from cycle to cycle; each new support is tried at once, and the
-        # exchange repairs the first failed try, so few tries are made
+        # every vertex ties at the answer, so the highest cone at the
+        # iterate churns from cycle to cycle; each new one is tried at once,
+        # and the pivot from it proves the answer, so few tries are made
         tries = count_tries(monkeypatch)
         r = solve_min_time_consensus(first_order(polygon(m), np.ones(m)), mode=mode)
         assert len(tries) <= 2 * r.solver.outer_iters
@@ -562,7 +621,7 @@ def hull_cones(dim, k, seed, equal):
 def kkt_holds(cones, active, point, w):
     """Whether the (x..., t) point and the weights w pass newton()'s KKT
     test over the cones in active."""
-    f, g, scale = cones.terms(active)(point[:-1])
+    f, g, scale = cones.terms(point[:-1], active)
     t = point[-1]
     return bool((np.abs(f - t) <= 1e-12 * (1.0 + abs(t))).all() and (np.abs(w @ g) <= 1e-12 * scale).all()
                 and abs(w.sum() - 1.0) <= 1e-12)
@@ -616,10 +675,10 @@ class TestHullSolve:
     def test_terms_are_values_subgradients_and_scale(self):
         active = np.array([0, 1])
         cones = ConeStack.of([SecondOrderCone(np.array([float(i), 1.0, 0.0]), 1.0 + i) for i in range(3)])
-        f, g, scale = cones.terms(active)(np.array([0.5, -1.0]))
+        f, g, scale = cones.terms(np.array([0.5, -1.0]), active)
         assert f.shape == (2,) and g.shape == (2, 2) and scale == 2.0
         sets = [ConvexEpigraph(lambda x: float(x @ x), lambda x: 2 * x, 2) for _ in range(3)]
-        f, g, scale = ConeStack.of(sets).terms(active)(np.array([3.0, 4.0]))
+        f, g, scale = ConeStack.of(sets).terms(np.array([3.0, 4.0]), active)
         assert f.tolist() == [25.0, 25.0] and g.tolist() == [[6.0, 8.0]] * 2 and scale == 10.0
 
 
