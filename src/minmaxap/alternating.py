@@ -163,9 +163,10 @@ def dykstra_pass(
     return x, drift
 
 
-def newton(cones: ConeStack, v: Array, active: Array) -> Optional[tuple[Array, Array]]:
+def newton(cones: ConeStack, v: Array, active: Array) -> tuple[Array, Array]:
     """The point (x..., t) where every set in active binds and weights
-    w >= 0 might prove it, by Newton's method on the KKT system, or None.
+    w >= 0 might prove it, by Newton's method on the KKT system, and w; or
+    an ArithmeticError.
 
     active holds the indices S of at most n + 1 sets of a stack that
     finishes (ConeStack.finishes). Newton solves the square system
@@ -173,20 +174,21 @@ def newton(cones: ConeStack, v: Array, active: Array) -> Optional[tuple[Array, A
     ConeStack.terms: over (x, t) for n + 1 sets, else over (y, t) with
     x = p_0 + Q y in the affine hull of the apexes p_i of S's cones, Q an
     orthonormal basis of the p_i - p_0; the hull holds S's lowest point,
-    and span(Q) each x - p_i (oracles have no apexes, so an oracle basis
-    of |S| <= n sets gives up before any oracle call). It stops at the
-    second iterate in a row with f_i = t within 1e-12 (1 + |t|), in at
-    most 20 steps, and solves w there, which must balance the gradients
-    within 1e-12 max_i ||g_i|| and sum to within 1e-12 of 1; its sign is
-    left to the caller. A value or subgradient that
-    is not finite, x at an apex, where grad f_i does not exist, or a
-    singular system gives None; an oracle's ArithmeticError passes on.
+    and span(Q) each x - p_i. It stops at the second iterate in a row with
+    f_i = t within 1e-12 (1 + |t|), in at most 20 steps, and solves w
+    there, which must balance the gradients within 1e-12 max_i ||g_i|| and
+    sum to within 1e-12 of 1; its sign is left to the caller. It raises an
+    ArithmeticError for an oracle basis of n sets, which has no apexes,
+    before any oracle call, a residual that is not finite, no such iterate
+    in 21 and weights that fail that test; ConeStack.terms's
+    ZeroDivisionError at an apex, numpy's LinAlgError on a singular system
+    and an oracle's errors pass on.
     """
     n, k = v.size - 1, active.size
     z = v
     if k <= n:
         if cones.oracles is not None:
-            return None
+            raise ArithmeticError("an oracle basis of n sets has no apexes to solve in")
         p = cones.apex_x[active]
         q = np.linalg.qr((p[1:] - p[0]).T)[0]
         z = np.append(q.T @ (v[:n] - p[0]), v[n])
@@ -197,51 +199,43 @@ def newton(cones: ConeStack, v: Array, active: Array) -> Optional[tuple[Array, A
     for _ in range(21):
         t = z[-1]
         x = z[:n] if k > n else p[0] + q @ z[:-1]
-        at = cones.terms(x, active)
-        if at is None:
-            return None
-        f, g, scale = at
+        f, g = cones.terms(x, active)
         F = f - t
         J[:, :-1] = g if k > n else g @ q
         # the largest excess of |F| over its bound, nan or inf unless F is finite
         excess = (np.abs(F) - 1e-12 * (1.0 + abs(t))).max()
         if not excess < math.inf:
-            return None
+            raise FloatingPointError("the Newton residual is not finite")
         if excess <= 0.0 and near:
             break
         near = excess <= 0.0
-        try:
-            z = z - np.linalg.solve(J, F)
-        except np.linalg.LinAlgError:
-            return None
+        z = z - np.linalg.solve(J, F)
     else:
-        return None
+        raise ArithmeticError("Newton's method found no root in 21 steps")
     # the rest, sum_i w_i g_i = 0 and -sum_i w_i = -1, is J.T w = -e_k
-    try:
-        w = np.linalg.solve(J.T, -np.eye(k)[-1])
-    except np.linalg.LinAlgError:
-        return None
+    w = np.linalg.solve(J.T, -np.eye(k)[-1])
+    scale = np.sqrt(np.einsum("ij,ij->i", g, g)).max()
     # not <=, so that a nan rejects
     if not ((np.abs(w @ g) <= 1e-12 * scale).all() and abs(w.sum() - 1.0) <= 1e-12):
-        return None
+        raise ArithmeticError("the weights do not balance the gradients")
     return np.append(x, t), w
 
 
-def proves(cones: ConeStack, v: Array, point: Array, high: float) -> bool:
+def proves(point: Array, high: float, bound: float) -> bool:
     """Whether the point (x..., t), an apex or a root that exchange()
-    weighs, passes the last two tests of exchange(): high, the caller's
-    max_j f_j(x) over every set, is at most t + 1e-12 (1 + |t|), and t is
-    at most max_j f_j at v's x + 1e-12 (1 + |t|), an upper bound on t*.
-    A nan fails either test: in high by the comparison, in the bound by
-    ConeStack.top."""
+    weighs, passes the last two tests of exchange(): high, max_j f_j(x)
+    over every set, is at most t + 1e-12 (1 + |t|), and t is at most the
+    upper bound on t*, max_j f_j at the try's iterate, + 1e-12 (1 + |t|).
+    A nan fails either test, and so does a bound that is not finite."""
     t = point[-1]
     tol = 1e-12 * (1.0 + abs(t))
-    return high <= t + tol and t <= cones.top(v[:-1]) + tol
+    return high <= t + tol and t <= bound + tol and bound < math.inf
 
 
-def binding(cones: ConeStack, z: Array, active: Array) -> Optional[tuple[Array, Array]]:
+def binding(cones: ConeStack, z: Array, active: Array) -> tuple[Array, Array]:
     """The point (x..., t) where every set in active binds and the
-    weights w, summing to 1, that balance their gradients there, or None.
+    weights w, summing to 1, that balance their gradients there; or the
+    error of newton().
 
     On a cone stack one cone binds at its apex with w = 1, and two on the
     segment between their apexes p_i and p_j, at distance s from p_i with
@@ -250,7 +244,7 @@ def binding(cones: ConeStack, z: Array, active: Array) -> Optional[tuple[Array, 
     cone and is the pair's lowest point: it comes back with w = 1 on its
     own cone and 0 on the other. More cones, and every oracle basis, run
     newton() from the pivot's last point z: cones in their apexes' affine
-    hull if at most n, oracles only when n + 1, else None at once.
+    hull if at most n, oracles only when n + 1.
     """
     if cones.oracles is not None or active.size > 2:
         return newton(cones, z, active)
@@ -265,10 +259,10 @@ def binding(cones: ConeStack, z: Array, active: Array) -> Optional[tuple[Array, 
     return np.append(pi + (s / d) * (pj - pi), ti + ai * s), np.array([aj, ai]) / (ai + aj)
 
 
-def exchange(cones: ConeStack, v: Array, B: Array) -> Optional[Array]:
+def exchange(cones: ConeStack, v: Array, B: Array) -> Array:
     """The lowest point (x..., t) of a stack that finishes
     (ConeStack.finishes), proved, by pivoting from the basis B that a try
-    at the iterate v picked (DykstraState.try_finish), or None.
+    at the iterate v picked (DykstraState.try_finish); or an error.
 
     The min-max of convex functions f_i is an LP-type problem of
     combinatorial dimension n + 1 (Matousek, Sharir & Welzl 1996): its
@@ -279,7 +273,8 @@ def exchange(cones: ConeStack, v: Array, B: Array) -> Optional[Array]:
     drops its set; an oracle basis left with n sets fails in newton().
 
     With w > 0, B's point (x_B, t_B), which passed binding()'s residual
-    test, is the answer once proves() accepts it. f_i(x_B) = t_B over B,
+    test, is the answer once proves() accepts it, with the upper bound
+    max_j f_j(v), evaluated at the first such test. f_i(x_B) = t_B over B,
     sum_i w_i g_i = 0 with sum_i w_i = 1 and w >= 0, and
     max_j f_j(x_B) <= t_B are the KKT conditions of min t s.t.
     f_i(x) <= t, which prove (x_B, t_B) optimal for this convex problem:
@@ -295,35 +290,28 @@ def exchange(cones: ConeStack, v: Array, B: Array) -> Optional[Array]:
     basis's t_B is at most t*: sum_i w_i g_i = 0 with w > 0 makes x_B a
     minimiser of the convex sum_i w_i f_i, so t_B = sum_i w_i f_i(x_B) <=
     sum_i w_i f_i(x*) <= t*. t* is at most proves()'s upper bound, so only
-    a set above t_B fails it. At most 4 (n + 1) steps. An oracle's
-    ArithmeticError passes on to DykstraState.try_finish.
+    a set above t_B fails it. No proof within 4 (n + 1) steps raises
+    ArithmeticError; every error of a step passes on to
+    DykstraState.try_finish, which ends the try.
     """
     n = v.size - 1
-    point = v
+    point, bound = v, None
     for _ in range(4 * (n + 1)):
-        found = binding(cones, point, B)
-        if found is None:
-            return None
-        point, w = found
+        point, w = binding(cones, point, B)
         if (w <= 0).any():
             B = np.delete(B, w.argmin())
             continue
         f = cones.values(point[:-1])
         j = int(f.argmax())
-        if proves(cones, v, point, f[j]):
+        bound = cones.values(v[:-1]).max() if bound is None else bound
+        if proves(point, f[j], bound):
             return point
         if B.size > n:
-            at = cones.terms(point[:-1], np.append(B, j))
-            if at is None:
-                return None
-            a = np.c_[at[1], -np.ones(n + 2)]
-            try:
-                mu = np.linalg.solve(a[:-1].T, a[-1])
-            except np.linalg.LinAlgError:
-                return None
+            a = np.c_[cones.terms(point[:-1], np.append(B, j))[1], -np.ones(n + 2)]
+            mu = np.linalg.solve(a[:-1].T, a[-1])
             B = np.delete(B, np.divide(w, mu, out=np.full(n + 1, np.inf), where=mu > 0).argmin())
         B = np.append(B, j)
-    return None
+    raise ArithmeticError(f"the pivot proved no point in {4 * (n + 1)} steps")
 
 
 class DykstraState:
@@ -375,8 +363,10 @@ class DykstraState:
         every cycle the apex (p_j, t_j) of the cone j highest at x, which
         proves() accepts, since f_j >= t_j everywhere: an answer at an apex
         can leave every increment zero. Returns the proved point or None.
-        An oracle's ArithmeticError, at a Newton iterate far from any the
-        solve asked for, ends the try with None, not the solve."""
+        It alone ends a failed try: the ArithmeticError or LinAlgError that
+        each failure in exchange() raises, an oracle's too, ends the try with
+        None and B kept in tried, not the solve; any other error, such as a
+        ProjectionError, passes on."""
         if not self.finishing:
             return None
         cones = self.cones
@@ -393,13 +383,14 @@ class DykstraState:
                 B = B[[int(cones.values(x[:-1], B).argmax())]]
             else:
                 # x lies in every set and none binds: only an apex can be the answer
-                point = cones.apex[int(cones.values(x[:-1]).argmax())].copy()
-                return point if proves(cones, x, point, cones.values(point[:-1]).max()) else None
+                f = cones.values(x[:-1])
+                point = cones.apex[int(f.argmax())].copy()
+                return point if proves(point, cones.values(point[:-1]).max(), f.max()) else None
             if np.array_equal(B, self.tried):
                 return None
             self.tried = B
             return exchange(cones, x, B)
-        except ArithmeticError:
+        except (ArithmeticError, np.linalg.LinAlgError):
             self.tried = B
             return None
 
@@ -475,7 +466,9 @@ def solution(
     a: Array, distance: float, cycles: int, k: int, trace: Trace,
     plane: HorizontalHyperplane, cfg: ToleranceConfig, finished: bool = False,
 ) -> MinMaxSolution:
-    """The MinMaxSolution at the (x..., t) point a, found at Bregman step k."""
+    """The MinMaxSolution at the (x..., t) point a, found at Bregman step k;
+    a point a try proved is finished, and its distance is its height above
+    the plane."""
     t_star = float(a[-1])
     return MinMaxSolution(
         x_star=a[:-1].copy(),
@@ -487,14 +480,6 @@ def solution(
         plane_grazed=(t_star - plane.t_min) < cfg.outer_tol,
         finished=finished,
     )
-
-
-def proved(
-    a: Array, cycles: int, k: int, trace: Trace, plane: HorizontalHyperplane, cfg: ToleranceConfig,
-) -> MinMaxSolution:
-    """The finished MinMaxSolution at the point a that a try proved
-    during Bregman step k: its distance is its height above the plane."""
-    return solution(a, float(a[-1]) - plane.t_min, cycles, k, trace, plane, cfg, finished=True)
 
 
 def bregman_step(
@@ -567,7 +552,7 @@ def solve_minmax(
         point = stats["proved"]
         if point is not None:
             trace._add(k, 0, 1, point, 0.0, flag, True)
-            return proved(point, inner_total, k, trace, plane, cfg)
+            return solution(point, float(point[-1]) - plane.t_min, inner_total, k, trace, plane, cfg, True)
         prev_b, b = b, plane.project(a)
         trace._add(k, 0, 1, a, 0.0, flag, True)
         start = bregman_step(k, a, b, prev_b, stats["state"], inner_total, trace, plane, cfg)

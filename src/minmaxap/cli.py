@@ -155,8 +155,9 @@ def load_config(path: str) -> ExperimentConfig:
     outputs = {}
     for key in ("solution", "trace", "trajectory"):
         path = outputs[f"{key}_path"] = out.get(key)
-        if path is not None and not isinstance(path, str):
-            problems.append(f"outputs.{key}: must be a file path string")
+        # an empty path names no file, so nothing would be written
+        if path is not None and not (isinstance(path, str) and path):
+            problems.append(f"outputs.{key}: must be a nonempty file path string")
     if "sample_dt" in out:
         # the check simulate_trajectory makes of its step
         try:

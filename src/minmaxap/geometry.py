@@ -216,9 +216,10 @@ class ConeStack:
     try_finish) serves the stack: every set is a cone, or every set is a
     ConvexEpigraph, whose sets the object array oracles then holds (None
     otherwise). The finish reads the sets in closed form for cones and
-    from the oracles for epigraphs: values picks a try's basis and gives
-    each pivot step its one evaluation of every set, terms a basis's
-    values and subgradients at x, and top the proof's upper bound.
+    from the oracles for epigraphs, through two calls: values(y, rows),
+    which picks a try's basis, gives each pivot step its one evaluation of
+    every set and the proof its upper bound, and terms(x, rows), a basis's
+    values and subgradients at x for Newton's method.
     """
 
     def __init__(self, apex: Array, slope: Array, oracles: Optional[Array] = None):
@@ -287,36 +288,28 @@ class ConeStack:
                 return n
         return lo + k
 
-    def terms(self, x: Array, active: Array) -> Optional[tuple[Array, Array, float]]:
-        """The finish's terms at x over the sets in active: f_i(x) and
-        g_i(x) for each and the gradient scale max_i ||g_i||, which is
-        max_i a_i for cones; or None at a cone's apex, where f_i(x) = t_i +
-        a_i ||x - p_i|| has no gradient. An epigraph's terms come from its
-        oracles: a value or subgradient that is not finite is passed on for
-        the caller's test, and a subgradient that is not dim numbers raises
-        ProjectionError."""
+    def terms(self, x: Array, rows: Array) -> tuple[Array, Array]:
+        """The finish's terms at x over the sets in rows: f_i(x) and g_i(x)
+        for each. A cone's f_i(x) = t_i + a_i ||x - p_i|| has no gradient at
+        its apex, where this raises ZeroDivisionError. An epigraph's terms
+        come from its oracles: a value or subgradient that is not finite is
+        passed on for the caller's test, and a subgradient that is not dim
+        numbers raises ProjectionError."""
         if self.oracles is not None:
-            f = self.values(x, active)
-            g = np.array([s._subgrad(x, finite=False) for s in self.oracles[active]])
-            return f, g, np.sqrt(np.einsum("ij,ij->i", g, g)).max()
-        d = x - self.apex_x[active]
+            return self.values(x, rows), np.array([s._subgrad(x, finite=False) for s in self.oracles[rows]])
+        d = x - self.apex_x[rows]
         r = np.sqrt(np.einsum("ij,ij->i", d, d))
-        a = self.raw_slope[active]
-        return (self.apex_t[active] + a * r, d * (a / r)[:, None], a.max()) if r.all() else None
+        if not r.all():
+            raise ZeroDivisionError("x lies at a cone's apex")
+        return self.apex_t[rows] + self.raw_slope[rows] * r, d * (self.raw_slope[rows] / r)[:, None]
 
-    def values(self, y: Array, sets: Array | slice = slice(None)) -> Array:
-        """f_i(y) for each index i in sets, or for every set, of a stack
+    def values(self, y: Array, rows: Array | slice = slice(None)) -> Array:
+        """f_i(y) for each index i in rows, or for every set, of a stack
         that finishes."""
         if self.oracles is not None:
-            return np.array([float(s.value(y)) for s in self.oracles[sets]])
-        d = y - self.apex_x[sets]
-        return self.apex_t[sets] + self.raw_slope[sets] * np.sqrt(np.einsum("ij,ij->i", d, d))
-
-    def top(self, y: Array) -> float:
-        """max_i f_i(y) over every set of a stack that finishes, or nan when
-        it is not finite."""
-        top = self.values(y).max()
-        return top if math.isfinite(top) else math.nan
+            return np.array([float(s.value(y)) for s in self.oracles[rows]])
+        d = y - self.apex_x[rows]
+        return self.apex_t[rows] + self.raw_slope[rows] * np.sqrt(np.einsum("ij,ij->i", d, d))
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .alternating import DykstraState, MinMaxSolution, ToleranceConfig, Trace, bregman_step, dykstra_pass, proved
+from .alternating import DykstraState, MinMaxSolution, ToleranceConfig, Trace, bregman_step, dykstra_pass, solution
 from .alternating import dykstra_step as agent_step
 from .errors import ConvergenceError
 from .geometry import HorizontalHyperplane, PointTime, ProjectableSet, norm
@@ -101,7 +101,7 @@ def run_ring(
         point = state.try_finish(a)
         if point is not None:
             trace._add(cycle, 1, 2, point, norm(inc), int(not cfg.warm_start), True)
-            return proved(point, cycle, n_events + 1, trace, plane, cfg)
+            return solution(point, float(point[-1]) - plane.t_min, cycle, n_events + 1, trace, plane, cfg, True)
         e, plane_pt = coordinator_step(a, last_guess, drift, plane, cfg)
         bregman = plane_pt is not None
         flag = int(bregman and not cfg.warm_start)

@@ -380,6 +380,20 @@ class TestSolve:
         assert len(errors) == 1 and errors[0].startswith("config error: cannot write output: ")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
+    @pytest.mark.parametrize("command", ["solve", "simulate"])
+    @pytest.mark.parametrize("key", ["solution", "trace", "trajectory"])
+    def test_an_empty_output_path_is_a_config_error(self, tmp_path, capsys, command, key):
+        # it would write nothing, yet exit 0
+        path = write_config(
+            tmp_path / "c.json",
+            agents=[{"model": "first_order", "x0": [0.0, 0.0]}, {"model": "first_order", "x0": [4.0, 1.0]}],
+            outputs={key: ""},
+        )
+        assert main([command, "--config", path, "--quiet"]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: outputs.{key}: must be a nonempty file path string"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
     def test_determinism(self, tmp_path):
         outs = []
         for name in ("a", "b"):

@@ -37,6 +37,8 @@ PAPER = ToleranceConfig(exact_finish=False)
 PLANE = HorizontalHyperplane(0.0)
 MODES = ("centralized", "ring")
 SOLVERS = (solve_minmax, run_ring)
+# what a failed try raises; DykstraState.try_finish ends the try on either
+TRY_ERRORS = (ArithmeticError, np.linalg.LinAlgError)
 
 
 def rel(got, ref):
@@ -327,6 +329,25 @@ class TestStart:
         state.try_finish(x)
         assert sizes == [1] and state.tried.tolist() == [0]
 
+    @pytest.mark.parametrize(
+        "error", [ZeroDivisionError, FloatingPointError, ArithmeticError, np.linalg.LinAlgError, ProjectionError])
+    def test_try_finish_alone_ends_a_failed_try(self, error, monkeypatch):
+        # a failure inside a try raises, and try_finish ends the try with
+        # None, keeping its basis so that it is not tried again; any other
+        # error, such as the ProjectionError of a malformed oracle, ends the
+        # solve
+        def fail(*args):
+            raise error("a failure inside the try")
+
+        monkeypatch.setattr(alternating, "binding", fail)
+        state = alternating.DykstraState(ConeStack.of(exp1_cones()), np.array([0.0, 80.0]), True)
+        state.zero[:2] = False
+        if error is ProjectionError:
+            with pytest.raises(ProjectionError):
+                state.try_finish(np.array([0.0, 1.0]))
+        else:
+            assert state.try_finish(np.array([0.0, 1.0])) is None and state.tried.tolist() == [0]
+
     def test_an_oracle_s_of_at_most_n_sets_is_not_tried(self, monkeypatch):
         # an oracle set has no apex to solve, so no basis of n sets can prove
         sizes = count_tries(monkeypatch)
@@ -385,9 +406,9 @@ class TestRejections:
     def test_a_pseudo_root_far_away_is_rejected(self):
         # two cones of a swarm bind. At a point 9e15 out along their axis
         # every block of the KKT residual is below 1e-12 (1 + |t|), so a test
-        # relative to |t| alone would accept it; the gradient block's own
-        # scale (max slope) rejects it in newton(), and the pivot from there
-        # proves the smallest enclosing circle
+        # relative to |t| alone would accept it. There both gradients are one
+        # unit vector to rounding, so newton()'s system is singular and it
+        # raises; the pivot from there proves the smallest enclosing circle
         pts = np.random.default_rng(1116).uniform(-10.0, 10.0, (4, 2))
         cones = ConeStack.of([SecondOrderCone(np.append(p, 0.0), 1.0) for p in pts])
         a, b = pts[0], pts[1]
@@ -397,7 +418,8 @@ class TestRejections:
         u = (x - pts[:2]) / np.linalg.norm(x - pts[:2], axis=1)[:, None]
         assert np.abs(np.linalg.norm(x - pts[:2], axis=1) - t).max() <= 1e-12 * (1 + t)
         assert np.abs(w @ u).max() <= 1e-12 * (1 + t)
-        assert alternating.newton(cones, np.append(x, t), np.array([0, 1])) is None
+        with pytest.raises(TRY_ERRORS):
+            alternating.newton(cones, np.append(x, t), np.array([0, 1]))
         point = alternating.exchange(cones, np.append(x, t), np.array([0, 1]))
         assert rel(point, np.append(*enclosing_circle(pts))) <= 1e-12
 
@@ -410,11 +432,12 @@ class TestRejections:
         assert rel(r.x_consensus, x) <= tol and rel(r.t_consensus, t) <= tol
 
     def test_a_start_at_an_apex_is_rejected(self):
-        # no gradient at an apex: newton() gives up there, and the pivot
+        # no gradient at an apex: newton() raises there, and the pivot
         # from there proves experiment 1's crossing
         cones = ConeStack.of(exp1_cones())
         start = np.array([EXP1[1], 5.0])
-        assert alternating.newton(cones, start, np.array([1, 2])) is None
+        with pytest.raises(ZeroDivisionError):
+            alternating.newton(cones, start, np.array([1, 2]))
         point = alternating.exchange(cones, start, np.array([1, 2]))
         assert rel(point, minmax_1d(EXP1, [4.0] * 4)) <= 1e-12
         assert point == pytest.approx([-5.5527, 49.9074], abs=1e-4)
@@ -621,7 +644,8 @@ def hull_cones(dim, k, seed, equal):
 def kkt_holds(cones, active, point, w):
     """Whether the (x..., t) point and the weights w pass newton()'s KKT
     test over the cones in active."""
-    f, g, scale = cones.terms(point[:-1], active)
+    f, g = cones.terms(point[:-1], active)
+    scale = np.sqrt(np.einsum("ij,ij->i", g, g)).max()
     t = point[-1]
     return bool((np.abs(f - t) <= 1e-12 * (1.0 + abs(t))).all() and (np.abs(w @ g) <= 1e-12 * scale).all()
                 and abs(w.sum() - 1.0) <= 1e-12)
@@ -661,11 +685,11 @@ class TestHullSolve:
                     p = c + s[:, None] * d
                     cones = ConeStack(np.c_[p, np.zeros(k)], 1.0 / u)
                     for y in (p.mean(0), p.mean(0) + rng.standard_normal(dim)):
-                        found = alternating.binding(cones, np.append(y, cones.values(y).max()), active)
-                        if found is None:
+                        try:
+                            point, w = alternating.binding(cones, np.append(y, cones.values(y).max()), active)
+                        except TRY_ERRORS:
                             continue
                         returned += 1
-                        point, w = found
                         assert kkt_holds(cones, active, point, w), (dim, k, seed)
                         if (w >= 0).all():
                             line, t = minmax_1d(s, 1.0 / u)
@@ -673,13 +697,15 @@ class TestHullSolve:
         assert returned
 
     def test_terms_are_values_subgradients_and_scale(self):
+        # the scale max_i ||g_i|| is newton()'s, which is max_i a_i on cones
         active = np.array([0, 1])
+        scale = lambda g: np.sqrt(np.einsum("ij,ij->i", g, g)).max()
         cones = ConeStack.of([SecondOrderCone(np.array([float(i), 1.0, 0.0]), 1.0 + i) for i in range(3)])
-        f, g, scale = cones.terms(np.array([0.5, -1.0]), active)
-        assert f.shape == (2,) and g.shape == (2, 2) and scale == 2.0
+        f, g = cones.terms(np.array([0.5, -1.0]), active)
+        assert f.shape == (2,) and g.shape == (2, 2) and scale(g) == 2.0
         sets = [ConvexEpigraph(lambda x: float(x @ x), lambda x: 2 * x, 2) for _ in range(3)]
-        f, g, scale = ConeStack.of(sets).terms(np.array([3.0, 4.0]), active)
-        assert f.tolist() == [25.0, 25.0] and g.tolist() == [[6.0, 8.0]] * 2 and scale == 10.0
+        f, g = ConeStack.of(sets).terms(np.array([3.0, 4.0]), active)
+        assert f.tolist() == [25.0, 25.0] and g.tolist() == [[6.0, 8.0]] * 2 and scale(g) == 10.0
 
 
 class TestOracleStacks:
@@ -704,7 +730,8 @@ class TestOracleStacks:
     def test_a_try_over_at_most_n_epigraphs_calls_no_oracle(self):
         # without curvature the KKT system over |S| <= n sets is singular
         sets = [CountingEpigraph(lambda x: float(x @ x), lambda x: 2 * x, 2) for _ in range(3)]
-        assert alternating.exchange(ConeStack.of(sets), np.array([0.5, 0.5, 1.0]), np.array([0, 1])) is None
+        with pytest.raises(ArithmeticError):
+            alternating.exchange(ConeStack.of(sets), np.array([0.5, 0.5, 1.0]), np.array([0, 1]))
         assert sum(s.calls for s in sets) == 0
 
     @pytest.mark.parametrize("mode", MODES)
