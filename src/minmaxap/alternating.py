@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .geometry import (
-    ConeStack, HorizontalHyperplane, PointTime, ProjectableSet, norm, plus_zero, positive_integer,
+    ConeStack, HorizontalHyperplane, PointTime, ProjectableSet, norm, plus_zero, positive_integer, positive_number,
 )
 
 Array = np.ndarray
@@ -47,12 +47,8 @@ class ToleranceConfig:
     exact_finish: bool = True
 
     def __post_init__(self):
-        for tol in (self.err, self.outer_tol):
-            # bool is an int subclass, but true is no tolerance
-            if isinstance(tol, bool):
-                raise TypeError("tolerances must be numbers, not booleans")
-            if not (math.isfinite(tol) and tol > 0):
-                raise ValueError("tolerances must be finite and positive")
+        for tol in ("err", "outer_tol"):
+            object.__setattr__(self, tol, positive_number(getattr(self, tol), tol))
         for cap in ("max_inner_cycles", "max_outer_iters"):
             object.__setattr__(self, cap, positive_integer(getattr(self, cap), cap))
         for flag in ("warm_start", "exact_finish"):
@@ -462,13 +458,42 @@ def dykstra_project(
     return x
 
 
-def solution(
-    a: Array, distance: float, cycles: int, k: int, trace: Trace,
-    plane: HorizontalHyperplane, cfg: ToleranceConfig, finished: bool = False,
-) -> MinMaxSolution:
-    """The MinMaxSolution at the (x..., t) point a, found at Bregman step k;
-    a point a try proved is finished, and its distance is its height above
-    the plane."""
+def bregman_step(
+    k: int, a: Array, b: Array, b_prev: Array, proved: Optional[Array], state: DykstraState, cycles: int,
+    trace: Trace, plane: HorizontalHyperplane, cfg: ToleranceConfig,
+) -> MinMaxSolution | Array:
+    """The end of Bregman step k in solve_minmax and run_ring alike, which
+    builds every MinMaxSolution.
+
+    a is the inner run's result, b = plane.project(a), b_prev the plane
+    point the run projected, proved the point a try proved in the step or
+    None, state the solve's DykstraState, cycles the inner cycles so far
+    and trace the rows so far. A proved point comes back finished, its
+    distance its height above the plane. Else a comes back, at its gap to
+    b, once k > 1 and b moved less than cfg.outer_tol, and the outer-cap
+    ConvergenceError is raised at k == cfg.max_outer_iters. An answer
+    within outer_tol of the plane, which it must lie strictly above, is
+    flagged plane_grazed. Otherwise restarts the state and returns the next
+    run's start: a - b_prev is the sum of the increments, so under
+    cfg.warm_start the run keeps them and starts at b + (a - b_prev), where
+    that invariant puts the iterate of a run from b; else they are zeroed
+    and it starts at b.
+    """
+    if proved is not None:
+        a, distance = proved, float(proved[-1]) - plane.t_min
+    elif k > 1 and norm(b - b_prev) < cfg.outer_tol:
+        distance = norm(a - b)
+    elif k == cfg.max_outer_iters:
+        raise ConvergenceError(
+            "Bregman outer iteration cap reached",
+            iterate=a.copy(),
+            residual=norm(a - b),
+            iterations=k,
+            trace=trace,
+        )
+    else:
+        state.restart(cfg.warm_start)
+        return b + (a - b_prev) if cfg.warm_start else b
     t_star = float(a[-1])
     return MinMaxSolution(
         x_star=a[:-1].copy(),
@@ -478,40 +503,8 @@ def solution(
         outer_iters=k,
         trace=trace,
         plane_grazed=(t_star - plane.t_min) < cfg.outer_tol,
-        finished=finished,
+        finished=proved is not None,
     )
-
-
-def bregman_step(
-    k: int, a: Array, b: Array, b_prev: Array, state: DykstraState, cycles: int,
-    trace: Trace, plane: HorizontalHyperplane, cfg: ToleranceConfig,
-) -> MinMaxSolution | Array:
-    """The end of Bregman step k, in solve_minmax and run_ring alike.
-
-    a is the inner run's result, b = plane.project(a), b_prev the plane
-    point the run projected, state the solve's DykstraState, cycles the
-    inner cycles so far and trace the rows so far. Returns the
-    MinMaxSolution once k > 1 and b moved less than cfg.outer_tol (flagged
-    plane_grazed when the limit lies within outer_tol of the plane, which
-    it must lie strictly above), and raises the outer-cap ConvergenceError
-    at k == cfg.max_outer_iters. Otherwise restarts the state and returns
-    the next run's start: a - b_prev is the sum of the increments, so
-    under cfg.warm_start the run keeps them and starts at b + (a - b_prev),
-    where that invariant puts the iterate of a run from b; else they are
-    zeroed and it starts at b.
-    """
-    if k > 1 and norm(b - b_prev) < cfg.outer_tol:
-        return solution(a, norm(a - b), cycles, k, trace, plane, cfg)
-    if k == cfg.max_outer_iters:
-        raise ConvergenceError(
-            "Bregman outer iteration cap reached",
-            iterate=a.copy(),
-            residual=norm(a - b),
-            iterations=k,
-            trace=trace,
-        )
-    state.restart(cfg.warm_start)
-    return b + (a - b_prev) if cfg.warm_start else b
 
 
 def solve_minmax(
@@ -524,18 +517,18 @@ def solve_minmax(
 
     Alternates a_k = P_A(b_{k-1}), b_k = P_plane(a_k), with P_A the
     dykstra_project of the epigraphs, for at most cfg.max_outer_iters
-    steps, each ended by bregman_step; a_k is the solution once
-    consecutive b_k move less than cfg.outer_tol, and ``distance`` the gap
+    steps. Each step writes one trace row, holding a_k or the point a try
+    proved, and ends in bregman_step, which returns every answer: a_k once
+    consecutive b_k move less than cfg.outer_tol, with ``distance`` the gap
     to b_k. Every ConvergenceError carries the trace so far. All runs
     share one DykstraState, passed as stats["state"]: one ConeStack, and
     one increment array, kept under cfg.warm_start and zeroed between runs
     otherwise.
 
     Under cfg.exact_finish every run may end early with a point a try
-    proved (see dykstra_project and DykstraState.try_finish); each Bregman
-    step forgets the basis tried, so each run tries again on its own
-    evidence. A proof in step k ends the solve with one trace row for
-    step k, holding the proved point.
+    proved (see dykstra_project and DykstraState.try_finish), which ends
+    its step, and the solve, in bregman_step; each Bregman step forgets
+    the basis tried, so each run tries again on its own evidence.
     """
     start = b = p0.to_array()
     stats = {"state": DykstraState(epigraphs, b, cfg.exact_finish)}
@@ -550,11 +543,8 @@ def solve_minmax(
             raise
         inner_total += stats["cycles"]
         point = stats["proved"]
-        if point is not None:
-            trace._add(k, 0, 1, point, 0.0, flag, True)
-            return solution(point, float(point[-1]) - plane.t_min, inner_total, k, trace, plane, cfg, True)
         prev_b, b = b, plane.project(a)
-        trace._add(k, 0, 1, a, 0.0, flag, True)
-        start = bregman_step(k, a, b, prev_b, stats["state"], inner_total, trace, plane, cfg)
+        trace._add(k, 0, 1, a if point is None else point, 0.0, flag, True)
+        start = bregman_step(k, a, b, prev_b, point, stats["state"], inner_total, trace, plane, cfg)
         if isinstance(start, MinMaxSolution):
             return start

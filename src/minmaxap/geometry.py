@@ -145,7 +145,7 @@ class SecondOrderCone(ProjectableSet):
     def __post_init__(self):
         object.__setattr__(self, "apex", finite_vector(self.apex, "apex"))
         positive_integer(self.apex.size - 1, "dim")
-        positive_number(self.slope, "slope")
+        object.__setattr__(self, "slope", positive_number(self.slope, "slope"))
 
     @property
     def dim(self) -> int:  # type: ignore[override]
@@ -353,7 +353,7 @@ class Ball(ProjectableSet):
 
     def __post_init__(self):
         object.__setattr__(self, "center", finite_vector(self.center, "center"))
-        positive_number(self.radius, "radius")
+        object.__setattr__(self, "radius", positive_number(self.radius, "radius"))
 
     @property
     def dim(self) -> int:  # type: ignore[override]

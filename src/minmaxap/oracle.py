@@ -31,6 +31,8 @@ class GridSpec:
         object.__setattr__(self, "upper", hi)
         if lo.shape != hi.shape or not np.all(lo < hi):
             raise ValueError("need lower < upper componentwise")
+        if isinstance(self.resolution, bool) or not isinstance(self.resolution, (int, np.integer)):
+            raise TypeError("resolution must be an integer")
         if self.resolution < 3:
             raise ValueError("resolution must be at least 3")
         if lo.size > 3:

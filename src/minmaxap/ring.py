@@ -3,13 +3,13 @@
 N agents sit on a cyclic digraph; agent i owns the set sets[i-1] and a
 private Dykstra increment.  A single guess circulates 1 -> 2 -> ... -> N
 -> 1.  Agent 1 doubles as coordinator: when its own projection stops
-moving it drops the guess onto the plane and ends the Bregman step in
-alternating.bregman_step, as solve_minmax does.  a, agent 1's guess, and
-b_prev, the plane point the inner run started from, are both its own, and
-their difference is the sum of all the increments, so a warm restart
-needs no more than they.  A cold one zeroes every increment at the event;
-the paper's agents each discard their own at the next visit, which
-projects the same points.
+moving it drops the guess onto the plane, and when that happens or a try
+proves a point it ends the Bregman step in alternating.bregman_step, as
+solve_minmax does.  a, agent 1's guess, and b_prev, the plane point the
+inner run started from, are both its own, and their difference is the
+sum of all the increments, so a warm restart needs no more than they.  A
+cold one zeroes every increment at the event; the paper's agents each
+discard their own at the next visit, which projects the same points.
 
 run_ring keeps one alternating.DykstraState, as solve_minmax does, and
 adds only its visit order, agent 1's stop test and its cycle cap. Each
@@ -25,7 +25,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .alternating import DykstraState, MinMaxSolution, ToleranceConfig, Trace, bregman_step, dykstra_pass, solution
+from .alternating import DykstraState, MinMaxSolution, ToleranceConfig, Trace, bregman_step, dykstra_pass
 from .alternating import dykstra_step as agent_step
 from .errors import ConvergenceError
 from .geometry import HorizontalHyperplane, PointTime, ProjectableSet, norm
@@ -61,8 +61,9 @@ def run_ring(
     """Simulate the token ring until two consecutive Bregman events move
     the plane-side point less than cfg.outer_tol; agent i owns sets[i-1].
 
-    Each event ends in alternating.bregman_step, which stops, raises the
-    outer cap or gives the guess agent 1 sends on, as in solve_minmax.
+    Each event ends in alternating.bregman_step, which returns the answer,
+    raises the outer cap or gives the guess agent 1 sends on, as in
+    solve_minmax; run_ring returns nothing else.
     cfg.max_inner_cycles caps the cycles between two events. Every
     ConvergenceError carries the trace so far.
 
@@ -81,10 +82,10 @@ def run_ring(
     every set a ConvexEpigraph: ConeStack.finishes), agent 1 calls
     DykstraState.try_finish on its own turn, before its stop test, as
     dykstra_project does after a cycle; try_finish picks the agents whose
-    sets a try starts from. Each event forgets the basis tried. A proof ends the
-    solve at the step in progress, k: agent 1's row, the trace's last, is
-    then the event row of step k and holds the proved point, as
-    solve_minmax's last row does.
+    sets a try starts from. Each event forgets the basis tried. A proof is
+    the event of agent 1's turn, step k, and ends the solve in
+    bregman_step: agent 1's row, the trace's last, then holds the proved
+    point, as solve_minmax's last row does.
     """
     guess = b_prev = p0.to_array()
     state = DykstraState(sets, guess, cfg.exact_finish)
@@ -99,19 +100,18 @@ def run_ring(
         a, inc = agent_step(sets[0], state.increments[0], guess)
         drift += state.take(0, inc)
         point = state.try_finish(a)
-        if point is not None:
-            trace._add(cycle, 1, 2, point, norm(inc), int(not cfg.warm_start), True)
-            return solution(point, float(point[-1]) - plane.t_min, cycle, n_events + 1, trace, plane, cfg, True)
         e, plane_pt = coordinator_step(a, last_guess, drift, plane, cfg)
-        bregman = plane_pt is not None
+        # a proof is this turn's Bregman event, and its row holds the proved point
+        event = plane_pt if point is None else point
+        bregman = event is not None
         flag = int(bregman and not cfg.warm_start)
-        trace._add(cycle, 1, 2, plane_pt if bregman else a, norm(inc), flag, bregman)
+        trace._add(cycle, 1, 2, event if bregman else a, norm(inc), flag, bregman)
         if bregman or n_events == 0:
             best = a
         if bregman:
             n_events += 1
             last_event_cycle = cycle
-            guess = bregman_step(n_events, a, plane_pt, b_prev, state, cycle, trace, plane, cfg)
+            guess = bregman_step(n_events, a, plane_pt, b_prev, point, state, cycle, trace, plane, cfg)
             if isinstance(guess, MinMaxSolution):
                 return guess
             # agent 1 forgets the pre-drop guess, and the state the basis

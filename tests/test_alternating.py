@@ -583,11 +583,11 @@ class TestBregmanStep:
         state.tried = np.arange(2)
         return state
 
-    def step(self, k, cfg, state=None):
+    def step(self, k, cfg, state=None, proved=None):
         a, b_prev = vec([1.0], 2.0), vec([0.5], 0.0)
         state = self.state() if state is None else state
         b = self.PLANE.project(a)
-        return a, b, b_prev, bregman_step(k, a, b, b_prev, state, 7, Trace(), self.PLANE, cfg)
+        return a, b, b_prev, bregman_step(k, a, b, b_prev, proved, state, 7, Trace(), self.PLANE, cfg)
 
     def test_warm_start_keeps_the_increments(self):
         state = self.state()
@@ -618,6 +618,21 @@ class TestBregmanStep:
         assert (sol.outer_iters, sol.inner_cycles_total) == (2, 7)
         assert np.array_equal(vec(sol.x_star, sol.t_star), a)
         assert sol.distance == 2.0 and not sol.plane_grazed
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_a_proved_point_ends_the_step_finished(self, k):
+        # before the paper's stop may end a solve, and at the outer cap
+        state = self.state()
+        proved = vec([0.5], 0.5)
+        cfg = ToleranceConfig(max_outer_iters=3)
+        a, b, b_prev, sol = self.step(k, cfg, state, proved)
+        assert isinstance(sol, MinMaxSolution) and sol.finished
+        assert (sol.outer_iters, sol.inner_cycles_total) == (k, 7)
+        assert np.array_equal(vec(sol.x_star, sol.t_star), proved)
+        assert not np.shares_memory(sol.x_star, proved)
+        # its height above the plane, not its gap to b
+        assert sol.distance == 0.5 and not sol.plane_grazed
+        assert state.tried is not None and not state.zero.any()
 
     def test_cap_raises_with_the_iterate(self):
         with pytest.raises(ConvergenceError, match="Bregman outer iteration cap") as exc:

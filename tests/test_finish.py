@@ -881,6 +881,68 @@ class TestFailingOracles:
             solve_quadratics(solver, sets, bench_quads(9), ToleranceConfig())
 
 
+class TestUnprovedTries:
+    """A pivot whose weights do not balance the gradients (newton()) or
+    that proves no point in 4 (n + 1) steps (exchange()) ends its try with
+    None and its basis kept in tried, not the solve: the solve is the
+    paper's, bit for bit."""
+
+    MESSAGES = {"weights": "the weights do not balance the gradients", "steps": "the pivot proved no point in 8 steps"}
+
+    def pair(self, monkeypatch, failure):
+        """The pair of bench_quads(9) as epigraphs, and a list of the
+        messages of the errors that end its tries. With "weights", while
+        exchange() runs, the pair is two lines through (0.3, 0.2) whose
+        slopes differ by 1e-7 of themselves: Newton finds their root, but
+        no weights balance their gradients within 1e-12. With "steps",
+        proves() accepts no point."""
+        errors, trying = [], [False]
+        real = alternating.exchange
+
+        def spy(*args):
+            trying[0] = True
+            try:
+                return real(*args)
+            except TRY_ERRORS as exc:
+                errors.append(str(exc))
+                raise
+            finally:
+                trying[0] = False
+
+        monkeypatch.setattr(alternating, "exchange", spy)
+        if failure == "steps":
+            monkeypatch.setattr(alternating, "proves", lambda *args: False)
+
+        def lines():
+            return failure == "weights" and trying[0]
+
+        def epigraph(s, a, c, h):
+            return ConvexEpigraph(
+                lambda x: s * (x[0] - 0.3) + 0.2 if lines() else a * (x[0] - c) ** 2 + h,
+                lambda x: np.array([s if lines() else 2.0 * a * (x[0] - c)]),
+                1,
+            )
+
+        return [epigraph(0.7 * (1.0 + 1e-7 * i), *q) for i, q in enumerate(bench_quads(9))], errors
+
+    @pytest.mark.parametrize("failure", ["weights", "steps"])
+    def test_the_try_ends_with_its_basis_kept(self, failure, monkeypatch):
+        sets, errors = self.pair(monkeypatch, failure)
+        state = alternating.DykstraState(sets, np.array([0.5, 3.0]), True)
+        state.zero[:] = False
+        assert state.try_finish(np.array([0.5, 1.0])) is None
+        assert errors == [self.MESSAGES[failure]] and state.tried.tolist() == [0, 1]
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    @pytest.mark.parametrize("failure", ["weights", "steps"])
+    def test_the_solve_goes_on_as_the_papers(self, solver, failure, monkeypatch):
+        sets, errors = self.pair(monkeypatch, failure)
+        quads = bench_quads(9)
+        sol = solve_quadratics(solver, sets, quads, ToleranceConfig())
+        assert errors and set(errors) == {self.MESSAGES[failure]}
+        assert_identical(sol, solve_quadratics(solver, counted_quadratics(quads), quads, PAPER))
+
+
 class TestConfig:
     @pytest.mark.parametrize("flag", [1, 0, "yes", None, np.bool_(True)])
     def test_exact_finish_must_be_a_bool(self, flag):

@@ -580,7 +580,13 @@ ALL_SETS = [
 ]
 
 
-@pytest.mark.parametrize("s", ALL_SETS, ids=lambda s: type(s).__name__)
+# and a cone given a float32 slope, which it must project with in float64:
+# in float32 its projections fail the variational inequality
+@pytest.mark.parametrize(
+    "s",
+    ALL_SETS + [SecondOrderCone(np.array([0.2, -0.3]), np.float32(0.1))],
+    ids=[type(s).__name__ for s in ALL_SETS] + ["SecondOrderCone-float32-slope"],
+)
 class TestProjectionProperties:
     def test_idempotent(self, s):
         rng = np.random.default_rng(5)

@@ -30,6 +30,10 @@ class TestGridSpec:
             GridSpec(np.array([1.0]), np.array([0.0]), 100)
         with pytest.raises(ValueError):
             GridSpec(np.array([0.0]), np.array([1.0]), 2)
+        # a resolution that is no integer fails here, not inside grid_minmax
+        for resolution in (3.5, 5.0, True):
+            with pytest.raises(TypeError):
+                GridSpec(np.array([0.0]), np.array([1.0]), resolution)
 
 
 class TestGridMinmax:
